@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all verify vet lint lint-fix-check race fuzz bench-smoke
+.PHONY: all verify vet lint lint-fix-check race fuzz bench-smoke bench-selftest
 
 all: verify vet lint
 
@@ -58,6 +58,12 @@ bench-smoke:
 	$(GO) run ./cmd/xmlsec-bench -validate-b14 BENCH_b14_quick.json
 	$(GO) run ./cmd/xmlsec-bench -exp b15 -quick -b15-out BENCH_b15_quick.json
 	$(GO) run ./cmd/xmlsec-bench -validate-b15 BENCH_b15_quick.json
+
+# End-to-end benchmark self-test. _e2ebench is a module of its own, so the
+# root go test ./... never builds it; this keeps a core API change from
+# breaking the benchmark unnoticed.
+bench-selftest:
+	cd _e2ebench && $(GO) test ./...
 
 # Bounded fuzzing of the parser targets and the incremental-view
 # differential target from their seed corpora.

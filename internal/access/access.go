@@ -19,6 +19,17 @@
 //
 // Operations may succeed on some selected nodes and fail on others; the
 // Result records both.
+//
+// Where the view comes from. Execute/ExecuteWithVars(Ctx) derive it from
+// the document they are given: a non-shared policy evaluation (axiom 14)
+// and a full materialization (axioms 15–17), then the execute step.
+// ExecuteOnViewCtx is that execute step alone, over a view and
+// permissions the caller already holds. internal/core uses it to select
+// on the writing session's cached, incrementally maintained view of the
+// committed generation the round's scratch document was cloned from, and
+// falls back to the deriving entry point whenever an earlier request in
+// the same commit round changed the document, the policy or the subject
+// hierarchy (the cached view would then describe a different state).
 package access
 
 import (
@@ -77,22 +88,57 @@ func ExecuteWithVars(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Po
 // ExecuteWithVarsCtx is ExecuteWithVars with request-scoped tracing: under
 // an active trace the policy evaluation, view materialization, view-select
 // and axiom 18–25 application loop all appear as child spans, the latter
-// annotated with the op kind and per-node accounting.
+// annotated with the op kind and per-node accounting. It derives the view
+// from doc (axioms 14–17) and then runs the same execute step as
+// ExecuteOnViewCtx.
 func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, *view.View, error) {
 	if !h.Exists(user) {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownUser, user)
 	}
-	if err := op.Validate(); err != nil {
+	if err := checkOp(op); err != nil {
 		return nil, nil, err
-	}
-	if op.Kind == xupdate.Variable {
-		return nil, nil, fmt.Errorf("access: variable bindings need a sequence context (Session.Apply)")
 	}
 	pm, err := pol.EvaluateCtx(ctx, doc, h, user)
 	if err != nil {
 		return nil, nil, err
 	}
 	v := view.MaterializeCtx(ctx, doc, pm)
+	res, err := execute(ctx, doc, v, pm, user, op, extra)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, v, nil
+}
+
+// ExecuteOnViewCtx is the execute step of ExecuteWithVarsCtx on its own:
+// op's select path runs on v with $USER bound, and each selected node is
+// changed in doc if and only if pm grants the §4.4.2 privileges. The
+// caller vouches that v and pm are user's view and permissions over a
+// document with the same node identifiers and contents as doc (typically
+// the committed version doc was cloned from): the select sees v, the
+// privilege checks see pm, and nothing is re-derived. v is only read, so
+// a frozen, shared view is fine.
+func ExecuteOnViewCtx(ctx context.Context, doc *xmltree.Document, v *view.View, pm *policy.Perms, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
+	if err := checkOp(op); err != nil {
+		return nil, err
+	}
+	return execute(ctx, doc, v, pm, user, op, extra)
+}
+
+// checkOp rejects operations the single-op executor cannot run.
+func checkOp(op *xupdate.Op) error {
+	if err := op.Validate(); err != nil {
+		return err
+	}
+	if op.Kind == xupdate.Variable {
+		return fmt.Errorf("access: variable bindings need a sequence context (Session.Apply)")
+	}
+	return nil
+}
+
+// execute selects op's targets on v and applies the axiom 18–25 checks
+// node by node against doc.
+func execute(ctx context.Context, doc *xmltree.Document, v *view.View, pm *policy.Perms, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
 	vars := make(xpath.Vars, len(extra)+1)
 	for k, val := range extra {
 		vars[k] = val
@@ -102,7 +148,7 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 	if op.HasDynamicContent() {
 		expanded, err := op.ExpandContent(v.Doc.Root(), vars)
 		if err != nil {
-			return nil, nil, fmt.Errorf("access: expanding dynamic content on view: %w", err)
+			return nil, fmt.Errorf("access: expanding dynamic content on view: %w", err)
 		}
 		cp := *op
 		cp.Content = expanded
@@ -114,7 +160,7 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 	selSpan.End()
 	if err != nil {
 		opOutcome(op.Kind, "error")
-		return nil, nil, fmt.Errorf("access: evaluating select path on view: %w", err)
+		return nil, fmt.Errorf("access: evaluating select path on view: %w", err)
 	}
 	res := &xupdate.Result{Selected: len(sel)}
 	_, applySpan := obs.StartSpanCtx(ctx, "secured_apply", applyStage)
@@ -123,7 +169,7 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 		if err := applySecured(doc, pm, v, run, vn, res); err != nil {
 			applySpan.End()
 			opOutcome(op.Kind, "error")
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	applySpan.AnnotateInt("applied", int64(res.Applied))
@@ -139,7 +185,7 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 	default:
 		opOutcome(op.Kind, "noop")
 	}
-	return res, v, nil
+	return res, nil
 }
 
 // skip records a per-node refusal.

@@ -103,6 +103,15 @@ func (c *commitCtx) curPolicy() *policy.Policy {
 	return c.base.policy
 }
 
+// pristine reports whether the round's state still equals its base
+// generation: no earlier request in the round replaced or mutated the
+// document, or touched the policy or the hierarchy (a failed admin
+// operation that cloned one counts too; pristine errs on the safe side).
+func (c *commitCtx) pristine() bool {
+	return !c.docReset && c.policy == nil && c.subjects == nil &&
+		(c.doc == nil || c.doc.Version() == c.base.ver())
+}
+
 // submit enqueues fn into the group-commit queue and blocks until the
 // round containing it has been published (or discarded, for a round of
 // failures). The first writer to arrive becomes the leader: it drains the

@@ -70,6 +70,12 @@ var (
 	incFallbackGap        = obs.Default().Counter("xmlsec_view_incremental_fallback_total", "reason", "gap")
 	incFallbackError      = obs.Default().Counter("xmlsec_view_incremental_fallback_total", "reason", "error")
 
+	// Where each secured write's view came from: the writing session's
+	// cached view of the round's base generation, or a fresh derivation
+	// from the round's scratch state (see executeInRound).
+	securedViewSession = obs.Default().Counter("xmlsec_secured_view_total", "source", "session")
+	securedViewRebuild = obs.Default().Counter("xmlsec_secured_view_total", "source", "rebuild")
+
 	// auditDepth tracks the audit ring's current occupancy, so operators
 	// can see eviction pressure (the ring drops oldest entries at the
 	// configured limit) before entries are silently lost.
@@ -1145,12 +1151,16 @@ func (s *Session) journalOp(ctx context.Context, op *xupdate.Op) error {
 // plus execution, which is the latency the caller actually experiences.
 func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_update", updateStage)
+	// Bring the session's view up to the current generation on the
+	// writer's own goroutine, so the serialized round below usually finds
+	// it cached. An error here resurfaces from the round's own derivation.
+	_, _, _ = s.currentViewPerms(ctx, s.db.gen())
 	var res *xupdate.Result
 	var err error
 	s.db.submit(func(c *commitCtx) {
 		doc := c.mutableDoc()
 		fromVer := doc.Version()
-		res, _, err = access.ExecuteWithVarsCtx(ctx, doc, c.curSubjects(), c.curPolicy(), s.user, op, extra)
+		res, err = s.executeInRound(ctx, c, op, extra)
 		if err != nil {
 			// A failed executor may have partially mutated the scratch
 			// document; no batch is recorded, so if the round still
@@ -1172,6 +1182,31 @@ func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpat
 		return nil, err
 	}
 	return res, nil
+}
+
+// executeInRound runs op against the round's scratch document. While the
+// round's state still equals its base generation, the op selects on the
+// session's cached view of that generation (a cache hit when the pin
+// taken before submit is still current, an incremental patch when another
+// round published in between): the scratch document is a clone of the
+// base, with the same node identifiers, so the base's view and
+// permissions describe it exactly. Once an earlier request in the round
+// changed the document, the policy or the hierarchy, the view is derived
+// afresh from the scratch state, as is any view the session cache fails
+// to produce.
+func (s *Session) executeInRound(ctx context.Context, c *commitCtx, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
+	doc := c.mutableDoc()
+	if c.pristine() {
+		if v, pm, err := s.currentViewPerms(ctx, c.base); err == nil {
+			securedViewSession.Inc()
+			obs.AnnotateCtx(ctx, "view_source", "session")
+			return access.ExecuteOnViewCtx(ctx, doc, v, pm, s.user, op, extra)
+		}
+	}
+	securedViewRebuild.Inc()
+	obs.AnnotateCtx(ctx, "view_source", "rebuild")
+	res, _, err := access.ExecuteWithVarsCtx(ctx, doc, c.curSubjects(), c.curPolicy(), s.user, op, extra)
+	return res, err
 }
 
 // Apply parses an <xupdate:modifications> document and executes its
@@ -1226,7 +1261,9 @@ func (s *Session) apply(ctx context.Context, modifications string) ([]*xupdate.R
 			if err := op.Validate(); err != nil {
 				return results, err
 			}
-			v, err := s.ViewCtx(ctx)
+			// Bind on the shared frozen view: evaluation only reads it, and
+			// value-of content is copied into a fresh fragment on expansion.
+			v, err := s.currentView(ctx, s.db.gen())
 			if err != nil {
 				return results, err
 			}

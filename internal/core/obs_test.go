@@ -120,3 +120,46 @@ func TestAuditCarriesRequestID(t *testing.T) {
 		t.Errorf("context-free query Duration = %v, want > 0", last.Duration)
 	}
 }
+
+// TestFreshSessionWriteDerivesNoView guards the write path's reuse of the
+// session's view: when the writing session's cached view is current, the
+// write selects on it inside its commit round and records no
+// policy_evaluate and no view_materialize stage; its session_update span
+// names the view source. A follow-up write patches the view from the
+// first write's deltas before it submits, so it derives nothing either.
+func TestFreshSessionWriteDerivesNoView(t *testing.T) {
+	db := hospital(t)
+	s := session(t, db, "laporte")
+	if _, err := s.View(); err != nil {
+		t.Fatal(err)
+	}
+	eval, mat := obs.Stage("policy_evaluate"), obs.Stage("view_materialize")
+	e0, m0 := eval.Count(), mat.Count()
+	s0, r0 := sourceCounts()
+	tracer := obs.NewTracer(4, 0, nil)
+	ctx, trace := tracer.StartTrace(context.Background(), "test_write")
+	res, err := s.UpdateCtx(ctx, &xupdate.Op{Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: "pharyngitis"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace.Finish()
+	if res.Applied != 1 {
+		t.Fatalf("update not applied: %+v", res)
+	}
+	if _, err := s.Update(&xupdate.Op{Kind: xupdate.Update, Select: "/patients/robert/diagnosis", NewValue: "asthma"}); err != nil {
+		t.Fatal(err)
+	}
+	if de, dm := eval.Count()-e0, mat.Count()-m0; de != 0 || dm != 0 {
+		t.Errorf("writes with a fresh cached view recorded %d policy_evaluate and %d view_materialize stages, want 0 and 0", de, dm)
+	}
+	if s1, r1 := sourceCounts(); s1 != s0+2 || r1 != r0 {
+		t.Errorf("view sources session+%d rebuild+%d, want +2/+0", s1-s0, r1-r0)
+	}
+	ex := trace.Export()
+	if len(ex.Root.Children) != 1 || ex.Root.Children[0].Name != "session_update" {
+		t.Fatalf("trace children: %+v", ex.Root.Children)
+	}
+	if got := ex.Root.Children[0].Attrs["view_source"]; got != "session" {
+		t.Errorf("session_update view_source = %q, want session", got)
+	}
+}

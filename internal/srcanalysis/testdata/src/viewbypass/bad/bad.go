@@ -3,9 +3,13 @@
 package viewbypassbad
 
 import (
+	"context"
+
+	"securexml/internal/access"
 	"securexml/internal/baseline"
 	"securexml/internal/policy"
 	"securexml/internal/subject"
+	"securexml/internal/view"
 	"securexml/internal/xmltree"
 	"securexml/internal/xupdate"
 )
@@ -25,4 +29,10 @@ func Peek(doc *xmltree.Document) string {
 // Compare runs the SQL-semantics executor, the §2.2 covert channel.
 func Compare(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, op *xupdate.Op) (*xupdate.Result, error) {
 	return baseline.Execute(doc, h, pol, "user", op)
+}
+
+// Forge selects on a caller-built view: nothing proves v and pm are the
+// user's own view and permissions.
+func Forge(doc *xmltree.Document, v *view.View, pm *policy.Perms, op *xupdate.Op) (*xupdate.Result, error) {
+	return access.ExecuteOnViewCtx(context.Background(), doc, v, pm, "user", op, nil)
 }
