@@ -1,7 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
+BENCHCOUNT ?= 5
+BENCHTIME ?= 1s
 
-.PHONY: all verify vet lint lint-fix-check race fuzz bench-smoke bench-selftest
+.PHONY: all verify vet lint lint-fix-check race fuzz bench-smoke bench-selftest bench-micro
 
 all: verify vet lint
 
@@ -65,8 +67,16 @@ bench-smoke:
 bench-selftest:
 	cd _e2ebench && $(GO) test ./...
 
+# Hot-kernel micro-benchmarks (document clone, per-node rule matcher) with
+# allocation counts; run on two commits for before/after tables, e.g. with
+# benchstat. CI runs them once (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
+bench-micro:
+	$(GO) test -run '^$$' -bench '^BenchmarkClone$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xmltree
+	$(GO) test -run '^$$' -bench '^BenchmarkNodeMatcherMatch$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xpath
+
 # Bounded fuzzing of the parser targets and the incremental-view
-# differential target from their seed corpora.
+# differential target from their seed corpora, plus the clone-independence
+# target over random mutator sequences.
 fuzz:
 	$(GO) test ./internal/xpath -fuzz FuzzCompile -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xupdate -fuzz FuzzParseModifications -fuzztime $(FUZZTIME) -run '^$$'
@@ -74,3 +84,4 @@ fuzz:
 	$(GO) test ./internal/view -fuzz FuzzIncrementalView -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/policyanalysis -fuzz FuzzRepair -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/rewrite -fuzz FuzzRewrite -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/xmltree -fuzz FuzzCloneMutate -fuzztime $(FUZZTIME) -run '^$$'

@@ -108,7 +108,7 @@ func b12Verify(d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, user
 			return err
 		}
 		for _, n := range d.Nodes() {
-			id := n.ID().String()
+			id := n.IDString()
 			for _, priv := range policy.Privileges {
 				if ref.HasID(id, priv) != got.HasID(id, priv) {
 					return fmt.Errorf("user %s node %s priv %s: shared diverges from reference", u, id, priv)

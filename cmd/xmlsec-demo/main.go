@@ -394,7 +394,7 @@ func logicExample() error {
 	fmt.Println("node_view facts derived for beaufort (secretary) by axioms 14-17:")
 	facts := m.ViewFacts()
 	for _, n := range d.Nodes() {
-		if label, ok := facts[n.ID().String()]; ok {
+		if label, ok := facts[n.IDString()]; ok {
 			fmt.Printf("  node_view(%s, %q)\n", n.ID(), label)
 		}
 	}

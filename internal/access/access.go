@@ -190,7 +190,7 @@ func execute(ctx context.Context, doc *xmltree.Document, v *view.View, pm *polic
 
 // skip records a per-node refusal.
 func skip(res *xupdate.Result, n *xmltree.Node, reason string) {
-	res.Skipped = append(res.Skipped, xupdate.SkipReason{NodeID: n.ID().String(), Reason: reason})
+	res.Skipped = append(res.Skipped, xupdate.SkipReason{NodeID: n.IDString(), Reason: reason})
 }
 
 // applySecured enforces the §4.4.2 requirements for one node selected on
@@ -225,7 +225,7 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xup
 			return err
 		}
 		if old != op.NewValue {
-			res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRelabel, NodeID: src.ID().String(), NewLabel: op.NewValue})
+			res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRelabel, NodeID: src.IDString(), NewLabel: op.NewValue})
 		}
 		res.Applied++
 	case xupdate.Update:
@@ -256,7 +256,7 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xup
 				return err
 			}
 			if old != op.NewValue {
-				res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRelabel, NodeID: sk.ID().String(), NewLabel: op.NewValue})
+				res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRelabel, NodeID: sk.IDString(), NewLabel: op.NewValue})
 			}
 			applied = true
 		}
@@ -319,7 +319,7 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xup
 		sub := src.Subtree()
 		ids := make([]string, len(sub))
 		for i, s := range sub {
-			ids[i] = s.ID().String()
+			ids[i] = s.IDString()
 		}
 		res.Removed += len(sub)
 		if err := doc.Remove(src); err != nil {
@@ -340,6 +340,6 @@ func graft(doc *xmltree.Document, ref *xmltree.Node, mode xmltree.GraftMode, src
 	if err != nil {
 		return 0, err
 	}
-	res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaInsert, NodeID: top.ID().String()})
+	res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaInsert, NodeID: top.IDString()})
 	return len(top.Subtree()), nil
 }

@@ -91,7 +91,7 @@ func nodesOf(doc *xmltree.Document, path, user string) (map[string]bool, error) 
 	}
 	out := make(map[string]bool, len(ns))
 	for _, n := range ns {
-		out[n.ID().String()] = true
+		out[n.IDString()] = true
 	}
 	return out, nil
 }

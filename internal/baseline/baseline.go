@@ -70,7 +70,7 @@ func Execute(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, us
 }
 
 func skip(res *xupdate.Result, n *xmltree.Node, reason string) {
-	res.Skipped = append(res.Skipped, xupdate.SkipReason{NodeID: n.ID().String(), Reason: reason})
+	res.Skipped = append(res.Skipped, xupdate.SkipReason{NodeID: n.IDString(), Reason: reason})
 }
 
 func applyOne(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, n *xmltree.Node, res *xupdate.Result) error {

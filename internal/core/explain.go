@@ -173,12 +173,12 @@ func deriveVisibility(n *xmltree.Node, pm *policy.Perms) string {
 	if n.Kind() == xmltree.KindDocument {
 		return VerdictVisible
 	}
-	id := n.ID().String()
+	id := n.IDString()
 	if !selectedLocally(pm, id) {
 		return VerdictNoRead
 	}
 	for a := n.Parent(); a != nil && a.Kind() != xmltree.KindDocument; a = a.Parent() {
-		if !selectedLocally(pm, a.ID().String()) {
+		if !selectedLocally(pm, a.IDString()) {
 			return VerdictHiddenByParent
 		}
 	}

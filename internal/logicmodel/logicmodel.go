@@ -132,9 +132,9 @@ func build(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, user
 	// Database facts: node/2 and child/2 (sets F and the derived geometry
 	// of §3.3).
 	for _, n := range doc.Nodes() {
-		e.Fact("node", n.ID().String(), n.Label())
+		e.Fact("node", n.IDString(), n.Label())
 		if p := n.Parent(); p != nil {
-			e.Fact("child", n.ID().String(), p.ID().String())
+			e.Fact("child", n.IDString(), p.IDString())
 		}
 	}
 
@@ -165,7 +165,7 @@ func build(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, user
 			return nil, fmt.Errorf("logicmodel: evaluating rule path %q: %w", r.Path, err)
 		}
 		for _, n := range ns {
-			e.Fact("xpathf", pathID, n.ID().String())
+			e.Fact("xpathf", pathID, n.IDString())
 		}
 	}
 
@@ -191,12 +191,12 @@ func build(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, user
 			return nil, fmt.Errorf("logicmodel: op path on view: %w", err)
 		}
 		for _, n := range sel {
-			e.Fact("xpath_view", n.ID().String())
+			e.Fact("xpath_view", n.IDString())
 		}
 		// child_view facts.
 		for _, n := range v.Doc.Nodes() {
 			if p := n.Parent(); p != nil {
-				e.Fact("child_view", n.ID().String(), p.ID().String())
+				e.Fact("child_view", n.IDString(), p.IDString())
 			}
 		}
 	}

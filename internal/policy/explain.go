@@ -73,13 +73,13 @@ func (p *Policy) Explain(doc *xmltree.Document, h *subject.Hierarchy, user strin
 		}
 		set := make(map[string]bool, len(ns))
 		for _, n := range ns {
-			set[n.ID().String()] = true
+			set[n.IDString()] = true
 		}
 		applicable = append(applicable, appRule{index: i, rule: r, set: set})
 	}
 	stories := make([]NodeStory, 0, len(nodes))
 	for _, n := range nodes {
-		id := n.ID().String()
+		id := n.IDString()
 		st := NodeStory{
 			NodeID: id, Path: n.Path(), Label: n.Label(), Kind: n.Kind().String(),
 			Privileges: make([]PrivilegeStory, 0, len(Privileges)),

@@ -72,8 +72,11 @@ func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
 		priority int64
 		effect   Effect
 	}
+	// Every rule reads the same root-to-node chain; build it once.
+	var buf [16]*xmltree.Node
+	chain := xpath.AppendChain(buf[:0], n)
 	for _, r := range ne.rules { // ascending priority: later rules overwrite
-		ok, err := r.matcher.Match(n, ne.vars)
+		ok, err := r.matcher.MatchChain(chain, ne.vars)
 		ruleEvals.Inc()
 		if err != nil {
 			return fmt.Errorf("policy: rescoring node %s: %w", n.ID(), err)
@@ -94,7 +97,7 @@ func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
 			mask |= 1 << uint(priv)
 		}
 	}
-	id := n.ID().String()
+	id := n.IDString()
 	pm.mutable()
 	if mask == 0 {
 		delete(pm.grants, id)

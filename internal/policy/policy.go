@@ -296,7 +296,7 @@ func (pm *Perms) DocVersion() uint64 { return pm.version }
 
 // Has reports perm(user, n, priv).
 func (pm *Perms) Has(n *xmltree.Node, priv Privilege) bool {
-	return pm.HasID(n.ID().String(), priv)
+	return pm.HasID(n.IDString(), priv)
 }
 
 // Clone returns a private deep copy of the permission relation, with any
@@ -374,7 +374,7 @@ func (p *Policy) EvaluateCtx(ctx context.Context, doc *xmltree.Document, h *subj
 			return nil, fmt.Errorf("policy: evaluating %s: %w", r, err)
 		}
 		for _, n := range ns {
-			id := n.ID().String()
+			id := n.IDString()
 			c := latest[id]
 			if c == nil {
 				c = &[numPrivileges]cell{}

@@ -125,7 +125,7 @@ func (c *RuleCache) ensure(p *Policy, doc *xmltree.Document) {
 	c.ids = make([]string, len(c.nodes))
 	c.index = make(map[*xmltree.Node]int32, len(c.nodes))
 	for i, n := range c.nodes {
-		c.ids[i] = n.ID().String()
+		c.ids[i] = n.IDString()
 		c.index[n] = int32(i)
 	}
 	c.sets = make(map[*Rule][]int32)

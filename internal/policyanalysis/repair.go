@@ -619,7 +619,7 @@ func (s *repairSession) selectIDs(path, user string) ([]string, bool) {
 	}
 	ids := make([]string, len(ns))
 	for i, n := range ns {
-		ids[i] = n.ID().String()
+		ids[i] = n.IDString()
 	}
 	if ids == nil {
 		ids = []string{}

@@ -430,11 +430,16 @@ const (
 func (pg *Program) ruleMask(n *xmltree.Node, vars xpath.Vars) (uint8, error) {
 	var posSet, readSet bool
 	var posEff, readEff policy.Effect
+	// Every rule reads the same root-to-node chain; build it once, on
+	// the stack for ordinary depths.
+	var buf [16]*xmltree.Node
+	chain := xpath.AppendChain(buf[:0], n)
 	// Ascending priority: a later match overwrites, so the survivor
-	// is the latest-priority decision (axiom 14).
+	// is the latest-priority decision (axiom 14). Every rule runs, even
+	// after a decisive match, so the same matcher errors surface.
 	for i := range pg.rules {
 		ri := &pg.rules[i]
-		ok, err := ri.matcher.Match(n, vars)
+		ok, err := ri.matcher.MatchChain(chain, vars)
 		if err != nil {
 			return 0, fmt.Errorf("rewrite: %s: %w", ri.text, err)
 		}

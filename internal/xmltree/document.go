@@ -50,7 +50,7 @@ func New(scheme labeling.Scheme) *Document {
 		index:  make(map[string]*Node),
 		names:  make(map[string]map[*Node]struct{}),
 	}
-	d.root = &Node{kind: KindDocument, label: "/", id: labeling.DocumentLabel, doc: d}
+	d.root = &Node{kind: KindDocument, label: "/", id: labeling.DocumentLabel, idText: "/", doc: d}
 	d.index["/"] = d.root
 	return d
 }
@@ -120,8 +120,17 @@ func (d *Document) siblingKey(lo, hi *Node) (string, error) {
 	return d.scheme.Between(loK, hiK)
 }
 
+// childIDText renders parent.Child(key).String() from the parent's cached
+// text, without walking the parent's label.
+func childIDText(parent, key string) string {
+	if parent == "/" {
+		return "/" + key
+	}
+	return parent + "/" + key
+}
+
 func (d *Document) register(n *Node) {
-	d.index[n.id.String()] = n
+	d.index[n.idText] = n
 	n.doc = d
 	if n.kind == KindElement {
 		set := d.names[n.label]
@@ -134,7 +143,7 @@ func (d *Document) register(n *Node) {
 }
 
 func (d *Document) unregister(n *Node) {
-	delete(d.index, n.id.String())
+	delete(d.index, n.idText)
 	n.doc = nil
 	if n.kind == KindElement {
 		if set := d.names[n.label]; set != nil {
@@ -168,7 +177,7 @@ func (d *Document) newChildNode(parent *Node, kind Kind, label string, lo, hi *N
 	if err != nil {
 		return nil, fmt.Errorf("xmltree: allocating identifier under %s: %w", parent.Path(), err)
 	}
-	n := &Node{kind: kind, label: label, id: parent.id.Child(key), parent: parent}
+	n := &Node{kind: kind, label: label, id: parent.id.Child(key), idText: childIDText(parent.idText, key), parent: parent}
 	d.register(n)
 	return n, nil
 }
@@ -189,7 +198,8 @@ func (d *Document) MirrorChild(parent *Node, kind Kind, label string, id labelin
 	if !id.IsChildOf(parent.id) {
 		return nil, fmt.Errorf("xmltree: mirrored identifier %s is not a child of %s", id, parent.id)
 	}
-	if d.index[id.String()] != nil {
+	text := childIDText(parent.idText, id[len(id)-1])
+	if d.index[text] != nil {
 		return nil, fmt.Errorf("xmltree: identifier %s already present", id)
 	}
 	var prev *Node
@@ -203,7 +213,7 @@ func (d *Document) MirrorChild(parent *Node, kind Kind, label string, id labelin
 	if prev != nil && prev.id.Compare(id) >= 0 {
 		return nil, fmt.Errorf("xmltree: mirrored identifier %s out of document order after %s", id, prev.id)
 	}
-	n := &Node{kind: kind, label: label, id: id.Clone(), parent: parent}
+	n := &Node{kind: kind, label: label, id: id.Clone(), idText: text, parent: parent}
 	d.register(n)
 	if kind == KindAttribute {
 		parent.attrs = append(parent.attrs, n)
@@ -227,7 +237,8 @@ func (d *Document) MirrorInsert(parent *Node, kind Kind, label string, id labeli
 	if !id.IsChildOf(parent.id) {
 		return nil, fmt.Errorf("xmltree: mirrored identifier %s is not a child of %s", id, parent.id)
 	}
-	if d.index[id.String()] != nil {
+	text := childIDText(parent.idText, id[len(id)-1])
+	if d.index[text] != nil {
 		return nil, fmt.Errorf("xmltree: identifier %s already present", id)
 	}
 	list := &parent.children
@@ -235,7 +246,7 @@ func (d *Document) MirrorInsert(parent *Node, kind Kind, label string, id labeli
 		list = &parent.attrs
 	}
 	pos := sort.Search(len(*list), func(i int) bool { return (*list)[i].id.Compare(id) > 0 })
-	n := &Node{kind: kind, label: label, id: id.Clone(), parent: parent}
+	n := &Node{kind: kind, label: label, id: id.Clone(), idText: text, parent: parent}
 	d.register(n)
 	*list = append(*list, nil)
 	copy((*list)[pos+1:], (*list)[pos:])
@@ -343,8 +354,7 @@ func (d *Document) SetAttribute(elem *Node, name, value string) (*Node, error) {
 		// Replace the value text child.
 		if txt := a.FirstChild(); txt != nil {
 			if txt.label != value {
-				txt.label = value
-				d.version++
+				d.relabel(txt, value)
 			}
 			return a, nil
 		}
@@ -386,25 +396,31 @@ func (d *Document) Rename(n *Node, label string) error {
 		return ErrDocumentNode
 	}
 	if n.label != label {
-		if n.kind == KindElement {
-			// Keep the name index in step.
-			if set := d.names[n.label]; set != nil {
-				delete(set, n)
-				if len(set) == 0 {
-					delete(d.names, n.label)
-				}
-			}
-			set := d.names[label]
-			if set == nil {
-				set = make(map[*Node]struct{})
-				d.names[label] = set
-			}
-			set[n] = struct{}{}
-		}
-		n.label = label
-		d.version++
+		d.relabel(n, label)
 	}
 	return nil
+}
+
+// relabel changes n's label, keeping the name index in step: an element
+// under an attribute can be its first child, so SetAttribute's value
+// replacement may relabel an element too.
+func (d *Document) relabel(n *Node, label string) {
+	if n.kind == KindElement {
+		if set := d.names[n.label]; set != nil {
+			delete(set, n)
+			if len(set) == 0 {
+				delete(d.names, n.label)
+			}
+		}
+		set := d.names[label]
+		if set == nil {
+			set = make(map[*Node]struct{})
+			d.names[label] = set
+		}
+		set[n] = struct{}{}
+	}
+	n.label = label
+	d.version++
 }
 
 // Remove deletes node n and its entire subtree from the document
@@ -543,10 +559,14 @@ func (d *Document) copyInto(dst, src *Node) error {
 // nodes. The copy is never frozen, regardless of the receiver: Clone is the
 // sanctioned way to obtain a mutable tree from a published generation root.
 //
-// Nodes are allocated from a single arena and the indexes are presized, so
-// cloning is one pass with O(1) allocations per node class — this is the
-// dominant cost of a group commit and is amortized across every write in
-// the batch.
+// Cloning copies memory rather than rebuilding per-node state: nodes come
+// from one presized arena, every child and attribute list is carved from
+// one shared backing array (see the package doc for the full-slice rule),
+// identifiers and their cached text are shared with the source (both are
+// immutable), and the label and name indexes are presized from the
+// source's. The allocation count therefore grows with the number of
+// distinct element names, not with the number of nodes. Cloning is the
+// dominant cost of a group commit and of a view snapshot.
 func (d *Document) Clone() *Document {
 	n := len(d.index)
 	c := &Document{
@@ -556,50 +576,73 @@ func (d *Document) Clone() *Document {
 		version:  d.version,
 		fragment: d.fragment,
 	}
-	arena := make([]Node, 1, n)
-	c.root = &arena[0]
-	*c.root = Node{kind: KindDocument, label: "/", id: labeling.DocumentLabel, doc: c}
+	for name, set := range d.names {
+		c.names[name] = make(map[*Node]struct{}, len(set))
+	}
+	cl := cloner{doc: c, arena: make([]Node, 1, n), links: make([]*Node, n-1)}
+	c.root = &cl.arena[0]
+	*c.root = Node{kind: KindDocument, label: "/", id: labeling.DocumentLabel, idText: "/", doc: c}
 	c.index["/"] = c.root
-	cloneUnder(c, &arena, c.root, d.root)
+	cl.under(c.root, d.root)
 	return c
 }
 
-func cloneUnder(c *Document, arena *[]Node, dst, src *Node) {
+// cloner carries Clone's allocation state: the node arena and the
+// not-yet-carved rest of the shared child/attribute backing array.
+type cloner struct {
+	doc   *Document
+	arena []Node
+	links []*Node
+}
+
+// under copies src's attributes and children below dst.
+func (cl *cloner) under(dst, src *Node) {
 	if len(src.attrs) > 0 {
-		dst.attrs = make([]*Node, 0, len(src.attrs))
+		dst.attrs = cl.carve(len(src.attrs))
 		for _, a := range src.attrs {
-			na := arenaNode(arena)
-			*na = Node{kind: a.kind, label: a.label, id: a.id, parent: dst}
-			c.register(na)
-			dst.attrs = append(dst.attrs, na)
-			cloneUnder(c, arena, na, a)
+			dst.attrs = append(dst.attrs, cl.copyNode(dst, a))
 		}
 	}
 	if len(src.children) > 0 {
-		dst.children = make([]*Node, 0, len(src.children))
+		dst.children = cl.carve(len(src.children))
 		for _, k := range src.children {
-			nk := arenaNode(arena)
-			*nk = Node{kind: k.kind, label: k.label, id: k.id, parent: dst}
-			c.register(nk)
-			dst.children = append(dst.children, nk)
-			cloneUnder(c, arena, nk, k)
+			dst.children = append(dst.children, cl.copyNode(dst, k))
 		}
 	}
 }
 
-// arenaNode hands out the next node from the arena, growing it in fresh
-// blocks when the presized capacity is exhausted (a document mutated after
-// sizing, or a fragment). Nodes already handed out are never moved — append
-// to a full arena would reallocate, so a new block is started instead.
-func arenaNode(arena *[]Node) *Node {
-	a := *arena
-	if len(a) == cap(a) {
-		a = make([]Node, 0, cap(a)+cap(a)/2+8)
-		*arena = a
+// copyNode copies src (and, recursively, its subtree) under parent.
+func (cl *cloner) copyNode(parent, src *Node) *Node {
+	n := cl.node()
+	*n = Node{kind: src.kind, label: src.label, id: src.id, idText: src.idText, parent: parent}
+	cl.doc.register(n)
+	cl.under(n, src)
+	return n
+}
+
+// carve hands out an empty list of capacity k from the shared backing
+// array. The full slice expression caps it at k, so growing it later
+// reallocates rather than overwriting the next carved list.
+func (cl *cloner) carve(k int) []*Node {
+	if k > len(cl.links) {
+		// Only reachable if the index undercounts the tree; stay correct.
+		cl.links = make([]*Node, k)
 	}
-	a = append(a, Node{})
-	*arena = a
-	return &a[len(a)-1]
+	s := cl.links[0:0:k]
+	cl.links = cl.links[k:]
+	return s
+}
+
+// node hands out the next node from the arena, starting a fresh block when
+// the presized capacity is exhausted (again only if the index undercounts).
+// Nodes already handed out are never moved — append to a full arena would
+// reallocate, so a new block is started instead.
+func (cl *cloner) node() *Node {
+	if len(cl.arena) == cap(cl.arena) {
+		cl.arena = make([]Node, 0, cap(cl.arena)/2+8)
+	}
+	cl.arena = append(cl.arena, Node{})
+	return &cl.arena[len(cl.arena)-1]
 }
 
 // Equal reports whether two documents are structurally identical: same

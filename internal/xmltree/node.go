@@ -9,6 +9,23 @@
 // attribute nodes for XML fidelity: an attribute is modeled as a node whose
 // label is the attribute name with a single text child carrying the value,
 // so the access control machinery applies to attributes unchanged.
+//
+// Two invariants keep copying and lookups cheap:
+//
+//   - Cached identifier text. Every node, the document node included
+//     ("/"), stores the canonical text of its identifier, rendered once
+//     when the node is created (Node.IDString). Because an identifier
+//     never changes, neither does its text; the label index, Clone and
+//     callers keyed by identifier text use it instead of re-rendering
+//     Label.String.
+//   - Carved slices. Clone allocates every child and attribute list from
+//     one shared backing array, each carved with a full slice expression
+//     (b[lo:lo:hi]) so its capacity ends where its neighbour's list
+//     begins. Any append that grows a list (insertBeside, MirrorInsert,
+//     MirrorChild, SetAttribute, AppendChild) then reallocates instead of
+//     overwriting the next list. Code that grows a list in place must go
+//     through append; writing past len(list) into spare capacity is
+//     forbidden.
 package xmltree
 
 import (
@@ -63,8 +80,9 @@ type Node struct {
 	kind     Kind
 	label    string
 	id       labeling.Label
+	idText   string // id.String(), rendered once when the node is created
 	parent   *Node
-	children []*Node // document order; for elements: attribute nodes first? no — attrs held separately
+	children []*Node // document order; attribute nodes are held in attrs
 	attrs    []*Node // attribute nodes of an element, in definition order
 	doc      *Document
 }
@@ -80,6 +98,12 @@ func (n *Node) Label() string { return n.label }
 // ID returns the node's persistent identifier. The returned label must not
 // be mutated.
 func (n *Node) ID() labeling.Label { return n.id }
+
+// IDString returns the canonical text of the node's identifier, equal to
+// ID().String(). The text is rendered once, when the node is created, and
+// cached: identifiers never change (§3.1), so neither does their text, and
+// reading it allocates nothing.
+func (n *Node) IDString() string { return n.idText }
 
 // Parent returns the parent node, or nil for the document node.
 func (n *Node) Parent() *Node { return n.parent }

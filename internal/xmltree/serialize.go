@@ -86,7 +86,7 @@ func writeNode(w io.Writer, n *Node, opts WriteOptions, depth int) error {
 			return err
 		}
 		if opts.ShowIDs {
-			if _, err := fmt.Fprintf(w, " sxml:id=%q", n.id.String()); err != nil {
+			if _, err := fmt.Fprintf(w, " sxml:id=%q", n.idText); err != nil {
 				return err
 			}
 		}
@@ -158,15 +158,15 @@ func (d *Document) Sketch() string {
 		indent := strings.Repeat("  ", n.id.Level())
 		switch n.kind {
 		case KindDocument:
-			fmt.Fprintf(&b, "%s%-24s document\n", indent, n.id.String())
+			fmt.Fprintf(&b, "%s%-24s document\n", indent, n.idText)
 		case KindText:
-			fmt.Fprintf(&b, "%s%-24s text()  %s\n", indent, n.id.String(), n.label)
+			fmt.Fprintf(&b, "%s%-24s text()  %s\n", indent, n.idText, n.label)
 		case KindAttribute:
-			fmt.Fprintf(&b, "%s%-24s @%s\n", indent, n.id.String(), n.label)
+			fmt.Fprintf(&b, "%s%-24s @%s\n", indent, n.idText, n.label)
 		case KindComment:
-			fmt.Fprintf(&b, "%s%-24s comment()\n", indent, n.id.String())
+			fmt.Fprintf(&b, "%s%-24s comment()\n", indent, n.idText)
 		default:
-			fmt.Fprintf(&b, "%s%-24s %s\n", indent, n.id.String(), n.label)
+			fmt.Fprintf(&b, "%s%-24s %s\n", indent, n.idText, n.label)
 		}
 		return true
 	})

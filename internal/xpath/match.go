@@ -157,18 +157,41 @@ func selfContainedVal(e expr) bool {
 	return false
 }
 
+// stackChain is the chain depth (document node included) up to which
+// Match and matchSteps keep their working state on the stack; deeper
+// chains fall back to heap slices.
+const stackChain = 16
+
 // Match reports whether the expression selects n when evaluated from n's
-// document node. Nodes detached from any document never match.
+// document node. Nodes detached from any document never match. For a
+// predicate-free path and a chain of at most stackChain nodes it allocates
+// nothing.
 func (m *NodeMatcher) Match(n *xmltree.Node, vars Vars) (bool, error) {
 	if n == nil {
 		return false, errNilContext
 	}
-	var chain []*xmltree.Node
+	var buf [stackChain]*xmltree.Node
+	return m.MatchChain(AppendChain(buf[:0], n), vars)
+}
+
+// AppendChain appends n's root-to-node chain — its topmost ancestor first,
+// n last — to dst and returns the extended slice. Callers that run several
+// matchers against one node build the chain once and hand it to
+// MatchChain; passing a stack array's empty slice as dst keeps short
+// chains off the heap.
+func AppendChain(dst []*xmltree.Node, n *xmltree.Node) []*xmltree.Node {
+	start := len(dst)
 	for c := n; c != nil; c = c.Parent() {
-		chain = append(chain, c)
+		dst = append(dst, c)
 	}
-	reverseNodes(chain)
-	if chain[0].Kind() != xmltree.KindDocument {
+	reverseNodes(dst[start:])
+	return dst
+}
+
+// MatchChain is Match over a chain built by AppendChain. The chain is only
+// read. A chain that does not start at a document node never matches.
+func (m *NodeMatcher) MatchChain(chain []*xmltree.Node, vars Vars) (bool, error) {
+	if len(chain) == 0 || chain[0].Kind() != xmltree.KindDocument {
 		return false, nil
 	}
 	for _, steps := range m.alts {
@@ -192,8 +215,13 @@ func (m *NodeMatcher) Match(n *xmltree.Node, vars Vars) (bool, error) {
 // in eval.go); below an attribute, its text child is an ordinary child
 // again.
 func matchSteps(steps []step, chain []*xmltree.Node, vars Vars) (bool, error) {
-	exact := make([]uint64, len(chain))
-	gap := make([]uint64, len(chain))
+	var exactBuf, gapBuf [stackChain]uint64
+	var exact, gap []uint64
+	if len(chain) <= stackChain {
+		exact, gap = exactBuf[:len(chain)], gapBuf[:len(chain)]
+	} else {
+		exact, gap = make([]uint64, len(chain)), make([]uint64, len(chain))
+	}
 	exact[0] = 1 // zero steps consumed at the document node
 	for j := 0; j < len(chain); j++ {
 		// Land gaps carried to this node (a descendant step may land here

@@ -300,7 +300,7 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 	case Rename:
 		// Axioms 2–3: the label of every node addressed by PATH becomes VNEW.
 		if n.Kind() == xmltree.KindDocument {
-			res.Skipped = append(res.Skipped, SkipReason{n.ID().String(), "cannot rename the document node"})
+			res.Skipped = append(res.Skipped, SkipReason{n.IDString(), "cannot rename the document node"})
 			return nil
 		}
 		old := n.Label()
@@ -308,7 +308,7 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 			return err
 		}
 		if old != op.NewValue {
-			res.Deltas = append(res.Deltas, Delta{Kind: DeltaRelabel, NodeID: n.ID().String(), NewLabel: op.NewValue})
+			res.Deltas = append(res.Deltas, Delta{Kind: DeltaRelabel, NodeID: n.IDString(), NewLabel: op.NewValue})
 		}
 		res.Applied++
 	case Update:
@@ -318,14 +318,14 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 		if len(kids) == 0 {
 			// An empty element gets a text child carrying the new content.
 			if n.Kind() != xmltree.KindElement && n.Kind() != xmltree.KindAttribute {
-				res.Skipped = append(res.Skipped, SkipReason{n.ID().String(), "node has no children to update"})
+				res.Skipped = append(res.Skipped, SkipReason{n.IDString(), "node has no children to update"})
 				return nil
 			}
 			created, err := doc.AppendChild(n, xmltree.KindText, op.NewValue)
 			if err != nil {
 				return err
 			}
-			res.Deltas = append(res.Deltas, Delta{Kind: DeltaInsert, NodeID: created.ID().String()})
+			res.Deltas = append(res.Deltas, Delta{Kind: DeltaInsert, NodeID: created.IDString()})
 			res.Applied++
 			res.Created++
 			return nil
@@ -336,7 +336,7 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 				return err
 			}
 			if old != op.NewValue {
-				res.Deltas = append(res.Deltas, Delta{Kind: DeltaRelabel, NodeID: c.ID().String(), NewLabel: op.NewValue})
+				res.Deltas = append(res.Deltas, Delta{Kind: DeltaRelabel, NodeID: c.IDString(), NewLabel: op.NewValue})
 			}
 		}
 		res.Applied++
@@ -355,7 +355,7 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 			mode = xmltree.GraftAfter
 		}
 		if n.Kind() == xmltree.KindDocument {
-			res.Skipped = append(res.Skipped, SkipReason{n.ID().String(), "document node has no siblings"})
+			res.Skipped = append(res.Skipped, SkipReason{n.IDString(), "document node has no siblings"})
 			return nil
 		}
 		tops := op.Content.Root().Children()
@@ -381,18 +381,18 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 	case Remove:
 		// Axioms 8–9: the subtree rooted at each addressed node disappears.
 		if n.Kind() == xmltree.KindDocument {
-			res.Skipped = append(res.Skipped, SkipReason{n.ID().String(), "cannot remove the document node"})
+			res.Skipped = append(res.Skipped, SkipReason{n.IDString(), "cannot remove the document node"})
 			return nil
 		}
 		if n.Document() != doc {
 			// Already removed as part of an earlier selected subtree.
-			res.Skipped = append(res.Skipped, SkipReason{n.ID().String(), "already removed with an ancestor"})
+			res.Skipped = append(res.Skipped, SkipReason{n.IDString(), "already removed with an ancestor"})
 			return nil
 		}
 		sub := n.Subtree()
 		ids := make([]string, len(sub))
 		for i, s := range sub {
-			ids[i] = s.ID().String()
+			ids[i] = s.IDString()
 		}
 		res.Removed += len(sub)
 		if err := doc.Remove(n); err != nil {
@@ -411,6 +411,6 @@ func graftOne(doc *xmltree.Document, ref *xmltree.Node, mode xmltree.GraftMode, 
 	if err != nil {
 		return 0, err
 	}
-	res.Deltas = append(res.Deltas, Delta{Kind: DeltaInsert, NodeID: top.ID().String()})
+	res.Deltas = append(res.Deltas, Delta{Kind: DeltaInsert, NodeID: top.IDString()})
 	return len(top.Subtree()), nil
 }
