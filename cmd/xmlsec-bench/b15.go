@@ -88,7 +88,8 @@ type b15Report struct {
 }
 
 // b15Queries is the read mix: broad scans, text extraction and the
-// $USER-dependent patient query, all served by the lock-free rewrite tier.
+// $USER-dependent patient query, all served from the source under each
+// session's maintained permissions.
 var b15Queries = []string{
 	"//diagnosis",
 	"/patients/*",

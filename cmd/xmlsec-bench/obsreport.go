@@ -157,10 +157,9 @@ func obsWorkload(db *core.Database, patients, iters int, tracer *obs.Tracer) (in
 			}
 			ops++
 		}
-		// Every 7th iteration pulls the materialized view. Since the read
-		// ladder (core.QueryTieredCtx), plain queries are served by the
-		// static-rewrite tier without touching the view cache — explicit
-		// view pulls and the write path are the cache's clients.
+		// Every 7th iteration pulls the materialized view, the view
+		// cache's most direct client (queries and writes read the same
+		// cache entry's maintained permissions).
 		if i%7 == 0 {
 			err := obsOp(tracer, "bench_view", func(ctx context.Context) error {
 				_, err := doctor.ViewCtx(ctx)

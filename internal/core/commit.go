@@ -178,6 +178,10 @@ func (db *Database) publish(c *commitCtx) {
 		epoch:    c.epoch,
 		born:     time.Now(),
 		log:      base.log,
+		rw:       base.rw,
+	}
+	if c.epoch != base.epoch {
+		next.rw = &rewriteSlot{}
 	}
 	if c.adminChanged {
 		if c.subjects != nil {

@@ -3,8 +3,9 @@
 // the security policy; Sessions expose per-user queries and updates with the
 // paper's access controls enforced throughout.
 //
-// Reads (§4.4.1): every query is evaluated against the user's materialized
-// view (axioms 15–17), cached per (document version, policy epoch).
+// Reads (§4.4.1): every query returns what it would over the user's
+// axiom-15–17 view. It is evaluated on the source under the session's
+// permissions, which are kept current by delta patching (see secureRead).
 // Writes (§4.4.2): every XUpdate operation selects its targets on the view
 // and checks per-node privileges (axioms 18–25).
 //
@@ -82,9 +83,10 @@ var (
 	auditDepth = obs.Default().Gauge("xmlsec_audit_ring_depth")
 )
 
-// Tier identifies which rung of the read ladder served a query (§4.4.1
-// enforcement strategies): the static rewrite over the source document,
-// the qfilter per-node security filter, or the materialized view.
+// Tier identifies which route of the secured read path served a query
+// (§4.4.1 enforcement strategies): a static rewrite plan over the source
+// document, the source under the qfilter permission filter, or the
+// materialized view.
 type Tier int
 
 // The ladder tiers, cheapest first.
@@ -95,9 +97,9 @@ const (
 	numTiers
 )
 
-// TierAuto is the sentinel for the normal ladder descent (no pinning).
-// The forced-tier entry points take it to mean "pick the cheapest tier
-// that can serve the query", i.e. the default behavior.
+// TierAuto is the sentinel for normal routing (no pinning): static plans
+// on TierRewrite, other reads on TierQfilter, non-empty node-set values
+// on TierView.
 const TierAuto Tier = -1
 
 // ParseTier parses a tier name as accepted by the server's -tier flag and
@@ -222,32 +224,6 @@ type Database struct {
 	// user instead of re-materializing per connection.
 	sessMu   sync.Mutex
 	sessions map[string]*Session
-
-	// rewriteEng is the static query-rewriting engine for policy epoch
-	// rewriteEpoch (see internal/rewrite). It is keyed by the epoch alone —
-	// rewritten plans depend only on the policy and hierarchy, so they
-	// survive arbitrary document mutations. Own lock because the query
-	// path holds no database-wide lock at all.
-	rewriteMu    sync.Mutex
-	rewriteEng   *rewrite.Engine
-	rewriteEpoch uint64
-}
-
-// rewriteEngineFor returns the rewrite engine for the generation's policy
-// epoch, replacing the cached one when the policy or the subject
-// hierarchy moved (both bump the epoch). The engine reads only the
-// generation's immutable policy and hierarchy, so no further
-// synchronization is needed once built. Readers pinned to an older
-// generation than the cached epoch rebuild transiently; epoch moves are
-// rare admin events, so the thrash window is negligible.
-func (db *Database) rewriteEngineFor(g *generation) *rewrite.Engine {
-	db.rewriteMu.Lock()
-	defer db.rewriteMu.Unlock()
-	if db.rewriteEng == nil || db.rewriteEpoch != g.epoch {
-		db.rewriteEng = rewrite.NewEngine(g.policy, g.subjects)
-		db.rewriteEpoch = g.epoch
-	}
-	return db.rewriteEng
 }
 
 // New creates an empty database: no document, no subjects, no rules.
@@ -785,12 +761,13 @@ type Result struct {
 }
 
 // Query evaluates an XPath expression and returns the matching nodes as
-// the user's view shows them (§4.4.1). Queries route through a three-tier
-// read ladder — static rewrite over the source document, qfilter security
-// filter, materialized view — whose tiers are answer-equivalent (pinned by
-// internal/rewrite's differential oracle and internal/qfilter's property
-// tests), so the tier choice is invisible except in latency and the
-// xmlsec_query_tier_total counters.
+// the user's view shows them (§4.4.1). Queries take the one secured read
+// path (see secureRead): the rewriter's static classification, else
+// evaluation on the source under the session's maintained permissions.
+// Every tier is answer-equivalent to the view (pinned by internal/rewrite's
+// differential oracle and internal/qfilter's property tests), so the tier
+// choice is invisible except in latency and the xmlsec_query_tier_total
+// counters.
 func (s *Session) Query(path string) ([]Result, error) {
 	return s.QueryCtx(context.Background(), path)
 }
@@ -807,137 +784,177 @@ func (s *Session) QueryTiered(path string) ([]Result, Tier, error) {
 	return s.QueryTieredCtx(context.Background(), path)
 }
 
-// QueryTieredCtx evaluates path through the read ladder:
-//
-//  1. The static rewrite runs the query on the source document with the
-//     policy compiled into a chain-derived security filter — no per-node
-//     permission mask, no view; plans are cached per (policy epoch, rule
-//     profile, query), independent of the document and of user count.
-//  2. Outside the rewriter's fragment, the qfilter path evaluates on the
-//     source under the user's axiom-14 mask (skipped when the session's
-//     cached view is already current — then the view is free).
-//  3. Otherwise the materialized view serves, warming the session cache.
-//
-// The whole ladder runs against one pinned generation: no lock is taken
-// and concurrent commits cannot tear the snapshot.
+// QueryTieredCtx evaluates path through the secured read path against one
+// pinned generation: no lock is taken and concurrent commits cannot tear
+// the snapshot.
 func (s *Session) QueryTieredCtx(ctx context.Context, path string) ([]Result, Tier, error) {
 	return s.QueryTierCtx(ctx, path, TierAuto)
 }
 
 // QueryTierCtx is QueryTieredCtx with the ladder pinned to one tier
-// (TierAuto descends normally). Pinning exists for A/B debugging — the
+// (TierAuto routes normally). Pinning exists for A/B debugging — the
 // server's -tier flag and the shell's tier command route here. A pinned
 // tier that cannot serve the query fails with ErrTierUnavailable instead
 // of falling through, so a pinned comparison never silently measures a
 // different tier.
 func (s *Session) QueryTierCtx(ctx context.Context, path string, forced Tier) ([]Result, Tier, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_query", queryStage)
-	g := s.db.gen()
 	fail := func(tier Tier, err error) ([]Result, Tier, error) {
 		sessionOp("query", "error")
 		s.db.recordCtx(ctx, "query", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, tier, err
 	}
-	done := func(tier Tier, out []Result) ([]Result, Tier, error) {
-		countTier(tier)
-		sp.Annotate("query_tier", tier.String())
-		sessionOp("query", "ok")
-		s.db.recordCtx(ctx, "query", s.user, path, fmt.Sprintf("%d nodes", len(out)), sp.End())
-		return out, tier, nil
+	rd, err := s.secureRead(ctx, s.db.gen(), path, forced)
+	if err != nil {
+		return fail(rd.tier, err)
 	}
-
-	// Tier 1: static rewrite.
-	if forced == TierAuto || forced == TierRewrite {
-		if pg, _ := s.db.rewriteEngineFor(g).ProgramFor(s.user); pg != nil {
-			pl, err := pg.PlanFor(path)
-			if err != nil {
-				return fail(TierRewrite, err) // compile errors are tier-independent
-			}
-			switch pl.Mode {
-			case rewrite.PlanEmpty:
-				return done(TierRewrite, []Result{})
-			case rewrite.PlanTransparent:
-				_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
-				ns, err := pl.Select(g.doc.Root(), s.vars(), nil)
-				xe.AnnotateInt("selected", int64(len(ns)))
-				xe.End()
-				if err == nil {
-					return done(TierRewrite, filteredResults(ns, nil))
-				}
-				rewrite.CountFallback(rewrite.ReasonEvalError)
-				if forced == TierRewrite {
-					return fail(TierRewrite, err)
-				}
-			default:
-				sec, st := pg.SecurityFor(s.user, s.vars(), g.doc)
-				_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
-				ns, err := pl.Select(g.doc.Root(), s.vars(), sec)
-				xe.AnnotateInt("selected", int64(len(ns)))
-				xe.End()
-				if err == nil && st.Err() == nil {
-					return done(TierRewrite, filteredResults(ns, sec))
-				}
-				rewrite.CountFallback(rewrite.ReasonEvalError)
-				if forced == TierRewrite {
-					if err == nil {
-						err = st.Err()
-					}
-					return fail(TierRewrite, err)
-				}
-			}
-		} else {
-			rewrite.CountFallback(rewrite.ReasonRuleFragment)
-			if forced == TierRewrite {
-				return fail(TierRewrite, fmt.Errorf("%w: policy outside the rewrite fragment for %q", ErrTierUnavailable, s.user))
-			}
-		}
-	}
-
-	// Tier 2: qfilter, unless the cached view is already current (a
-	// pinned qfilter skips that shortcut — the point of pinning is to
-	// measure this tier).
-	if forced == TierQfilter || (forced == TierAuto && !s.viewFresh(g)) {
-		pm, err := g.policy.EvaluateSharedCtx(ctx, g.doc, g.subjects, s.user, g.ruleCache())
-		if err != nil {
-			return fail(TierQfilter, err)
-		}
-		c, err := xpath.Compile(path)
-		if err != nil {
-			return fail(TierQfilter, err)
-		}
-		sec := qfilter.ForPerms(pm)
+	out := []Result{}
+	if rd.c != nil {
 		_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
-		ns, err := c.SelectFiltered(g.doc.Root(), s.vars(), sec)
+		ns, err := rd.c.SelectFiltered(rd.root, s.vars(), rd.sec)
 		xe.AnnotateInt("selected", int64(len(ns)))
 		xe.End()
-		if err != nil {
-			return fail(TierQfilter, err)
+		if err = rd.evalErr(err); err != nil {
+			return fail(rd.tier, err)
 		}
-		return done(TierQfilter, filteredResults(ns, sec))
+		out = filteredResults(ns, rd.sec)
 	}
+	countTier(rd.tier)
+	sp.Annotate("query_tier", rd.tier.String())
+	sessionOp("query", "ok")
+	s.db.recordCtx(ctx, "query", s.user, path, fmt.Sprintf("%d nodes", len(out)), sp.End())
+	return out, rd.tier, nil
+}
 
-	// Tier 3: the materialized view.
-	v, err := s.currentView(ctx, g)
+// securedRead is one read resolved by secureRead: the compiled expression
+// and where to evaluate it. A nil c is the statically empty answer.
+type securedRead struct {
+	tier Tier
+	c    *xpath.Compiled
+	// root is the pinned generation's source root, or the view's root
+	// for TierView.
+	root *xmltree.Node
+	// sec filters the source; nil for a transparent plan and the view.
+	sec *xpath.Security
+	// st reports a pinned guarded rewrite's matcher errors.
+	st *rewrite.EvalState
+	// v is the view of the same currentViewPerms call, when one was made.
+	v *view.View
+}
+
+// secureRead resolves one read of path on the pinned generation g. This is
+// the paper's §5 filtered-query design fed by the session's maintained
+// state. Under TierAuto:
+//
+//   - the rewriter's static classification decides first (Cheney's static
+//     enforceability): PlanEmpty is the empty answer, PlanTransparent
+//     evaluates the raw query on the source (TierRewrite);
+//   - every other read evaluates on the source under qfilter.ForPerms over
+//     the session's maintained permissions (TierQfilter) — a cache hit, a
+//     delta patch, or one derivation that is then cached (secureSource).
+//
+// Pinned, TierRewrite serves guarded plans through the per-call
+// Program.Security and fails outside the rule fragment; TierQfilter runs
+// the maintained-permissions path without the static shortcut; TierView
+// evaluates on the maintained view. The returned read is non-nil even on
+// error, carrying the tier to report.
+func (s *Session) secureRead(ctx context.Context, g *generation, path string, forced Tier) (*securedRead, error) {
+	rd := &securedRead{tier: forced, root: g.doc.Root()}
+	if forced == TierAuto {
+		rd.tier = TierQfilter
+	}
+	if forced == TierAuto || forced == TierRewrite {
+		pg, _ := g.rewriteEngine().ProgramFor(s.user)
+		if pg == nil {
+			rewrite.CountFallback(rewrite.ReasonRuleFragment)
+			if forced == TierRewrite {
+				return rd, fmt.Errorf("%w: policy outside the rewrite fragment for %q", ErrTierUnavailable, s.user)
+			}
+		} else {
+			pl, err := pg.PlanFor(path)
+			if err != nil {
+				return rd, err // compile errors are tier-independent
+			}
+			rd.c = pl.Compiled()
+			switch {
+			case pl.Mode == rewrite.PlanEmpty:
+				rd.tier, rd.c = TierRewrite, nil
+				return rd, nil
+			case pl.Mode == rewrite.PlanTransparent:
+				rd.tier = TierRewrite
+				return rd, nil
+			case forced == TierRewrite:
+				rd.sec, rd.st = pg.Security(s.vars())
+				return rd, nil
+			}
+		}
+	}
+	if rd.c == nil {
+		c, err := xpath.Compile(path)
+		if err != nil {
+			return rd, err
+		}
+		rd.c = c
+	}
+	v, sec, err := s.secureSource(ctx, g)
 	if err != nil {
-		return fail(TierView, err)
+		return rd, err
 	}
-	_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
-	ns, err := xpath.Select(v.Doc, path, s.vars())
-	xe.AnnotateInt("selected", int64(len(ns)))
-	xe.End()
+	rd.v = v
+	if rd.tier == TierView {
+		rd.root = v.Doc.Root()
+	} else {
+		rd.sec = sec
+	}
+	return rd, nil
+}
+
+// secureSource returns the session's maintained view of g and the filter
+// that evaluates the source as that view shows it: qfilter.ForPerms over
+// the permissions currentViewPerms keeps current.
+func (s *Session) secureSource(ctx context.Context, g *generation) (*view.View, *xpath.Security, error) {
+	v, pm, err := s.currentViewPerms(ctx, g)
 	if err != nil {
-		return fail(TierView, err)
+		return nil, nil, err
 	}
-	out := make([]Result, len(ns))
-	for i, n := range ns {
-		out[i] = Result{Kind: n.Kind(), Label: n.Label(), Path: n.Path(), Value: n.StringValue()}
+	return v, qfilter.ForPerms(pm), nil
+}
+
+// onView re-targets rd at the session's view of g: the view of rd's own
+// currentViewPerms call, or a fresh one after a static plan (which made
+// none).
+func (s *Session) onView(ctx context.Context, g *generation, rd *securedRead) error {
+	rd.tier, rd.sec = TierView, nil
+	if rd.v == nil {
+		v, err := s.currentView(ctx, g)
+		if err != nil {
+			return err
+		}
+		rd.v = v
 	}
-	return done(TierView, out)
+	rd.root = rd.v.Doc.Root()
+	return nil
+}
+
+// evalErr folds a pinned guarded rewrite's matcher errors into err,
+// counting the failure.
+func (rd *securedRead) evalErr(err error) error {
+	if rd.st == nil {
+		return err
+	}
+	if err == nil {
+		err = rd.st.Err()
+	}
+	if err != nil {
+		rewrite.CountFallback(rewrite.ReasonEvalError)
+	}
+	return err
 }
 
 // filteredResults renders source nodes exactly as the user's materialized
 // view would show them: effective labels, filtered string-values, view
-// paths. A nil sec means the profile is transparent (stored labels).
+// paths. A nil sec renders stored labels: a transparent profile, or nodes
+// of the view itself.
 func filteredResults(ns xpath.NodeSet, sec *xpath.Security) []Result {
 	out := make([]Result, len(ns))
 	for i, n := range ns {
@@ -951,20 +968,10 @@ func filteredResults(ns xpath.NodeSet, sec *xpath.Security) []Result {
 	return out
 }
 
-// viewFresh reports whether the session's cached view matches the pinned
-// generation's (docGen, version, epoch) exactly — without materializing
-// or patching anything.
-func (s *Session) viewFresh(g *generation) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entry
-	return e != nil && e.gen == g.docGen && e.ver == g.ver() && e.epoch == g.epoch
-}
-
 // QueryValue evaluates an XPath expression that may yield an atomic value
 // (count(), boolean tests, string()...) against the user's view, through
-// the same read ladder as Query. Non-empty node-set values always come
-// from the materialized view: handing out raw source nodes would leak
+// the same secured read path as Query. Non-empty node-set values always
+// come from the materialized view: handing out raw source nodes would leak
 // hidden labels.
 func (s *Session) QueryValue(path string) (xpath.Value, error) {
 	return s.QueryValueCtx(context.Background(), path)
@@ -983,9 +990,9 @@ func (s *Session) QueryValueTiered(path string) (xpath.Value, Tier, error) {
 	return s.QueryValueTieredCtx(context.Background(), path)
 }
 
-// QueryValueTieredCtx evaluates an arbitrary expression through the read
-// ladder (see QueryTieredCtx). Atomic values are served by the first tier
-// that succeeds; a non-empty node-set forces the view tier.
+// QueryValueTieredCtx evaluates an arbitrary expression through the
+// secured read path (see QueryTieredCtx); a non-empty node-set is
+// re-evaluated on the view.
 func (s *Session) QueryValueTieredCtx(ctx context.Context, path string) (xpath.Value, Tier, error) {
 	return s.QueryValueTierCtx(ctx, path, TierAuto)
 }
@@ -996,115 +1003,48 @@ func (s *Session) QueryValueTieredCtx(ctx context.Context, path string) (xpath.V
 // tier may hand out node-sets without leaking hidden labels.
 func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tier) (xpath.Value, Tier, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_query_value", valueStage)
-	g := s.db.gen()
 	fail := func(tier Tier, err error) (xpath.Value, Tier, error) {
 		sessionOp("query_value", "error")
 		s.db.recordCtx(ctx, "query_value", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, tier, err
 	}
-	done := func(tier Tier, val xpath.Value) (xpath.Value, Tier, error) {
-		countTier(tier)
-		sp.Annotate("query_tier", tier.String())
-		sessionOp("query_value", "ok")
-		s.db.recordCtx(ctx, "query_value", s.user, path, val.TypeName(), sp.End())
-		return val, tier, nil
-	}
-
-	// Tier 1: static rewrite.
-	nodeSetValue := false
-	if forced == TierAuto || forced == TierRewrite {
-		if pg, _ := s.db.rewriteEngineFor(g).ProgramFor(s.user); pg != nil {
-			pl, err := pg.PlanFor(path)
-			if err != nil {
-				return fail(TierRewrite, err)
-			}
-			if pl.Mode == rewrite.PlanEmpty {
-				// Empty plans only arise from path expressions, whose value is
-				// a node-set — here the provably empty one.
-				return done(TierRewrite, xpath.NodeSet(nil))
-			}
-			var sec *xpath.Security
-			var st *rewrite.EvalState
-			if pl.Mode == rewrite.PlanGuarded {
-				sec, st = pg.SecurityFor(s.user, s.vars(), g.doc)
-			}
-			_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
-			val, err := pl.Eval(g.doc.Root(), s.vars(), sec)
-			xe.End()
-			stErr := error(nil)
-			if st != nil {
-				stErr = st.Err()
-			}
-			switch {
-			case err != nil || stErr != nil:
-				rewrite.CountFallback(rewrite.ReasonEvalError)
-				if forced == TierRewrite {
-					if err == nil {
-						err = stErr
-					}
-					return fail(TierRewrite, err)
-				}
-			default:
-				if ns, ok := val.(xpath.NodeSet); ok && len(ns) > 0 {
-					nodeSetValue = true
-					rewrite.CountFallback(rewrite.ReasonNodeSetValue)
-					if forced == TierRewrite {
-						return fail(TierRewrite, fmt.Errorf("%w: non-empty node-set values must come from the view tier", ErrTierUnavailable))
-					}
-				} else {
-					return done(TierRewrite, val)
-				}
-			}
-		} else {
-			rewrite.CountFallback(rewrite.ReasonRuleFragment)
-			if forced == TierRewrite {
-				return fail(TierRewrite, fmt.Errorf("%w: policy outside the rewrite fragment for %q", ErrTierUnavailable, s.user))
-			}
-		}
-	}
-
-	// Tier 2: qfilter — pointless for node-set values (it would also
-	// produce source nodes) and skipped when the cached view is current
-	// (unless pinned, which also bypasses the freshness shortcut).
-	if forced == TierQfilter || (forced == TierAuto && !nodeSetValue && !s.viewFresh(g)) {
-		pm, err := g.policy.EvaluateSharedCtx(ctx, g.doc, g.subjects, s.user, g.ruleCache())
-		if err != nil {
-			return fail(TierQfilter, err)
-		}
-		c, err := xpath.Compile(path)
-		if err != nil {
-			return fail(TierQfilter, err)
+	eval := func(rd *securedRead) (xpath.Value, error) {
+		if rd.c == nil {
+			// Empty plans only arise from path expressions, whose value is
+			// a node-set — here the provably empty one.
+			return xpath.NodeSet(nil), nil
 		}
 		_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
-		val, err := c.EvalFiltered(g.doc.Root(), s.vars(), qfilter.ForPerms(pm))
+		val, err := rd.c.EvalFiltered(rd.root, s.vars(), rd.sec)
 		xe.End()
-		if err != nil {
-			return fail(TierQfilter, err)
-		}
-		if ns, ok := val.(xpath.NodeSet); !ok || len(ns) == 0 {
-			return done(TierQfilter, val)
-		}
-		if forced == TierQfilter {
-			return fail(TierQfilter, fmt.Errorf("%w: non-empty node-set values must come from the view tier", ErrTierUnavailable))
-		}
+		return val, rd.evalErr(err)
 	}
-
-	// Tier 3: the materialized view.
-	v, err := s.currentView(ctx, g)
+	g := s.db.gen()
+	rd, err := s.secureRead(ctx, g, path, forced)
 	if err != nil {
-		return fail(TierView, err)
+		return fail(rd.tier, err)
 	}
-	c, err := xpath.Compile(path)
+	val, err := eval(rd)
 	if err != nil {
-		return fail(TierView, err)
+		return fail(rd.tier, err)
 	}
-	_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
-	val, err := c.Eval(v.Doc.Root(), s.vars())
-	xe.End()
-	if err != nil {
-		return fail(TierView, err)
+	if ns, ok := val.(xpath.NodeSet); ok && len(ns) > 0 && rd.tier != TierView {
+		rewrite.CountFallback(rewrite.ReasonNodeSetValue)
+		if forced != TierAuto {
+			return fail(rd.tier, fmt.Errorf("%w: non-empty node-set values must come from the view tier", ErrTierUnavailable))
+		}
+		if err := s.onView(ctx, g, rd); err != nil {
+			return fail(rd.tier, err)
+		}
+		if val, err = eval(rd); err != nil {
+			return fail(rd.tier, err)
+		}
 	}
-	return done(TierView, val)
+	countTier(rd.tier)
+	sp.Annotate("query_tier", rd.tier.String())
+	sessionOp("query_value", "ok")
+	s.db.recordCtx(ctx, "query_value", s.user, path, val.TypeName(), sp.End())
+	return val, rd.tier, nil
 }
 
 // recordCtx is record with the context's request ID and a duration.
@@ -1354,8 +1294,8 @@ func (db *Database) AttachJournal(w io.Writer, seqStart uint64) {
 
 // Transform runs an XSLT stylesheet as the session user through the §5
 // security-processor path: the stylesheet executes against the source
-// document but observes only the user's authorized view (qfilter.ForPerms
-// over the axiom-14 permissions). No intermediate view is materialized.
+// document but observes only the user's authorized view (secureSource:
+// qfilter.ForPerms over the session's maintained permissions).
 func (s *Session) Transform(stylesheet string) (string, error) {
 	return s.TransformCtx(context.Background(), stylesheet)
 }
@@ -1363,24 +1303,23 @@ func (s *Session) Transform(stylesheet string) (string, error) {
 // TransformCtx is Transform with a request context.
 func (s *Session) TransformCtx(ctx context.Context, stylesheet string) (string, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_transform", transformStage)
-	sheet, err := xslt.ParseStylesheet(stylesheet)
-	if err != nil {
-		sp.End()
-		sessionOp("transform", "error")
-		return "", err
-	}
-	g := s.db.gen()
-	pm, err := g.policy.EvaluateSharedCtx(ctx, g.doc, g.subjects, s.user, g.ruleCache())
-	if err != nil {
-		sp.End()
-		sessionOp("transform", "error")
-		return "", err
-	}
-	out, err := sheet.TransformString(g.doc, s.vars(), qfilter.ForPerms(pm))
-	if err != nil {
+	fail := func(err error) (string, error) {
 		sessionOp("transform", "error")
 		s.db.recordCtx(ctx, "transform", s.user, "stylesheet", "error: "+err.Error(), sp.End())
 		return "", err
+	}
+	sheet, err := xslt.ParseStylesheet(stylesheet)
+	if err != nil {
+		return fail(err)
+	}
+	g := s.db.gen()
+	_, sec, err := s.secureSource(ctx, g)
+	if err != nil {
+		return fail(err)
+	}
+	out, err := sheet.TransformString(g.doc, s.vars(), sec)
+	if err != nil {
+		return fail(err)
 	}
 	sessionOp("transform", "ok")
 	s.db.recordCtx(ctx, "transform", s.user, "stylesheet", fmt.Sprintf("%d bytes", len(out)), sp.End())

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"securexml/internal/policy"
+	"securexml/internal/rewrite"
 	"securexml/internal/subject"
 	"securexml/internal/xmltree"
 	"securexml/internal/xupdate"
@@ -53,6 +54,17 @@ type generation struct {
 	// compare-and-swap on (gen, version, epoch).
 	rulesOnce sync.Once
 	rules     *policy.RuleCache
+
+	// rw holds the rewrite engine of this generation's policy epoch. The
+	// engine reads only the policy and the hierarchy, so publish hands the
+	// same holder on while the epoch stays put (document-only rounds).
+	rw *rewriteSlot
+}
+
+// rewriteSlot builds one policy epoch's rewrite engine on first use.
+type rewriteSlot struct {
+	once sync.Once
+	eng  *rewrite.Engine
 }
 
 // ver returns the document version of the snapshot.
@@ -63,6 +75,13 @@ func (g *generation) ver() uint64 { return g.doc.Version() }
 func (g *generation) ruleCache() *policy.RuleCache {
 	g.rulesOnce.Do(func() { g.rules = policy.NewRuleCache() })
 	return g.rules
+}
+
+// rewriteEngine returns the rewrite engine of the generation's policy
+// epoch, building it on first use.
+func (g *generation) rewriteEngine() *rewrite.Engine {
+	g.rw.once.Do(func() { g.rw.eng = rewrite.NewEngine(g.policy, g.subjects) })
+	return g.rw.eng
 }
 
 // deltaBatch records the coalesced structural changes of one group-commit
@@ -117,6 +136,7 @@ func (db *Database) install(doc *xmltree.Document, h *subject.Hierarchy, pol *po
 		subjects: h,
 		policy:   pol,
 		born:     time.Now(),
+		rw:       &rewriteSlot{},
 	}
 	if prev := db.current.Load(); prev != nil {
 		next.seq = prev.seq + 1

@@ -333,3 +333,38 @@ func TestCOWExecutorDifferentialOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestRewriteEngineRidesGeneration: the rewrite engine belongs to the
+// policy epoch. A document-only commit (or a document replacement) hands
+// the same engine to the next generation; AddRule and AddUser move the
+// epoch and replace it.
+func TestRewriteEngineRidesGeneration(t *testing.T) {
+	db := hospital(t)
+	eng := db.gen().rewriteEngine()
+	if _, err := session(t, db, "laporte").Update(&xupdate.Op{
+		Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: "pharyngitis",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadXMLString(medXML); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.gen().rewriteEngine(); got != eng {
+		t.Fatal("a document-only commit rebuilt the rewrite engine")
+	}
+	for name, admin := range map[string]func() error{
+		"AddRule": func() error {
+			return db.AddRule(policy.Rule{Effect: policy.Accept, Privilege: policy.Read, Path: "//service", Subject: "patient", Priority: 900})
+		},
+		"AddUser": func() error { return db.AddUser("martin", "patient") },
+	} {
+		if err := admin(); err != nil {
+			t.Fatal(err)
+		}
+		next := db.gen().rewriteEngine()
+		if next == eng {
+			t.Fatalf("%s kept the previous epoch's rewrite engine", name)
+		}
+		eng = next
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -24,28 +25,28 @@ func rewriteFallbackCounts() (frag, nsVal uint64) {
 		obs.Default().Counter("xmlsec_rewrite_fallback_total", "reason", "nodeset_value").Value()
 }
 
-// TestQueryTierRouting drives each rung of the read ladder and asserts both
-// the reported tier and the tier/fallback telemetry.
+// TestQueryTierRouting drives each route of the secured read path and
+// asserts both the reported tier and the tier/fallback telemetry.
 func TestQueryTierRouting(t *testing.T) {
 	db := hospital(t)
 	s := session(t, db, "laporte")
 
-	// Chain-only profile: the rewrite tier serves node-set and atomic
-	// queries without touching any view.
+	// Chain-only profile without a static plan: the source under the
+	// session's maintained permissions serves node-set and atomic queries.
 	r0, q0, v0 := tierCounts()
 	res, tier, err := s.QueryTiered("//diagnosis")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tier != TierRewrite || len(res) != 2 {
-		t.Fatalf("doctor query: tier %v with %d results, want rewrite/2", tier, len(res))
+	if tier != TierQfilter || len(res) != 2 {
+		t.Fatalf("doctor query: tier %v with %d results, want qfilter/2", tier, len(res))
 	}
-	if _, tier, err = s.QueryValueTiered("count(//diagnosis)"); err != nil || tier != TierRewrite {
-		t.Fatalf("doctor count: tier %v err %v, want rewrite", tier, err)
+	if _, tier, err = s.QueryValueTiered("count(//diagnosis)"); err != nil || tier != TierQfilter {
+		t.Fatalf("doctor count: tier %v err %v, want qfilter", tier, err)
 	}
 	r1, q1, v1 := tierCounts()
-	if r1 != r0+2 || q1 != q0 || v1 != v0 {
-		t.Errorf("tier counters after rewrite-served queries: rewrite+%d qfilter+%d view+%d, want 2/0/0",
+	if r1 != r0 || q1 != q0+2 || v1 != v0 {
+		t.Errorf("tier counters after qfilter-served queries: rewrite+%d qfilter+%d view+%d, want 0/2/0",
 			r1-r0, q1-q0, v1-v0)
 	}
 
@@ -69,8 +70,8 @@ func TestQueryTierRouting(t *testing.T) {
 	}
 
 	// An out-of-fragment rule poisons the whole profile: staff queries
-	// fall back to qfilter (rule_fragment counted), and once the session
-	// holds a fresh view, the ladder prefers the free view directly.
+	// lose the static classification (rule_fragment counted) and stay on
+	// qfilter, also once the session holds a fresh view.
 	if err := db.AddRule(policy.Rule{
 		Effect: policy.Accept, Privilege: policy.Read,
 		Path: "/patients/*[1]", Subject: "staff", Priority: 500,
@@ -88,22 +89,26 @@ func TestQueryTierRouting(t *testing.T) {
 	if _, err := s.View(); err != nil {
 		t.Fatal(err)
 	}
-	if _, tier, err = s.QueryTiered("//diagnosis"); err != nil || tier != TierView {
-		t.Fatalf("poisoned profile with fresh view: tier %v err %v, want view", tier, err)
+	if _, tier, err = s.QueryTiered("//diagnosis"); err != nil || tier != TierQfilter {
+		t.Fatalf("poisoned profile with fresh view: tier %v err %v, want qfilter", tier, err)
 	}
 }
 
 // TestQueryTierAgreement cross-checks the rungs end-to-end on the public
 // API: the same query answered before and after profile poisoning (rewrite
-// vs qfilter vs view) yields identical results.
+// vs qfilter vs view) yields identical results, and so does every auto
+// read of every paper user after each write of a secured write sequence.
+// (The internal/scenario corpus shapes get the same check in that
+// package's TestCorpusTierAgreement: it imports core, so core's tests
+// cannot import it.)
 func TestQueryTierAgreement(t *testing.T) {
 	queries := []string{"//diagnosis", "/patients/*", "//RESTRICTED", "/patients/*[name() = $USER]", "//text()"}
 	for _, user := range []string{"laporte", "beaufort", "richard", "franck"} {
 		db := hospital(t)
 		s := session(t, db, user)
 		for _, q := range queries {
-			if _, tier, err := s.QueryTiered(q); err != nil || tier != TierRewrite {
-				t.Fatalf("user %s query %s: tier %v err %v, want rewrite", user, q, tier, err)
+			if _, tier, err := s.QueryTiered(q); err != nil || tier != TierQfilter {
+				t.Fatalf("user %s query %s: tier %v err %v, want qfilter", user, q, tier, err)
 			}
 		}
 		// Poison the profile for every subject so all users drop a rung.
@@ -115,8 +120,8 @@ func TestQueryTierAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Write privileges never disqualify: still the rewrite tier.
-		if _, tier, err := s.QueryTiered("//diagnosis"); err != nil || tier != TierRewrite {
+		// Write privileges never disqualify: still the qfilter tier.
+		if _, tier, err := s.QueryTiered("//diagnosis"); err != nil || tier != TierQfilter {
 			t.Fatalf("user %s: write-rule poisoning changed the read tier to %v (err %v)", user, tier, err)
 		}
 		for i, subj := range []string{"staff", "patient"} {
@@ -128,10 +133,8 @@ func TestQueryTierAgreement(t *testing.T) {
 			}
 		}
 		for _, q := range queries {
-			// A fresh session holds no view, so the ladder lands on the
-			// qfilter rung (the original session would serve the view it
-			// cached computing the reference answer — also correct, but
-			// not the rung under test here).
+			// A fresh session holds no view, so the qfilter rung derives
+			// the permissions once and caches them.
 			res, tier, err := session(t, db, user).QueryTiered(q)
 			if err != nil {
 				t.Fatal(err)
@@ -143,6 +146,72 @@ func TestQueryTierAgreement(t *testing.T) {
 				t.Errorf("user %s query %s: qfilter answer diverged from view", user, q)
 			}
 		}
+	}
+
+	// Warm sessions patched by other sessions' writes: after each write,
+	// every auto answer equals the pinned view tier's.
+	db := hospital(t)
+	var sessions []*Session
+	for _, u := range []string{"laporte", "beaufort", "richard", "robert", "franck"} {
+		sessions = append(sessions, session(t, db, u))
+	}
+	values := []string{"count(//diagnosis)", "string(/patients)", "//diagnosis", "boolean(//RESTRICTED)"}
+	agree := func(step string) {
+		t.Helper()
+		for _, s := range sessions {
+			for _, q := range queries {
+				auto, _, err := s.QueryTiered(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := s.QueryTierCtx(context.Background(), q, TierView)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(auto) != fmt.Sprint(want) {
+					t.Errorf("%s: user %s query %s: auto %v, view %v", step, s.User(), q, auto, want)
+				}
+			}
+			for _, q := range values {
+				auto, _, err := s.QueryValueTiered(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := s.QueryValueTierCtx(context.Background(), q, TierView)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if auto.TypeName()+auto.Str() != want.TypeName()+want.Str() {
+					t.Errorf("%s: user %s value %s: auto %s %q, view %s %q", step, s.User(), q,
+						auto.TypeName(), auto.Str(), want.TypeName(), want.Str())
+				}
+			}
+		}
+	}
+	agree("initial")
+	for _, w := range []struct {
+		user      string
+		kind      xupdate.Kind
+		path, arg string
+		applied   bool
+	}{
+		{"laporte", xupdate.Update, "/patients/franck/diagnosis", "pharyngitis", true},
+		{"beaufort", xupdate.Append, "/patients", "<martin><service>cardiology</service><diagnosis>flu</diagnosis></martin>", true},
+		{"laporte", xupdate.Remove, "/patients/robert/diagnosis/node()", "", true},
+		{"franck", xupdate.Update, "/patients/robert/service", "refused", false},
+	} {
+		op, err := xupdate.NewOp(w.kind, w.path, w.arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := session(t, db, w.user).Update(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Applied > 0) != w.applied {
+			t.Fatalf("%s %s %s: applied %d, want applied=%v", w.user, w.kind, w.path, res.Applied, w.applied)
+		}
+		agree(fmt.Sprintf("after %s %s %s", w.user, w.kind, w.path))
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"securexml/internal/obs"
@@ -18,9 +19,8 @@ func cacheCounts() (hits, cold, doc, epoch uint64) {
 // TestViewCacheCounters walks the session cache through its four outcomes —
 // cold miss, hit, doc-version miss after a write, policy-epoch miss after a
 // grant — and asserts exactly one counter moves each time. Views are pulled
-// explicitly: since the read ladder (QueryTieredCtx), queries for chain-only
-// profiles are served by the rewrite tier and never touch the view cache —
-// View/ViewXML and the write path remain the cache's clients.
+// explicitly through View, one of the cache's clients alongside queries
+// and the write path.
 func TestViewCacheCounters(t *testing.T) {
 	db := hospital(t)
 	s := session(t, db, "laporte")
@@ -162,4 +162,93 @@ func TestFreshSessionWriteDerivesNoView(t *testing.T) {
 	if got := ex.Root.Children[0].Attrs["view_source"]; got != "session" {
 		t.Errorf("session_update view_source = %q, want session", got)
 	}
+}
+
+// TestWarmReadsPatchMaintainedPermissions: after another session's write,
+// a warm session's auto Query, atomic QueryValue and Transform each bring
+// the session's maintained permissions up to date with one delta patch.
+// None derives permissions or materializes a view.
+func TestWarmReadsPatchMaintainedPermissions(t *testing.T) {
+	const sheet = `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	  <xsl:template match="/"><r><xsl:value-of select="count(//diagnosis)"/></r></xsl:template>
+	</xsl:stylesheet>`
+	evalShared, mat, inc := obs.Stage("policy_evaluate_shared"), obs.Stage("view_materialize"), obs.Stage("view_incremental")
+	for _, read := range []struct {
+		name string
+		run  func(s *Session) error
+	}{
+		{"query", func(s *Session) error { _, err := s.Query("//diagnosis"); return err }},
+		{"value", func(s *Session) error { _, err := s.QueryValue("count(//diagnosis)"); return err }},
+		{"transform", func(s *Session) error { _, err := s.Transform(sheet); return err }},
+	} {
+		db := hospital(t)
+		reader := session(t, db, "beaufort")
+		if _, err := reader.View(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := session(t, db, "laporte").Update(&xupdate.Op{Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: "pharyngitis"})
+		if err != nil || res.Applied != 1 {
+			t.Fatalf("write: %+v %v", res, err)
+		}
+		e0, m0, i0 := evalShared.Count(), mat.Count(), inc.Count()
+		if err := read.run(reader); err != nil {
+			t.Fatal(err)
+		}
+		if de, dm, di := evalShared.Count()-e0, mat.Count()-m0, inc.Count()-i0; de != 0 || dm != 0 || di != 1 {
+			t.Errorf("%s after a write: %d policy_evaluate_shared, %d view_materialize, %d view_incremental stages, want 0, 0, 1",
+				read.name, de, dm, di)
+		}
+	}
+}
+
+// TestWarmQueryCountsNoDecisions: the read filter looks permissions up
+// uncounted, so a warm auto query leaves xmlsec_policy_decisions_total
+// alone, while a write's privilege checks still count.
+func TestWarmQueryCountsNoDecisions(t *testing.T) {
+	db := hospital(t)
+	s := session(t, db, "laporte")
+	if _, err := s.View(); err != nil {
+		t.Fatal(err)
+	}
+	before := decisionCount()
+	if _, err := s.Query("//diagnosis"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.QueryValue("count(//service)"); err != nil {
+		t.Fatal(err)
+	}
+	if after := decisionCount(); after != before {
+		t.Fatalf("warm reads moved xmlsec_policy_decisions_total %d -> %d", before, after)
+	}
+	if _, err := s.Update(&xupdate.Op{Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: "pharyngitis"}); err != nil {
+		t.Fatal(err)
+	}
+	if after := decisionCount(); after == before {
+		t.Fatal("a write's privilege checks did not move xmlsec_policy_decisions_total")
+	}
+}
+
+// TestTransformDerivationFailureAudited: when the session's permissions
+// cannot be derived, Transform records the failure with the request ID,
+// as Query does.
+func TestTransformDerivationFailureAudited(t *testing.T) {
+	db := hospital(t)
+	// A rule path that evaluates to a number fails every staff derivation.
+	if err := db.Grant(policy.Read, "count(//diagnosis)", "staff"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := obs.WithRequestID(context.Background(), "req-transform-fail")
+	if _, err := session(t, db, "laporte").TransformCtx(ctx,
+		`<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform"/>`); err == nil {
+		t.Fatal("transform succeeded without derivable permissions")
+	}
+	for _, e := range db.Audit() {
+		if e.ReqID == "req-transform-fail" {
+			if e.Action != "transform" || !strings.HasPrefix(e.Outcome, "error: ") {
+				t.Errorf("audit entry %+v, want a transform error", e)
+			}
+			return
+		}
+	}
+	t.Fatal("failed transform not audited with its request id")
 }

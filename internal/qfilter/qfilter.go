@@ -14,16 +14,17 @@
 // The trade-off is quantified by the BenchmarkQueryFilter ablation: the
 // filtered path wins for one-shot queries on large documents (no O(n)
 // materialization), while the view path amortizes over many queries per
-// policy epoch — which is why internal/core materializes and caches.
+// policy epoch. internal/core gets both: each session keeps its axiom-14
+// permissions current by delta patching, and its secured read path
+// evaluates queries, values and XSLT transforms on the source under
+// ForPerms over those maintained permissions. Only a non-empty node-set
+// value is answered from the view.
 //
-// internal/rewrite is the static refinement of this package: where qfilter
-// computes the full axiom-14 permission mask (one policy evaluation per
-// document version) and then filters, rewrite re-derives the same
-// per-node decision during evaluation from chain-only rules, holding no
-// per-document state at all. The session ladder (core.Session.QueryTiered)
-// tries rewrite first and lands here when the profile or query leaves the
-// chain-only fragment; both rungs are pinned answer-equivalent to the view
-// by this package's property tests and internal/rewrite's oracle.
+// internal/rewrite is the static refinement of this package: its
+// classifier proves some queries empty or unfiltered for a rule profile
+// from the policy alone, and the session path asks it first. Both are
+// pinned answer-equivalent to the view by this package's property tests
+// and internal/rewrite's oracle.
 package qfilter
 
 import (
@@ -41,19 +42,21 @@ import (
 //     node);
 //   - a visible node's effective label is its own with read, RESTRICTED
 //     with position only (axiom 17).
+//
+// Lookups use the uncounted Perms.PeekID: a filter reads cells once per
+// visited node, and counting each read as a policy decision would put a
+// process-global atomic on every concurrent query's hot path.
 func ForPerms(pm *policy.Perms) *xpath.Security {
 	return &xpath.Security{
 		Visible: func(n *xmltree.Node) bool {
 			if n.Kind() == xmltree.KindDocument {
 				return true // axiom 15
 			}
-			return pm.Has(n, policy.Read) || pm.Has(n, policy.Position)
+			id := n.IDString()
+			return pm.PeekID(id, policy.Read) || pm.PeekID(id, policy.Position)
 		},
 		Label: func(n *xmltree.Node) string {
-			if n.Kind() == xmltree.KindDocument {
-				return n.Label()
-			}
-			if pm.Has(n, policy.Read) {
+			if n.Kind() == xmltree.KindDocument || pm.PeekID(n.IDString(), policy.Read) {
 				return n.Label()
 			}
 			return xmltree.Restricted

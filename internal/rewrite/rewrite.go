@@ -32,18 +32,23 @@
 //     applicable read rule to be Exact), so the filter is the identity and
 //     the rewritten query is the raw query.
 //
-// Everything else runs as PlanGuarded. Queries or rules outside the
-// fragment, and evaluations that fail at runtime, fall back to the
-// qfilter/view paths with per-reason counters (xmlsec_rewrite_fallback_total);
-// the fallback is sound because the lower tiers are themselves
-// answer-equivalent to the view (internal/qfilter's property tests).
+// Everything else runs as PlanGuarded. The session read path
+// (internal/core) uses only the static classification: it serves
+// PlanEmpty and PlanTransparent here and answers guarded plans from the
+// source under its maintained permissions (internal/qfilter). Guarded
+// evaluation under Program.Security serves a query pinned to the rewrite
+// tier; a rule outside the fragment counts a fallback
+// (xmlsec_rewrite_fallback_total). Falling back is sound because the
+// qfilter and view paths are themselves answer-equivalent to the view
+// (internal/qfilter's property tests).
 //
 // Programs are shared per rule *profile* — the set of applicable read and
 // position rules — not per user: $USER stays a runtime variable, so every
 // patient shares one program and one plan cache. Engines are built per
-// policy epoch (internal/core keys them so), which makes every cache here
-// document-independent: a rewritten query survives arbitrary document
-// mutations, unlike any per-user view or permission mask.
+// policy epoch (internal/core keeps one per epoch on its generations),
+// which makes every cache here document-independent: a rewritten query
+// survives arbitrary document mutations, unlike any per-user view or
+// permission mask.
 package rewrite
 
 import (
@@ -221,9 +226,6 @@ type Program struct {
 
 	mu    sync.Mutex
 	plans map[string]*Plan
-
-	secMu sync.Mutex
-	secs  map[string]*userSec
 }
 
 // buildProgram compiles the profile selected by idx, or returns nil when
@@ -408,6 +410,10 @@ func (pl *Plan) Eval(root *xmltree.Node, vars xpath.Vars, sec *xpath.Security) (
 	return pl.c.EvalFiltered(root, vars, sec)
 }
 
+// Compiled returns the plan's compiled query, for callers that evaluate
+// it under a filter of their own.
+func (pl *Plan) Compiled() *xpath.Compiled { return pl.c }
+
 // EvalState carries the runtime outcome of one guarded evaluation: if any
 // rule matcher failed, the evaluation's answer is unusable and the caller
 // must fall back (ReasonEvalError).
@@ -425,8 +431,7 @@ const (
 
 // ruleMask re-runs the axiom-14 latest-priority merge for {read, position}
 // on one node and folds the two surviving decisions into a visibility
-// mask. It is the single source of truth for both the per-evaluation
-// Security memo and the cross-request SecurityFor cache.
+// mask for Security's per-evaluation memo.
 func (pg *Program) ruleMask(n *xmltree.Node, vars xpath.Vars) (uint8, error) {
 	var posSet, readSet bool
 	var posEff, readEff policy.Effect
@@ -462,30 +467,6 @@ func (pg *Program) ruleMask(n *xmltree.Node, vars xpath.Vars) (uint8, error) {
 	return m, nil
 }
 
-// secFromMask wraps a mask function into the xpath filter: a node is
-// visible with read or position (axioms 16–17) and shows its own label
-// only with read; the document node is always visible with its own label
-// (axiom 15).
-func secFromMask(mask func(*xmltree.Node) uint8) *xpath.Security {
-	return &xpath.Security{
-		Visible: func(n *xmltree.Node) bool {
-			if n.Kind() == xmltree.KindDocument {
-				return true
-			}
-			return mask(n) != 0
-		},
-		Label: func(n *xmltree.Node) string {
-			if n.Kind() == xmltree.KindDocument {
-				return n.Label()
-			}
-			if mask(n)&maskRead != 0 {
-				return n.Label()
-			}
-			return xmltree.Restricted
-		},
-	}
-}
-
 // Security builds the chain-derived filter for one evaluation with the
 // given variable bindings ($USER must be bound). Visibility and labels
 // re-run the axiom-14 latest-priority merge for {read, position} per node,
@@ -494,8 +475,7 @@ func secFromMask(mask func(*xmltree.Node) uint8) *xpath.Security {
 // node is always visible with its own label (axiom 15).
 //
 // The returned Security and state are single-use and single-goroutine:
-// the memo is not locked. For a memo that survives the evaluation and is
-// shared across concurrent requests, use SecurityFor.
+// the memo is not locked.
 func (pg *Program) Security(vars xpath.Vars) (*xpath.Security, *EvalState) {
 	st := &EvalState{}
 	memo := make(map[*xmltree.Node]uint8)
@@ -510,61 +490,15 @@ func (pg *Program) Security(vars xpath.Vars) (*xpath.Security, *EvalState) {
 		memo[n] = m
 		return m
 	}
-	return secFromMask(mask), st
-}
-
-// userSec is one user's cross-request mask memo, valid for exactly one
-// source-document snapshot. Frozen snapshots make node identity stable, so
-// the memo never needs invalidation finer than "the snapshot moved" — the
-// whole entry is replaced then. The sync.Map is safe for the concurrent
-// readers of one generation.
-type userSec struct {
-	snap *xmltree.Document
-	memo sync.Map // *xmltree.Node → uint8
-}
-
-// secCacheCap bounds the per-program user cache; when the population of
-// distinct users outgrows it the whole cache is reset rather than evicted
-// piecewise (rebuilding a memo costs one rule sweep per visited node).
-const secCacheCap = 4096
-
-// SecurityFor is Security with a memo shared across requests: masks
-// computed for (user, snapshot) are reused by every concurrent evaluation
-// of the same user against the same frozen document, so the axiom-14 rule
-// sweep runs once per visited node per generation instead of once per
-// request. Programs are already built per policy epoch, so the (user,
-// epoch) keying the issue asks for falls out of (Program, user); the
-// snapshot pointer invalidates the memo across document generations.
-//
-// vars must carry the user's own bindings only ($USER) — the memo is keyed
-// by user identity, so request-specific bindings would poison it. The
-// returned Security is safe for concurrent use; the EvalState is per-call.
-// Matcher errors are reported through the state and never memoized.
-func (pg *Program) SecurityFor(user string, vars xpath.Vars, snap *xmltree.Document) (*xpath.Security, *EvalState) {
-	pg.secMu.Lock()
-	if pg.secs == nil || len(pg.secs) >= secCacheCap {
-		pg.secs = make(map[string]*userSec)
-	}
-	e := pg.secs[user]
-	if e == nil || e.snap != snap {
-		e = &userSec{snap: snap}
-		pg.secs[user] = e
-	}
-	pg.secMu.Unlock()
-	st := &EvalState{}
-	mask := func(n *xmltree.Node) uint8 {
-		if m, ok := e.memo.Load(n); ok {
-			return m.(uint8)
-		}
-		m, err := pg.ruleMask(n, vars)
-		if err != nil {
-			if st.err == nil {
-				st.err = err
+	return &xpath.Security{
+		Visible: func(n *xmltree.Node) bool {
+			return n.Kind() == xmltree.KindDocument || mask(n) != 0
+		},
+		Label: func(n *xmltree.Node) string {
+			if n.Kind() == xmltree.KindDocument || mask(n)&maskRead != 0 {
+				return n.Label()
 			}
-			return 0
-		}
-		e.memo.Store(n, m)
-		return m
-	}
-	return secFromMask(mask), st
+			return xmltree.Restricted
+		},
+	}, st
 }

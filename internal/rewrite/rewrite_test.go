@@ -378,3 +378,48 @@ func TestGuardedSecurityRestriction(t *testing.T) {
 		t.Errorf("text below a hidden element leaked: %d nodes", len(ns))
 	}
 }
+
+// TestSecurityMatcherError: a matcher error (unbound $USER) reports through
+// the evaluation's EvalState, and a Security built with $USER bound is
+// unaffected by it.
+func TestSecurityMatcherError(t *testing.T) {
+	d, err := xmltree.ParseString(
+		"<patients><p0><service>oncology</service><diagnosis>flu</diagnosis></p0></patients>",
+		xmltree.ParseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := testHierarchy(t)
+	p := policy.New()
+	if err := p.Add(h, policy.Rule{
+		Effect: policy.Accept, Privilege: policy.Read,
+		Path: "/patients/*[name() = $USER]//node()", Subject: "staff", Priority: 10,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pg, reason := NewEngine(p, h).ProgramFor("laporte")
+	if pg == nil {
+		t.Fatalf("profile fell back: %v", reason)
+	}
+	var svc *xmltree.Node
+	for _, n := range d.Nodes() {
+		if n.Label() == "service" {
+			svc = n
+		}
+	}
+	if svc == nil {
+		t.Fatal("no service node")
+	}
+	sec, st := pg.Security(xpath.Vars{})
+	sec.IsVisible(svc)
+	if st.Err() == nil {
+		t.Fatal("unbound $USER should surface a matcher error")
+	}
+	sec2, st2 := pg.Security(xpath.Vars{"USER": xpath.String("p0")})
+	if !sec2.IsVisible(svc) {
+		t.Fatal("p0 should see the contents of its own subtree")
+	}
+	if err := st2.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -131,7 +131,7 @@ type pathExpr struct {
 func (p *pathExpr) String() string {
 	var b strings.Builder
 	if p.base != nil {
-		b.WriteString(p.base.String())
+		b.WriteString(operand(p.base))
 	} else if p.absolute {
 		b.WriteString("/")
 	}
@@ -147,6 +147,16 @@ func (p *pathExpr) String() string {
 	return b.String()
 }
 
+// operand renders e where a token may follow it. The bare root path is
+// parenthesized: "/ * 0" would reparse as the path "/*" and a stray
+// number, "/ div 2" as the path "/div".
+func operand(e expr) string {
+	if p, ok := e.(*pathExpr); ok && p.absolute && p.base == nil && len(p.steps) == 0 {
+		return "(/)"
+	}
+	return e.String()
+}
+
 // filterExpr is a primary expression with predicates: primary[pred]...
 type filterExpr struct {
 	primary expr
@@ -155,7 +165,7 @@ type filterExpr struct {
 
 func (f *filterExpr) String() string {
 	var b strings.Builder
-	b.WriteString(f.primary.String())
+	b.WriteString(operand(f.primary))
 	for _, p := range f.preds {
 		fmt.Fprintf(&b, "[%s]", p)
 	}
@@ -224,7 +234,7 @@ type binaryExpr struct {
 }
 
 func (b *binaryExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.l, b.op, b.r)
+	return fmt.Sprintf("(%s %s %s)", operand(b.l), b.op, operand(b.r))
 }
 
 // negExpr is unary minus.
