@@ -56,8 +56,6 @@ bench-smoke:
 	$(GO) run ./cmd/xmlsec-bench -validate BENCH_obs.json
 	$(GO) run ./cmd/xmlsec-bench -exp b12 -quick -b12-out BENCH_b12_quick.json
 	$(GO) run ./cmd/xmlsec-bench -validate-b12 BENCH_b12_quick.json
-	$(GO) run ./cmd/xmlsec-bench -exp b14 -quick -b14-out BENCH_b14_quick.json
-	$(GO) run ./cmd/xmlsec-bench -validate-b14 BENCH_b14_quick.json
 	$(GO) run ./cmd/xmlsec-bench -exp b15 -quick -b15-out BENCH_b15_quick.json
 	$(GO) run ./cmd/xmlsec-bench -validate-b15 BENCH_b15_quick.json
 

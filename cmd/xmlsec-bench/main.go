@@ -6,16 +6,14 @@
 // Usage:
 //
 //	xmlsec-bench                        # run all experiments
-//	xmlsec-bench -exp b1                # one experiment (b1..b7, b11, b12, b14, b15, e11, obs)
+//	xmlsec-bench -exp b1                # one experiment (b1..b7, b11, b12, b15, e11, obs)
 //	xmlsec-bench -quick                 # smaller sweeps
 //	xmlsec-bench -exp obs -out BENCH_obs.json
 //	xmlsec-bench -exp b11 -b11-out BENCH_b11.json
 //	xmlsec-bench -exp b12 -b12-out BENCH_b12.json
-//	xmlsec-bench -exp b14 -b14-out BENCH_b14.json
 //	xmlsec-bench -exp b15 -b15-out BENCH_b15.json
 //	xmlsec-bench -validate BENCH_obs.json
 //	xmlsec-bench -validate-b12 BENCH_b12.json
-//	xmlsec-bench -validate-b14 BENCH_b14.json
 //	xmlsec-bench -validate-b15 BENCH_b15.json
 package main
 
@@ -45,24 +43,21 @@ var (
 	obsIters int
 	b11Out   string
 	b12Out   string
-	b14Out   string
 	b15Out   string
 	e11Out   string
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (b1..b7, b11, b12, b14, b15, e11, obs, or all)")
+	exp := flag.String("exp", "all", "experiment to run (b1..b7, b11, b12, b15, e11, obs, or all)")
 	flag.BoolVar(&quick, "quick", false, "smaller sweeps")
 	flag.StringVar(&obsOut, "out", "BENCH_obs.json", "where the obs experiment writes its report")
 	flag.StringVar(&b11Out, "b11-out", "BENCH_b11.json", "where experiment b11 writes its report")
 	flag.StringVar(&b12Out, "b12-out", "BENCH_b12.json", "where experiment b12 writes its report")
-	flag.StringVar(&b14Out, "b14-out", "BENCH_b14.json", "where experiment b14 writes its report")
 	flag.StringVar(&b15Out, "b15-out", "BENCH_b15.json", "where experiment b15 writes its report")
 	flag.StringVar(&e11Out, "e11-out", "BENCH_e11.json", "where experiment e11 writes its report")
 	flag.IntVar(&obsIters, "obs-iters", 0, "override the obs experiment iteration count")
 	validate := flag.String("validate", "", "validate an emitted obs report and exit")
 	validateB12 := flag.String("validate-b12", "", "validate an emitted b12 report and exit")
-	validateB14 := flag.String("validate-b14", "", "validate an emitted b14 report and exit")
 	validateB15 := flag.String("validate-b15", "", "validate an emitted b15 report and exit")
 	flag.Parse()
 
@@ -93,18 +88,6 @@ func main() {
 		return
 	}
 
-	if *validateB14 != "" {
-		rep, err := validateB14Report(*validateB14)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xmlsec-bench:", err)
-			os.Exit(1)
-		}
-		last := rep.Rows[len(rep.Rows)-1]
-		fmt.Printf("%s: valid (%d rows, %d users, %d programs, %d resident view nodes at full fleet)\n",
-			*validateB14, len(rep.Rows), last.Users, last.Programs, last.ViewNodesResident)
-		return
-	}
-
 	if *validateB15 != "" {
 		rep, err := validateB15Report(*validateB15)
 		if err != nil {
@@ -127,7 +110,6 @@ func main() {
 		"b7":  b7QueryFilter,
 		"b11": b11IncrementalMaintenance,
 		"b12": b12SharedScan,
-		"b14": b14RewriteScaling,
 		"b15": b15SnapshotReads,
 		"e11": e11RepairEngine,
 		"obs": bObs,
@@ -144,7 +126,7 @@ func main() {
 		}
 		return
 	}
-	for _, name := range []string{"b1", "b2", "b3", "b4", "b5", "b6", "b7", "b11", "b12", "b14", "b15", "e11", "obs"} {
+	for _, name := range []string{"b1", "b2", "b3", "b4", "b5", "b6", "b7", "b11", "b12", "b15", "e11", "obs"} {
 		if err := experiments[name](); err != nil {
 			fmt.Fprintln(os.Stderr, "xmlsec-bench:", err)
 			os.Exit(1)

@@ -57,7 +57,7 @@ func main() {
 	accessLog := flag.String("accesslog", "stderr", `structured access log: "stderr", "off", or a file path`)
 	warm := flag.Int("warm", 0, "pre-materialize every user's view at startup through this many workers (0 = off)")
 	slowTrace := flag.Duration("slowtrace", 500*time.Millisecond, "log the full span tree of requests slower than this (0 = off)")
-	tier := flag.String("tier", "auto", `pin /query and /value to one read-ladder tier: "rewrite", "qfilter", "view" or "auto"`)
+	tier := flag.String("tier", "auto", `pin /query and /value to one read-ladder tier: "qfilter", "view" or "auto"`)
 	flag.Parse()
 
 	forcedTier, err := core.ParseTier(*tier)

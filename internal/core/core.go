@@ -84,9 +84,9 @@ var (
 )
 
 // Tier identifies which route of the secured read path served a query
-// (§4.4.1 enforcement strategies): a static rewrite plan over the source
-// document, the source under the qfilter permission filter, or the
-// materialized view.
+// (§4.4.1 enforcement strategies): a static plan of the rewriter's
+// classifier (TierRewrite), the source under the qfilter permission
+// filter, or the materialized view.
 type Tier int
 
 // The ladder tiers, cheapest first.
@@ -99,15 +99,14 @@ const (
 
 // TierAuto is the sentinel for normal routing (no pinning): static plans
 // on TierRewrite, other reads on TierQfilter, non-empty node-set values
-// on TierView.
+// on TierView. Only TierAuto consults the static classifier, so
+// TierRewrite cannot be pinned.
 const TierAuto Tier = -1
 
 // ParseTier parses a tier name as accepted by the server's -tier flag and
-// the shell's tier command: rewrite, qfilter, view, or auto.
+// the shell's tier command: qfilter, view, or auto.
 func ParseTier(s string) (Tier, error) {
 	switch s {
-	case "rewrite":
-		return TierRewrite, nil
 	case "qfilter":
 		return TierQfilter, nil
 	case "view":
@@ -115,7 +114,7 @@ func ParseTier(s string) (Tier, error) {
 	case "auto", "":
 		return TierAuto, nil
 	default:
-		return TierAuto, fmt.Errorf("core: unknown tier %q (want rewrite, qfilter, view or auto)", s)
+		return TierAuto, fmt.Errorf("core: unknown tier %q (want qfilter|view|auto)", s)
 	}
 }
 
@@ -145,6 +144,11 @@ var queryTierCounters = func() (c [numTiers]*obs.Counter) {
 	return
 }()
 
+// nodeSetValueFallbacks counts value queries re-evaluated on the view
+// because they produced a non-empty node-set. The metric keeps the
+// rewrite-fallback name its dashboards and benchmark already read.
+var nodeSetValueFallbacks = obs.Default().Counter("xmlsec_rewrite_fallback_total", "reason", "nodeset_value")
+
 // countTier records one query served by tier.
 func countTier(t Tier) {
 	if t >= 0 && t < numTiers {
@@ -163,9 +167,10 @@ var (
 	ErrNotUser     = errors.New("core: sessions are for users, not roles")
 	// ErrTierUnavailable: a query was pinned to one ladder tier (A/B
 	// debugging via the server -tier flag or the shell tier command) and
-	// that tier cannot serve it — the rewrite fragment does not cover the
-	// user's rules, or a pinned qfilter value query produced a node-set
-	// (which only the view tier may hand out without leaking).
+	// that tier cannot serve it — TierRewrite, which only static plans of
+	// the unpinned path reach, or a pinned qfilter value query that
+	// produced a node-set (which only the view tier may hand out without
+	// leaking).
 	ErrTierUnavailable = errors.New("core: forced tier cannot serve this query")
 )
 
@@ -814,7 +819,7 @@ func (s *Session) QueryTierCtx(ctx context.Context, path string, forced Tier) ([
 		ns, err := rd.c.SelectFiltered(rd.root, s.vars(), rd.sec)
 		xe.AnnotateInt("selected", int64(len(ns)))
 		xe.End()
-		if err = rd.evalErr(err); err != nil {
+		if err != nil {
 			return fail(rd.tier, err)
 		}
 		out = filteredResults(ns, rd.sec)
@@ -836,8 +841,6 @@ type securedRead struct {
 	root *xmltree.Node
 	// sec filters the source; nil for a transparent plan and the view.
 	sec *xpath.Security
-	// st reports a pinned guarded rewrite's matcher errors.
-	st *rewrite.EvalState
 	// v is the view of the same currentViewPerms call, when one was made.
 	v *view.View
 }
@@ -853,41 +856,30 @@ type securedRead struct {
 //     the session's maintained permissions (TierQfilter) — a cache hit, a
 //     delta patch, or one derivation that is then cached (secureSource).
 //
-// Pinned, TierRewrite serves guarded plans through the per-call
-// Program.Security and fails outside the rule fragment; TierQfilter runs
-// the maintained-permissions path without the static shortcut; TierView
-// evaluates on the maintained view. The returned read is non-nil even on
+// Pinned, TierQfilter runs the maintained-permissions path without the
+// static shortcut and TierView evaluates on the maintained view;
+// TierRewrite cannot be pinned. The returned read is non-nil even on
 // error, carrying the tier to report.
 func (s *Session) secureRead(ctx context.Context, g *generation, path string, forced Tier) (*securedRead, error) {
 	rd := &securedRead{tier: forced, root: g.doc.Root()}
-	if forced == TierAuto {
+	switch forced {
+	case TierAuto:
 		rd.tier = TierQfilter
-	}
-	if forced == TierAuto || forced == TierRewrite {
-		pg, _ := g.rewriteEngine().ProgramFor(s.user)
-		if pg == nil {
-			rewrite.CountFallback(rewrite.ReasonRuleFragment)
-			if forced == TierRewrite {
-				return rd, fmt.Errorf("%w: policy outside the rewrite fragment for %q", ErrTierUnavailable, s.user)
-			}
-		} else {
-			pl, err := pg.PlanFor(path)
-			if err != nil {
-				return rd, err // compile errors are tier-independent
-			}
-			rd.c = pl.Compiled()
-			switch {
-			case pl.Mode == rewrite.PlanEmpty:
-				rd.tier, rd.c = TierRewrite, nil
-				return rd, nil
-			case pl.Mode == rewrite.PlanTransparent:
-				rd.tier = TierRewrite
-				return rd, nil
-			case forced == TierRewrite:
-				rd.sec, rd.st = pg.Security(s.vars())
-				return rd, nil
-			}
+		pl, err := g.rewriteEngine().ProgramFor(s.user).PlanFor(path)
+		if err != nil {
+			return rd, err // compile errors are tier-independent
 		}
+		rd.c = pl.Compiled()
+		switch pl.Mode {
+		case rewrite.PlanEmpty:
+			rd.tier, rd.c = TierRewrite, nil
+			return rd, nil
+		case rewrite.PlanTransparent:
+			rd.tier = TierRewrite
+			return rd, nil
+		}
+	case TierRewrite:
+		return rd, fmt.Errorf("%w: the rewrite tier serves only static plans and cannot be pinned", ErrTierUnavailable)
 	}
 	if rd.c == nil {
 		c, err := xpath.Compile(path)
@@ -934,21 +926,6 @@ func (s *Session) onView(ctx context.Context, g *generation, rd *securedRead) er
 	}
 	rd.root = rd.v.Doc.Root()
 	return nil
-}
-
-// evalErr folds a pinned guarded rewrite's matcher errors into err,
-// counting the failure.
-func (rd *securedRead) evalErr(err error) error {
-	if rd.st == nil {
-		return err
-	}
-	if err == nil {
-		err = rd.st.Err()
-	}
-	if err != nil {
-		rewrite.CountFallback(rewrite.ReasonEvalError)
-	}
-	return err
 }
 
 // filteredResults renders source nodes exactly as the user's materialized
@@ -998,8 +975,8 @@ func (s *Session) QueryValueTieredCtx(ctx context.Context, path string) (xpath.V
 }
 
 // QueryValueTierCtx is QueryValueTieredCtx with the ladder pinned to one
-// tier (see QueryTierCtx). A pinned rewrite or qfilter query whose value
-// is a non-empty node-set fails with ErrTierUnavailable: only the view
+// tier (see QueryTierCtx). A pinned qfilter query whose value is a
+// non-empty node-set fails with ErrTierUnavailable: only the view
 // tier may hand out node-sets without leaking hidden labels.
 func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tier) (xpath.Value, Tier, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_query_value", valueStage)
@@ -1017,7 +994,7 @@ func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tie
 		_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
 		val, err := rd.c.EvalFiltered(rd.root, s.vars(), rd.sec)
 		xe.End()
-		return val, rd.evalErr(err)
+		return val, err
 	}
 	g := s.db.gen()
 	rd, err := s.secureRead(ctx, g, path, forced)
@@ -1029,7 +1006,7 @@ func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tie
 		return fail(rd.tier, err)
 	}
 	if ns, ok := val.(xpath.NodeSet); ok && len(ns) > 0 && rd.tier != TierView {
-		rewrite.CountFallback(rewrite.ReasonNodeSetValue)
+		nodeSetValueFallbacks.Inc()
 		if forced != TierAuto {
 			return fail(rd.tier, fmt.Errorf("%w: non-empty node-set values must come from the view tier", ErrTierUnavailable))
 		}

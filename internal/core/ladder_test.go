@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,11 +20,6 @@ func tierCounts() (rw, qf, vw uint64) {
 	return queryTierCounters[TierRewrite].Value(),
 		queryTierCounters[TierQfilter].Value(),
 		queryTierCounters[TierView].Value()
-}
-
-func rewriteFallbackCounts() (frag, nsVal uint64) {
-	return obs.Default().Counter("xmlsec_rewrite_fallback_total", "reason", "rule_fragment").Value(),
-		obs.Default().Counter("xmlsec_rewrite_fallback_total", "reason", "nodeset_value").Value()
 }
 
 // TestQueryTierRouting drives each route of the secured read path and
@@ -53,7 +50,7 @@ func TestQueryTierRouting(t *testing.T) {
 	// A non-empty node-set value must come from the materialized view
 	// (raw source nodes would leak hidden labels), counted as a
 	// nodeset_value fallback.
-	f0, n0 := rewriteFallbackCounts()
+	n0 := nodeSetValueFallbacks.Value()
 	val, tier, err := s.QueryValueTiered("//diagnosis")
 	if err != nil {
 		t.Fatal(err)
@@ -64,39 +61,93 @@ func TestQueryTierRouting(t *testing.T) {
 	if ns, ok := val.(xpath.NodeSet); !ok || len(ns) != 2 {
 		t.Fatalf("node-set value: %v", val)
 	}
-	f1, n1 := rewriteFallbackCounts()
-	if n1 != n0+1 || f1 != f0 {
-		t.Errorf("fallback counters: nodeset_value+%d rule_fragment+%d, want 1/0", n1-n0, f1-f0)
+	if n1 := nodeSetValueFallbacks.Value(); n1 != n0+1 {
+		t.Errorf("nodeset_value fallback moved by %d, want 1", n1-n0)
 	}
 
-	// An out-of-fragment rule poisons the whole profile: staff queries
-	// lose the static classification (rule_fragment counted) and stay on
-	// qfilter, also once the session holds a fresh view.
+	// No staff rule reads attributes, so an attribute query is statically
+	// empty: served on the rewrite tier without touching the document.
+	if res, tier, err = s.QueryTiered("//@id"); err != nil || tier != TierRewrite || len(res) != 0 {
+		t.Fatalf("attribute query: tier %v err %v with %d results, want rewrite/0", tier, err, len(res))
+	}
+
+	// A read rule with a positional predicate keeps the static
+	// classification: the empty plan stays on the rewrite tier and other
+	// queries stay on qfilter, also once the session holds a fresh view.
 	if err := db.AddRule(policy.Rule{
 		Effect: policy.Accept, Privilege: policy.Read,
 		Path: "/patients/*[1]", Subject: "staff", Priority: 500,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f1, _ = rewriteFallbackCounts()
-	if _, tier, err = s.QueryTiered("//diagnosis"); err != nil || tier != TierQfilter {
-		t.Fatalf("poisoned profile: tier %v err %v, want qfilter", tier, err)
+	if _, tier, err = s.QueryTiered("//@id"); err != nil || tier != TierRewrite {
+		t.Fatalf("positional rule: attribute query tier %v err %v, want rewrite", tier, err)
 	}
-	f2, _ := rewriteFallbackCounts()
-	if f2 != f1+1 {
-		t.Errorf("rule_fragment fallback moved by %d, want 1", f2-f1)
+	if _, tier, err = s.QueryTiered("//diagnosis"); err != nil || tier != TierQfilter {
+		t.Fatalf("positional rule: tier %v err %v, want qfilter", tier, err)
 	}
 	if _, err := s.View(); err != nil {
 		t.Fatal(err)
 	}
 	if _, tier, err = s.QueryTiered("//diagnosis"); err != nil || tier != TierQfilter {
-		t.Fatalf("poisoned profile with fresh view: tier %v err %v, want qfilter", tier, err)
+		t.Fatalf("positional rule with fresh view: tier %v err %v, want qfilter", tier, err)
+	}
+
+	// The rewrite tier serves only static plans of the unpinned path, so a
+	// pin on it fails instead of measuring another tier.
+	if _, tier, err = s.QueryTierCtx(context.Background(), "//diagnosis", TierRewrite); !errors.Is(err, ErrTierUnavailable) || tier != TierRewrite {
+		t.Fatalf("pinned rewrite query: tier %v err %v, want ErrTierUnavailable", tier, err)
+	}
+	if _, _, err = s.QueryValueTierCtx(context.Background(), "count(//diagnosis)", TierRewrite); !errors.Is(err, ErrTierUnavailable) {
+		t.Fatalf("pinned rewrite value: err %v, want ErrTierUnavailable", err)
+	}
+}
+
+// TestFallbackCounters: only a non-empty node-set value moves the
+// nodeset_value fallback counter, registered under the metric name and
+// label the end-to-end benchmark reads.
+func TestFallbackCounters(t *testing.T) {
+	s := session(t, hospital(t), "laporte")
+	c := obs.Default().Counter("xmlsec_rewrite_fallback_total", "reason", "nodeset_value")
+	n0 := c.Value()
+	for _, q := range []string{"count(//diagnosis)", "//nothing", "//@id"} {
+		if _, _, err := s.QueryValueTiered(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.QueryTiered("//diagnosis"); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Value() - n0; d != 0 {
+		t.Errorf("nodeset_value moved by %d on atomic and empty values, want 0", d)
+	}
+	if _, tier, err := s.QueryValueTiered("//diagnosis"); err != nil || tier != TierView {
+		t.Fatalf("node-set value: tier %v err %v, want view", tier, err)
+	}
+	if d := c.Value() - n0; d != 1 {
+		t.Errorf("nodeset_value moved by %d, want 1", d)
+	}
+}
+
+// TestParseTier pins the names the server's -tier flag and the shell's
+// tier command accept; rewrite is not among them.
+func TestParseTier(t *testing.T) {
+	for name, want := range map[string]Tier{"qfilter": TierQfilter, "view": TierView, "auto": TierAuto, "": TierAuto} {
+		if got, err := ParseTier(name); err != nil || got != want {
+			t.Errorf("ParseTier(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"rewrite", "bogus"} {
+		_, err := ParseTier(name)
+		if err == nil || !strings.Contains(err.Error(), "qfilter|view|auto") {
+			t.Errorf("ParseTier(%q) error %v, want one listing qfilter|view|auto", name, err)
+		}
 	}
 }
 
 // TestQueryTierAgreement cross-checks the rungs end-to-end on the public
-// API: the same query answered before and after profile poisoning (rewrite
-// vs qfilter vs view) yields identical results, and so does every auto
+// API: the same query answered before and after adding write and
+// positional rules (qfilter vs view) yields identical results, and so does every auto
 // read of every paper user after each write of a secured write sequence.
 // (The internal/scenario corpus shapes get the same check in that
 // package's TestCorpusTierAgreement: it imports core, so core's tests
@@ -111,7 +162,7 @@ func TestQueryTierAgreement(t *testing.T) {
 				t.Fatalf("user %s query %s: tier %v err %v, want qfilter", user, q, tier, err)
 			}
 		}
-		// Poison the profile for every subject so all users drop a rung.
+		// Add rules with positional predicates for every subject.
 		for i, subj := range []string{"staff", "patient"} {
 			if err := db.AddRule(policy.Rule{
 				Effect: policy.Deny, Privilege: policy.Insert,
@@ -120,9 +171,9 @@ func TestQueryTierAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Write privileges never disqualify: still the qfilter tier.
+		// Write privileges never matter to reads: still the qfilter tier.
 		if _, tier, err := s.QueryTiered("//diagnosis"); err != nil || tier != TierQfilter {
-			t.Fatalf("user %s: write-rule poisoning changed the read tier to %v (err %v)", user, tier, err)
+			t.Fatalf("user %s: a write rule changed the read tier to %v (err %v)", user, tier, err)
 		}
 		for i, subj := range []string{"staff", "patient"} {
 			if err := db.AddRule(policy.Rule{

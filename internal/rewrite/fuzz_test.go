@@ -1,12 +1,15 @@
-// FuzzRewrite: random (policy seed, query text) pairs must either classify
-// as a fallback (with a truthful reason) or agree with the materialized
-// view node-for-node — the same contract the differential oracle checks,
-// under coverage-guided input generation instead of a fixed corpus.
+// FuzzRewrite: for random (policy seed, query text) pairs, every user's
+// plan answer — empty, raw, or filtered under qfilter.ForPerms — must
+// agree with the materialized view node-for-node: the same contract the
+// differential oracle checks, under coverage-guided input generation
+// instead of a fixed corpus. Odd seeds add the gate policy's explicit
+// out-of-fragment and name-only rules on top of the random ones.
 package rewrite_test
 
 import (
 	"testing"
 
+	"securexml/internal/policy"
 	"securexml/internal/rewrite"
 	"securexml/internal/view"
 	"securexml/internal/workload"
@@ -43,42 +46,30 @@ func FuzzRewrite(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		users := []string{"beaufort", "laporte", "p0", "p1"}
+		if seed%2 == 1 {
+			gate, err := gatePolicy(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range gate.Rules() {
+				if err := p.Add(h, policy.Rule{Effect: r.Effect, Privilege: r.Privilege, Path: r.Path, Subject: r.Subject, Priority: r.Priority}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			users = append(append(users, "richard"), gateUsers...)
+		}
 		if _, err := xpath.Compile(query); err != nil {
 			return // invalid query: every tier rejects it identically
 		}
 		eng := rewrite.NewEngine(p, h)
-		for _, u := range []string{"beaufort", "laporte", "p0", "p1"} {
-			pg, reason := eng.ProgramFor(u)
-			if pg == nil {
-				// A fallback must carry the fragment reason; nothing to
-				// compare — the qfilter/view tiers own this profile.
-				if reason != rewrite.ReasonRuleFragment {
-					t.Fatalf("user %s: nil program with reason %v", u, reason)
-				}
-				continue
-			}
-			got, reason, err := rewriteAnswer(pg, d.Root(), u, query)
-			if err != nil {
-				t.Fatalf("user %s: plan error on a compilable query: %v", u, err)
-			}
-			if reason == rewrite.ReasonEvalError {
-				continue // counted fallback: the lower tiers answer
-			}
+		for _, u := range users {
 			pm, err := p.Evaluate(d, h, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := viewAnswer(view.Materialize(d, pm), u, query)
-			if err != nil {
-				t.Fatalf("user %s query %q: view eval failed (%v) but rewrite served %v", u, query, err, got)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("user %s query %q: rewrite %v, view %v", u, query, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("user %s query %q row %d: rewrite %q, view %q", u, query, i, got[i], want[i])
-				}
+			if diff := agreeWithView(eng.ProgramFor(u), d.Root(), pm, view.Materialize(d, pm), u, query); diff != "" {
+				t.Fatal(diff)
 			}
 		}
 	})

@@ -1,14 +1,14 @@
-// Metamorphic properties of the rewriter — relations that must hold
+// Metamorphic properties of the classifier and the plan answers the
+// session read path serves from it (planAnswer) — relations that must hold
 // between answers without knowing any answer's expected value:
 //
-//  1. idempotence: rewriting is a fixpoint. Re-planning the same query
-//     (cached or from a freshly built engine) yields the same
-//     classification and the identical answer — a rewritten query
-//     rewritten again is itself.
-//  2. full privilege: for a profile that reads everything, the rewritten
+//  1. idempotence: classification is a fixpoint. Re-planning the same
+//     query (cached or from a freshly built engine) yields the same
+//     classification and the identical answer.
+//  2. full privilege: for a profile that reads everything, the plan
 //     answer equals the raw query over the unfiltered source document.
 //  3. narrowing: appending deny rules (the shape PR 8's repair engine
-//     emits) never grows a rewritten answer's node-set, for positive
+//     emits) never grows a plan answer's node-set, for positive
 //     label-test-free queries.
 package rewrite_test
 
@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"securexml/internal/policy"
+	"securexml/internal/qfilter"
 	"securexml/internal/rewrite"
 	"securexml/internal/subject"
 	"securexml/internal/workload"
@@ -24,20 +25,23 @@ import (
 	"securexml/internal/xpath"
 )
 
-// metaAnswer evaluates q for user and renders it, failing the test on any
-// error or fallback: metamorphic inputs are all chosen inside the fragment.
-func metaAnswer(t *testing.T, eng *rewrite.Engine, root *xmltree.Node, user, q string) []string {
+// metaPerms derives user's permissions on d under p.
+func metaPerms(t *testing.T, d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, user string) *policy.Perms {
 	t.Helper()
-	pg, reason := eng.ProgramFor(user)
-	if pg == nil {
-		t.Fatalf("user %s: unexpected fallback (%v)", user, reason)
+	pm, err := p.Evaluate(d, h, user)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rows, reason, err := rewriteAnswer(pg, root, user, q)
+	return pm
+}
+
+// metaAnswer evaluates q's plan for user and renders it, failing the test
+// on any error.
+func metaAnswer(t *testing.T, eng *rewrite.Engine, root *xmltree.Node, pm *policy.Perms, user, q string) []string {
+	t.Helper()
+	rows, err := planAnswer(eng.ProgramFor(user), root, pm, user, q)
 	if err != nil {
 		t.Fatalf("user %s query %s: %v", user, q, err)
-	}
-	if reason != rewrite.ReasonNone {
-		t.Fatalf("user %s query %s: unexpected fallback (%v)", user, q, reason)
 	}
 	return rows
 }
@@ -51,11 +55,8 @@ func TestRewriteIdempotent(t *testing.T) {
 		e1 := rewrite.NewEngine(p, h)
 		e2 := rewrite.NewEngine(p, h)
 		for _, u := range h.Users() {
-			pg1, _ := e1.ProgramFor(u)
-			pg2, _ := e2.ProgramFor(u)
-			if pg1 == nil || pg2 == nil {
-				t.Fatalf("%s user %s: unexpected fallback", kind, u)
-			}
+			pg1, pg2 := e1.ProgramFor(u), e2.ProgramFor(u)
+			pm := metaPerms(t, d, h, p, u)
 			for _, q := range roQueries {
 				pl1, err := pg1.PlanFor(q)
 				if err != nil {
@@ -75,8 +76,8 @@ func TestRewriteIdempotent(t *testing.T) {
 				if pl1.Mode != pl2.Mode {
 					t.Errorf("%s user %s query %s: mode %v vs %v across engines", kind, u, q, pl1.Mode, pl2.Mode)
 				}
-				a1 := metaAnswer(t, e1, d.Root(), u, q)
-				a2 := metaAnswer(t, e2, d.Root(), u, q)
+				a1 := metaAnswer(t, e1, d.Root(), pm, u, q)
+				a2 := metaAnswer(t, e2, d.Root(), pm, u, q)
 				if fmt.Sprint(a1) != fmt.Sprint(a2) {
 					t.Errorf("%s user %s query %s:\n first:  %v\n second: %v", kind, u, q, a1, a2)
 				}
@@ -111,15 +112,16 @@ func fullReadPolicy(t *testing.T, h *subject.Hierarchy, subjects ...string) *pol
 }
 
 // TestRewriteFullPrivilegeIdentity: under a policy that grants read on
-// everything, the rewritten answer of every query equals the raw query
-// over the unfiltered source document — the enforcement layer vanishes.
+// everything, the plan answer of every query equals the raw query over
+// the unfiltered source document — the enforcement layer vanishes.
 func TestRewriteFullPrivilegeIdentity(t *testing.T) {
 	d, h, _ := roEnv(t, 2, "paper")
 	p := fullReadPolicy(t, h, "staff", "patient")
 	eng := rewrite.NewEngine(p, h)
 	for _, u := range []string{"laporte", "beaufort", "p0"} {
+		pm := metaPerms(t, d, h, p, u)
 		for _, q := range append(append([]string{}, roQueries...), roValueQueries...) {
-			got := metaAnswer(t, eng, d.Root(), u, q)
+			got := metaAnswer(t, eng, d.Root(), pm, u, q)
 			c, err := xpath.Compile(q)
 			if err != nil {
 				t.Fatal(err)
@@ -130,7 +132,7 @@ func TestRewriteFullPrivilegeIdentity(t *testing.T) {
 			}
 			want := renderValue(val, nil)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("user %s query %s:\n rewritten: %v\n raw:       %v", u, q, got, want)
+				t.Errorf("user %s query %s:\n plan: %v\n raw:  %v", u, q, got, want)
 			}
 		}
 	}
@@ -140,17 +142,12 @@ func TestRewriteFullPrivilegeIdentity(t *testing.T) {
 // frontier: even the full-read policy is not classified PlanTransparent,
 // because transparency quantifies over all root-to-node words — including
 // attribute-descendant words no exact pattern family can cover — so the
-// identity above is reached through guarded evaluation, never by skipping
+// identity above is reached through filtered evaluation, never by skipping
 // the filter on a hunch.
 func TestTransparencyStaysConservative(t *testing.T) {
 	_, h, _ := roEnv(t, 1, "paper")
 	p := fullReadPolicy(t, h, "staff")
-	eng := rewrite.NewEngine(p, h)
-	pg, _ := eng.ProgramFor("laporte")
-	if pg == nil {
-		t.Fatal("full-read profile fell back")
-	}
-	if pg.Transparent() {
+	if rewrite.NewEngine(p, h).ProgramFor("laporte").Transparent() {
 		t.Error("full-read profile classified transparent; the word search must keep covering attribute-descendant words")
 	}
 }
@@ -171,26 +168,21 @@ var narrowQueries = []string{
 	"/patients/*[name() = $USER]",
 }
 
-// metaIDs extracts the source-identifier column of an answer's rows.
-func metaIDs(t *testing.T, eng *rewrite.Engine, root *xmltree.Node, user, q string) map[string]bool {
+// metaIDs extracts the source identifiers of q's plan answer for user.
+func metaIDs(t *testing.T, eng *rewrite.Engine, root *xmltree.Node, pm *policy.Perms, user, q string) map[string]bool {
 	t.Helper()
-	pg, reason := eng.ProgramFor(user)
-	if pg == nil {
-		t.Fatalf("user %s: unexpected fallback (%v)", user, reason)
-	}
-	pl, err := pg.PlanFor(q)
+	pl, err := eng.ProgramFor(user).PlanFor(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars := xpath.Vars{"USER": xpath.String(user)}
 	var sec *xpath.Security
-	if pl.Mode == rewrite.PlanGuarded {
-		sec, _ = pg.Security(vars)
-	}
-	if pl.Mode == rewrite.PlanEmpty {
+	switch pl.Mode {
+	case rewrite.PlanEmpty:
 		return map[string]bool{}
+	case rewrite.PlanFiltered:
+		sec = qfilter.ForPerms(pm)
 	}
-	ns, err := pl.Select(root, vars, sec)
+	ns, err := pl.Compiled().SelectFiltered(root, xpath.Vars{"USER": xpath.String(user)}, sec)
 	if err != nil {
 		t.Fatalf("user %s query %s: %v", user, q, err)
 	}
@@ -203,7 +195,7 @@ func metaIDs(t *testing.T, eng *rewrite.Engine, root *xmltree.Node, user, q stri
 
 // TestRewriteNarrowingMonotonic: denying more never shows more. For each
 // base policy, append high-priority deny read+position rules (the repair
-// engine's narrowing shape) and check every rewritten answer's node-set is
+// engine's narrowing shape) and check every plan answer's node-set is
 // contained in the base answer's.
 func TestRewriteNarrowingMonotonic(t *testing.T) {
 	denyPaths := []string{"//diagnosis", "/patients/*/record", "//service"}
@@ -230,9 +222,10 @@ func TestRewriteNarrowingMonotonic(t *testing.T) {
 		baseEng := rewrite.NewEngine(base, h)
 		narrowEng := rewrite.NewEngine(narrowed, h)
 		for _, u := range h.Users() {
+			basePerms, narrowPerms := metaPerms(t, d, h, base, u), metaPerms(t, d, h, narrowed, u)
 			for _, q := range narrowQueries {
-				before := metaIDs(t, baseEng, d.Root(), u, q)
-				after := metaIDs(t, narrowEng, d.Root(), u, q)
+				before := metaIDs(t, baseEng, d.Root(), basePerms, u, q)
+				after := metaIDs(t, narrowEng, d.Root(), narrowPerms, u, q)
 				for id := range after {
 					if !before[id] {
 						t.Errorf("seed %d deny %s user %s query %s: node %s appears only after narrowing",

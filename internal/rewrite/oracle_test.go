@@ -1,14 +1,25 @@
-// Differential oracle for the static query rewriter: for every user and
-// every query of a corpus spanning the supported fragment and beyond it,
-// the rewrite engine's answer over the *source* document must equal the
-// same query over that user's materialized view (view.Materialize, axioms
-// 15–17) node-for-node — source identifiers, effective labels, view paths
-// and filtered string-values — for the paper policy, the scaled policy and
-// seeded random 4-quadrant policies, across documents mutated by seeded
-// workload.OpStream sequences. The engine is deliberately built once per
-// run and never rebuilt: its plans are document-independent, so surviving
-// sixty mutations unchanged is part of the property under test. On
-// mismatch the op sequence is greedily minimized, PR 4/5 style.
+// Differential oracle for the static read classifier: for every user and
+// every query of a corpus spanning downward paths, predicates, positional
+// tests, reverse and sideways axes, the answer the session read path
+// serves for the query's plan must equal the same query over that user's
+// materialized view (view.Materialize, axioms 15–17) node-for-node —
+// source identifiers, effective labels, view paths and filtered
+// string-values:
+//
+//   - PlanEmpty: the view answer is empty;
+//   - PlanTransparent: the raw query over the source equals the view;
+//   - PlanFiltered: the query over the source under
+//     qfilter.ForPerms(policy.Evaluate(...)) — the production path —
+//     equals the view.
+//
+// Policies: the paper policy, the scaled policy, seeded random 4-quadrant
+// policies and the "gate" policy of explicit rules with positional
+// predicates, reverse and sideways axes and name-only grants; documents
+// are mutated by seeded workload.OpStream sequences. The engine is
+// deliberately built once per run and never rebuilt: its plans are
+// document-independent, so surviving sixty mutations unchanged is part of
+// the property under test. On mismatch the op sequence is greedily
+// minimized, PR 4/5 style.
 //
 // External test package: the oracle drives the engine purely through its
 // exported surface, the same way internal/core does.
@@ -20,6 +31,7 @@ import (
 	"testing"
 
 	"securexml/internal/policy"
+	"securexml/internal/qfilter"
 	"securexml/internal/rewrite"
 	"securexml/internal/subject"
 	"securexml/internal/view"
@@ -38,7 +50,7 @@ const (
 
 var (
 	roSeeds = []int64{1, 2, 3}
-	roKinds = []string{"paper", "scaled", "random"}
+	roKinds = []string{"paper", "scaled", "random", "gate"}
 )
 
 // roQueries covers names, wildcards, text tests, predicates, positional
@@ -55,6 +67,8 @@ var roQueries = []string{
 	"/patients/p0",
 	"/patients/RESTRICTED",
 	"/patients/RESTRICTED/service",
+	"/patients/RESTRICTED/RESTRICTED",
+	"/patients/p0/RESTRICTED",
 	"//RESTRICTED",
 	"//*[text() = 'RESTRICTED']",
 	"//*[service = 'cardiology']",
@@ -71,6 +85,8 @@ var roQueries = []string{
 	"//diagnosis/following-sibling::*",
 	"//service/preceding-sibling::*",
 	"//tonsillitis",
+	"//@*",
+	"/other",
 	"//*[starts-with(text(), 'pneu')]",
 }
 
@@ -108,6 +124,8 @@ func roEnv(t *testing.T, seed int64, kind string) (*xmltree.Document, *subject.H
 		p, err = workload.ScaledPolicy(h, 10)
 	case "random":
 		p, err = randomPolicy(h, seed)
+	case "gate":
+		p, err = gatePolicy(h)
 	default:
 		t.Fatalf("unknown policy kind %q", kind)
 	}
@@ -118,10 +136,10 @@ func roEnv(t *testing.T, seed int64, kind string) (*xmltree.Document, *subject.H
 }
 
 // randomPolicy draws rules from a path pool spanning all four quadrants of
-// the rewriter's partition: (chain-only | out-of-fragment) ×
-// ($USER-independent | $USER-dependent). Out-of-fragment read/position
-// rules force whole profiles onto the fallback path, so the oracle also
-// checks the classifier never serves such a profile.
+// (chain-only | outside the chain-only xpath.NodeMatcher fragment) ×
+// ($USER-independent | $USER-dependent). Profiles with an out-of-fragment
+// read/position rule get static plans like any other, so the oracle checks
+// the classifier stays sound for them.
 func randomPolicy(h *subject.Hierarchy, seed int64) (*policy.Policy, error) {
 	paths := []string{
 		"/patients",                            // chain, indep
@@ -131,9 +149,9 @@ func randomPolicy(h *subject.Hierarchy, seed int64) (*policy.Policy, error) {
 		"//record[starts-with(name(), 'rec')]", // chain pred, indep
 		"/patients/*[name() = $USER]/descendant-or-self::node()", // chain, dep
 		"/patients/*[name() = $USER]",                            // chain, dep
-		"/patients/*[1]",                                         // positional pred: fallback, indep
-		"//record[note]",                                         // location-path pred: fallback, indep
-		"/patients/*[name() = $USER]/record[note]",               // fallback, dep
+		"/patients/*[1]",                                         // positional pred, indep
+		"//record[note]",                                         // location-path pred, indep
+		"/patients/*[name() = $USER]/record[note]",               // location-path pred, dep
 	}
 	subjects := []string{"staff", "secretary", "doctor", "patient", "epidemiologist"}
 	p := policy.New()
@@ -151,6 +169,49 @@ func randomPolicy(h *subject.Hierarchy, seed int64) (*policy.Policy, error) {
 			Subject:   subjects[(int(seed)+i*3)%len(subjects)],
 			Priority:  int64(50 + i),
 		}
+		if err := p.Add(h, r); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// gateUsers hold no role, so their own rules are their whole profile:
+// auditor's are name-only grants, so its view shows RESTRICTED nodes no
+// accept pattern names (the classifier must read a query's RESTRICTED
+// tests as any name, xpath.Pattern.ViewPreimage); registrar sees the last
+// patient only through a positional predicate, archivist every patient
+// only through a reverse axis.
+var gateUsers = []string{"auditor", "registrar", "archivist"}
+
+// gatePolicy is the paper policy plus explicit read and position rules
+// outside the chain-only fragment — positional predicates, reverse and
+// sideways axes — and the rules of gateUsers, whom it adds to h.
+func gatePolicy(h *subject.Hierarchy) (*policy.Policy, error) {
+	for _, u := range gateUsers {
+		if err := h.AddUser(u); err != nil {
+			return nil, err
+		}
+	}
+	p, err := workload.HospitalPolicy(h)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range []policy.Rule{
+		{Effect: policy.Deny, Privilege: policy.Read, Path: "/patients/*[1]/diagnosis/node()", Subject: "doctor"},
+		{Effect: policy.Accept, Privilege: policy.Read, Path: "//diagnosis/ancestor::*[1]", Subject: "epidemiologist"},
+		{Effect: policy.Accept, Privilege: policy.Position, Path: "//service/following-sibling::*", Subject: "epidemiologist"},
+		{Effect: policy.Accept, Privilege: policy.Read, Path: "/patients/*[last()]/service", Subject: "patient"},
+		{Effect: policy.Accept, Privilege: policy.Read, Path: "/patients", Subject: "auditor"},
+		{Effect: policy.Accept, Privilege: policy.Read, Path: "/patients/p0", Subject: "auditor"},
+		{Effect: policy.Accept, Privilege: policy.Position, Path: "/patients/p1", Subject: "auditor"},
+		{Effect: policy.Accept, Privilege: policy.Position, Path: "//service", Subject: "auditor"},
+		{Effect: policy.Accept, Privilege: policy.Read, Path: "/patients", Subject: "registrar"},
+		{Effect: policy.Accept, Privilege: policy.Read, Path: "/patients/*[last()]/descendant-or-self::node()", Subject: "registrar"},
+		{Effect: policy.Accept, Privilege: policy.Read, Path: "/patients", Subject: "archivist"},
+		{Effect: policy.Accept, Privilege: policy.Position, Path: "//diagnosis/..", Subject: "archivist"},
+	} {
+		r.Priority = int64(100 + i)
 		if err := p.Add(h, r); err != nil {
 			return nil, err
 		}
@@ -180,28 +241,45 @@ func renderValue(val xpath.Value, sec *xpath.Security) []string {
 	return []string{val.TypeName() + " " + val.Str()}
 }
 
-// rewriteAnswer evaluates q for user through the engine's plan, returning
-// the rendered answer or the fallback reason a real caller would count.
-func rewriteAnswer(pg *rewrite.Program, root *xmltree.Node, user, q string) ([]string, rewrite.Reason, error) {
+// planAnswer evaluates q for user the way the session read path serves
+// the query's plan: nothing for PlanEmpty, the raw query on the source for
+// PlanTransparent, and the query on the source under qfilter.ForPerms over
+// the user's permissions pm for PlanFiltered.
+func planAnswer(pg *rewrite.Program, root *xmltree.Node, pm *policy.Perms, user, q string) ([]string, error) {
 	pl, err := pg.PlanFor(q)
 	if err != nil {
-		return nil, rewrite.ReasonNone, err
+		return nil, err
 	}
-	vars := xpath.Vars{"USER": xpath.String(user)}
 	var sec *xpath.Security
-	var st *rewrite.EvalState
 	switch pl.Mode {
 	case rewrite.PlanEmpty:
-		return nil, rewrite.ReasonNone, nil
-	case rewrite.PlanTransparent:
-	default:
-		sec, st = pg.Security(vars)
+		return nil, nil
+	case rewrite.PlanFiltered:
+		sec = qfilter.ForPerms(pm)
 	}
-	val, err := pl.Eval(root, vars, sec)
-	if err != nil || (st != nil && st.Err() != nil) {
-		return nil, rewrite.ReasonEvalError, nil
+	val, err := pl.Compiled().EvalFiltered(root, xpath.Vars{"USER": xpath.String(user)}, sec)
+	if err != nil {
+		return nil, err
 	}
-	return renderValue(val, sec), rewrite.ReasonNone, nil
+	return renderValue(val, sec), nil
+}
+
+// agreeWithView compares q's plan answer with its view answer for user,
+// returning "" on agreement (both failing counts as agreement).
+func agreeWithView(pg *rewrite.Program, root *xmltree.Node, pm *policy.Perms, v *view.View, user, q string) string {
+	pl, err := pg.PlanFor(q)
+	if err != nil {
+		return fmt.Sprintf("user %s query %s: %v", user, q, err)
+	}
+	got, gotErr := planAnswer(pg, root, pm, user, q)
+	want, wantErr := viewAnswer(v, user, q)
+	if (gotErr != nil) != (wantErr != nil) {
+		return fmt.Sprintf("user %s query %s (%v): plan error %v, view error %v", user, q, pl.Mode, gotErr, wantErr)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		return fmt.Sprintf("user %s query %s (%v):\n plan: %v\n view: %v", user, q, pl.Mode, got, want)
+	}
+	return ""
 }
 
 // viewAnswer evaluates q over the user's materialized view — the reference
@@ -230,32 +308,15 @@ func runRewrite(t *testing.T, seed int64, kind string, ops []*xupdate.Op) (int, 
 	queries := append(append([]string{}, roQueries...), roValueQueries...)
 	check := func() string {
 		for _, u := range h.Users() {
-			pg, reason := eng.ProgramFor(u)
-			if pg == nil {
-				if reason != rewrite.ReasonRuleFragment {
-					return fmt.Sprintf("user %s: nil program with reason %v", u, reason)
-				}
-				continue // out-of-fragment profile: the qfilter/view tiers own it
-			}
+			pg := eng.ProgramFor(u)
 			pm, err := p.Evaluate(d, h, u)
 			if err != nil {
 				return fmt.Sprintf("evaluate(%s): %v", u, err)
 			}
 			v := view.Materialize(d, pm)
 			for _, q := range queries {
-				got, reason, err := rewriteAnswer(pg, d.Root(), u, q)
-				if err != nil {
-					return fmt.Sprintf("user %s query %s: %v", u, q, err)
-				}
-				if reason == rewrite.ReasonEvalError {
-					continue // counted fallback: the lower tiers answer
-				}
-				want, err := viewAnswer(v, u, q)
-				if err != nil {
-					return fmt.Sprintf("user %s query %s: view eval failed (%v) but rewrite served", u, q, err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					return fmt.Sprintf("user %s query %s:\n rewrite: %v\n view:    %v", u, q, got, want)
+				if diff := agreeWithView(pg, d.Root(), pm, v, u, q); diff != "" {
+					return diff
 				}
 			}
 		}
@@ -339,37 +400,85 @@ func TestRewriteDifferentialOracle(t *testing.T) {
 	}
 }
 
-// TestPaperProfilesRewritable pins the fragment boundary on the paper
-// policy itself: every axiom-13 rule is chain-only, so no user of the
-// hospital scenario ever pays for a view on the read path — and the oracle
-// above is not vacuously skipping anyone.
+// TestPaperProfilesRewritable keeps the oracle above from passing
+// vacuously on the paper policy: every profile has its applicable read and
+// position rules, and the corpus draws both static and filtered plans.
 func TestPaperProfilesRewritable(t *testing.T) {
 	_, h, p := roEnv(t, 1, "paper")
 	eng := rewrite.NewEngine(p, h)
+	modes := map[rewrite.PlanMode]int{}
 	for _, u := range h.Users() {
-		if pg, reason := eng.ProgramFor(u); pg == nil {
-			t.Errorf("user %s: fell back (%v); every paper profile is chain-only", u, reason)
+		pg := eng.ProgramFor(u)
+		if len(pg.Rules()) == 0 {
+			t.Errorf("user %s: empty profile; every paper user has read rules", u)
 		}
+		for _, q := range roQueries {
+			pl, err := pg.PlanFor(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			modes[pl.Mode]++
+		}
+	}
+	if modes[rewrite.PlanEmpty] == 0 || modes[rewrite.PlanFiltered] == 0 {
+		t.Errorf("paper policy plan modes %v, want both empty and filtered plans", modes)
 	}
 }
 
-// TestRandomPoliciesExerciseBothPaths keeps the random-policy oracle
-// honest: across the seeds, some profiles must compile and some must fall
-// back, or the 4-quadrant pool has stopped covering the partition.
+// outOfFragment reports whether one of user's applicable read/position
+// rules lies outside the chain-only xpath.NodeMatcher fragment.
+func outOfFragment(t *testing.T, h *subject.Hierarchy, p *policy.Policy, user string) bool {
+	t.Helper()
+	for _, r := range p.Rules() {
+		if (r.Privilege != policy.Read && r.Privilege != policy.Position) || !h.ISA(user, r.Subject) {
+			continue
+		}
+		c, err := xpath.Compile(r.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.NodeMatcher(); !ok {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRandomPoliciesExerciseBothPaths keeps the random and gate oracles
+// honest: some profiles must hold a read/position rule outside the
+// chain-only fragment, and those profiles must draw both static (empty)
+// and filtered plans from the corpus, or the oracle no longer covers what
+// the classifier accepts for them.
 func TestRandomPoliciesExerciseBothPaths(t *testing.T) {
-	var compiled, fellBack int
-	for _, seed := range roSeeds {
-		_, h, p := roEnv(t, seed, "random")
+	var outside, inside int
+	modes := map[rewrite.PlanMode]int{}
+	check := func(seed int64, kind string) {
+		_, h, p := roEnv(t, seed, kind)
 		eng := rewrite.NewEngine(p, h)
 		for _, u := range h.Users() {
-			if pg, _ := eng.ProgramFor(u); pg != nil {
-				compiled++
-			} else {
-				fellBack++
+			if !outOfFragment(t, h, p, u) {
+				inside++
+				continue
+			}
+			outside++
+			pg := eng.ProgramFor(u)
+			for _, q := range roQueries {
+				pl, err := pg.PlanFor(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				modes[pl.Mode]++
 			}
 		}
 	}
-	if compiled == 0 || fellBack == 0 {
-		t.Fatalf("random policies: compiled=%d fellBack=%d, want both > 0", compiled, fellBack)
+	for _, seed := range roSeeds {
+		check(seed, "random")
+	}
+	check(1, "gate")
+	if outside == 0 || inside == 0 {
+		t.Fatalf("profiles outside the chain-only fragment: %d, inside: %d, want both > 0", outside, inside)
+	}
+	if modes[rewrite.PlanEmpty] == 0 || modes[rewrite.PlanFiltered] == 0 {
+		t.Fatalf("plan modes of out-of-fragment profiles %v, want both empty and filtered plans", modes)
 	}
 }

@@ -1,153 +1,71 @@
-// Package rewrite implements static read enforcement: it turns the policy
-// itself into an executable guard so a user's query runs directly on the
-// *source* document — no axiom-14 per-node permission mask, no
-// materialized axiom-15–17 view — yet returns exactly the answer the same
-// query would produce over that user's view, RESTRICTED substitution and
-// hereditary hiding included. This is the approach of Cheney's "Static
-// Enforceability of XPath-Based Access Control Policies" and
-// Mahfoud–Imine's "A General Approach for Securely Querying and Updating
-// XML Data" adapted to the paper's priority-merge semantics (axiom 14).
+// Package rewrite is the static read classifier. For one (rule profile,
+// query) pair it decides from the policy alone, without reading any
+// document, whether the query's answer over the user's view (axioms
+// 15–17) is provably empty or provably the raw query's answer over the
+// source. This is the static half of Cheney's "Static Enforceability of
+// XPath-Based Access Control Policies", adapted to the paper's
+// priority-merge semantics (axiom 14). Both decisions are word searches of
+// the policy analyzer's automata over xpath.Pattern abstractions:
 //
-// The supported fragment is the chain-only xpath.NodeMatcher fragment of
-// the user's applicable read and position rules: each such rule decides a
-// node's membership from the node's root-to-node chain alone, so the
-// axiom-14 latest-priority merge for {read, position} can be re-run per
-// visited node in O(depth × steps) during evaluation — the per-node
-// permission relation never exists as data. Rules for the write privileges
-// (insert, update, delete) are irrelevant to reads and never disqualify a
-// profile; this is deliberately weaker than the incremental-maintenance
-// gate (view.NewMaintainer), which needs *all* applicable rules chain-only.
-//
-// On top of the guarded evaluation, two genuinely static rewrites are
-// decided per (profile, query) with the policy analyzer's word automata
-// over xpath.Pattern abstractions (intersection/complement searches):
-//
-//   - PlanEmpty: the query's pattern shares no root-to-node word with any
+//   - PlanEmpty: the query's pattern, read over view words
+//     (xpath.Pattern.ViewPreimage), shares no root-to-node word with any
 //     applicable accept read/position rule and cannot select the document
-//     node, so no node the query could ever select is visible — the
-//     rewritten query is the empty query. Sound for inexact patterns,
-//     because both sides only over-approximate.
+//     node, so no node the query could ever select is visible; the same
+//     holds for the nodes each of its predicates runs on, so evaluation
+//     could not fail either. Sound for every rule and query, because the
+//     patterns over-approximate any expression (down to the universal
+//     pattern).
 //   - PlanTransparent: every possible node's latest-priority read decision
 //     is an accept (checked over the pattern alphabet, requiring every
-//     applicable read rule to be Exact), so the filter is the identity and
-//     the rewritten query is the raw query.
+//     applicable read rule to be Exact), so the view is the source.
 //
-// Everything else runs as PlanGuarded. The session read path
-// (internal/core) uses only the static classification: it serves
-// PlanEmpty and PlanTransparent here and answers guarded plans from the
-// source under its maintained permissions (internal/qfilter). Guarded
-// evaluation under Program.Security serves a query pinned to the rewrite
-// tier; a rule outside the fragment counts a fallback
-// (xmlsec_rewrite_fallback_total). Falling back is sound because the
-// qfilter and view paths are themselves answer-equivalent to the view
-// (internal/qfilter's property tests).
+// Every other plan is PlanFiltered: the read needs the permission filter,
+// which the session read path (internal/core) applies on the source under
+// its maintained permissions (internal/qfilter).
 //
 // Programs are shared per rule *profile* — the set of applicable read and
 // position rules — not per user: $USER stays a runtime variable, so every
-// patient shares one program and one plan cache. Engines are built per
-// policy epoch (internal/core keeps one per epoch on its generations),
-// which makes every cache here document-independent: a rewritten query
-// survives arbitrary document mutations, unlike any per-user view or
-// permission mask.
+// patient shares one program and one plan cache. Rules for the write
+// privileges (insert, update, delete) cannot influence any answer and are
+// ignored. Engines are built per policy epoch (internal/core keeps one per
+// epoch on its generations), so every cache here is document-independent.
 package rewrite
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 
-	"securexml/internal/obs"
 	"securexml/internal/policy"
 	"securexml/internal/policyanalysis"
 	"securexml/internal/subject"
-	"securexml/internal/xmltree"
 	"securexml/internal/xpath"
 )
 
-// Reason says why a query could not be served by the rewrite tier.
-type Reason int
-
-// Fallback reasons. ReasonNone means the query was (or could be) served.
-const (
-	ReasonNone Reason = iota
-	// ReasonRuleFragment: some applicable read/position rule is outside
-	// the chain-only NodeMatcher fragment, so per-node re-derivation of
-	// the axiom-14 merge is unsound for this profile.
-	ReasonRuleFragment
-	// ReasonEvalError: a rule matcher or the guarded evaluation itself
-	// failed at runtime; the authoritative paths decide the outcome.
-	ReasonEvalError
-	// ReasonNodeSetValue: a value query produced a non-empty node-set.
-	// Handing out raw source nodes would leak hidden labels, so node-set
-	// values must come from the materialized view.
-	ReasonNodeSetValue
-	numReasons
-)
-
-// String names the reason.
-func (r Reason) String() string { return r.MetricLabel() }
-
-// MetricLabel returns the reason's telemetry label. Every branch returns a
-// literal so labels stay compile-time bounded (xmlsec-vet obslabel).
-func (r Reason) MetricLabel() string {
-	switch r {
-	case ReasonNone:
-		return "none"
-	case ReasonRuleFragment:
-		return "rule_fragment"
-	case ReasonEvalError:
-		return "eval_error"
-	case ReasonNodeSetValue:
-		return "nodeset_value"
-	default:
-		return "unknown"
-	}
-}
-
-// Telemetry: fallbacks by reason, resolved once.
-var fallbackCounters = func() (c [numReasons]*obs.Counter) {
-	for r := ReasonNone + 1; r < numReasons; r++ {
-		c[r] = obs.Default().Counter("xmlsec_rewrite_fallback_total", "reason", r.MetricLabel())
-	}
-	return
-}()
-
-// CountFallback records one rewrite-tier fallback by reason.
-func CountFallback(r Reason) {
-	if r > ReasonNone && r < numReasons {
-		fallbackCounters[r].Inc()
-	}
-}
-
-// ruleInfo is the rewriter's compiled form of one read/position rule.
+// ruleInfo is the classifier's form of one read/position rule.
 type ruleInfo struct {
-	subject  string
-	priv     policy.Privilege
-	effect   policy.Effect
-	priority int64
-	usesUser bool
-	text     string
-	matcher  *xpath.NodeMatcher // nil: outside the chain-only fragment
-	pattern  *xpath.Pattern
+	subject string
+	priv    policy.Privilege
+	effect  policy.Effect
+	text    string
+	pattern *xpath.Pattern
 }
 
-// Engine holds the rewriter's state for one (policy, hierarchy) epoch:
-// the compiled read/position rules plus the per-profile program cache.
-// Safe for concurrent use; internal/core replaces the whole engine when
-// the policy epoch moves, so nothing here ever needs invalidation.
+// Engine holds the classifier's state for one (policy, hierarchy) epoch:
+// the read/position rules plus the per-profile program cache. Safe for
+// concurrent use; internal/core replaces the whole engine when the policy
+// epoch moves, so nothing here ever needs invalidation.
 type Engine struct {
 	h     *subject.Hierarchy
 	rules []ruleInfo // ascending priority (policy.Rules order)
 
 	mu       sync.Mutex
 	programs map[string]*Program // by profile key (applicable rule indices)
-	users    map[string]*Program // login -> program; nil = fragment fallback
+	users    map[string]*Program // login -> program
 }
 
-// NewEngine compiles the policy's read and position rules for rewriting.
-// Rules carrying write privileges are ignored: they cannot influence any
-// answer under axioms 15–17.
+// NewEngine abstracts the policy's read and position rules for
+// classification.
 func NewEngine(p *policy.Policy, h *subject.Hierarchy) *Engine {
 	e := &Engine{
 		h:        h,
@@ -158,39 +76,33 @@ func NewEngine(p *policy.Policy, h *subject.Hierarchy) *Engine {
 		if r.Privilege != policy.Read && r.Privilege != policy.Position {
 			continue
 		}
-		ri := ruleInfo{
-			subject:  r.Subject,
-			priv:     r.Privilege,
-			effect:   r.Effect,
-			priority: r.Priority,
-			text:     r.String(),
-		}
 		// Paths were compiled by policy.Add, so this cannot fail for a
-		// well-formed policy; a failure just makes the rule non-chain,
-		// which falls back safely.
+		// well-formed policy; the universal pattern (the document node or
+		// any node below it) keeps a failure sound.
+		pat := &xpath.Pattern{Alts: [][]xpath.PatternStep{{}, {{Gap: true, Kind: xpath.PatAnyNode}}}}
 		if c, err := xpath.Compile(r.Path); err == nil {
-			ri.matcher, _ = c.NodeMatcher()
-			ri.pattern = c.Pattern()
-			ri.usesUser = c.UsesVariable("USER")
+			pat = c.Pattern()
 		}
-		e.rules = append(e.rules, ri)
+		e.rules = append(e.rules, ruleInfo{
+			subject: r.Subject,
+			priv:    r.Privilege,
+			effect:  r.Effect,
+			text:    r.String(),
+			pattern: pat,
+		})
 	}
 	return e
 }
 
-// ProgramFor returns the shared program for the user's rule profile, or a
-// fallback reason when some applicable read/position rule is outside the
-// chain-only fragment. Programs are cached per profile, so all users with
-// the same applicable rules (e.g. every patient — $USER stays a variable)
-// share one program and one plan cache.
-func (e *Engine) ProgramFor(user string) (*Program, Reason) {
+// ProgramFor returns the shared program for the user's rule profile.
+// Programs are cached per profile, so all users with the same applicable
+// rules (e.g. every patient — $USER stays a variable) share one program
+// and one plan cache.
+func (e *Engine) ProgramFor(user string) *Program {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if pg, ok := e.users[user]; ok {
-		if pg == nil {
-			return nil, ReasonRuleFragment
-		}
-		return pg, ReasonNone
+		return pg
 	}
 	var idx []int
 	for i := range e.rules {
@@ -210,15 +122,12 @@ func (e *Engine) ProgramFor(user string) (*Program, Reason) {
 		e.programs[key] = pg
 	}
 	e.users[user] = pg
-	if pg == nil {
-		return nil, ReasonRuleFragment
-	}
-	return pg, ReasonNone
+	return pg
 }
 
-// Program is the compiled read-enforcement program of one rule profile:
-// the applicable read/position rules in ascending priority, their pattern
-// abstractions for static classification, and the per-query plan cache.
+// Program is the classifier of one rule profile: the applicable
+// read/position rules in ascending priority, the accept rules' patterns,
+// and the per-query plan cache.
 type Program struct {
 	rules       []ruleInfo
 	acceptPats  []*xpath.Pattern // patterns of the accept rules (visibility over-approximation)
@@ -228,19 +137,13 @@ type Program struct {
 	plans map[string]*Plan
 }
 
-// buildProgram compiles the profile selected by idx, or returns nil when
-// any applicable rule lacks a chain-only matcher.
+// buildProgram classifies the profile selected by idx.
 func buildProgram(rules []ruleInfo, idx []int) *Program {
 	pg := &Program{plans: make(map[string]*Plan)}
 	for _, i := range idx {
-		if rules[i].matcher == nil {
-			return nil
-		}
 		pg.rules = append(pg.rules, rules[i])
-	}
-	for i := range pg.rules {
-		if pg.rules[i].effect == policy.Accept {
-			pg.acceptPats = append(pg.acceptPats, pg.rules[i].pattern)
+		if rules[i].effect == policy.Accept {
+			pg.acceptPats = append(pg.acceptPats, rules[i].pattern)
 		}
 	}
 	pg.transparent = pg.checkTransparent()
@@ -258,7 +161,7 @@ func (pg *Program) Rules() []string {
 }
 
 // Transparent reports whether the profile reads every node of every
-// document (so rewriting is the identity).
+// document (so its view is the source).
 func (pg *Program) Transparent() bool { return pg.transparent }
 
 // checkTransparent decides profile transparency: no root-to-node word
@@ -300,14 +203,14 @@ func (pg *Program) checkTransparent() bool {
 	})
 }
 
-// PlanMode classifies a rewritten query.
+// PlanMode classifies a query for one profile.
 type PlanMode int
 
 // Plan modes.
 const (
-	// PlanGuarded evaluates the query on the source document under the
-	// chain-derived security filter (the general rewrite).
-	PlanGuarded PlanMode = iota
+	// PlanFiltered: the answer depends on the document; the read needs
+	// the permission filter.
+	PlanFiltered PlanMode = iota
 	// PlanTransparent evaluates the raw query: the profile reads
 	// everything, so the filter is the identity.
 	PlanTransparent
@@ -319,8 +222,8 @@ const (
 // String names the mode.
 func (m PlanMode) String() string {
 	switch m {
-	case PlanGuarded:
-		return "guarded"
+	case PlanFiltered:
+		return "filtered"
 	case PlanTransparent:
 		return "transparent"
 	case PlanEmpty:
@@ -330,7 +233,7 @@ func (m PlanMode) String() string {
 	}
 }
 
-// Plan is one rewritten query: the compiled expression plus its static
+// Plan is one classified query: the compiled expression plus its static
 // classification for this profile. Plans are cached per (profile, query
 // text) and are document-independent.
 type Plan struct {
@@ -356,10 +259,10 @@ func (pg *Program) PlanFor(query string) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{Mode: PlanGuarded, c: c}
+	pl := &Plan{Mode: PlanFiltered, c: c}
 	if pg.transparent {
 		pl.Mode = PlanTransparent
-	} else if pg.provablyEmpty(c.Pattern()) {
+	} else if pg.provablyEmpty(c) {
 		pl.Mode = PlanEmpty
 	}
 	pg.mu.Lock()
@@ -371,13 +274,30 @@ func (pg *Program) PlanFor(query string) (*Plan, error) {
 	return pl, nil
 }
 
-// provablyEmpty reports whether no node the query could select is visible:
-// the query pattern cannot match the document node and shares no word with
-// any applicable accept rule's pattern. Both patterns over-approximate, so
-// an empty intersection is conclusive regardless of exactness. A pattern
-// that can prove emptiness only arises from path/union expressions, which
-// always evaluate to node-sets — so an empty plan is always a node-set.
-func (pg *Program) provablyEmpty(qp *xpath.Pattern) bool {
+// provablyEmpty reports whether no node the query could select is visible
+// and no predicate of the query can run on a visible node, so evaluating
+// it over the view would neither find a node nor fail.
+func (pg *Program) provablyEmpty(c *xpath.Compiled) bool {
+	if !pg.noVisibleMatch(c.Pattern()) {
+		return false
+	}
+	for _, pp := range c.PredicatePatterns() {
+		if !pg.noVisibleMatch(pp) {
+			return false
+		}
+	}
+	return true
+}
+
+// noVisibleMatch reports whether no node matched by qp, read over view
+// words, is visible: qp cannot match the document node and shares no word
+// with any applicable accept rule's pattern. Both patterns
+// over-approximate, so an empty intersection is conclusive regardless of
+// exactness. A query pattern that can prove emptiness only arises from
+// path/union expressions, which always evaluate to node-sets — so an
+// empty plan is always a node-set.
+func (pg *Program) noVisibleMatch(qp *xpath.Pattern) bool {
+	qp = qp.ViewPreimage()
 	if qp.MatchesRoot() {
 		return false
 	}
@@ -398,107 +318,6 @@ func (pg *Program) provablyEmpty(qp *xpath.Pattern) bool {
 	})
 }
 
-// Select evaluates the plan as a node-set query over root (the source
-// document node) under sec. Pass the Security from Program.Security for
-// guarded plans and nil for transparent ones.
-func (pl *Plan) Select(root *xmltree.Node, vars xpath.Vars, sec *xpath.Security) (xpath.NodeSet, error) {
-	return pl.c.SelectFiltered(root, vars, sec)
-}
-
-// Eval evaluates the plan as an arbitrary expression over root under sec.
-func (pl *Plan) Eval(root *xmltree.Node, vars xpath.Vars, sec *xpath.Security) (xpath.Value, error) {
-	return pl.c.EvalFiltered(root, vars, sec)
-}
-
-// Compiled returns the plan's compiled query, for callers that evaluate
-// it under a filter of their own.
+// Compiled returns the plan's compiled query, for the caller to evaluate
+// raw (PlanTransparent) or under its permission filter (PlanFiltered).
 func (pl *Plan) Compiled() *xpath.Compiled { return pl.c }
-
-// EvalState carries the runtime outcome of one guarded evaluation: if any
-// rule matcher failed, the evaluation's answer is unusable and the caller
-// must fall back (ReasonEvalError).
-type EvalState struct{ err error }
-
-// Err returns the first matcher error, if any.
-func (st *EvalState) Err() error { return st.err }
-
-// Visibility mask bits: position admits a node into the view with the
-// RESTRICTED label (axiom 17), read with its own label (axiom 16).
-const (
-	maskPosition = 1 << 0
-	maskRead     = 1 << 1
-)
-
-// ruleMask re-runs the axiom-14 latest-priority merge for {read, position}
-// on one node and folds the two surviving decisions into a visibility
-// mask for Security's per-evaluation memo.
-func (pg *Program) ruleMask(n *xmltree.Node, vars xpath.Vars) (uint8, error) {
-	var posSet, readSet bool
-	var posEff, readEff policy.Effect
-	// Every rule reads the same root-to-node chain; build it once, on
-	// the stack for ordinary depths.
-	var buf [16]*xmltree.Node
-	chain := xpath.AppendChain(buf[:0], n)
-	// Ascending priority: a later match overwrites, so the survivor
-	// is the latest-priority decision (axiom 14). Every rule runs, even
-	// after a decisive match, so the same matcher errors surface.
-	for i := range pg.rules {
-		ri := &pg.rules[i]
-		ok, err := ri.matcher.MatchChain(chain, vars)
-		if err != nil {
-			return 0, fmt.Errorf("rewrite: %s: %w", ri.text, err)
-		}
-		if !ok {
-			continue
-		}
-		if ri.priv == policy.Read {
-			readSet, readEff = true, ri.effect
-		} else {
-			posSet, posEff = true, ri.effect
-		}
-	}
-	var m uint8
-	if posSet && posEff == policy.Accept {
-		m |= maskPosition
-	}
-	if readSet && readEff == policy.Accept {
-		m |= maskRead
-	}
-	return m, nil
-}
-
-// Security builds the chain-derived filter for one evaluation with the
-// given variable bindings ($USER must be bound). Visibility and labels
-// re-run the axiom-14 latest-priority merge for {read, position} per node,
-// memoized for the evaluation; a node is visible with read or position
-// (axioms 16–17) and shows its own label only with read. The document
-// node is always visible with its own label (axiom 15).
-//
-// The returned Security and state are single-use and single-goroutine:
-// the memo is not locked.
-func (pg *Program) Security(vars xpath.Vars) (*xpath.Security, *EvalState) {
-	st := &EvalState{}
-	memo := make(map[*xmltree.Node]uint8)
-	mask := func(n *xmltree.Node) uint8 {
-		if m, ok := memo[n]; ok {
-			return m
-		}
-		m, err := pg.ruleMask(n, vars)
-		if err != nil && st.err == nil {
-			st.err = err
-		}
-		memo[n] = m
-		return m
-	}
-	return &xpath.Security{
-		Visible: func(n *xmltree.Node) bool {
-			return n.Kind() == xmltree.KindDocument || mask(n) != 0
-		},
-		Label: func(n *xmltree.Node) string {
-			if n.Kind() == xmltree.KindDocument || mask(n)&maskRead != 0 {
-				return n.Label()
-			}
-			return xmltree.Restricted
-		},
-	}, st
-}

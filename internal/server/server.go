@@ -91,9 +91,11 @@ func WithSlowTraceThreshold(d time.Duration) Option {
 }
 
 // WithForcedTier pins every /query and /value request to one read-ladder
-// tier instead of the normal descent (A/B debugging and benchmarking). A
-// query the pinned tier cannot serve fails with 409 Conflict rather than
-// falling through; the served tier is still reported in X-Query-Tier.
+// tier instead of the normal descent (A/B debugging and benchmarking):
+// core.TierQfilter or core.TierView. A query the pinned tier cannot serve
+// fails with 409 Conflict rather than falling through; the served tier is
+// still reported in X-Query-Tier. core.TierRewrite serves only the static
+// plans of the unpinned path, so pinning it fails every query with 409.
 func WithForcedTier(t core.Tier) Option {
 	return func(s *Server) { s.forcedTier = t }
 }

@@ -1,7 +1,8 @@
 // Forced read-ladder tier (WithForcedTier / xmlsec-server -tier): every
 // /query and /value runs on the pinned tier, the served tier is reported
 // in X-Query-Tier, and a query the pinned tier cannot serve answers 409
-// instead of silently falling through.
+// instead of silently falling through. The rewrite tier serves only the
+// static plans of the unpinned path, so pinning it refuses every query.
 package server
 
 import (
@@ -41,7 +42,6 @@ func TestForcedTierPinsLadder(t *testing.T) {
 		tier core.Tier
 		want string
 	}{
-		{core.TierRewrite, "rewrite"},
 		{core.TierQfilter, "qfilter"},
 		{core.TierView, "view"},
 	}
@@ -63,21 +63,24 @@ func TestForcedTierPinsLadder(t *testing.T) {
 			t.Errorf("pinned %s but /value X-Query-Tier = %q", tc.want, tier)
 		}
 	}
+	ts := tierServer(t, core.TierRewrite)
+	for _, path := range []string{"/query?xpath=//service", "/value?xpath=count(//service)"} {
+		if status, _ := getTier(t, ts, "laporte", path); status != http.StatusConflict {
+			t.Errorf("pinned rewrite: %s status %d, want 409", path, status)
+		}
+	}
 }
 
 // TestForcedTierUnavailable: non-empty node-set values leak raw source
-// nodes from the rewrite and qfilter tiers, so a pin there must refuse
-// (409 Conflict) instead of falling through to the view.
+// nodes from the qfilter tier, so a pin there must refuse (409 Conflict)
+// instead of falling through to the view.
 func TestForcedTierUnavailable(t *testing.T) {
-	for _, tier := range []core.Tier{core.TierRewrite, core.TierQfilter} {
-		ts := tierServer(t, tier)
-		status, _ := getTier(t, ts, "laporte", "/value?xpath=//service")
-		if status != http.StatusConflict {
-			t.Errorf("tier %s: node-set /value status %d, want 409", tier, status)
-		}
+	ts := tierServer(t, core.TierQfilter)
+	if status, _ := getTier(t, ts, "laporte", "/value?xpath=//service"); status != http.StatusConflict {
+		t.Errorf("tier qfilter: node-set /value status %d, want 409", status)
 	}
 	// Unpinned, the same query descends to the view tier and succeeds.
-	ts := testServer(t)
+	ts = testServer(t)
 	status, tier := getTier(t, ts, "laporte", "/value?xpath=//service")
 	if status != http.StatusOK {
 		t.Errorf("auto: node-set /value status %d, want 200", status)

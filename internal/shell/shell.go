@@ -25,7 +25,7 @@ const HelpText = `Commands:
   view                            print your authorized view
   query <xpath>                   select nodes on your view
   value <xpath>                   evaluate an expression (count(...), ...)
-  tier [rewrite|qfilter|view|auto]  pin the read ladder to one tier (A/B
+  tier [qfilter|view|auto]        pin the read ladder to one tier (A/B
                                   debugging); no argument prints the pin
   explain <xpath>                 why each matched node is (in)visible: the
                                   winning rule, what it defeated, cell origin

@@ -245,14 +245,16 @@ func (a *analysis) internalPath(short string) string {
 	return a.prog.ModulePath + "/internal/" + short
 }
 
-// untrustedInternal are the internal packages that must still go through
-// the core session API: they face users, so they get no raw-node license.
-var untrustedInternal = map[string]bool{"shell": true, "server": true}
+// untrustedInternal are the internal packages without a raw-node license:
+// the user-facing shell and server, which must go through the core session
+// API, and rewrite, whose static classifier reads policies, never
+// documents.
+var untrustedInternal = map[string]bool{"shell": true, "server": true, "rewrite": true}
 
 // trustedPkg reports whether the import path belongs to the trusted
 // enforcement core: the internal packages that implement the model
-// (xmltree, xpath, view, access, policy, core, ...), minus the user-facing
-// ones (shell, server).
+// (xmltree, xpath, view, access, policy, core, ...), minus the ones in
+// untrustedInternal.
 func (a *analysis) trustedPkg(path string) bool {
 	rest, ok := strings.CutPrefix(path, a.prog.ModulePath+"/internal/")
 	if !ok {

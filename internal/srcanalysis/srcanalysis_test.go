@@ -245,10 +245,9 @@ func TestRepoSelfScan(t *testing.T) {
 }
 
 // TestTrustedPackageClassification pins the viewbypass trust boundary:
-// every enforcement-core package — including internal/rewrite, whose
-// static-rewriting tier reads raw source documents and re-imposes the
-// labels itself — holds the raw-node license, while the user-facing
-// packages and everything outside the module do not.
+// every enforcement-core package holds the raw-node license, while the
+// user-facing packages, internal/rewrite (whose static classifier reads no
+// documents) and everything outside the module do not.
 func TestTrustedPackageClassification(t *testing.T) {
 	a := &analysis{prog: &Program{ModulePath: "securexml"}}
 	trusted := []string{
@@ -257,7 +256,6 @@ func TestTrustedPackageClassification(t *testing.T) {
 		"securexml/internal/view",
 		"securexml/internal/policy",
 		"securexml/internal/qfilter",
-		"securexml/internal/rewrite",
 		"securexml/internal/core",
 	}
 	for _, path := range trusted {
@@ -268,6 +266,7 @@ func TestTrustedPackageClassification(t *testing.T) {
 	untrusted := []string{
 		"securexml/internal/shell",
 		"securexml/internal/server",
+		"securexml/internal/rewrite",
 		"securexml/internal/shell/subpkg",
 		"securexml/cmd/xmlsec-bench",
 		"fmt",

@@ -29,10 +29,10 @@ import (
 //     parameters whose every call site passes a clean value). A document
 //     of unknown provenance may be someone else's source document.
 //
-// The trusted side includes internal/rewrite: the static-rewriting tier
-// reads raw source documents by design — its guarded plans re-impose the
-// axiom 15–17 labels during evaluation, which is exactly the license the
-// untrusted packages don't get.
+// internal/rewrite is checked like the user-facing packages: its static
+// classifier decides emptiness and transparency from policy patterns alone
+// and hands every document read to internal/core, so it needs no raw-node
+// license.
 var viewbypassPass = &pass{
 	name: "viewbypass",
 	doc:  "raw xmltree access and unsecured executors outside the trusted core",

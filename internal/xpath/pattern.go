@@ -3,6 +3,8 @@ package xpath
 import (
 	"fmt"
 	"strings"
+
+	"securexml/internal/xmltree"
 )
 
 // This file implements the conservative downward-fragment abstraction used
@@ -134,6 +136,29 @@ func (p *Pattern) MatchesRoot() bool {
 	return false
 }
 
+// ViewPreimage returns the pattern over source words whose view words p
+// can match. A view keeps each visible node's root-to-node path but shows
+// position-only nodes as xmltree.Restricted (axiom 17), so a name test on
+// that label can stand for an element or attribute of any name.
+func (p *Pattern) ViewPreimage() *Pattern {
+	out := &Pattern{Alts: make([][]PatternStep, len(p.Alts)), Exact: p.Exact}
+	for i, alt := range p.Alts {
+		out.Alts[i] = make([]PatternStep, len(alt))
+		for j, s := range alt {
+			switch {
+			case s.Kind == PatNamedElement && s.Name == xmltree.Restricted:
+				s = PatternStep{Gap: s.Gap, Kind: PatElement}
+				out.Exact = false
+			case s.Kind == PatNamedAttribute && s.Name == xmltree.Restricted:
+				s = PatternStep{Gap: s.Gap, Kind: PatAnyAttribute}
+				out.Exact = false
+			}
+			out.Alts[i][j] = s
+		}
+	}
+	return out
+}
+
 // anyNodePattern is the universal over-approximation: the document node or
 // any node whatsoever below it.
 func anyNodePattern() *Pattern {
@@ -149,6 +174,41 @@ func anyNodePattern() *Pattern {
 // behave like absolute ones.
 func (c *Compiled) Pattern() *Pattern {
 	return patternOf(c.root)
+}
+
+// PredicatePatterns returns, for every location step that carries
+// predicates, the pattern of its path up to and including that step:
+// the nodes on which the predicates can run, and so raise a runtime
+// error (an undefined variable, a type error). An expression without a
+// static downward shape yields the universal pattern.
+func (c *Compiled) PredicatePatterns() []*Pattern {
+	var out []*Pattern
+	var walk func(e expr)
+	walk = func(e expr) {
+		switch v := e.(type) {
+		case *binaryExpr:
+			if v.op != opUnion {
+				out = append(out, anyNodePattern())
+				return
+			}
+			walk(v.l)
+			walk(v.r)
+		case *pathExpr:
+			if v.base != nil {
+				out = append(out, anyNodePattern())
+				return
+			}
+			for i, st := range v.steps {
+				if len(st.preds) > 0 {
+					out = append(out, pathPattern(&pathExpr{absolute: v.absolute, steps: v.steps[:i+1]}))
+				}
+			}
+		default:
+			out = append(out, anyNodePattern())
+		}
+	}
+	walk(c.root)
+	return out
 }
 
 func patternOf(e expr) *Pattern {
