@@ -66,12 +66,14 @@ bench-selftest:
 	cd _e2ebench && $(GO) test ./...
 
 # Hot-kernel micro-benchmarks (document clone, per-node rule matcher, the
-# parallel permission-filtered read) with allocation counts; run on two commits for before/after tables, e.g. with
+# parallel permission-filtered read, a session's read after a write) with
+# allocation counts; run on two commits for before/after tables, e.g. with
 # benchstat. CI runs them once (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkClone$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xmltree
 	$(GO) test -run '^$$' -bench '^BenchmarkNodeMatcherMatch$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xpath
 	$(GO) test -run '^$$' -bench '^BenchmarkForPermsSelect$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/qfilter
+	$(GO) test -run '^$$' -bench '^BenchmarkWarmReadAfterWrite$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 
 # Bounded fuzzing of the parser targets and the incremental-view
 # differential target from their seed corpora, plus the clone-independence

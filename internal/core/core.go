@@ -532,12 +532,15 @@ func (db *Database) Audit() []AuditEntry {
 
 // --- sessions -----------------------------------------------------------------
 
-// viewEntry is one published cell of a session's view cache: the
-// materialized (or incrementally patched) view, the axiom-14 permissions
-// it was derived from, and the snapshot coordinates they belong to. An
-// entry is immutable after publication — v.Doc is frozen and pm is never
-// mutated in place — so concurrent requests on one shared session can
-// read the same entry while another request swaps in a newer one.
+// viewEntry is one published cell of a session's view cache: the axiom-14
+// permissions current at document version ver, and the materialized (or
+// incrementally patched) view, which may lag behind at version
+// v.SourceVersion <= ver. Reads through the permission filter advance only
+// the permissions; the view catches up when something needs the view
+// document (see currentViewPerms). An entry is immutable after publication
+// — v.Doc is frozen and neither pm's base map nor its overlay is mutated
+// in place — so concurrent requests on one shared session can read the
+// same entry while another request swaps in a newer one.
 type viewEntry struct {
 	v     *view.View
 	pm    *policy.Perms
@@ -611,41 +614,76 @@ func (s *Session) vars() xpath.Vars {
 	return xpath.Vars{"USER": xpath.String(s.user)}
 }
 
-// currentView returns the session's view of the pinned generation g,
-// rebuilding it only when the document or the policy changed since the
-// cached entry. A document change whose deltas are still in the
-// generation's log is absorbed by patching a copy of the cached view
-// (axioms 15–17 re-run over the touched subtrees only); policy changes
-// and document replacements always re-materialize. The returned view is
-// immutable (frozen) and remains valid after newer generations are
-// published — callers need no lock.
+// currentView returns the session's view of the pinned generation g (see
+// currentViewPerms). The returned view is immutable (frozen) and remains
+// valid after newer generations are published — callers need no lock.
 func (s *Session) currentView(ctx context.Context, g *generation) (*view.View, error) {
 	v, _, err := s.currentViewPerms(ctx, g)
 	return v, err
 }
 
-// currentViewPerms is currentView exposing the axiom-14 permissions the
-// view was derived from (the Explain layer re-reads the same cell the
-// production path served).
+// currentPerms returns the session's axiom-14 permissions for the pinned
+// generation g, the only state a read through the permission filter
+// needs. It advances the cached entry's permissions without touching its
+// view (see entryFor).
+func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perms, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, err := s.entryFor(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	return e.pm, nil
+}
+
+// currentViewPerms returns the session's view of g and the permissions it
+// was derived from (the write path selects on the pair; the Explain layer
+// re-reads the same cell the production path served). It first brings the
+// permissions to g (entryFor), then catches the view up if it lags: the
+// view half of incremental maintenance over the delta chain from the
+// view's version, against the current permissions. When the log no longer
+// covers the view's version, or the catch-up fails, the view is
+// re-materialized from the current permissions — no policy evaluation.
 func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.View, *policy.Perms, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e, err := s.entryFor(ctx, g)
+	if err != nil {
+		return nil, nil, err
+	}
+	if e.v.SourceVersion == e.ver {
+		return e.v, e.pm, nil
+	}
+	v := s.catchUpView(ctx, g, e)
+	s.entry = &viewEntry{v: v, pm: e.pm, ver: e.ver, epoch: e.epoch, gen: e.gen}
+	return v, e.pm, nil
+}
+
+// entryFor returns the session's cache entry with permissions current for
+// g, rebuilding only when the document or the policy changed since the
+// cached entry. A document change whose deltas are still in the
+// generation's log is absorbed by patching a copy of the cached
+// permissions (axiom 14 re-run over the touched subtrees only); the view
+// is left behind for currentViewPerms to catch up. Policy changes and
+// document replacements re-derive the permissions and re-materialize the
+// view. Callers hold s.mu.
+func (s *Session) entryFor(ctx context.Context, g *generation) (*viewEntry, error) {
 	ver, epoch, gen := g.ver(), g.epoch, g.docGen
 	e := s.entry
 	if e != nil && e.gen == gen && e.ver == ver && e.epoch == epoch {
 		cacheHits.Inc()
 		obs.AnnotateCtx(ctx, "view_source", "cache_hit")
-		return e.v, e.pm, nil
+		return e, nil
 	}
 	if e != nil && e.gen == gen && e.epoch == epoch && e.ver < ver {
-		if ne := s.tryIncremental(ctx, g, e); ne != nil {
+		if ne := s.patchPerms(ctx, g, e); ne != nil {
 			// Counted as xmlsec_view_incremental_applied_total by the view
 			// package — neither a plain hit nor a materializing miss.
 			s.entry = ne
 			obs.AnnotateCtx(ctx, "view_source", "incremental")
-			return ne.v, ne.pm, nil
+			return ne, nil
 		}
-		// A hard patch error poisoned the entry (tryIncremental set
+		// A hard patch error poisoned the entry (patchPerms set
 		// s.entry = nil) so the rebuild below starts cold.
 		e = s.entry
 	}
@@ -662,29 +700,37 @@ func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.Vi
 	}
 	pm, err := g.policy.EvaluateSharedCtx(ctx, g.doc, g.subjects, s.user, g.ruleCache())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	v := view.MaterializeCtx(ctx, g.doc, pm)
 	v.Doc.Freeze()
 	s.entry = &viewEntry{v: v, pm: pm, ver: ver, epoch: epoch, gen: gen}
-	return v, pm, nil
+	return s.entry, nil
 }
 
-// tryIncremental builds a fresh cache entry by patching a copy of e from
-// e.ver up to the generation's version using the generation's delta log.
-// It returns nil when patching is not possible (the caller
-// re-materializes; the reason was counted) — and poisons s.entry on a
-// hard patch error. The published entry e itself is never mutated: the
-// maintainer runs on a Snapshot clone of the view and a Clone of the
-// permissions, so readers concurrently serving from e are undisturbed.
-// Callers hold s.mu.
-func (s *Session) tryIncremental(ctx context.Context, g *generation, e *viewEntry) *viewEntry {
-	if !s.maintReady || s.maintEpoch != e.epoch {
+// maintainer returns the session's incremental maintainer for g's policy
+// epoch, compiling it on first use; nil means the policy is not chain-only
+// for the user. Callers hold s.mu.
+func (s *Session) maintainer(g *generation) *view.Maintainer {
+	if !s.maintReady || s.maintEpoch != g.epoch {
 		s.maint, _ = view.NewMaintainer(g.policy, g.subjects, s.user)
-		s.maintEpoch = e.epoch
+		s.maintEpoch = g.epoch
 		s.maintReady = true
 	}
-	if s.maint == nil {
+	return s.maint
+}
+
+// patchPerms builds a fresh cache entry whose permissions are e's patched
+// from e.ver up to the generation's version over the generation's delta
+// log; the entry keeps e's view, now lagging. It returns nil when
+// patching is not possible (the caller re-derives; the reason was
+// counted) — and poisons s.entry on a hard patch error. The published
+// entry e itself is never mutated: the maintainer patches a Clone of the
+// permissions, which shares e's base map and copies only its overlay.
+// Callers hold s.mu.
+func (s *Session) patchPerms(ctx context.Context, g *generation, e *viewEntry) *viewEntry {
+	m := s.maintainer(g)
+	if m == nil {
 		incFallbackIneligible.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "ineligible")
 		return nil
@@ -695,21 +741,40 @@ func (s *Session) tryIncremental(ctx context.Context, g *generation, e *viewEntr
 		obs.AnnotateCtx(ctx, "incremental_fallback", "gap")
 		return nil
 	}
-	v := e.v.Snapshot()
-	pm := e.pm.Clone()
-	for _, deltas := range chain {
-		if err := s.maint.ApplyCtx(ctx, v, g.doc, pm, deltas); err != nil {
-			// The entry's coordinates no longer have a usable continuation;
-			// poison the cache so the rebuild starts cold instead of
-			// retrying a failing patch on every request.
-			s.entry = nil
-			incFallbackError.Inc()
-			obs.AnnotateCtx(ctx, "incremental_fallback", "error")
-			return nil
-		}
+	pm, err := m.PatchPermsCtx(ctx, g.doc, e.pm, chain)
+	if err != nil {
+		// The entry's coordinates no longer have a usable continuation;
+		// poison the cache so the rebuild starts cold instead of retrying
+		// a failing patch on every request.
+		s.entry = nil
+		incFallbackError.Inc()
+		obs.AnnotateCtx(ctx, "incremental_fallback", "error")
+		return nil
 	}
+	return &viewEntry{v: e.v, pm: pm, ver: g.ver(), epoch: e.epoch, gen: e.gen}
+}
+
+// catchUpView returns e's lagging view brought up to e.ver = g.ver(): the
+// view half of incremental maintenance over the delta chain from the
+// view's version, against e's current permissions. A log gap or a failed
+// catch-up re-materializes the view from those permissions instead (the
+// reason is counted). The returned view is frozen. Only a successful
+// patchPerms leaves a view behind, so g's policy epoch has a maintainer.
+// Callers hold s.mu.
+func (s *Session) catchUpView(ctx context.Context, g *generation, e *viewEntry) *view.View {
+	if chain, ok := g.deltaChain(e.v.SourceVersion); !ok {
+		incFallbackGap.Inc()
+		obs.AnnotateCtx(ctx, "incremental_fallback", "gap")
+	} else if v, err := s.maintainer(g).CatchUpViewCtx(ctx, e.v, g.doc, e.pm, chain); err != nil {
+		incFallbackError.Inc()
+		obs.AnnotateCtx(ctx, "incremental_fallback", "error")
+	} else {
+		v.Doc.Freeze()
+		return v
+	}
+	v := view.MaterializeCtx(ctx, g.doc, e.pm)
 	v.Doc.Freeze()
-	return &viewEntry{v: v, pm: pm, ver: g.ver(), epoch: e.epoch, gen: e.gen}
+	return v
 }
 
 // View returns an independent snapshot of the user's current view. The
@@ -841,8 +906,6 @@ type securedRead struct {
 	root *xmltree.Node
 	// sec filters the source; nil for a transparent plan and the view.
 	sec *xpath.Security
-	// v is the view of the same currentViewPerms call, when one was made.
-	v *view.View
 }
 
 // secureRead resolves one read of path on the pinned generation g. This is
@@ -888,43 +951,38 @@ func (s *Session) secureRead(ctx context.Context, g *generation, path string, fo
 		}
 		rd.c = c
 	}
-	v, sec, err := s.secureSource(ctx, g)
+	if rd.tier == TierView {
+		return rd, s.onView(ctx, g, rd)
+	}
+	sec, err := s.secureSource(ctx, g)
 	if err != nil {
 		return rd, err
 	}
-	rd.v = v
-	if rd.tier == TierView {
-		rd.root = v.Doc.Root()
-	} else {
-		rd.sec = sec
-	}
+	rd.sec = sec
 	return rd, nil
 }
 
-// secureSource returns the session's maintained view of g and the filter
-// that evaluates the source as that view shows it: qfilter.ForPerms over
-// the permissions currentViewPerms keeps current.
-func (s *Session) secureSource(ctx context.Context, g *generation) (*view.View, *xpath.Security, error) {
-	v, pm, err := s.currentViewPerms(ctx, g)
+// secureSource returns the filter that evaluates the source of g as the
+// session's view shows it: qfilter.ForPerms over the permissions
+// currentPerms keeps current. The view document itself is not needed, so
+// it is left to catch up later.
+func (s *Session) secureSource(ctx context.Context, g *generation) (*xpath.Security, error) {
+	pm, err := s.currentPerms(ctx, g)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return v, qfilter.ForPerms(pm), nil
+	return qfilter.ForPerms(pm), nil
 }
 
-// onView re-targets rd at the session's view of g: the view of rd's own
-// currentViewPerms call, or a fresh one after a static plan (which made
-// none).
+// onView re-targets rd at the session's view of g, catching the view up
+// first if it lags.
 func (s *Session) onView(ctx context.Context, g *generation, rd *securedRead) error {
 	rd.tier, rd.sec = TierView, nil
-	if rd.v == nil {
-		v, err := s.currentView(ctx, g)
-		if err != nil {
-			return err
-		}
-		rd.v = v
+	v, err := s.currentView(ctx, g)
+	if err != nil {
+		return err
 	}
-	rd.root = rd.v.Doc.Root()
+	rd.root = v.Doc.Root()
 	return nil
 }
 
@@ -1290,7 +1348,7 @@ func (s *Session) TransformCtx(ctx context.Context, stylesheet string) (string, 
 		return fail(err)
 	}
 	g := s.db.gen()
-	_, sec, err := s.secureSource(ctx, g)
+	sec, err := s.secureSource(ctx, g)
 	if err != nil {
 		return fail(err)
 	}

@@ -18,13 +18,20 @@ const medXML = `<patients><franck><service>otolaryngology</service><diagnosis>to
 // hospital builds the complete paper scenario on the public API.
 func hospital(t *testing.T) *Database {
 	t.Helper()
+	return hospitalOn(t, medXML, "robert", "franck")
+}
+
+// hospitalOn builds the paper's hierarchy (the three staff users plus the
+// given patient users) and the twelve rules of axiom 13 over document xml.
+func hospitalOn(tb testing.TB, xml string, patients ...string) *Database {
+	tb.Helper()
 	db := New()
 	must := func(err error) {
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	must(db.LoadXMLString(medXML))
+	must(db.LoadXMLString(xml))
 	must(db.AddRole("staff"))
 	must(db.AddRole("secretary", "staff"))
 	must(db.AddRole("doctor", "staff"))
@@ -33,8 +40,9 @@ func hospital(t *testing.T) *Database {
 	must(db.AddUser("beaufort", "secretary"))
 	must(db.AddUser("laporte", "doctor"))
 	must(db.AddUser("richard", "epidemiologist"))
-	must(db.AddUser("robert", "patient"))
-	must(db.AddUser("franck", "patient"))
+	for _, p := range patients {
+		must(db.AddUser(p, "patient"))
+	}
 
 	must(db.Grant(policy.Read, "/descendant-or-self::node()", "staff"))
 	must(db.Revoke(policy.Read, "//diagnosis/node()", "secretary"))
@@ -51,11 +59,11 @@ func hospital(t *testing.T) *Database {
 	return db
 }
 
-func session(t *testing.T, db *Database, user string) *Session {
-	t.Helper()
+func session(tb testing.TB, db *Database, user string) *Session {
+	tb.Helper()
 	s, err := db.Session(user)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,12 +13,18 @@ import (
 
 // TestIncrementalViewRaceStress hammers the incremental view-maintenance
 // path under -race: every user's session is shared by two reader
-// goroutines (so each read after a write patches the shared cached view
-// in place), while writers stream single-node updates, structural grafts
-// and removals, and an administrator occasionally flips the policy epoch
-// to force full rebuilds and maintainer recompiles. After the storm, each
-// shared session's patched view must serialize identically to the view of
-// a fresh session for the same user.
+// goroutines that mix filtered queries and atomic values (which patch the
+// shared entry's permissions only), node-set values and ViewXML (which
+// catch its view up) and writes of their own, while writers stream
+// single-node updates, structural grafts and removals through other
+// sessions, and an administrator occasionally flips the policy epoch to
+// force full rebuilds and maintainer recompiles. Published entries are
+// fingerprinted as the readers go — the view's serialization and
+// accounting and every permission cell of the entry's generation — and
+// must still print the same after the storm: no patch may write through
+// to a published entry, its shared base map or its frozen view. Finally
+// each shared session's view must serialize identically to the view of a
+// fresh session for the same user.
 func TestIncrementalViewRaceStress(t *testing.T) {
 	db := hospital(t)
 	const iters = 30
@@ -35,6 +42,24 @@ func TestIncrementalViewRaceStress(t *testing.T) {
 		shared[u] = session(t, db, u)
 	}
 
+	var printsMu sync.Mutex
+	var prints []entryPrint
+	// record fingerprints s's published entry when it belongs to the
+	// current generation.
+	record := func(s *Session) {
+		g := db.gen()
+		s.mu.Lock()
+		e := s.entry
+		s.mu.Unlock()
+		if e == nil || e.gen != g.docGen || e.epoch != g.epoch || e.ver != g.ver() {
+			return
+		}
+		p := entryPrint{g: g, e: e, print: printEntry(g, e)}
+		printsMu.Lock()
+		prints = append(prints, p)
+		printsMu.Unlock()
+	}
+
 	// Readers: two goroutines per shared session.
 	for _, u := range users {
 		s := shared[u]
@@ -47,14 +72,28 @@ func TestIncrementalViewRaceStress(t *testing.T) {
 						fail(err)
 						return
 					}
-					if _, err := s.ViewXML(); err != nil {
-						fail(err)
-						return
-					}
 					if _, err := s.QueryValue("count(//diagnosis)"); err != nil {
 						fail(err)
 						return
 					}
+					record(s)
+					if _, err := s.QueryValue("//service"); err != nil {
+						fail(err)
+						return
+					}
+					if _, err := s.ViewXML(); err != nil {
+						fail(err)
+						return
+					}
+					if i%5 == 4 {
+						// Applied for the doctor, refused for everyone else;
+						// either way the write selects on this session's view.
+						if _, err := s.Update(&xupdate.Op{Kind: xupdate.Update, Select: "//diagnosis", NewValue: fmt.Sprintf("%s%d", u, i)}); err != nil {
+							fail(err)
+							return
+						}
+					}
+					record(s)
 				}
 			}()
 		}
@@ -129,6 +168,15 @@ func TestIncrementalViewRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if len(prints) == 0 {
+		t.Fatal("no published entry was fingerprinted")
+	}
+	for _, p := range prints {
+		if got := printEntry(p.g, p.e); got != p.print {
+			t.Fatalf("a published entry of version %d changed after publication\nthen: %s\nnow:  %s", p.e.ver, p.print, got)
+		}
+	}
+
 	// Quiescent check: every shared session's (incrementally patched)
 	// view must match a fresh session's from-scratch materialization.
 	for _, u := range users {
@@ -144,4 +192,34 @@ func TestIncrementalViewRaceStress(t *testing.T) {
 			t.Errorf("user %s: patched view diverged from fresh view\npatched:\n%s\nfresh:\n%s", u, got, want)
 		}
 	}
+}
+
+// entryPrint is a published cache entry, the generation it is current for,
+// and its fingerprint when it was recorded.
+type entryPrint struct {
+	g     *generation
+	e     *viewEntry
+	print string
+}
+
+// printEntry renders what entry e serves at generation g: its view's
+// version, accounting and serialization, and every permission cell of g's
+// document.
+func printEntry(g *generation, e *viewEntry) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "v%d r%d h%d %s\n", e.v.SourceVersion, e.v.Restricted, e.v.Hidden, e.v.Doc.XML())
+	for _, n := range g.doc.Nodes() {
+		id := n.IDString()
+		b.WriteString(id)
+		b.WriteByte('=')
+		for _, priv := range policy.Privileges {
+			if e.pm.PeekID(id, priv) {
+				b.WriteByte('1')
+			} else {
+				b.WriteByte('0')
+			}
+		}
+		b.WriteByte(' ')
+	}
+	return b.String()
 }

@@ -1,0 +1,149 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+
+	"securexml/internal/obs"
+	"securexml/internal/view"
+	"securexml/internal/workload"
+	"securexml/internal/xupdate"
+)
+
+// workloadHospital builds the paper scenario over a workload.Hospital
+// document of n patients (one record each) with patient users p0..p(n-1).
+func workloadHospital(tb testing.TB, n int) *Database {
+	tb.Helper()
+	d, err := workload.Hospital(workload.HospitalConfig{Patients: n, RecordsPerPatient: 1, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	patients := make([]string, n)
+	for i := range patients {
+		patients[i] = fmt.Sprintf("p%d", i)
+	}
+	return hospitalOn(tb, workload.XML(d), patients...)
+}
+
+// rewriteDiagnosis has the doctor w rewrite p1's diagnosis: one publish
+// with a one-node delta.
+func rewriteDiagnosis(tb testing.TB, w *Session, i int) {
+	tb.Helper()
+	res, err := w.Update(&xupdate.Op{Kind: xupdate.Update, Select: "/patients/p1/diagnosis", NewValue: fmt.Sprintf("dx%d", i)})
+	if err != nil || res.Applied != 1 {
+		tb.Fatalf("write %d: %+v %v", i, res, err)
+	}
+}
+
+// TestLaggingViewRebuildsFromMaintainedPerms: a session that keeps reading
+// through the permission filter patches only its permissions, so its view
+// falls behind with every publish. Once it lags more than deltaLogCap
+// batches, the log no longer covers it, and the next ViewXML rebuilds the
+// view from the maintained permissions — one materialization, no policy
+// evaluation — equal to the specification's view.
+func TestLaggingViewRebuildsFromMaintainedPerms(t *testing.T) {
+	db := workloadHospital(t, 4)
+	reader, writer := session(t, db, "laporte"), session(t, db, "laporte")
+	if _, err := reader.View(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= deltaLogCap; i++ {
+		rewriteDiagnosis(t, writer, i)
+		if _, err := reader.Query("//diagnosis"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := db.gen()
+	e := reader.entry
+	if e.ver != g.ver() {
+		t.Fatalf("reader's permissions at version %d, generation at %d", e.ver, g.ver())
+	}
+	if _, ok := g.deltaChain(e.v.SourceVersion); ok {
+		t.Fatalf("reader's view at version %d is still covered by the delta log", e.v.SourceVersion)
+	}
+
+	evalShared, eval, mat := obs.Stage("policy_evaluate_shared"), obs.Stage("policy_evaluate"), obs.Stage("view_materialize")
+	es0, e0, m0, gap0 := evalShared.Count(), eval.Count(), mat.Count(), incFallbackGap.Value()
+	got, err := reader.ViewXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if des, de, dm, dg := evalShared.Count()-es0, eval.Count()-e0, mat.Count()-m0, incFallbackGap.Value()-gap0; des != 0 || de != 0 || dm != 1 || dg != 1 {
+		t.Errorf("lagging view: %d policy_evaluate_shared, %d policy_evaluate, %d view_materialize stages and %d gap fallbacks, want 0, 0, 1, 1",
+			des, de, dm, dg)
+	}
+	pm, err := g.policy.Evaluate(g.doc, g.subjects, "laporte")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := view.Materialize(g.doc, pm).Doc.XML(); got != want {
+		t.Errorf("rebuilt view differs from Materialize(Evaluate)\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// warmQueryBytes returns the median bytes a doctor's auto query allocates
+// right after another session's write, on a hospital of n patients. The
+// writes and the reader's first view are set up outside the measurement;
+// the median keeps a stray allocation elsewhere in the process out.
+func warmQueryBytes(t *testing.T, n int) uint64 {
+	t.Helper()
+	db := workloadHospital(t, n)
+	reader, writer := session(t, db, "laporte"), session(t, db, "laporte")
+	if _, err := reader.View(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	bytes := make([]uint64, 21)
+	for i := range bytes {
+		rewriteDiagnosis(t, writer, i)
+		runtime.ReadMemStats(&before)
+		if _, err := reader.Query("/patients/p1/diagnosis"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(bytes)
+	return bytes[len(bytes)/2]
+}
+
+// TestWarmReadAllocsIndependentOfViewSize: a read after a write patches
+// the reader's permissions in O(delta) — no copy of the view or of the
+// whole grant map — so the bytes it allocates stay flat as the document,
+// and with it the doctor's view, grows eightfold.
+func TestWarmReadAllocsIndependentOfViewSize(t *testing.T) {
+	small, large := warmQueryBytes(t, 64), warmQueryBytes(t, 512)
+	t.Logf("warm query after a write: %d B at 64 patients, %d B at 512", small, large)
+	if large >= 2*small {
+		t.Errorf("warm query after a write allocates %d B at 512 patients, %d B at 64: want under 2x", large, small)
+	}
+}
+
+// BenchmarkWarmReadAfterWrite times the read path a publish leaves behind:
+// one write, then one auto query by a doctor and by a patient, each of
+// which patches its session's permissions over the write's delta. Run with
+// -benchmem; the bytes per op should not grow with the document.
+func BenchmarkWarmReadAfterWrite(b *testing.B) {
+	db := workloadHospital(b, 256)
+	writer := session(b, db, "laporte")
+	readers := []*Session{session(b, db, "laporte"), session(b, db, "p2")}
+	for _, r := range readers {
+		if _, err := r.View(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rewriteDiagnosis(b, writer, i)
+		b.StartTimer()
+		for _, r := range readers {
+			if _, err := r.Query("/patients/p2/diagnosis"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -16,11 +16,12 @@ func cacheCounts() (hits, cold, doc, epoch uint64) {
 	return cacheHits.Value(), cacheMissCold.Value(), cacheMissDoc.Value(), cacheMissEpoch.Value()
 }
 
-// TestViewCacheCounters walks the session cache through its four outcomes —
-// cold miss, hit, doc-version miss after a write, policy-epoch miss after a
-// grant — and asserts exactly one counter moves each time. Views are pulled
-// explicitly through View, one of the cache's clients alongside queries
-// and the write path.
+// TestViewCacheCounters walks the session cache through its outcomes —
+// cold miss, hit, permissions patch on a read after a write, view catch-up
+// on the next View, policy-epoch miss after a grant — and asserts exactly
+// the expected counters move each time. Views are pulled explicitly
+// through View, one of the cache's clients alongside queries and the write
+// path.
 func TestViewCacheCounters(t *testing.T) {
 	db := hospital(t)
 	s := session(t, db, "laporte")
@@ -46,9 +47,11 @@ func TestViewCacheCounters(t *testing.T) {
 	}
 
 	// An applied update bumps the document version. The paper policy is
-	// chain-only for laporte, so the *next read* patches the cached view
-	// incrementally: the applied counter moves, no hit or miss does.
+	// chain-only for laporte, so the *next read* patches the cached
+	// permissions incrementally and leaves the view behind: the applied
+	// counter moves once (the permissions half), no hit or miss does.
 	incApplied := obs.Default().Counter("xmlsec_view_incremental_applied_total")
+	ruleEvals := obs.Default().Counter("xmlsec_policy_rule_evals_total")
 	if _, err := s.Update(&xupdate.Op{
 		Kind:     xupdate.Update,
 		Select:   "/patients/franck/diagnosis",
@@ -56,30 +59,44 @@ func TestViewCacheCounters(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	h3, _, d3, e3 := cacheCounts()
+	h3, c3, d3, e3 := cacheCounts()
 	i3 := incApplied.Value()
+	if _, err := s.Query("//diagnosis"); err != nil {
+		t.Fatal(err)
+	}
+	h4, c4, d4, e4 := cacheCounts()
+	i4 := incApplied.Value()
+	if i4 != i3+1 || h4 != h3 || c4 != c3 || d4 != d3 || e4 != e3 {
+		t.Errorf("read after write: want one permissions patch, got applied+%d hits+%d cold+%d doc+%d epoch+%d",
+			i4-i3, h4-h3, c4-c3, d4-d3, e4-e3)
+	}
+
+	// The next View finds the permissions current (a hit) and catches the
+	// lagging view up: one more apply (the view half), which re-runs no
+	// policy rule.
+	r4 := ruleEvals.Value()
 	if _, err := s.View(); err != nil {
 		t.Fatal(err)
 	}
-	h4, _, d4, e4 := cacheCounts()
-	i4 := incApplied.Value()
-	if i4 != i3+1 || d4 != d3 || h4 != h3 || e4 != e3 {
-		t.Errorf("view after write: want one incremental apply, got applied+%d hits+%d doc+%d epoch+%d",
-			i4-i3, h4-h3, d4-d3, e4-e3)
+	h5, c5, d5, e5 := cacheCounts()
+	i5, r5 := incApplied.Value(), ruleEvals.Value()
+	if i5 != i4+1 || h5 != h4+1 || c5 != c4 || d5 != d4 || e5 != e4 || r5 != r4 {
+		t.Errorf("view after read: want one view catch-up and a hit, got applied+%d hits+%d cold+%d doc+%d epoch+%d rule evals+%d",
+			i5-i4, h5-h4, c5-c4, d5-d4, e5-e4, r5-r4)
 	}
 
 	// A grant bumps the policy epoch without touching the document.
 	if err := db.Grant(policy.Read, "//service", "patient"); err != nil {
 		t.Fatal(err)
 	}
-	h5, _, d5, e5 := cacheCounts()
+	h6, _, d6, e6 := cacheCounts()
 	if _, err := s.View(); err != nil {
 		t.Fatal(err)
 	}
-	h6, _, d6, e6 := cacheCounts()
-	if e6 != e5+1 || h6 != h5 || d6 != d5 {
+	h7, _, d7, e7 := cacheCounts()
+	if e7 != e6+1 || h7 != h6 || d7 != d6 {
 		t.Errorf("view after grant: want one policy_epoch miss, got hits+%d doc+%d epoch+%d",
-			h6-h5, d6-d5, e6-e5)
+			h7-h6, d7-d6, e7-e6)
 	}
 }
 
@@ -166,20 +183,28 @@ func TestFreshSessionWriteDerivesNoView(t *testing.T) {
 
 // TestWarmReadsPatchMaintainedPermissions: after another session's write,
 // a warm session's auto Query, atomic QueryValue and Transform each bring
-// the session's maintained permissions up to date with one delta patch.
-// None derives permissions or materializes a view.
+// the session's maintained permissions up to date with one delta patch,
+// traced as one view_incremental span annotated part=perms. None derives
+// permissions, materializes a view or catches the view up. A following
+// View catches the view up in one part=view span that re-runs no policy
+// rule, and serves what a fresh session materializes.
 func TestWarmReadsPatchMaintainedPermissions(t *testing.T) {
 	const sheet = `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 	  <xsl:template match="/"><r><xsl:value-of select="count(//diagnosis)"/></r></xsl:template>
 	</xsl:stylesheet>`
-	evalShared, mat, inc := obs.Stage("policy_evaluate_shared"), obs.Stage("view_materialize"), obs.Stage("view_incremental")
+	evalShared, mat := obs.Stage("policy_evaluate_shared"), obs.Stage("view_materialize")
+	ruleEvals := obs.Default().Counter("xmlsec_policy_rule_evals_total")
+	tracer := obs.NewTracer(8, 0, nil)
 	for _, read := range []struct {
 		name string
-		run  func(s *Session) error
+		run  func(ctx context.Context, s *Session) error
 	}{
-		{"query", func(s *Session) error { _, err := s.Query("//diagnosis"); return err }},
-		{"value", func(s *Session) error { _, err := s.QueryValue("count(//diagnosis)"); return err }},
-		{"transform", func(s *Session) error { _, err := s.Transform(sheet); return err }},
+		{"query", func(ctx context.Context, s *Session) error { _, err := s.QueryCtx(ctx, "//diagnosis"); return err }},
+		{"value", func(ctx context.Context, s *Session) error {
+			_, err := s.QueryValueCtx(ctx, "count(//diagnosis)")
+			return err
+		}},
+		{"transform", func(ctx context.Context, s *Session) error { _, err := s.TransformCtx(ctx, sheet); return err }},
 	} {
 		db := hospital(t)
 		reader := session(t, db, "beaufort")
@@ -190,15 +215,62 @@ func TestWarmReadsPatchMaintainedPermissions(t *testing.T) {
 		if err != nil || res.Applied != 1 {
 			t.Fatalf("write: %+v %v", res, err)
 		}
-		e0, m0, i0 := evalShared.Count(), mat.Count(), inc.Count()
-		if err := read.run(reader); err != nil {
+		e0, m0 := evalShared.Count(), mat.Count()
+		ctx, trace := tracer.StartTrace(context.Background(), "test_read")
+		if err := read.run(ctx, reader); err != nil {
 			t.Fatal(err)
 		}
-		if de, dm, di := evalShared.Count()-e0, mat.Count()-m0, inc.Count()-i0; de != 0 || dm != 0 || di != 1 {
-			t.Errorf("%s after a write: %d policy_evaluate_shared, %d view_materialize, %d view_incremental stages, want 0, 0, 1",
-				read.name, de, dm, di)
+		trace.Finish()
+		if de, dm := evalShared.Count()-e0, mat.Count()-m0; de != 0 || dm != 0 {
+			t.Errorf("%s after a write: %d policy_evaluate_shared, %d view_materialize stages, want 0, 0", read.name, de, dm)
+		}
+		if parts := incrementalParts(t, trace.Export()); len(parts) != 1 || parts[0] != "perms" {
+			t.Errorf("%s after a write: view_incremental parts %v, want [perms]", read.name, parts)
+		}
+
+		r0 := ruleEvals.Value()
+		ctx, trace = tracer.StartTrace(context.Background(), "test_view")
+		got, err := reader.ViewXMLCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace.Finish()
+		if dr := ruleEvals.Value() - r0; dr != 0 {
+			t.Errorf("%s, then view: the catch-up evaluated %d rules, want 0", read.name, dr)
+		}
+		if dm := mat.Count() - m0; dm != 0 {
+			t.Errorf("%s, then view: %d view_materialize stages, want 0", read.name, dm)
+		}
+		if parts := incrementalParts(t, trace.Export()); len(parts) != 1 || parts[0] != "view" {
+			t.Errorf("%s, then view: view_incremental parts %v, want [view]", read.name, parts)
+		}
+		if want, err := session(t, db, "beaufort").ViewXML(); err != nil || got != want {
+			t.Errorf("%s, then view: caught-up view differs from a fresh one (%v)\n got: %s\nwant: %s", read.name, err, got, want)
 		}
 	}
+}
+
+// incrementalParts lists the part annotation of every view_incremental span
+// in a trace, in order. It fails the test if a view_incremental span has
+// a child span: the traced benchmark adds the stage time of every
+// child stage, so they must not nest.
+func incrementalParts(t *testing.T, ex *obs.TraceExport) []string {
+	t.Helper()
+	var parts []string
+	var walk func(sp *obs.TraceSpan)
+	walk = func(sp *obs.TraceSpan) {
+		if sp.Name == "view_incremental" {
+			parts = append(parts, sp.Attrs["part"])
+			if len(sp.Children) > 0 {
+				t.Errorf("view_incremental span has children: %+v", sp.Children)
+			}
+		}
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	walk(ex.Root)
+	return parts
 }
 
 // TestWarmQueryCountsNoDecisions: the read filter looks permissions up

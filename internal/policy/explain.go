@@ -116,10 +116,11 @@ func (p *Policy) Explain(doc *xmltree.Document, h *subject.Hierarchy, user strin
 }
 
 // CellOrigin reports where the production cell for node id lives in this
-// permission object: "overlay" (a $USER-dependent patch private to the
-// user), "shared-profile" (the RuleCache's profile mask shared across
-// every user of the same role signature), or "private" (an unshared map
-// from Evaluate or a copied-on-write mutation).
+// permission object: "overlay" (a cell private to this Perms: a
+// $USER-dependent cell or an incremental patch), "shared-profile" (the
+// RuleCache's profile mask shared across every user of the same role
+// signature), or "private" (an unshared map from Evaluate or a flattened
+// overlay).
 func (pm *Perms) CellOrigin(id string) string {
 	if _, ok := pm.overlay[id]; ok {
 		return "overlay"
@@ -134,9 +135,5 @@ func (pm *Perms) CellOrigin(id string) string {
 // decision: the explain layer reads cells for introspection, and a
 // diagnostic call must not inflate the enforcement counters.
 func (pm *Perms) PeekID(id string, priv Privilege) bool {
-	mask, inOverlay := pm.overlay[id]
-	if !inOverlay {
-		mask = pm.grants[id]
-	}
-	return mask&(1<<uint(priv)) != 0
+	return pm.cell(id)&(1<<uint(priv)) != 0
 }

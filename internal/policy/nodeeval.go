@@ -64,9 +64,10 @@ func (p *Policy) NodeEvaluator(h *subject.Hierarchy, user string) (*NodeEvaluato
 func (ne *NodeEvaluator) User() string { return ne.user }
 
 // Rescore recomputes pm's grant mask for the single node n, replacing
-// whatever Evaluate (or a previous Rescore) stored. The conflict
-// resolution is identical to Evaluate's: per privilege, the applicable
-// rule with the greatest priority wins, and only an accept grants.
+// whatever Evaluate (or a previous Rescore) stored; the cell goes to pm's
+// overlay, never to its base map. The conflict resolution is identical to
+// Evaluate's: per privilege, the applicable rule with the greatest
+// priority wins, and only an accept grants.
 func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
 	var cells [numPrivileges]struct {
 		priority int64
@@ -97,23 +98,17 @@ func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
 			mask |= 1 << uint(priv)
 		}
 	}
-	id := n.IDString()
-	pm.mutable()
-	if mask == 0 {
-		delete(pm.grants, id)
-	} else {
-		pm.grants[id] = mask
-	}
+	pm.set(n.IDString(), mask)
 	return nil
 }
 
-// Forget drops the grant cells for removed node ids. Persistent labels can
-// be re-allocated after a removal (Scheme.Between may hand back a key that
-// was freed), so stale cells must be scrubbed before any reuse.
+// Forget drops the grant cells for removed node ids, through the overlay
+// like Rescore. Persistent labels can be re-allocated after a removal
+// (Scheme.Between may hand back a key that was freed), so stale cells
+// must be scrubbed before any reuse.
 func (pm *Perms) Forget(ids ...string) {
-	pm.mutable()
 	for _, id := range ids {
-		delete(pm.grants, id)
+		pm.set(id, 0)
 	}
 }
 

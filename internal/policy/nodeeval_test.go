@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 
 	"securexml/internal/subject"
@@ -62,6 +63,7 @@ func TestRescoreMatchesEvaluate(t *testing.T) {
 				t.Fatalf("%s rescore %s: %v", user, n.ID(), err)
 			}
 		}
+		got.flatten() // compare whole maps, overlay folded in
 		if len(got.grants) != len(want.grants) {
 			t.Errorf("%s: rescore produced %d granted nodes, Evaluate %d", user, len(got.grants), len(want.grants))
 		}
@@ -112,8 +114,8 @@ func TestRescoreOverwritesStale(t *testing.T) {
 	if err := neF.Rescore(pmF, txt); err != nil {
 		t.Fatal(err)
 	}
-	if _, stale := pmF.grants[txt.ID().String()]; stale {
-		t.Error("empty mask should delete the grant cell")
+	if stale := pmF.cell(txt.ID().String()); stale != 0 {
+		t.Errorf("empty mask should clear the grant cell, got %08b", stale)
 	}
 }
 
@@ -138,13 +140,50 @@ func TestNodeEvaluatorIneligible(t *testing.T) {
 func TestPermsForget(t *testing.T) {
 	pm := &Perms{grants: map[string]uint8{"a": 1, "b": 2, "c": 4}}
 	pm.Forget("a", "c", "zzz")
-	if _, ok := pm.grants["a"]; ok {
+	if pm.cell("a") != 0 {
 		t.Error("a survived Forget")
 	}
-	if _, ok := pm.grants["c"]; ok {
+	if pm.cell("c") != 0 {
 		t.Error("c survived Forget")
 	}
-	if pm.grants["b"] != 2 {
+	if pm.cell("b") != 2 {
 		t.Error("b damaged by Forget")
+	}
+	pm.flatten()
+	if len(pm.grants) != 1 || pm.grants["b"] != 2 {
+		t.Errorf("flattened grants = %v, want only b", pm.grants)
+	}
+}
+
+// TestPermsCloneCopiesOnlyOverlay: a Clone shares the base map and copies
+// only the overlay. Patching the clone never writes the base map or the
+// original, a cell equal to the base's leaves no overlay entry, and an
+// overlay past 1/overlayFlattenDiv of the base is folded into a private
+// copy of it.
+func TestPermsCloneCopiesOnlyOverlay(t *testing.T) {
+	base := make(map[string]uint8)
+	for i := 0; i < 4*overlayFlattenDiv; i++ {
+		base[fmt.Sprint(i)] = 1 << uint(Read)
+	}
+	orig := &Perms{grants: base, overlay: map[string]uint8{"x": 1}, shared: true}
+	c := orig.Clone()
+	c.Forget("0")
+	c.set("1", 1<<uint(Read)) // equals the base cell
+	if len(c.overlay) != 2 || c.cell("0") != 0 || c.cell("x") != 1 {
+		t.Fatalf("clone overlay = %v, want x and a cleared 0", c.overlay)
+	}
+	if orig.cell("0") != 1<<uint(Read) || len(orig.overlay) != 1 {
+		t.Fatalf("patching the clone changed the original: overlay %v", orig.overlay)
+	}
+	c.Forget("2", "3") // four overlay cells: at the bound
+	if c.overlay == nil || !c.shared {
+		t.Fatal("overlay flattened before it passed the bound")
+	}
+	c.Forget("4")
+	if c.overlay != nil || c.shared || len(c.grants) != len(base)-4+1 || c.cell("x") != 1 || c.cell("4") != 0 {
+		t.Fatalf("after passing the bound: overlay %v, shared %v, %d grants", c.overlay, c.shared, len(c.grants))
+	}
+	if len(base) != 4*overlayFlattenDiv || base["0"] != 1<<uint(Read) {
+		t.Fatal("flattening wrote the shared base map")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -276,16 +277,27 @@ func (p *Policy) Clone() *Policy {
 type Perms struct {
 	user    string
 	version uint64
-	// grants[nodeID] is a bitmask over privileges. When shared is set the
-	// map belongs to a RuleCache and is read by other sessions — callers
-	// must clone before mutating; mutators go through mutable() to get a
-	// private copy first. overlay holds this user's divergences from the
-	// shared map ($USER-dependent rules): a present entry wins over
-	// grants, with 0 meaning no access.
+	// grants[nodeID] is a bitmask over privileges. The map is never
+	// written once the Perms is handed out: it may be a RuleCache profile
+	// map read by every session of the profile, or the base a published
+	// session entry shares with the patched copies Clone makes of it —
+	// callers must clone before mutating (flatten does). overlay holds
+	// this Perms' divergences from grants: the user's $USER-dependent
+	// cells and the cells incremental maintenance rescored or forgot. A
+	// present entry wins over grants, with 0 meaning no access; the
+	// overlay is private to the Perms. shared records that grants is a
+	// RuleCache map (see CellOrigin).
 	grants  map[string]uint8
 	overlay map[string]uint8
 	shared  bool
 }
+
+// overlayFlattenDiv bounds the overlay against the base map: once the
+// overlay holds more than len(grants)/overlayFlattenDiv cells, set folds
+// it into a private copy of grants. A patch then costs its own cells plus
+// an overlay copy at most 1/overlayFlattenDiv of the base, and the O(base)
+// flatten is amortized over the patches that grew the overlay.
+const overlayFlattenDiv = 16
 
 // User returns the subject the permissions were computed for.
 func (pm *Perms) User() string { return pm.user }
@@ -299,35 +311,61 @@ func (pm *Perms) Has(n *xmltree.Node, priv Privilege) bool {
 	return pm.HasID(n.IDString(), priv)
 }
 
-// Clone returns a private deep copy of the permission relation, with any
-// shared RuleCache map and $USER overlay flattened into an owned grants
-// map. The copy is safe to hand to the incremental maintainer (whose
-// Rescore/Forget mutate in place) while other readers keep using the
-// original — the copy-on-write session caches patch a Clone and swap it in
-// rather than mutating a published Perms.
+// Clone returns an independent copy of the permission relation in
+// O(overlay): the copy shares the immutable grants map and copies only the
+// overlay. The incremental maintainer patches such a copy (Rescore and
+// Forget write its overlay) while readers keep using the original, so a
+// copy-on-write session cache never mutates a published Perms.
 func (pm *Perms) Clone() *Perms {
-	c := &Perms{user: pm.user, version: pm.version}
-	c.grants = make(map[string]uint8, len(pm.grants))
-	for id, mask := range pm.grants {
-		c.grants[id] = mask
+	return &Perms{user: pm.user, version: pm.version, grants: pm.grants, overlay: maps.Clone(pm.overlay), shared: pm.shared}
+}
+
+// cell returns id's grant mask: the overlay entry when present, else the
+// base map's.
+func (pm *Perms) cell(id string) uint8 {
+	if mask, ok := pm.overlay[id]; ok {
+		return mask
+	}
+	return pm.grants[id]
+}
+
+// set records mask as id's cell without writing the base map: the cell
+// goes to the overlay (or leaves it when it equals the base cell), and an
+// overlay past its bound is flattened.
+func (pm *Perms) set(id string, mask uint8) {
+	if pm.grants[id] == mask {
+		delete(pm.overlay, id)
+		return
+	}
+	if pm.overlay == nil {
+		pm.overlay = make(map[string]uint8)
+	}
+	pm.overlay[id] = mask
+	if len(pm.overlay) > len(pm.grants)/overlayFlattenDiv {
+		pm.flatten()
+	}
+}
+
+// flatten folds the overlay into a private copy of grants (dropping
+// no-access cells), leaving the overlay empty.
+func (pm *Perms) flatten() {
+	g := maps.Clone(pm.grants)
+	if g == nil {
+		g = make(map[string]uint8, len(pm.overlay))
 	}
 	for id, mask := range pm.overlay {
 		if mask == 0 {
-			delete(c.grants, id)
+			delete(g, id)
 		} else {
-			c.grants[id] = mask
+			g[id] = mask
 		}
 	}
-	return c
+	pm.grants, pm.overlay, pm.shared = g, nil, false
 }
 
 // HasID reports perm(user, id, priv) by node identifier.
 func (pm *Perms) HasID(id string, priv Privilege) bool {
-	mask, inOverlay := pm.overlay[id]
-	if !inOverlay {
-		mask = pm.grants[id]
-	}
-	ok := mask&(1<<uint(priv)) != 0
+	ok := pm.cell(id)&(1<<uint(priv)) != 0
 	countDecision(priv, ok)
 	return ok
 }

@@ -33,7 +33,6 @@ package policy
 import (
 	"context"
 	"fmt"
-	"maps"
 	"strconv"
 	"sync"
 
@@ -245,26 +244,6 @@ func (c *RuleCache) projectGrants(latest []permCells) map[string]uint8 {
 	return g
 }
 
-// mutable gives pm a private grants map if the current one is shared with
-// a RuleCache (and, through it, other sessions). Evaluation hands the
-// cached map out directly — most permission objects are only ever read —
-// and the incremental-maintenance mutators (Rescore, Forget) call this
-// before their first write, flattening any $USER overlay into the copy.
-func (pm *Perms) mutable() {
-	if !pm.shared {
-		return
-	}
-	g := maps.Clone(pm.grants)
-	for id, mask := range pm.overlay {
-		if mask == 0 {
-			delete(g, id)
-		} else {
-			g[id] = mask
-		}
-	}
-	pm.grants, pm.overlay, pm.shared = g, nil, false
-}
-
 // EvaluateShared computes the same perm relation as Evaluate — the
 // differential oracle keeps them interchangeable — through the shared-scan
 // pipeline: cached $USER-independent rule sets and per-profile merges
@@ -320,7 +299,7 @@ func (p *Policy) EvaluateSharedCtx(ctx context.Context, doc *xmltree.Document, h
 		if err != nil {
 			return nil, err
 		}
-		// Hand the cached map out directly; mutators copy-on-write.
+		// Hand the cached map out directly; patches go to the overlay.
 		pm.grants, pm.shared = g, true
 		return pm, nil
 	}

@@ -9,8 +9,9 @@ import (
 // cache tier. RuleCache interns per-rule node sets and per-profile grant
 // masks and hands them to every session that shares the cache version;
 // the functions that return them say "callers must clone" in their doc
-// comments, and Perms carries the clone-on-first-write helpers (mutable,
-// Rescore, Forget). One forgotten clone silently leaks a privilege edit
+// comments, and Perms writes only its private overlay (Rescore, Forget)
+// and folds it into a maps.Clone of its shared base map (flatten). One
+// forgotten clone silently leaks a privilege edit
 // from one user's Perms into every other session's — the exact axiom-14
 // violation the tier was built to avoid.
 //
@@ -25,10 +26,9 @@ import (
 //   - the value is rooted in a freshly constructed local (a Perms being
 //     assembled by Evaluate is not yet shared);
 //   - the function first calls a *cleansing method* on the same root — a
-//     method that replaces the shared field with a clone, like
-//     Perms.mutable, or that transitively calls one, like Rescore and
-//     Forget. That is the clone-on-first-write discipline, recognized
-//     structurally rather than by name.
+//     method that replaces the shared field with a clone, or that
+//     transitively calls one. That is the clone-on-first-write
+//     discipline, recognized structurally rather than by name.
 var cowdisciplinePass = &pass{
 	name: "cowdiscipline",
 	doc:  "mutations of shared cache values (\"callers must clone\") not dominated by a clone",

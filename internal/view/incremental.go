@@ -16,9 +16,21 @@
 //   - a remove (axioms 8–9 / 25) deletes chains; surviving chains are
 //     untouched.
 //
-// The view derivation itself (axioms 15–17) is then re-run over just that
-// subtree: Rescore recomputes the perm cells, reconcile mirrors the
-// show/RESTRICTED/hide decision into the view tree. Policy changes (a new
+// Maintenance comes in two halves, which a caller may run at different
+// times:
+//
+//   - the permissions half (PatchPermsCtx) re-runs axiom 14 over the
+//     touched subtrees: Forget scrubs removed cells, Rescore recomputes
+//     the rest, all in the copy's overlay — O(delta);
+//   - the view half (CatchUpViewCtx) re-runs axioms 15–17 over the same
+//     subtrees against permissions that are already current: reconcile
+//     mirrors the show/RESTRICTED/hide decision into a snapshot of the
+//     view. It may cover a whole chain of batches at once, so a session
+//     that only reads through the permission filter patches its
+//     permissions on every read and its view only when something needs
+//     the view document.
+//
+// Apply runs both halves over one batch in place. Policy changes (a new
 // rule can address any node) and non-chain-only policies fall back to full
 // Evaluate + Materialize — the caller counts those fallbacks.
 package view
@@ -69,56 +81,142 @@ func (m *Maintainer) Apply(v *View, src *xmltree.Document, pm *policy.Perms, del
 	return m.ApplyCtx(context.Background(), v, src, pm, deltas)
 }
 
-// ApplyCtx is Apply with request-scoped tracing: under an active trace it
-// records a view_incremental span annotated with the delta count.
+// ApplyCtx is Apply with request-scoped tracing. It is the composition of
+// the two halves over one batch, in place: the permissions half, then the
+// view half against the now-current permissions, each in its own
+// view_incremental span.
 func (m *Maintainer) ApplyCtx(ctx context.Context, v *View, src *xmltree.Document, pm *policy.Perms, deltas []xupdate.Delta) error {
+	chain := [][]xupdate.Delta{deltas}
+	if err := part(ctx, "perms", chain, func() error { return m.rescore(src, pm, chain) }); err != nil {
+		return err
+	}
+	return part(ctx, "view", chain, func() error { return reconcileChain(v, src, pm, chain) })
+}
+
+// PatchPermsCtx is the permissions half: it returns a copy of pm — the
+// relation for an earlier version of src — advanced over the delta chain
+// to src's version, re-running axiom 14 (Forget, then Rescore) over the
+// touched subtrees only. pm itself is not modified; the copy is
+// Perms.Clone, O(overlay), so the whole patch costs O(delta).
+func (m *Maintainer) PatchPermsCtx(ctx context.Context, src *xmltree.Document, pm *policy.Perms, chain [][]xupdate.Delta) (*policy.Perms, error) {
+	var out *policy.Perms
+	err := part(ctx, "perms", chain, func() error {
+		out = pm.Clone()
+		return m.rescore(src, out, chain)
+	})
+	return out, err
+}
+
+// CatchUpViewCtx is the view half: it returns a copy of v — the view of an
+// earlier version of src — reconciled over the delta chain against pm,
+// which must already be current for src (PatchPermsCtx's result). It runs
+// no policy rule (axioms 15–17 only). v itself is not modified; the copy
+// is a View.Snapshot, O(view).
+func (m *Maintainer) CatchUpViewCtx(ctx context.Context, v *View, src *xmltree.Document, pm *policy.Perms, chain [][]xupdate.Delta) (*View, error) {
+	var out *View
+	err := part(ctx, "view", chain, func() error {
+		out = v.Snapshot()
+		return reconcileChain(out, src, pm, chain)
+	})
+	return out, err
+}
+
+// part runs one half in its own view_incremental span, annotated with the
+// half's name and the chain's batch and delta counts, and counts it in
+// xmlsec_view_incremental_applied_total when it succeeds.
+func part(ctx context.Context, name string, chain [][]xupdate.Delta, run func() error) error {
 	_, sp := obs.StartSpanCtx(ctx, "view_incremental", incStage)
 	defer sp.End()
-	sp.AnnotateInt("deltas", int64(len(deltas)))
-	for _, d := range deltas {
-		if err := m.applyDelta(v, src, pm, d); err != nil {
-			return err
-		}
+	sp.Annotate("part", name)
+	sp.AnnotateInt("batches", int64(len(chain)))
+	deltas := 0
+	for _, b := range chain {
+		deltas += len(b)
 	}
-	v.Hidden = src.Len() - v.Doc.Len()
-	v.SourceVersion = src.Version()
-	pm.SetDocVersion(src.Version())
+	sp.AnnotateInt("deltas", int64(deltas))
+	if err := run(); err != nil {
+		return err
+	}
 	incApplied.Inc()
 	return nil
 }
 
-// applyDelta processes one structural change.
-func (m *Maintainer) applyDelta(v *View, src *xmltree.Document, pm *policy.Perms, d xupdate.Delta) error {
+// rescore is the permissions half in place. Deltas run in order, so a
+// removed identifier's cells are scrubbed before a later insert re-uses
+// the identifier. Each touched subtree is rescored as it stands in src,
+// which a later delta of the chain may already have changed again; that
+// delta rescores it once more.
+func (m *Maintainer) rescore(src *xmltree.Document, pm *policy.Perms, chain [][]xupdate.Delta) error {
+	for _, deltas := range chain {
+		for _, d := range deltas {
+			if d.Kind == xupdate.DeltaRemove {
+				pm.Forget(d.RemovedIDs...)
+				continue
+			}
+			_, sn, err := deltaNode(src, d)
+			if err != nil {
+				return err
+			}
+			if sn == nil {
+				continue
+			}
+			var rescoreErr error
+			sn.Walk(func(n *xmltree.Node) bool {
+				if err := m.ne.Rescore(pm, n); err != nil {
+					rescoreErr = err
+					return false
+				}
+				return true
+			})
+			if rescoreErr != nil {
+				return rescoreErr
+			}
+		}
+	}
+	pm.SetDocVersion(src.Version())
+	return nil
+}
+
+// reconcileChain is the view half in place: it mirrors every delta's
+// show/RESTRICTED/hide decision (axioms 15–17) into v, reading the final
+// src and the current pm. The view is keyed by identifier, so whatever an
+// earlier delta leaves stale — a node reconciled before a later delta
+// removed or re-inserted it — the later delta, processed after it,
+// reconciles again.
+func reconcileChain(v *View, src *xmltree.Document, pm *policy.Perms, chain [][]xupdate.Delta) error {
+	for _, deltas := range chain {
+		for _, d := range deltas {
+			id, sn, err := deltaNode(src, d)
+			if err != nil {
+				return err
+			}
+			if d.Kind == xupdate.DeltaRemove || sn == nil {
+				// A removal; or the inserted/relabeled node was itself
+				// removed by a later delta, which drops it too, but be
+				// defensive about view leftovers.
+				if err := dropView(v, id); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := reconcile(v, pm, sn); err != nil {
+				return err
+			}
+		}
+	}
+	v.Hidden = src.Len() - v.Doc.Len()
+	v.SourceVersion = src.Version()
+	return nil
+}
+
+// deltaNode resolves a delta's node identifier in src; the node is nil
+// when it is gone (removed by this or a later delta).
+func deltaNode(src *xmltree.Document, d xupdate.Delta) (labeling.Label, *xmltree.Node, error) {
 	id, err := labeling.Parse(d.NodeID)
 	if err != nil {
-		return fmt.Errorf("view: delta node id: %w", err)
+		return nil, nil, fmt.Errorf("view: delta node id: %w", err)
 	}
-	if d.Kind == xupdate.DeltaRemove {
-		// Scrub perm cells first: removed identifiers can be re-allocated
-		// by a later insert in the same batch.
-		pm.Forget(d.RemovedIDs...)
-		return dropView(v, id)
-	}
-	sn := src.NodeByID(id)
-	if sn == nil {
-		// The inserted/relabeled node was itself removed by a later delta
-		// in this batch; the remove delta (processed in order) already
-		// dropped it, but be defensive about view leftovers.
-		return dropView(v, id)
-	}
-	// Re-run axiom 14 over the touched subtree, then axioms 15–17.
-	var rescoreErr error
-	sn.Walk(func(n *xmltree.Node) bool {
-		if err := m.ne.Rescore(pm, n); err != nil {
-			rescoreErr = err
-			return false
-		}
-		return true
-	})
-	if rescoreErr != nil {
-		return rescoreErr
-	}
-	return m.reconcile(v, pm, sn)
+	return id, src.NodeByID(id), nil
 }
 
 // dropView removes the subtree rooted at id from the view, if present.
@@ -135,7 +233,7 @@ func dropView(v *View, id labeling.Label) error {
 // subtree) in line with pm. sn's parent decides where to attach: if the
 // parent is not visible, sn cannot be either (the axiom 16/17 "parent must
 // be selected" condition).
-func (m *Maintainer) reconcile(v *View, pm *policy.Perms, sn *xmltree.Node) error {
+func reconcile(v *View, pm *policy.Perms, sn *xmltree.Node) error {
 	parent := sn.Parent()
 	if parent == nil {
 		return fmt.Errorf("view: cannot reconcile the document node")
@@ -145,11 +243,11 @@ func (m *Maintainer) reconcile(v *View, pm *policy.Perms, sn *xmltree.Node) erro
 		// Parent hidden ⇒ whole subtree hidden, whatever sn's own perms.
 		return dropView(v, sn.ID())
 	}
-	return m.reconcileUnder(v, pm, sn, vp)
+	return reconcileUnder(v, pm, sn, vp)
 }
 
 // reconcileUnder reconciles sn below the (visible) view parent vp.
-func (m *Maintainer) reconcileUnder(v *View, pm *policy.Perms, sn *xmltree.Node, vp *xmltree.Node) error {
+func reconcileUnder(v *View, pm *policy.Perms, sn *xmltree.Node, vp *xmltree.Node) error {
 	label, sel := selectLabel(pm, sn)
 	vn := v.Doc.NodeByID(sn.ID())
 	if !sel {
@@ -181,12 +279,12 @@ func (m *Maintainer) reconcileUnder(v *View, pm *policy.Perms, sn *xmltree.Node,
 		}
 	}
 	for _, a := range sn.Attributes() {
-		if err := m.reconcileUnder(v, pm, a, vn); err != nil {
+		if err := reconcileUnder(v, pm, a, vn); err != nil {
 			return err
 		}
 	}
 	for _, c := range sn.Children() {
-		if err := m.reconcileUnder(v, pm, c, vn); err != nil {
+		if err := reconcileUnder(v, pm, c, vn); err != nil {
 			return err
 		}
 	}

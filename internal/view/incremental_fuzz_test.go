@@ -62,16 +62,25 @@ func fuzzOp(d *xmltree.Document, kindB, targetB byte) *xupdate.Op {
 }
 
 // FuzzIncrementalView drives byte-pair-decoded XUpdate ops over a small
-// hospital document and checks, after every op, that the incrementally
-// maintained views of a staff user, an epidemiologist and a patient equal
-// a fresh Materialize (full-rebuild oracle).
+// hospital document and checks that the incrementally maintained views of
+// a staff user, an epidemiologist and a patient equal a fresh Materialize
+// (full-rebuild oracle): after every op in eager mode; in lagging mode the
+// permissions are patched and checked after every op and the view catches
+// up once over the whole chain at the end.
 func FuzzIncrementalView(f *testing.F) {
-	f.Add([]byte{0, 3, 1, 7})                         // update + rename
-	f.Add([]byte{5, 9, 2, 4, 3, 2})                   // remove + append + insert
-	f.Add([]byte{1, 2, 1, 2, 5, 2})                   // rename twice then remove
-	f.Add([]byte{2, 0, 4, 1, 0, 250, 1, 128, 5, 5})   // doc-node and high-index targets
-	f.Add([]byte{1, 6, 1, 6, 1, 6, 5, 6, 2, 6, 3, 6}) // hammer one node
-	f.Fuzz(func(t *testing.T, script []byte) {
+	seeds := [][]byte{
+		{0, 3, 1, 7},                         // update + rename
+		{5, 9, 2, 4, 3, 2},                   // remove + append + insert
+		{1, 2, 1, 2, 5, 2},                   // rename twice then remove
+		{2, 0, 4, 1, 0, 250, 1, 128, 5, 5},   // doc-node and high-index targets
+		{1, 6, 1, 6, 1, 6, 5, 6, 2, 6, 3, 6}, // hammer one node
+	}
+	for _, lagging := range []bool{false, true} {
+		for _, script := range seeds {
+			f.Add(script, lagging)
+		}
+	}
+	f.Fuzz(func(t *testing.T, script []byte, lagging bool) {
 		if len(script) > 64 {
 			script = script[:64]
 		}
@@ -89,6 +98,7 @@ func FuzzIncrementalView(f *testing.F) {
 		}
 		users := []string{"beaufort", "richard", "p0"}
 		states := initStates(t, d, h, p)
+		chains := make(map[string][][]xupdate.Delta)
 		for i := 0; i+1 < len(script); i += 2 {
 			op := fuzzOp(d, script[i], script[i+1])
 			if op == nil {
@@ -102,16 +112,39 @@ func FuzzIncrementalView(f *testing.F) {
 			}
 			for _, u := range users {
 				s := states[u]
-				if err := s.m.Apply(s.v, d, s.pm, res.Deltas); err != nil {
-					t.Fatalf("pair %d user %s: apply: %v", i/2, u, err)
+				var diff string
+				if lagging {
+					chain := chains[u]
+					diff, err = lagStep(d, h, p, u, s, &chain, res.Deltas)
+					chains[u] = chain
+				} else {
+					if err := s.m.Apply(s.v, d, s.pm, res.Deltas); err != nil {
+						t.Fatalf("pair %d user %s: apply: %v", i/2, u, err)
+					}
+					diff, err = diffCheck(d, h, p, u, s)
 				}
-				diff, err := diffCheck(d, h, p, u, s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if diff != "" {
 					t.Fatalf("pair %d (%s %s) user %s: %s", i/2, op.Kind, op.Select, u, diff)
 				}
+			}
+		}
+		if !lagging {
+			return
+		}
+		for _, u := range users {
+			s := states[u]
+			if err := catchUp(d, s, chains[u]); err != nil {
+				t.Fatalf("user %s: view catch-up over %d batches: %v", u, len(chains[u]), err)
+			}
+			diff, err := diffCheck(d, h, p, u, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff != "" {
+				t.Fatalf("user %s after the view catch-up over %d batches: %s", u, len(chains[u]), diff)
 			}
 		}
 	})

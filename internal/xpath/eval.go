@@ -251,8 +251,8 @@ func (p *pathExpr) indexFastPath(root *xmltree.Node, ctx *evalCtx) ([]step, Node
 func evalStep(input NodeSet, st step, ctx *evalCtx) (NodeSet, error) {
 	var merged []*xmltree.Node
 	for _, n := range input {
-		cands := axisNodes(n, st.axis, ctx.sec)
-		cands = filterTest(cands, st.test, st.axis, ctx.sec)
+		cands, unfiltered := axisNodes(n, st.axis, ctx.sec)
+		cands = filterTest(cands, unfiltered, st.test, st.axis, ctx.sec)
 		selected := NodeSet(cands)
 		var err error
 		for _, pred := range st.preds {
@@ -304,62 +304,66 @@ func applyPredicate(nodes NodeSet, pred expr, ctx *evalCtx, reverse bool) (NodeS
 // axisNodes returns the nodes reachable from n along the axis, in document
 // order. When sec carries a visibility filter, invisible nodes are skipped
 // and — because invisibility is hereditary (children of an invisible node
-// are invisible, mirroring axioms 16–17) — their subtrees are pruned.
-func axisNodes(n *xmltree.Node, axis Axis, sec *Security) []*xmltree.Node {
+// are invisible, mirroring axioms 16–17) — their subtrees are pruned. The
+// child, attribute and sibling axes instead return the stored node slice
+// as is, with unfiltered set: filterTest then checks visibility together
+// with the node test, so a step copies only the nodes it selects. The
+// caller must not modify the returned slice.
+func axisNodes(n *xmltree.Node, axis Axis, sec *Security) (nodes []*xmltree.Node, unfiltered bool) {
 	switch axis {
 	case AxisSelf:
-		return []*xmltree.Node{n}
+		return []*xmltree.Node{n}, false
 	case AxisChild:
-		return filterVisible(n.Children(), sec)
+		return n.Children(), true
 	case AxisAttribute:
-		return filterVisible(n.Attributes(), sec)
+		return n.Attributes(), true
 	case AxisParent:
 		if p := n.Parent(); p != nil {
-			return []*xmltree.Node{p}
+			return []*xmltree.Node{p}, false
 		}
-		return nil
+		return nil, false
 	case AxisAncestor:
 		var out []*xmltree.Node
 		for p := n.Parent(); p != nil; p = p.Parent() {
 			out = append(out, p)
 		}
 		reverseNodes(out)
-		return out
+		return out, false
 	case AxisAncestorOrSelf:
 		out := []*xmltree.Node{n}
 		for p := n.Parent(); p != nil; p = p.Parent() {
 			out = append(out, p)
 		}
 		reverseNodes(out)
-		return out
+		return out, false
 	case AxisDescendant:
 		var out []*xmltree.Node
 		collectDescendants(n, &out, sec)
-		return out
+		return out, false
 	case AxisDescendantOrSelf:
 		out := []*xmltree.Node{n}
 		collectDescendants(n, &out, sec)
-		return out
+		return out, false
 	case AxisFollowingSibling:
 		p := n.Parent()
 		if p == nil || n.Kind() == xmltree.KindAttribute {
-			return nil
+			return nil, false
 		}
 		i := p.ChildIndex(n)
 		if i < 0 {
-			return nil
+			return nil, false
 		}
-		return filterVisible(p.Children()[i+1:], sec)
+		return p.Children()[i+1:], true
 	case AxisPrecedingSibling:
 		p := n.Parent()
 		if p == nil || n.Kind() == xmltree.KindAttribute {
-			return nil
+			return nil, false
 		}
 		i := p.ChildIndex(n)
 		if i <= 0 {
-			return nil
+			return nil, false
 		}
-		return filterVisible(p.Children()[:i], sec)
+		return p.Children()[:i], true
 	case AxisFollowing:
 		// All nodes after n in document order, excluding descendants.
 		// Attribute nodes are not on the following/preceding axes per spec.
@@ -376,7 +380,7 @@ func axisNodes(n *xmltree.Node, axis Axis, sec *Security) []*xmltree.Node {
 				collectDescendants(sib, &out, sec)
 			}
 		}
-		return xmltree.SortDocOrder(out)
+		return xmltree.SortDocOrder(out), false
 	case AxisPreceding:
 		var out []*xmltree.Node
 		for cur := n; cur != nil; cur = cur.Parent() {
@@ -391,25 +395,10 @@ func axisNodes(n *xmltree.Node, axis Axis, sec *Security) []*xmltree.Node {
 				collectDescendants(sib, &out, sec)
 			}
 		}
-		return xmltree.SortDocOrder(out)
+		return xmltree.SortDocOrder(out), false
 	default:
-		return nil
+		return nil, false
 	}
-}
-
-// filterVisible returns the visible candidates; with no filter the input
-// slice is returned as-is (callers never mutate it).
-func filterVisible(ns []*xmltree.Node, sec *Security) []*xmltree.Node {
-	if sec == nil || sec.Visible == nil {
-		return ns
-	}
-	var out []*xmltree.Node
-	for _, n := range ns {
-		if sec.visible(n) {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // collectDescendants appends all visible descendants of n (excluding
@@ -431,15 +420,19 @@ func reverseNodes(ns []*xmltree.Node) {
 	}
 }
 
-// filterTest keeps the candidates matching the node test. The principal
-// node type is Attribute for the attribute axis and Element otherwise.
-func filterTest(cands []*xmltree.Node, nt nodeTest, axis Axis, sec *Security) []*xmltree.Node {
+// filterTest keeps the candidates matching the node test, and the visible
+// ones when the candidates are unfiltered. The principal node type is
+// Attribute for the attribute axis and Element otherwise.
+func filterTest(cands []*xmltree.Node, unfiltered bool, nt nodeTest, axis Axis, sec *Security) []*xmltree.Node {
 	principal := xmltree.KindElement
 	if axis == AxisAttribute {
 		principal = xmltree.KindAttribute
 	}
 	var out []*xmltree.Node
 	for _, c := range cands {
+		if unfiltered && !sec.visible(c) {
+			continue
+		}
 		switch nt.kind {
 		case testNode:
 			out = append(out, c)
