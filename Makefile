@@ -66,7 +66,8 @@ bench-selftest:
 	cd _e2ebench && $(GO) test ./...
 
 # Hot-kernel micro-benchmarks (document clone, per-node rule matcher, the
-# parallel permission-filtered read, a session's read after a write) with
+# parallel permission-filtered read, a session's read after a write, a
+# session's applied and refused write after another session's publish) with
 # allocation counts; run on two commits for before/after tables, e.g. with
 # benchstat. CI runs them once (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
 bench-micro:
@@ -74,10 +75,12 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkNodeMatcherMatch$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xpath
 	$(GO) test -run '^$$' -bench '^BenchmarkForPermsSelect$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/qfilter
 	$(GO) test -run '^$$' -bench '^BenchmarkWarmReadAfterWrite$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkWriteAfterPublish$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 
 # Bounded fuzzing of the parser targets and the incremental-view
 # differential target from their seed corpora, plus the clone-independence
-# target over random mutator sequences.
+# target over random mutator sequences and the secured-write equivalence
+# target (filtered selection on the source vs selection on the view).
 fuzz:
 	$(GO) test ./internal/xpath -fuzz FuzzCompile -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xupdate -fuzz FuzzParseModifications -fuzztime $(FUZZTIME) -run '^$$'
@@ -86,3 +89,4 @@ fuzz:
 	$(GO) test ./internal/policyanalysis -fuzz FuzzRepair -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/rewrite -fuzz FuzzRewrite -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xmltree -fuzz FuzzCloneMutate -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/access -fuzz FuzzFilteredWrite -fuzztime $(FUZZTIME) -run '^$$'

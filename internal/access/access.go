@@ -22,14 +22,19 @@
 //
 // Where the view comes from. Execute/ExecuteWithVars(Ctx) derive it from
 // the document they are given: a non-shared policy evaluation (axiom 14)
-// and a full materialization (axioms 15–17), then the execute step.
-// ExecuteOnViewCtx is that execute step alone, over a view and
-// permissions the caller already holds. internal/core uses it to select
-// on the writing session's cached, incrementally maintained view of the
-// committed generation the round's scratch document was cloned from, and
-// falls back to the deriving entry point whenever an earlier request in
-// the same commit round changed the document, the policy or the subject
-// hierarchy (the cached view would then describe a different state).
+// and a full materialization (axioms 15–17), then the execute step, which
+// selects on that view and changes the document in place. They are the
+// specification. ExecuteFilteredCtx runs the same execute step with no
+// view document at all: it selects on a frozen base document under
+// qfilter.ForPerms over permissions the caller already holds (the §5
+// filtered evaluation, answer-equivalent to the view), and copies the
+// base only just before its first change. internal/core uses it for every
+// write whose commit round still equals the published generation it
+// started from, with the writing session's incrementally maintained
+// permissions of that generation; only value-of content still reads the
+// session's view. Once an earlier request in the same round changed the
+// document, the policy or the subject hierarchy, core falls back to the
+// deriving entry point on the round's scratch state.
 package access
 
 import (
@@ -39,6 +44,7 @@ import (
 
 	"securexml/internal/obs"
 	"securexml/internal/policy"
+	"securexml/internal/qfilter"
 	"securexml/internal/subject"
 	"securexml/internal/view"
 	"securexml/internal/xmltree"
@@ -89,8 +95,9 @@ func ExecuteWithVars(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Po
 // an active trace the policy evaluation, view materialization, view-select
 // and axiom 18–25 application loop all appear as child spans, the latter
 // annotated with the op kind and per-node accounting. It derives the view
-// from doc (axioms 14–17) and then runs the same execute step as
-// ExecuteOnViewCtx.
+// from doc (axioms 14–17), selects on it, and changes doc in place. It is
+// the specification ExecuteFilteredCtx is held to, and runs the same
+// execute step.
 func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, *view.View, error) {
 	if !h.Exists(user) {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownUser, user)
@@ -103,26 +110,35 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 		return nil, nil, err
 	}
 	v := view.MaterializeCtx(ctx, doc, pm)
-	res, err := execute(ctx, doc, v, pm, user, op, extra)
+	w := &writer{root: v.Doc.Root(), content: v, doc: doc}
+	res, err := w.execute(ctx, pm, user, op, extra)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, v, nil
 }
 
-// ExecuteOnViewCtx is the execute step of ExecuteWithVarsCtx on its own:
-// op's select path runs on v with $USER bound, and each selected node is
-// changed in doc if and only if pm grants the §4.4.2 privileges. The
-// caller vouches that v and pm are user's view and permissions over a
-// document with the same node identifiers and contents as doc (typically
-// the committed version doc was cloned from): the select sees v, the
-// privilege checks see pm, and nothing is re-derived. v is only read, so
-// a frozen, shared view is fine.
-func ExecuteOnViewCtx(ctx context.Context, doc *xmltree.Document, v *view.View, pm *policy.Perms, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
+// ExecuteFilteredCtx runs op for the user whose permissions over base are
+// pm without a view document: op's select path runs on base under
+// qfilter.ForPerms(pm), which answers exactly as the same path on the
+// user's view would (§5), xupdate:update reads the selected node's
+// children through the same filter (axioms 20–21), and the §4.4.2
+// privilege checks read pm. base is only read, so a frozen, published
+// document is fine. Each change goes to the document mutable returns,
+// which must be a copy of base with the same node identifiers; mutable is
+// called at most once, just before the first change, so a refused or
+// no-op write copies nothing. v is the user's view of base and is read
+// only to expand value-of content (nil for an op without any). The
+// caller vouches that pm, and v if given, are the user's own.
+func ExecuteFilteredCtx(ctx context.Context, base *xmltree.Document, mutable func() *xmltree.Document, pm *policy.Perms, v *view.View, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
 	if err := checkOp(op); err != nil {
 		return nil, err
 	}
-	return execute(ctx, doc, v, pm, user, op, extra)
+	if v == nil && op.HasDynamicContent() {
+		return nil, fmt.Errorf("access: value-of content expands on the user's view, and none was given")
+	}
+	w := &writer{root: base.Root(), sec: qfilter.ForPerms(pm), content: v, doc: base, mutable: mutable}
+	return w.execute(ctx, pm, user, op, extra)
 }
 
 // checkOp rejects operations the single-op executor cannot run.
@@ -136,9 +152,38 @@ func checkOp(op *xupdate.Op) error {
 	return nil
 }
 
-// execute selects op's targets on v and applies the axiom 18–25 checks
-// node by node against doc.
-func execute(ctx context.Context, doc *xmltree.Document, v *view.View, pm *policy.Perms, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
+// writer is one secured operation in flight: where it selects and the
+// document it changes.
+type writer struct {
+	// root is the selection root: the user's view document, or the source
+	// under the filter sec (nil for a view, which needs no filter).
+	root *xmltree.Node
+	sec  *xpath.Security
+	// content is the view value-of placeholders expand on.
+	content *view.View
+	// doc is the document's current state: the one to change, or, until
+	// mutable is called, the frozen base it will be copied from.
+	doc     *xmltree.Document
+	mutable func() *xmltree.Document
+}
+
+// node returns the current counterpart of a selected node, or nil once an
+// earlier target of the same op removed it.
+func (w *writer) node(n *xmltree.Node) *xmltree.Node { return w.doc.NodeByID(n.ID()) }
+
+// writable returns the document to change and n's counterpart in it,
+// taking the copy of the base on the first change.
+func (w *writer) writable(n *xmltree.Node) (*xmltree.Document, *xmltree.Node) {
+	if w.mutable != nil {
+		w.doc, w.mutable = w.mutable(), nil
+		n = w.node(n)
+	}
+	return w.doc, n
+}
+
+// execute selects op's targets and applies the axiom 18–25 checks node
+// by node.
+func (w *writer) execute(ctx context.Context, pm *policy.Perms, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
 	vars := make(xpath.Vars, len(extra)+1)
 	for k, val := range extra {
 		vars[k] = val
@@ -146,7 +191,7 @@ func execute(ctx context.Context, doc *xmltree.Document, v *view.View, pm *polic
 	vars["USER"] = xpath.String(user)
 	run := op
 	if op.HasDynamicContent() {
-		expanded, err := op.ExpandContent(v.Doc.Root(), vars)
+		expanded, err := op.ExpandContent(w.content.Doc.Root(), vars)
 		if err != nil {
 			return nil, fmt.Errorf("access: expanding dynamic content on view: %w", err)
 		}
@@ -155,7 +200,11 @@ func execute(ctx context.Context, doc *xmltree.Document, v *view.View, pm *polic
 		run = &cp
 	}
 	_, selSpan := obs.StartSpanCtx(ctx, "view_select", selectStage)
-	sel, err := xpath.Select(v.Doc, run.Select, vars)
+	var sel xpath.NodeSet
+	c, err := xpath.Compile(run.Select)
+	if err == nil {
+		sel, err = c.SelectFiltered(w.root, vars, w.sec)
+	}
 	selSpan.AnnotateInt("selected", int64(len(sel)))
 	selSpan.End()
 	if err != nil {
@@ -165,8 +214,8 @@ func execute(ctx context.Context, doc *xmltree.Document, v *view.View, pm *polic
 	res := &xupdate.Result{Selected: len(sel)}
 	_, applySpan := obs.StartSpanCtx(ctx, "secured_apply", applyStage)
 	applySpan.Annotate("kind", op.Kind.MetricLabel())
-	for _, vn := range sel {
-		if err := applySecured(doc, pm, v, run, vn, res); err != nil {
+	for _, n := range sel {
+		if err := w.apply(pm, run, n, res); err != nil {
 			applySpan.End()
 			opOutcome(op.Kind, "error")
 			return nil, err
@@ -193,83 +242,83 @@ func skip(res *xupdate.Result, n *xmltree.Node, reason string) {
 	res.Skipped = append(res.Skipped, xupdate.SkipReason{NodeID: n.IDString(), Reason: reason})
 }
 
-// applySecured enforces the §4.4.2 requirements for one node selected on
-// the view and, if satisfied, performs the change on the source document.
-func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xupdate.Op, vn *xmltree.Node, res *xupdate.Result) error {
-	// Map the view node back to its source node via the shared identifier.
-	src := doc.NodeByID(vn.ID())
+// apply enforces the §4.4.2 requirements for one selected node sn (a node
+// of the view, or a visible node of the source) and, if they hold,
+// performs the change on the document.
+func (w *writer) apply(pm *policy.Perms, op *xupdate.Op, sn *xmltree.Node, res *xupdate.Result) error {
+	// Map the selected node to its current counterpart via the shared
+	// identifier.
+	src := w.node(sn)
 	if src == nil {
 		// The node vanished from the source while this op ran over a
 		// multi-node selection (e.g. removed with an earlier target).
-		skip(res, vn, "node no longer exists in the source document")
+		skip(res, sn, "node no longer exists in the source document")
 		return nil
 	}
 	switch op.Kind {
 	case xupdate.Rename:
 		if src.Kind() == xmltree.KindDocument {
-			skip(res, vn, "cannot rename the document node")
+			skip(res, sn, "cannot rename the document node")
 			return nil
 		}
 		if !pm.Has(src, policy.Update) {
-			skip(res, vn, "update privilege required")
+			skip(res, sn, "update privilege required")
 			return nil
 		}
 		if !pm.Has(src, policy.Read) {
 			// The node is in the view only via position: its label shows as
 			// RESTRICTED and must not be overwritten blindly.
-			skip(res, vn, "node is RESTRICTED: renaming would overwrite a label the user cannot see")
+			skip(res, sn, "node is RESTRICTED: renaming would overwrite a label the user cannot see")
 			return nil
 		}
-		old := src.Label()
-		if err := doc.Rename(src, op.NewValue); err != nil {
+		if err := w.relabel(src, op.NewValue, res); err != nil {
 			return err
-		}
-		if old != op.NewValue {
-			res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRelabel, NodeID: src.IDString(), NewLabel: op.NewValue})
 		}
 		res.Applied++
 	case xupdate.Update:
-		// Axioms 20–21: the children of the selected node *in the view*,
-		// each requiring both update and read.
-		kids := vn.Children()
-		if len(kids) == 0 {
-			skip(res, vn, "no children visible to update (xupdate:update renames the children of the selected node)")
-			return nil
-		}
+		// Axioms 20–21: the children of the selected node *in the view*
+		// (those the filter lets through, on the source), each requiring
+		// both update and read.
+		visible := 0
 		applied := false
-		for _, vk := range kids {
-			sk := doc.NodeByID(vk.ID())
+		for _, c := range sn.Children() {
+			if !w.sec.IsVisible(c) {
+				continue
+			}
+			visible++
+			sk := w.node(c)
 			if sk == nil {
-				skip(res, vk, "child no longer exists in the source document")
+				skip(res, c, "child no longer exists in the source document")
 				continue
 			}
 			if !pm.Has(sk, policy.Update) {
-				skip(res, vk, "update privilege required on the child")
+				skip(res, c, "update privilege required on the child")
 				continue
 			}
 			if !pm.Has(sk, policy.Read) {
-				skip(res, vk, "read privilege required on the child (axiom 21)")
+				skip(res, c, "read privilege required on the child (axiom 21)")
 				continue
 			}
-			old := sk.Label()
-			if err := doc.Rename(sk, op.NewValue); err != nil {
+			if err := w.relabel(sk, op.NewValue, res); err != nil {
 				return err
 			}
-			if old != op.NewValue {
-				res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRelabel, NodeID: sk.IDString(), NewLabel: op.NewValue})
-			}
 			applied = true
+		}
+		if visible == 0 {
+			skip(res, sn, "no children visible to update (xupdate:update renames the children of the selected node)")
+			return nil
 		}
 		if applied {
 			res.Applied++
 		}
 	case xupdate.Append:
 		if !pm.Has(src, policy.Insert) {
-			skip(res, vn, "insert privilege required")
+			skip(res, sn, "insert privilege required")
 			return nil
 		}
+		doc, dst := w.writable(src)
 		for _, top := range op.Content.Root().Children() {
-			created, err := graft(doc, src, xmltree.GraftAppend, top, res)
+			created, err := graft(doc, dst, xmltree.GraftAppend, top, res)
 			if err != nil {
 				return err
 			}
@@ -278,22 +327,23 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xup
 		res.Applied++
 	case xupdate.InsertBefore, xupdate.InsertAfter:
 		// Axioms 23–24: insert privilege on the parent of the selected node.
-		parent := vn.Parent()
+		parent := sn.Parent()
 		if parent == nil || src.Parent() == nil {
-			skip(res, vn, "document node has no siblings")
+			skip(res, sn, "document node has no siblings")
 			return nil
 		}
-		srcParent := doc.NodeByID(parent.ID())
+		srcParent := w.node(parent)
 		if srcParent == nil || !pm.Has(srcParent, policy.Insert) {
-			skip(res, vn, "insert privilege required on the parent")
+			skip(res, sn, "insert privilege required on the parent")
 			return nil
 		}
+		doc, ref := w.writable(src)
 		mode := xmltree.GraftBefore
 		tops := op.Content.Root().Children()
 		if op.Kind == xupdate.InsertAfter {
 			mode = xmltree.GraftAfter
 			for i := len(tops) - 1; i >= 0; i-- {
-				created, err := graft(doc, src, mode, tops[i], res)
+				created, err := graft(doc, ref, mode, tops[i], res)
 				if err != nil {
 					return err
 				}
@@ -301,7 +351,7 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xup
 			}
 		} else {
 			for _, top := range tops {
-				created, err := graft(doc, src, mode, top, res)
+				created, err := graft(doc, ref, mode, top, res)
 				if err != nil {
 					return err
 				}
@@ -311,7 +361,7 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xup
 		res.Applied++
 	case xupdate.Remove:
 		if !pm.Has(src, policy.Delete) {
-			skip(res, vn, "delete privilege required")
+			skip(res, sn, "delete privilege required")
 			return nil
 		}
 		// Axiom 25: the whole source subtree goes, including nodes the user
@@ -322,7 +372,8 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xup
 			ids[i] = s.IDString()
 		}
 		res.Removed += len(sub)
-		if err := doc.Remove(src); err != nil {
+		doc, gone := w.writable(src)
+		if err := doc.Remove(gone); err != nil {
 			return err
 		}
 		res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRemove, NodeID: ids[0], RemovedIDs: ids})
@@ -330,6 +381,20 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xup
 	default:
 		return fmt.Errorf("access: unknown operation kind %d", int(op.Kind))
 	}
+	return nil
+}
+
+// relabel gives n the label label and records the delta. A node that
+// already carries it is left alone, so such a write copies nothing.
+func (w *writer) relabel(n *xmltree.Node, label string, res *xupdate.Result) error {
+	if n.Label() == label {
+		return nil
+	}
+	doc, n := w.writable(n)
+	if err := doc.Rename(n, label); err != nil {
+		return err
+	}
+	res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRelabel, NodeID: n.IDString(), NewLabel: label})
 	return nil
 }
 

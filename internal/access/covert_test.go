@@ -10,6 +10,7 @@ package access
 // because the salaries are not in user_B's view.
 
 import (
+	"context"
 	"testing"
 
 	"securexml/internal/baseline"
@@ -90,10 +91,19 @@ func TestSecuredModelClosesChannel(t *testing.T) {
 
 // TestSecuredResultIndependentOfHiddenData: the decisive property — two
 // databases differing only in data hidden from user_B produce identical
-// operation results, so no function of the result can leak. The baseline
-// model distinguishes them.
+// operation results, so no function of the result can leak. Both secured
+// executors are held to it: the specification, which selects on the
+// materialized view, and the production path, which selects on the frozen
+// source under user_B's permissions and copies it only to change it. The
+// baseline model distinguishes the databases.
 func TestSecuredResultIndependentOfHiddenData(t *testing.T) {
-	run := func(xml string, secured bool) *xupdate.Result {
+	type executor int
+	const (
+		onView executor = iota
+		filtered
+		unsecured
+	)
+	run := func(xml string, exec executor) *xupdate.Result {
 		t.Helper()
 		d, err := xmltree.ParseString(xml, xmltree.ParseOptions{})
 		if err != nil {
@@ -110,14 +120,20 @@ func TestSecuredResultIndependentOfHiddenData(t *testing.T) {
 		if err := p.Grant(h, policy.Read, "/employees", "user_B"); err != nil {
 			t.Fatal(err)
 		}
-		if secured {
-			res, _, err := Execute(d, h, p, "user_B", probe)
-			if err != nil {
+		var res *xupdate.Result
+		switch exec {
+		case onView:
+			res, _, err = Execute(d, h, p, "user_B", probe)
+		case filtered:
+			d.Freeze()
+			var pm *policy.Perms
+			if pm, err = p.Evaluate(d, h, "user_B"); err != nil {
 				t.Fatal(err)
 			}
-			return res
+			res, err = ExecuteFilteredCtx(context.Background(), d, d.Clone, pm, nil, "user_B", probe, nil)
+		case unsecured:
+			res, err = baseline.Execute(d, h, p, "user_B", probe)
 		}
-		res, err := baseline.Execute(d, h, p, "user_B", probe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +142,13 @@ func TestSecuredResultIndependentOfHiddenData(t *testing.T) {
 	rich := `<employees><employee><name>a</name><salary>9000</salary></employee><employee><name>b</name><salary>8000</salary></employee></employees>`
 	poor := `<employees><employee><name>a</name><salary>100</salary></employee><employee><name>b</name><salary>200</salary></employee></employees>`
 
-	sRich, sPoor := run(rich, true), run(poor, true)
-	if sRich.Selected != sPoor.Selected || sRich.Applied != sPoor.Applied {
-		t.Errorf("secured results differ on hidden data: %+v vs %+v", sRich, sPoor)
+	for _, exec := range []executor{onView, filtered} {
+		sRich, sPoor := run(rich, exec), run(poor, exec)
+		if sRich.Selected != sPoor.Selected || sRich.Applied != sPoor.Applied || len(sRich.Skipped) != len(sPoor.Skipped) {
+			t.Errorf("secured executor %d: results differ on hidden data: %+v vs %+v", exec, sRich, sPoor)
+		}
 	}
-	bRich, bPoor := run(rich, false), run(poor, false)
+	bRich, bPoor := run(rich, unsecured), run(poor, unsecured)
 	if bRich.Selected == bPoor.Selected {
 		t.Error("baseline unexpectedly does not distinguish the databases (test setup broken?)")
 	}

@@ -41,8 +41,10 @@ type commitCtx struct {
 	base *generation
 
 	// doc is the scratch document clone; nil until the first mutableDoc
-	// (or a LoadXML replacement). The clone cost is paid once per round
-	// and amortized across every write in the batch.
+	// (or a LoadXML replacement). A secured write calls mutableDoc only
+	// just before its first change, so a round of refused or no-op
+	// writes clones nothing; otherwise the clone cost is paid once per
+	// round and amortized across every write in the batch.
 	doc      *xmltree.Document
 	subjects *subject.Hierarchy
 	policy   *policy.Policy
@@ -66,6 +68,16 @@ func (c *commitCtx) mutableDoc() *xmltree.Document {
 		c.doc = c.base.doc.Clone()
 	}
 	return c.doc
+}
+
+// curDoc returns the document state a request in this round must read:
+// the scratch clone once one was taken, the frozen base otherwise. It
+// never clones.
+func (c *commitCtx) curDoc() *xmltree.Document {
+	if c.doc != nil {
+		return c.doc
+	}
+	return c.base.doc
 }
 
 // mutableSubjects returns the round's scratch hierarchy, cloning on first

@@ -6,8 +6,9 @@
 // Reads (§4.4.1): every query returns what it would over the user's
 // axiom-15–17 view. It is evaluated on the source under the session's
 // permissions, which are kept current by delta patching (see secureRead).
-// Writes (§4.4.2): every XUpdate operation selects its targets on the view
-// and checks per-node privileges (axioms 18–25).
+// Writes (§4.4.2): every XUpdate operation selects its targets as the view
+// shows them, on the source under the same maintained permissions, and
+// checks per-node privileges (axioms 18–25).
 //
 // Database is safe for concurrent use, with lock-free snapshot reads:
 // the document, subject hierarchy and policy live in an immutable
@@ -71,9 +72,10 @@ var (
 	incFallbackGap        = obs.Default().Counter("xmlsec_view_incremental_fallback_total", "reason", "gap")
 	incFallbackError      = obs.Default().Counter("xmlsec_view_incremental_fallback_total", "reason", "error")
 
-	// Where each secured write's view came from: the writing session's
-	// cached view of the round's base generation, or a fresh derivation
-	// from the round's scratch state (see executeInRound).
+	// Where each secured write's permissions came from: the writing
+	// session's maintained permissions of the round's base generation, or
+	// a fresh derivation of the view from the round's scratch state (see
+	// executeInRound).
 	securedViewSession = obs.Default().Counter("xmlsec_secured_view_total", "source", "session")
 	securedViewRebuild = obs.Default().Counter("xmlsec_secured_view_total", "source", "rebuild")
 
@@ -637,13 +639,14 @@ func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perm
 }
 
 // currentViewPerms returns the session's view of g and the permissions it
-// was derived from (the write path selects on the pair; the Explain layer
-// re-reads the same cell the production path served). It first brings the
-// permissions to g (entryFor), then catches the view up if it lags: the
-// view half of incremental maintenance over the delta chain from the
-// view's version, against the current permissions. When the log no longer
-// covers the view's version, or the catch-up fails, the view is
-// re-materialized from the current permissions — no policy evaluation.
+// was derived from (a write with value-of content expands it on the view;
+// the Explain layer re-reads the same cell the production path served).
+// It first brings the permissions to g (entryFor), then catches the view
+// up if it lags: the view half of incremental maintenance over the delta
+// chain from the view's version, against the current permissions. When
+// the log no longer covers the view's version, or the catch-up fails, the
+// view is re-materialized from the current permissions — no policy
+// evaluation.
 func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.View, *policy.Perms, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1122,19 +1125,19 @@ func (s *Session) journalOp(ctx context.Context, op *xupdate.Op) error {
 
 // updateWithVars executes one secured operation through the group-commit
 // queue. The closure runs on the commit leader's goroutine against the
-// round's scratch document clone; the span therefore measures queue wait
-// plus execution, which is the latency the caller actually experiences.
+// round's state; the span therefore measures queue wait plus execution,
+// which is the latency the caller actually experiences.
 func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_update", updateStage)
-	// Bring the session's view up to the current generation on the
+	// Bring the session's permissions up to the current generation on the
 	// writer's own goroutine, so the serialized round below usually finds
-	// it cached. An error here resurfaces from the round's own derivation.
-	_, _, _ = s.currentViewPerms(ctx, s.db.gen())
+	// them cached. An error here resurfaces from the round's own
+	// derivation.
+	_, _, _ = s.writeState(ctx, s.db.gen(), op)
 	var res *xupdate.Result
 	var err error
 	s.db.submit(func(c *commitCtx) {
-		doc := c.mutableDoc()
-		fromVer := doc.Version()
+		fromVer := c.curDoc().Version()
 		res, err = s.executeInRound(ctx, c, op, extra)
 		if err != nil {
 			// A failed executor may have partially mutated the scratch
@@ -1145,7 +1148,7 @@ func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpat
 			s.db.recordCtx(ctx, "update", s.user, opDetail(op), "error: "+err.Error(), sp.End())
 			return
 		}
-		if toVer := doc.Version(); toVer != fromVer {
+		if toVer := c.curDoc().Version(); toVer != fromVer {
 			c.batches = append(c.batches, deltaBatch{fromVer: fromVer, toVer: toVer, deltas: res.Deltas})
 		}
 		sessionOp("update", "ok")
@@ -1159,28 +1162,39 @@ func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpat
 	return res, nil
 }
 
-// executeInRound runs op against the round's scratch document. While the
-// round's state still equals its base generation, the op selects on the
-// session's cached view of that generation (a cache hit when the pin
-// taken before submit is still current, an incremental patch when another
-// round published in between): the scratch document is a clone of the
-// base, with the same node identifiers, so the base's view and
-// permissions describe it exactly. Once an earlier request in the round
-// changed the document, the policy or the hierarchy, the view is derived
-// afresh from the scratch state, as is any view the session cache fails
-// to produce.
+// writeState returns what a secured write of op needs from the session
+// for the pinned generation g: the maintained permissions, and the view
+// only when op has value-of content to expand on it (nil otherwise), so
+// a plain write never makes the view catch up.
+func (s *Session) writeState(ctx context.Context, g *generation, op *xupdate.Op) (*policy.Perms, *view.View, error) {
+	if op.HasDynamicContent() {
+		v, pm, err := s.currentViewPerms(ctx, g)
+		return pm, v, err
+	}
+	pm, err := s.currentPerms(ctx, g)
+	return pm, nil, err
+}
+
+// executeInRound runs op in the commit round c. While the round's state
+// still equals its base generation, the op selects on the frozen base
+// document under the session's maintained permissions of that generation
+// (a cache hit when the pin taken before submit is still current, a delta
+// patch when another round published in between), and the round clones
+// the document only when the op is about to change it. Once an earlier
+// request in the round changed the document, the policy or the hierarchy,
+// the view is derived afresh from the scratch state, as it is when the
+// session cannot produce its permissions.
 func (s *Session) executeInRound(ctx context.Context, c *commitCtx, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
-	doc := c.mutableDoc()
 	if c.pristine() {
-		if v, pm, err := s.currentViewPerms(ctx, c.base); err == nil {
+		if pm, v, err := s.writeState(ctx, c.base, op); err == nil {
 			securedViewSession.Inc()
 			obs.AnnotateCtx(ctx, "view_source", "session")
-			return access.ExecuteOnViewCtx(ctx, doc, v, pm, s.user, op, extra)
+			return access.ExecuteFilteredCtx(ctx, c.base.doc, c.mutableDoc, pm, v, s.user, op, extra)
 		}
 	}
 	securedViewRebuild.Inc()
 	obs.AnnotateCtx(ctx, "view_source", "rebuild")
-	res, _, err := access.ExecuteWithVarsCtx(ctx, doc, c.curSubjects(), c.curPolicy(), s.user, op, extra)
+	res, _, err := access.ExecuteWithVarsCtx(ctx, c.mutableDoc(), c.curSubjects(), c.curPolicy(), s.user, op, extra)
 	return res, err
 }
 

@@ -22,9 +22,13 @@ import (
 // fingerprinted as the readers go — the view's serialization and
 // accounting and every permission cell of the entry's generation — and
 // must still print the same after the storm: no patch may write through
-// to a published entry, its shared base map or its frozen view. Finally
-// each shared session's view must serialize identically to the view of a
-// fresh session for the same user.
+// to a published entry, its shared base map or its frozen view. A third
+// writer streams writes the policy refuses, which, like every secured
+// write, select on the published generation while the readers query it;
+// every published document is fingerprinted too and must not change
+// after publication, so no write may reach the base it selected on.
+// Finally each shared session's view must serialize identically to the
+// view of a fresh session for the same user.
 func TestIncrementalViewRaceStress(t *testing.T) {
 	db := hospital(t)
 	const iters = 30
@@ -44,10 +48,22 @@ func TestIncrementalViewRaceStress(t *testing.T) {
 
 	var printsMu sync.Mutex
 	var prints []entryPrint
+	var docsMu sync.Mutex
+	docs := make(map[*generation]string)
+	// recordDoc fingerprints g's document the first time g is seen.
+	recordDoc := func(g *generation) {
+		docsMu.Lock()
+		defer docsMu.Unlock()
+		if _, ok := docs[g]; !ok {
+			docs[g] = docSignature(g.doc)
+		}
+	}
+
 	// record fingerprints s's published entry when it belongs to the
 	// current generation.
 	record := func(s *Session) {
 		g := db.gen()
+		recordDoc(g)
 		s.mu.Lock()
 		e := s.entry
 		s.mu.Unlock()
@@ -87,7 +103,8 @@ func TestIncrementalViewRaceStress(t *testing.T) {
 					}
 					if i%5 == 4 {
 						// Applied for the doctor, refused for everyone else;
-						// either way the write selects on this session's view.
+						// either way the write selects under this session's
+						// permissions, on the published generation.
 						if _, err := s.Update(&xupdate.Op{Kind: xupdate.Update, Select: "//diagnosis", NewValue: fmt.Sprintf("%s%d", u, i)}); err != nil {
 							fail(err)
 							return
@@ -145,6 +162,35 @@ func TestIncrementalViewRaceStress(t *testing.T) {
 		}
 	}()
 
+	// Writer 3: writes the policy refuses (the secretary may not change a
+	// diagnosis, the doctor may not delete one, a patient may change
+	// nothing), each followed by a fingerprint of the generation it ran on.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		refused := []struct {
+			user string
+			op   *xupdate.Op
+		}{
+			{"beaufort", &xupdate.Op{Kind: xupdate.Update, Select: "//diagnosis", NewValue: "leak"}},
+			{"laporte", &xupdate.Op{Kind: xupdate.Remove, Select: "//diagnosis"}},
+			{"robert", &xupdate.Op{Kind: xupdate.Rename, Select: "/patients/*", NewValue: "leak"}},
+		}
+		for i := 0; i < iters; i++ {
+			w := refused[i%len(refused)]
+			res, err := shared[w.user].Update(w.op)
+			if err != nil {
+				fail(err)
+				return
+			}
+			if res.Applied != 0 {
+				fail(fmt.Errorf("%s %s %s applied %d nodes, want a refusal", w.user, w.op.Kind, w.op.Select, res.Applied))
+				return
+			}
+			recordDoc(db.gen())
+		}
+	}()
+
 	// Administrator: periodic policy churn forces epoch misses between
 	// incremental applies, exercising the rebuild/recompile transition.
 	wg.Add(1)
@@ -174,6 +220,13 @@ func TestIncrementalViewRaceStress(t *testing.T) {
 	for _, p := range prints {
 		if got := printEntry(p.g, p.e); got != p.print {
 			t.Fatalf("a published entry of version %d changed after publication\nthen: %s\nnow:  %s", p.e.ver, p.print, got)
+		}
+	}
+
+	recordDoc(db.gen())
+	for g, print := range docs {
+		if got := docSignature(g.doc); got != print {
+			t.Fatalf("the published document of generation %d changed after publication\nthen:\n%s\nnow:\n%s", g.seq, print, got)
 		}
 	}
 

@@ -121,6 +121,100 @@ func TestWarmReadAllocsIndependentOfViewSize(t *testing.T) {
 	}
 }
 
+// refusedWrites are writes the paper policy refuses on a workload.Hospital
+// document: the secretary may not change a diagnosis, the doctor may
+// delete only its content, and a patient may change nothing.
+var refusedWrites = []struct {
+	user string
+	op   *xupdate.Op
+}{
+	{"beaufort", &xupdate.Op{Kind: xupdate.Update, Select: "/patients/p1/diagnosis", NewValue: "flu"}},
+	{"laporte", &xupdate.Op{Kind: xupdate.Remove, Select: "/patients/p1/diagnosis"}},
+	{"p1", &xupdate.Op{Kind: xupdate.Update, Select: "/patients/p1/diagnosis", NewValue: "flu"}},
+}
+
+// refusedWriteBytes returns the median bytes each of refusedWrites
+// allocates on a hospital of n patients from a warm session, and fails
+// the test if one applies or publishes a generation.
+func refusedWriteBytes(t *testing.T, n int) []uint64 {
+	t.Helper()
+	db := workloadHospital(t, n)
+	out := make([]uint64, len(refusedWrites))
+	for i, w := range refusedWrites {
+		s := session(t, db, w.user)
+		if _, err := s.Query("/patients"); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		bytes := make([]uint64, 21)
+		for j := range bytes {
+			g := db.gen()
+			runtime.ReadMemStats(&before)
+			res, err := s.Update(w.op)
+			runtime.ReadMemStats(&after)
+			if err != nil || res.Applied != 0 || len(res.Skipped) == 0 {
+				t.Fatalf("%s %s %s: %+v %v, want a refusal", w.user, w.op.Kind, w.op.Select, res, err)
+			}
+			if db.gen() != g {
+				t.Fatalf("%s %s %s: a refused write published a generation", w.user, w.op.Kind, w.op.Select)
+			}
+			bytes[j] = after.TotalAlloc - before.TotalAlloc
+		}
+		slices.Sort(bytes)
+		out[i] = bytes[len(bytes)/2]
+	}
+	return out
+}
+
+// TestRefusedWriteClonesNothing: a write the policy refuses selects and
+// checks on the published generation and never takes the commit round's
+// document copy, so it publishes nothing and the bytes it allocates stay
+// flat as the document grows eightfold.
+func TestRefusedWriteClonesNothing(t *testing.T) {
+	small, large := refusedWriteBytes(t, 64), refusedWriteBytes(t, 512)
+	for i, w := range refusedWrites {
+		t.Logf("refused %s %s by %s: %d B at 64 patients, %d B at 512", w.op.Kind, w.op.Select, w.user, small[i], large[i])
+		if large[i] >= 2*small[i] {
+			t.Errorf("refused %s %s by %s allocates %d B at 512 patients, %d B at 64: want under 2x",
+				w.op.Kind, w.op.Select, w.user, large[i], small[i])
+		}
+	}
+}
+
+// BenchmarkWriteAfterPublish times a write that follows another session's
+// publish on a 256-patient hospital: the writer patches its permissions
+// over the delta and selects on the published generation. An applied
+// doctor update takes the round's document copy; a refused secretary
+// update takes none. Run with -benchmem.
+func BenchmarkWriteAfterPublish(b *testing.B) {
+	for _, bc := range []struct {
+		name, user string
+		applied    int
+	}{
+		{"applied-doctor", "laporte", 1},
+		{"refused-secretary", "beaufort", 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			db := workloadHospital(b, 256)
+			publisher, writer := session(b, db, "laporte"), session(b, db, bc.user)
+			if _, err := writer.Query("/patients"); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rewriteDiagnosis(b, publisher, i)
+				b.StartTimer()
+				res, err := writer.Update(&xupdate.Op{Kind: xupdate.Update, Select: "/patients/p2/diagnosis", NewValue: fmt.Sprintf("w%d", i)})
+				if err != nil || res.Applied != bc.applied {
+					b.Fatalf("%s: %+v %v", bc.name, res, err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkWarmReadAfterWrite times the read path a publish leaves behind:
 // one write, then one auto query by a doctor and by a patient, each of
 // which patches its session's permissions over the write's delta. Run with

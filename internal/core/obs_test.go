@@ -139,11 +139,14 @@ func TestAuditCarriesRequestID(t *testing.T) {
 }
 
 // TestFreshSessionWriteDerivesNoView guards the write path's reuse of the
-// session's view: when the writing session's cached view is current, the
-// write selects on it inside its commit round and records no
-// policy_evaluate and no view_materialize stage; its session_update span
-// names the view source. A follow-up write patches the view from the
-// first write's deltas before it submits, so it derives nothing either.
+// session's maintained state: when the writing session's cached
+// permissions are current, the write selects under them inside its commit
+// round and records no policy_evaluate and no view_materialize stage; its
+// session_update span names the source. A follow-up write patches the
+// permissions from the first write's deltas before it submits, so it
+// derives nothing either. A write after another session's publish patches
+// only the permissions (one part=perms span) and leaves the view behind
+// (no part=view catch-up).
 func TestFreshSessionWriteDerivesNoView(t *testing.T) {
 	db := hospital(t)
 	s := session(t, db, "laporte")
@@ -178,6 +181,18 @@ func TestFreshSessionWriteDerivesNoView(t *testing.T) {
 	}
 	if got := ex.Root.Children[0].Attrs["view_source"]; got != "session" {
 		t.Errorf("session_update view_source = %q, want session", got)
+	}
+
+	if _, err := session(t, db, "laporte").Update(&xupdate.Op{Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: "angina"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, trace = tracer.StartTrace(context.Background(), "test_write_after_publish")
+	if res, err := s.UpdateCtx(ctx, &xupdate.Op{Kind: xupdate.Update, Select: "/patients/robert/diagnosis", NewValue: "bronchitis"}); err != nil || res.Applied != 1 {
+		t.Fatalf("write after another session's publish: %+v %v", res, err)
+	}
+	trace.Finish()
+	if parts := incrementalParts(t, trace.Export()); len(parts) != 1 || parts[0] != "perms" {
+		t.Errorf("write after another session's publish: view_incremental parts %v, want [perms]", parts)
 	}
 }
 

@@ -368,9 +368,9 @@ func (hs *writePathHarness) baseMoved(user string, pair [2]pathOp) {
 }
 
 // twoInRound commits pair[0] and then user's pair[1] in one round: the
-// first selects on its session's view, the second must re-derive once
-// the first moved the scratch document (a refused first write leaves it
-// pristine).
+// first selects under its session's permissions, the second must
+// re-derive once the first moved the scratch document (a refused first
+// write leaves it pristine).
 func (hs *writePathHarness) twoInRound(user string, pair [2]pathOp) {
 	op1, op2 := pair[0].op(hs.t), pair[1].op(hs.t)
 	u1 := hs.writer(op1)
@@ -459,8 +459,8 @@ func ineligibleUsers(db *Database) []string {
 }
 
 // TestSecuredWritePathDifferential checks that secured writes through
-// sessions, which select on each session's cached and incrementally
-// maintained view, give exactly the results of access.ExecuteWithVars on
+// sessions, which select under each session's incrementally maintained
+// permissions, give exactly the results of access.ExecuteWithVars on
 // an unsecured mirror, which derives every view afresh. It covers the
 // paper policy and seeded random 4-quadrant policies, sequential writes
 // and Apply documents with variables, and every case where the round must

@@ -90,7 +90,7 @@ func TestSeededViolations(t *testing.T) {
 	}{
 		{"viewbypass", []string{
 			"viewbypass/raw-node-access/doc.XML",
-			"viewbypass/unsecured-write/access.ExecuteOnViewCtx",
+			"viewbypass/unsecured-write/access.ExecuteFilteredCtx",
 			"viewbypass/unsecured-write/baseline.Execute",
 			"viewbypass/unsecured-write/xupdate.Execute",
 		}},
@@ -180,7 +180,7 @@ func TestBaselineSuppression(t *testing.T) {
 	}
 	want := []string{
 		"viewbypass/raw-node-access/doc.XML",
-		"viewbypass/unsecured-write/access.ExecuteOnViewCtx",
+		"viewbypass/unsecured-write/access.ExecuteFilteredCtx",
 		"viewbypass/unsecured-write/xupdate.Execute",
 	}
 	if got := triples(rep); !equalStrings(got, want) {

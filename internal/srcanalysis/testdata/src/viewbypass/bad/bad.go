@@ -9,7 +9,6 @@ import (
 	"securexml/internal/baseline"
 	"securexml/internal/policy"
 	"securexml/internal/subject"
-	"securexml/internal/view"
 	"securexml/internal/xmltree"
 	"securexml/internal/xupdate"
 )
@@ -31,8 +30,8 @@ func Compare(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, op
 	return baseline.Execute(doc, h, pol, "user", op)
 }
 
-// Forge selects on a caller-built view: nothing proves v and pm are the
-// user's own view and permissions.
-func Forge(doc *xmltree.Document, v *view.View, pm *policy.Perms, op *xupdate.Op) (*xupdate.Result, error) {
-	return access.ExecuteOnViewCtx(context.Background(), doc, v, pm, "user", op, nil)
+// Forge selects and authorizes under caller-built permissions: nothing
+// proves pm is the user's own.
+func Forge(doc *xmltree.Document, mutable func() *xmltree.Document, pm *policy.Perms, op *xupdate.Op) (*xupdate.Result, error) {
+	return access.ExecuteFilteredCtx(context.Background(), doc, mutable, pm, nil, "user", op, nil)
 }

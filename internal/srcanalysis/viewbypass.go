@@ -20,8 +20,8 @@ import (
 //     the core session API.
 //   - unsecured-write: no untrusted package may call xupdate.Execute,
 //     xupdate.ExecuteAll or baseline.Execute (the axiom 2–9 executors that
-//     skip the view), nor access.ExecuteOnViewCtx, which selects on
-//     whatever view and permissions its caller hands it.
+//     skip the view), nor access.ExecuteFilteredCtx, which selects and
+//     authorizes under whatever permissions its caller hands it.
 //   - raw-node-access: in untrusted packages, methods and fields of
 //     xmltree values may only be used on *locally constructed* documents
 //     (built by xmltree constructors or returned by trusted packages,
@@ -102,8 +102,8 @@ func (a *analysis) unsecuredWriter(obj types.Object) (string, bool) {
 			return "baseline.Execute", true
 		}
 	case a.internalPath("access"):
-		if obj.Name() == "ExecuteOnViewCtx" {
-			return "access.ExecuteOnViewCtx", true
+		if obj.Name() == "ExecuteFilteredCtx" {
+			return "access.ExecuteFilteredCtx", true
 		}
 	}
 	return "", false
