@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCHCOUNT ?= 5
 BENCHTIME ?= 1s
 
-.PHONY: all verify vet lint lint-fix-check race fuzz bench-smoke bench-selftest bench-micro
+.PHONY: all verify vet lint lint-fix-check race fuzz bench-selftest bench-micro
 
 all: verify vet lint
 
@@ -49,30 +49,22 @@ lint-fix-check:
 race:
 	$(GO) test -race ./...
 
-# Telemetry smoke: run the instrumented bench workload at a fixed size and
-# validate the emitted BENCH_obs.json against its schema.
-bench-smoke:
-	$(GO) run ./cmd/xmlsec-bench -exp obs -quick -obs-iters 250 -out BENCH_obs.json
-	$(GO) run ./cmd/xmlsec-bench -validate BENCH_obs.json
-	$(GO) run ./cmd/xmlsec-bench -exp b12 -quick -b12-out BENCH_b12_quick.json
-	$(GO) run ./cmd/xmlsec-bench -validate-b12 BENCH_b12_quick.json
-	$(GO) run ./cmd/xmlsec-bench -exp b15 -quick -b15-out BENCH_b15_quick.json
-	$(GO) run ./cmd/xmlsec-bench -validate-b15 BENCH_b15_quick.json
-
 # End-to-end benchmark self-test. _e2ebench is a module of its own, so the
 # root go test ./... never builds it; this keeps a core API change from
 # breaking the benchmark unnoticed.
 bench-selftest:
 	cd _e2ebench && $(GO) test ./...
 
-# Hot-kernel micro-benchmarks (document clone, per-node rule matcher, the
-# parallel permission-filtered read, a session's read after a write, a
-# session's applied and refused write after another session's publish) with
+# Hot-kernel micro-benchmarks (document clone, per-node rule matcher, a cold
+# fleet's shared-scan policy evaluation, the parallel permission-filtered
+# read, a session's read after a write, a session's applied and refused
+# write after another session's publish) with
 # allocation counts; run on two commits for before/after tables, e.g. with
 # benchstat. CI runs them once (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkClone$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xmltree
 	$(GO) test -run '^$$' -bench '^BenchmarkNodeMatcherMatch$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xpath
+	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateShared$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/policy
 	$(GO) test -run '^$$' -bench '^BenchmarkForPermsSelect$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/qfilter
 	$(GO) test -run '^$$' -bench '^BenchmarkWarmReadAfterWrite$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWriteAfterPublish$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core

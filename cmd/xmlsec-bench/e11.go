@@ -103,10 +103,10 @@ func e11Run(shape string, rules int) (e11Row, error) {
 		users = users[:8]
 	}
 	row.StressUsers = len(users)
-	cache := policy.NewRuleCache()
 	start = time.Now()
+	cache := policy.NewRuleCache(pol, clean.Doc)
 	for _, u := range users {
-		if _, err := pol.EvaluateShared(clean.Doc, clean.Hierarchy, u, cache); err != nil {
+		if _, err := cache.EvaluateShared(clean.Hierarchy, u); err != nil {
 			return row, err
 		}
 	}

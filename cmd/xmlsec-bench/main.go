@@ -1,20 +1,17 @@
 // Command xmlsec-bench runs the performance experiments of EXPERIMENTS.md
-// (B1–B7, B11) and prints one table per experiment. It is the
+// (B1–B7, B11, E11) and prints one table per experiment. It is the
 // human-friendly companion of the testing.B benchmarks in bench_test.go;
-// shapes reported by both must agree.
+// shapes reported by both must agree. B11 and E11 also write a JSON
+// report. End-to-end load and per-layer attribution live in the gated
+// _e2ebench module; hot-kernel timings in `make bench-micro`.
 //
 // Usage:
 //
 //	xmlsec-bench                        # run all experiments
-//	xmlsec-bench -exp b1                # one experiment (b1..b7, b11, b12, b15, e11, obs)
+//	xmlsec-bench -exp b1                # one experiment (b1..b7, b11, e11)
 //	xmlsec-bench -quick                 # smaller sweeps
-//	xmlsec-bench -exp obs -out BENCH_obs.json
 //	xmlsec-bench -exp b11 -b11-out BENCH_b11.json
-//	xmlsec-bench -exp b12 -b12-out BENCH_b12.json
-//	xmlsec-bench -exp b15 -b15-out BENCH_b15.json
-//	xmlsec-bench -validate BENCH_obs.json
-//	xmlsec-bench -validate-b12 BENCH_b12.json
-//	xmlsec-bench -validate-b15 BENCH_b15.json
+//	xmlsec-bench -exp e11 -e11-out BENCH_e11.json
 package main
 
 import (
@@ -38,67 +35,17 @@ import (
 )
 
 var (
-	quick    bool
-	obsOut   string
-	obsIters int
-	b11Out   string
-	b12Out   string
-	b15Out   string
-	e11Out   string
+	quick  bool
+	b11Out string
+	e11Out string
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (b1..b7, b11, b12, b15, e11, obs, or all)")
+	exp := flag.String("exp", "all", "experiment to run (b1..b7, b11, e11, or all)")
 	flag.BoolVar(&quick, "quick", false, "smaller sweeps")
-	flag.StringVar(&obsOut, "out", "BENCH_obs.json", "where the obs experiment writes its report")
 	flag.StringVar(&b11Out, "b11-out", "BENCH_b11.json", "where experiment b11 writes its report")
-	flag.StringVar(&b12Out, "b12-out", "BENCH_b12.json", "where experiment b12 writes its report")
-	flag.StringVar(&b15Out, "b15-out", "BENCH_b15.json", "where experiment b15 writes its report")
 	flag.StringVar(&e11Out, "e11-out", "BENCH_e11.json", "where experiment e11 writes its report")
-	flag.IntVar(&obsIters, "obs-iters", 0, "override the obs experiment iteration count")
-	validate := flag.String("validate", "", "validate an emitted obs report and exit")
-	validateB12 := flag.String("validate-b12", "", "validate an emitted b12 report and exit")
-	validateB15 := flag.String("validate-b15", "", "validate an emitted b15 report and exit")
 	flag.Parse()
-
-	if *validate != "" {
-		rep, err := validateObsReport(*validate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xmlsec-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid (%d ops, %.0f ops/sec, hit-rate %.3f, %d stages)\n",
-			*validate, rep.Ops, rep.OpsPerSec, rep.Cache.HitRate, len(rep.Stages))
-		return
-	}
-
-	if *validateB12 != "" {
-		rep, err := validateB12Report(*validateB12)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xmlsec-bench:", err)
-			os.Exit(1)
-		}
-		best := 0.0
-		for _, r := range rep.Rows {
-			if r.Speedup > best {
-				best = r.Speedup
-			}
-		}
-		fmt.Printf("%s: valid (%d rows, best speedup %.1fx)\n", *validateB12, len(rep.Rows), best)
-		return
-	}
-
-	if *validateB15 != "" {
-		rep, err := validateB15Report(*validateB15)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xmlsec-bench:", err)
-			os.Exit(1)
-		}
-		last := rep.Rows[len(rep.Rows)-1]
-		fmt.Printf("%s: valid (%d-CPU host, %d sessions, %.0f reads/s at %d procs, probe ratio %.2f)\n",
-			*validateB15, rep.HostCPUs, rep.Sessions, last.ReadsPerSec, last.Procs, rep.Probe.Ratio)
-		return
-	}
 
 	experiments := map[string]func() error{
 		"b1":  b1ViewMaterialization,
@@ -109,10 +56,7 @@ func main() {
 		"b6":  b6ConflictResolution,
 		"b7":  b7QueryFilter,
 		"b11": b11IncrementalMaintenance,
-		"b12": b12SharedScan,
-		"b15": b15SnapshotReads,
 		"e11": e11RepairEngine,
-		"obs": bObs,
 	}
 	if *exp != "all" {
 		fn, ok := experiments[*exp]
@@ -126,7 +70,7 @@ func main() {
 		}
 		return
 	}
-	for _, name := range []string{"b1", "b2", "b3", "b4", "b5", "b6", "b7", "b11", "b12", "b15", "e11", "obs"} {
+	for _, name := range []string{"b1", "b2", "b3", "b4", "b5", "b6", "b7", "b11", "e11"} {
 		if err := experiments[name](); err != nil {
 			fmt.Fprintln(os.Stderr, "xmlsec-bench:", err)
 			os.Exit(1)

@@ -701,7 +701,7 @@ func (s *Session) entryFor(ctx context.Context, g *generation) (*viewEntry, erro
 		cacheMissEpoch.Inc()
 		obs.AnnotateCtx(ctx, "view_source", "materialize_epoch")
 	}
-	pm, err := g.policy.EvaluateSharedCtx(ctx, g.doc, g.subjects, s.user, g.ruleCache())
+	pm, err := g.ruleCache().EvaluateSharedCtx(ctx, g.subjects, s.user)
 	if err != nil {
 		return nil, err
 	}
@@ -1067,10 +1067,10 @@ func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tie
 		return fail(rd.tier, err)
 	}
 	if ns, ok := val.(xpath.NodeSet); ok && len(ns) > 0 && rd.tier != TierView {
-		nodeSetValueFallbacks.Inc()
 		if forced != TierAuto {
 			return fail(rd.tier, fmt.Errorf("%w: non-empty node-set values must come from the view tier", ErrTierUnavailable))
 		}
+		nodeSetValueFallbacks.Inc()
 		if err := s.onView(ctx, g, rd); err != nil {
 			return fail(rd.tier, err)
 		}

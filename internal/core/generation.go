@@ -47,11 +47,11 @@ type generation struct {
 	// re-materializing (see internal/view/incremental.go).
 	log []deltaBatch
 
-	// rules is the cross-user RuleCache for this generation, built
-	// lazily by the first cold evaluation; RuleCache is internally
-	// synchronized, and tying it to the generation makes invalidation
-	// structural (a new generation starts a new cache) instead of a
-	// compare-and-swap on (gen, version, epoch).
+	// rules is the cross-user RuleCache for this generation's policy and
+	// document, built lazily by the first cold evaluation; RuleCache is
+	// internally synchronized, and tying it to the generation makes
+	// invalidation structural (a new generation starts a new cache)
+	// instead of a compare-and-swap on (gen, version, epoch).
 	rulesOnce sync.Once
 	rules     *policy.RuleCache
 
@@ -73,7 +73,7 @@ func (g *generation) ver() uint64 { return g.doc.Version() }
 // ruleCache returns the generation's shared rule cache, creating it on
 // first use.
 func (g *generation) ruleCache() *policy.RuleCache {
-	g.rulesOnce.Do(func() { g.rules = policy.NewRuleCache() })
+	g.rulesOnce.Do(func() { g.rules = policy.NewRuleCache(g.policy, g.doc) })
 	return g.rules
 }
 

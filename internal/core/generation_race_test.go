@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -234,6 +235,126 @@ func TestGroupCommitCoalescesRound(t *testing.T) {
 		if len(ns) != 1 {
 			t.Fatalf("write w%d lost in the coalesced round; source:\n%s", i, src)
 		}
+	}
+}
+
+// TestReadsDoNotWaitForCommitRound holds a commit round open on the
+// leader after it applied a doctor's write, and requires every read
+// surface of cold and warm sessions of a doctor, a secretary and a patient
+// to answer meanwhile, within one deadline, with exactly what it answered
+// before the round: a published generation is an immutable snapshot that
+// readers never wait on. Releasing the round then publishes the write.
+func TestReadsDoNotWaitForCommitRound(t *testing.T) {
+	db := hospital(t)
+	const sheet = `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	  <xsl:template match="/"><r><xsl:for-each select="//diagnosis"><d v="{.}"/></xsl:for-each></r></xsl:template>
+	</xsl:stylesheet>`
+	value := func(v xpath.Value, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return v.TypeName() + ":" + v.Str(), nil
+	}
+	surfaces := []struct {
+		name string
+		read func(s *Session) (string, error)
+	}{
+		{"Query", func(s *Session) (string, error) {
+			res, err := s.Query("//diagnosis")
+			return fmt.Sprint(res), err
+		}},
+		{"QueryValue atomic", func(s *Session) (string, error) { return value(s.QueryValue("count(//node())")) }},
+		{"QueryValue node-set", func(s *Session) (string, error) { return value(s.QueryValue("//diagnosis")) }},
+		{"ViewXML", func(s *Session) (string, error) { return s.ViewXML() }},
+		{"Transform", func(s *Session) (string, error) { return s.Transform(sheet) }},
+		{"Stats", func(s *Session) (string, error) { return fmt.Sprintf("%+v", s.db.Stats()), nil }},
+	}
+	users := []string{"laporte", "beaufort", "franck"}
+	warm := make(map[string]*Session, len(users))
+	want := make(map[string]string)
+	for _, u := range users {
+		warm[u] = session(t, db, u)
+		for _, sf := range surfaces {
+			got, err := sf.read(warm[u])
+			if err != nil {
+				t.Fatalf("%s %s: %v", u, sf.name, err)
+			}
+			want[u+" "+sf.name] = got
+		}
+	}
+	seq0 := db.gen().seq
+
+	writer := session(t, db, "laporte")
+	op := &xupdate.Op{Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: "otitis"}
+	held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var res *xupdate.Result
+	var werr error
+	go func() {
+		defer close(done)
+		db.submit(func(c *commitCtx) {
+			from := c.curDoc().Version()
+			if res, werr = writer.executeInRound(context.Background(), c, op, nil); werr == nil {
+				c.batches = append(c.batches, deltaBatch{fromVer: from, toVer: c.curDoc().Version(), deltas: res.Deltas})
+			}
+			close(held)
+			<-release
+		})
+	}()
+	releaseRound := sync.OnceFunc(func() { close(release) })
+	defer releaseRound()
+	deadline := time.After(5 * time.Second)
+	select {
+	case <-held:
+	case <-deadline:
+		t.Fatal("the commit round never started")
+	}
+
+	type answer struct {
+		kind, key, got string
+		err            error
+	}
+	calls := len(users) * len(surfaces) * 2
+	answers := make(chan answer, calls)
+	for _, u := range users {
+		for _, sf := range surfaces {
+			for _, kind := range []string{"warm", "cold"} {
+				go func() {
+					s, err := warm[u], error(nil)
+					if kind == "cold" {
+						s, err = db.Session(u)
+					}
+					got := ""
+					if err == nil {
+						got, err = sf.read(s)
+					}
+					answers <- answer{kind, u + " " + sf.name, got, err}
+				}()
+			}
+		}
+	}
+	for i := 0; i < calls; i++ {
+		select {
+		case a := <-answers:
+			if a.err != nil {
+				t.Errorf("%s %s during the held round: %v", a.kind, a.key, a.err)
+			} else if a.got != want[a.key] {
+				t.Errorf("%s %s during the held round:\n got %s\nwant %s (pre-round)", a.kind, a.key, a.got, want[a.key])
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d reads waited on the held commit round", calls-i, calls)
+		}
+	}
+
+	releaseRound()
+	<-done
+	if werr != nil || res.Applied != 1 {
+		t.Fatalf("held round's write: %+v, %v", res, werr)
+	}
+	if got := db.gen().seq; got != seq0+1 {
+		t.Fatalf("released round published %d generations, want 1", got-seq0)
+	}
+	if got, err := warm["laporte"].QueryValue("string(/patients/franck/diagnosis)"); err != nil || got.Str() != "otitis" {
+		t.Fatalf("after release the doctor reads %v (err %v), want the round's write", got, err)
 	}
 }
 

@@ -127,6 +127,16 @@ func TestFallbackCounters(t *testing.T) {
 	if d := c.Value() - n0; d != 1 {
 		t.Errorf("nodeset_value moved by %d, want 1", d)
 	}
+	// A node-set value pinned to qfilter is refused, not re-evaluated on
+	// the view, so it is no fallback.
+	pinned := session(t, hospital(t), "laporte")
+	n1 := c.Value()
+	if _, _, err := pinned.QueryValueTierCtx(context.Background(), "//diagnosis", TierQfilter); !errors.Is(err, ErrTierUnavailable) {
+		t.Fatalf("pinned node-set value: err %v, want ErrTierUnavailable", err)
+	}
+	if d := c.Value() - n1; d != 0 {
+		t.Errorf("nodeset_value moved by %d on a refused pinned value, want 0", d)
+	}
 }
 
 // TestParseTier pins the names the server's -tier flag and the shell's

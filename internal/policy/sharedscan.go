@@ -71,33 +71,29 @@ type permCell struct {
 type permCells [numPrivileges]permCell
 
 // RuleCache holds the shareable parts of cold evaluation for one policy
-// over one document snapshot: the dense node index, the node set of every
-// $USER-independent rule evaluated so far, and the merged permission
+// over one frozen document snapshot: the dense node index, the node set of
+// every $USER-independent rule evaluated so far, and the merged permission
 // state per rule-set profile (one profile per distinct set of applicable
 // $USER-independent rules — in practice, one per role combination).
-// Callers key a cache instance by (document generation, document version,
-// policy epoch) and hand out a fresh cache when any of them moves; the
-// cache also remembers which (policy, document, version) filled it and
-// silently resets on mismatch, so a stale hand-off degrades to a
-// recompute instead of wrong permissions.
+// A cache is bound to its policy and document at construction; callers
+// key an instance by (document generation, document version, policy
+// epoch) and build a new one when any of them moves.
 //
 // A RuleCache is safe for concurrent use. The first evaluation fills each
 // piece under the cache lock — concurrent cold users block until the fill
 // completes and then share the result, so N simultaneous cold starts cost
 // one document scan, not N.
 type RuleCache struct {
-	mu      sync.Mutex
-	policy  *Policy
-	doc     *xmltree.Document
-	version uint64
+	// policy, doc and the dense snapshot index are fixed at construction
+	// and read-only afterwards: the ID strings of the nodes in document
+	// order, and the reverse pointer→index map used to intern rule node
+	// sets.
+	policy *Policy
+	doc    *xmltree.Document
+	ids    []string
+	index  map[*xmltree.Node]int32
 
-	// Dense snapshot index, guarded by mu: nodes in document order, their
-	// ID strings, and the reverse pointer→index map used to intern rule
-	// node sets.
-	nodes []*xmltree.Node
-	ids   []string
-	index map[*xmltree.Node]int32
-
+	mu sync.Mutex
 	// sets holds each $USER-independent rule's dense node set, guarded by
 	// mu like the rest of the cache state below.
 	sets map[*Rule][]int32
@@ -109,30 +105,28 @@ type RuleCache struct {
 	latest map[string][]permCells
 }
 
-// NewRuleCache returns an empty cache.
-func NewRuleCache() *RuleCache { return &RuleCache{} }
-
-// ensure resets the cache when it was filled for a different policy,
-// document or version, and (re)builds the dense node index. Callers hold
-// c.mu.
-func (c *RuleCache) ensure(p *Policy, doc *xmltree.Document) {
-	if c.policy == p && c.doc == doc && c.version == doc.Version() {
-		return
+// NewRuleCache returns an empty cache for policy p over document doc,
+// building the dense node index. doc must not change while the cache is
+// in use.
+func NewRuleCache(p *Policy, doc *xmltree.Document) *RuleCache {
+	nodes := doc.Nodes()
+	c := &RuleCache{
+		policy: p,
+		doc:    doc,
+		ids:    make([]string, len(nodes)),
+		index:  make(map[*xmltree.Node]int32, len(nodes)),
+		sets:   make(map[*Rule][]int32),
+		grants: make(map[string]map[string]uint8),
+		latest: make(map[string][]permCells),
 	}
-	c.policy, c.doc, c.version = p, doc, doc.Version()
-	c.nodes = doc.Nodes()
-	c.ids = make([]string, len(c.nodes))
-	c.index = make(map[*xmltree.Node]int32, len(c.nodes))
-	for i, n := range c.nodes {
+	for i, n := range nodes {
 		c.ids[i] = n.IDString()
 		c.index[n] = int32(i)
 	}
-	c.sets = make(map[*Rule][]int32)
-	c.grants = make(map[string]map[string]uint8)
-	c.latest = make(map[string][]permCells)
+	return c
 }
 
-// intern converts a node set to dense indices. Callers hold c.mu.
+// intern converts a node set to dense indices.
 func (c *RuleCache) intern(ns []*xmltree.Node) []int32 {
 	out := make([]int32, len(ns))
 	for i, n := range ns {
@@ -147,7 +141,7 @@ func (c *RuleCache) intern(ns []*xmltree.Node) []int32 {
 // rules it will not merge. Missing rules are still computed together, so
 // the chain-only ones share one bank walk. The returned map is the live
 // cache — callers must clone before mutating. Callers hold c.mu.
-func (c *RuleCache) fill(ctx context.Context, p *Policy, doc *xmltree.Document, indep []*Rule) (map[*Rule][]int32, error) {
+func (c *RuleCache) fill(ctx context.Context, indep []*Rule) (map[*Rule][]int32, error) {
 	var missing []*Rule
 	for _, r := range indep {
 		if _, ok := c.sets[r]; !ok {
@@ -162,7 +156,7 @@ func (c *RuleCache) fill(ctx context.Context, p *Policy, doc *xmltree.Document, 
 	ruleCacheMisses.Add(uint64(len(missing)))
 	fctx, fsp := obs.StartSpanCtx(ctx, "rulecache_fill", nil)
 	fsp.AnnotateInt("rules", int64(len(missing)))
-	sets, err := scanSets(fctx, missing, doc, nil)
+	sets, err := scanSets(fctx, missing, c.doc, nil)
 	fsp.End()
 	if err != nil {
 		return nil, err
@@ -177,18 +171,18 @@ func (c *RuleCache) fill(ctx context.Context, p *Policy, doc *xmltree.Document, 
 // ascending list of applicable $USER-independent rules), computing and
 // caching it on first use. The returned slice is shared — callers must
 // clone before mutating. Callers hold c.mu.
-func (c *RuleCache) latestFor(ctx context.Context, p *Policy, doc *xmltree.Document, sig string, indep []*Rule) ([]permCells, error) {
+func (c *RuleCache) latestFor(ctx context.Context, sig string, indep []*Rule) ([]permCells, error) {
 	if m, ok := c.latest[sig]; ok {
 		ruleCacheHits.Add(uint64(len(indep)))
 		obs.AnnotateCtx(ctx, "profile_latest", "hit")
 		return m, nil
 	}
 	obs.AnnotateCtx(ctx, "profile_latest", "miss")
-	sets, err := c.fill(ctx, p, doc, indep)
+	sets, err := c.fill(ctx, indep)
 	if err != nil {
 		return nil, err
 	}
-	m := make([]permCells, len(c.nodes))
+	m := make([]permCells, len(c.ids))
 	for _, r := range indep { // ascending priority: later rules overwrite
 		for _, idx := range sets[r] {
 			if cell := &m[idx][r.Privilege]; r.Priority >= cell.priority {
@@ -203,14 +197,14 @@ func (c *RuleCache) latestFor(ctx context.Context, p *Policy, doc *xmltree.Docum
 // grantsFor returns the final grant masks of an all-independent profile,
 // projecting and caching them on first use. The returned map is shared —
 // callers must clone. Callers hold c.mu.
-func (c *RuleCache) grantsFor(ctx context.Context, p *Policy, doc *xmltree.Document, sig string, indep []*Rule) (map[string]uint8, error) {
+func (c *RuleCache) grantsFor(ctx context.Context, sig string, indep []*Rule) (map[string]uint8, error) {
 	if g, ok := c.grants[sig]; ok {
 		ruleCacheHits.Add(uint64(len(indep)))
 		obs.AnnotateCtx(ctx, "profile_grants", "hit")
 		return g, nil
 	}
 	obs.AnnotateCtx(ctx, "profile_grants", "miss")
-	latest, err := c.latestFor(ctx, p, doc, sig, indep)
+	latest, err := c.latestFor(ctx, sig, indep)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +227,6 @@ func (cs *permCells) mask() uint8 {
 
 // projectGrants collapses dense merge state into the grant-mask form Perms
 // serves, keeping only nodes with at least one accepted privilege.
-// Callers hold c.mu.
 func (c *RuleCache) projectGrants(latest []permCells) map[string]uint8 {
 	g := make(map[string]uint8, len(latest))
 	for idx := range latest {
@@ -244,31 +237,29 @@ func (c *RuleCache) projectGrants(latest []permCells) map[string]uint8 {
 	return g
 }
 
-// EvaluateShared computes the same perm relation as Evaluate — the
-// differential oracle keeps them interchangeable — through the shared-scan
-// pipeline: cached $USER-independent rule sets and per-profile merges
-// (computed in one bank walk and one merge for the first user of a role
-// combination), a per-user scan of only the $USER-dependent rules, then
-// the axiom-14 latest-wins merge of the dependent sets over a clone of
-// the cached state.
-//
-// cache may be nil, in which case nothing is reused across calls but rules
-// still share document walks within this call.
-func (p *Policy) EvaluateShared(doc *xmltree.Document, h *subject.Hierarchy, user string, cache *RuleCache) (*Perms, error) {
-	return p.EvaluateSharedCtx(context.Background(), doc, h, user, cache)
+// EvaluateShared computes the same perm relation as the cache's
+// Policy.Evaluate over the cache's document — the differential oracle
+// keeps them interchangeable — through the shared-scan pipeline: cached
+// $USER-independent rule sets and per-profile merges (computed in one bank
+// walk and one merge for the first user of a role combination), a
+// per-user scan of only the $USER-dependent rules, then the axiom-14
+// latest-wins merge of the dependent sets over a clone of the cached
+// state.
+func (c *RuleCache) EvaluateShared(h *subject.Hierarchy, user string) (*Perms, error) {
+	return c.EvaluateSharedCtx(context.Background(), h, user)
 }
 
 // EvaluateSharedCtx is EvaluateShared with request-scoped tracing: under
 // an active trace it records a policy_evaluate_shared span with child
 // spans for the bank walk / per-rule fallback and the RuleCache fill, and
 // annotations for profile hit/miss and the $USER overlay size.
-func (p *Policy) EvaluateSharedCtx(ctx context.Context, doc *xmltree.Document, h *subject.Hierarchy, user string, cache *RuleCache) (*Perms, error) {
+func (c *RuleCache) EvaluateSharedCtx(ctx context.Context, h *subject.Hierarchy, user string) (*Perms, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "policy_evaluate_shared", evalSharedStage)
 	defer sp.End()
-	pm := &Perms{user: user, version: doc.Version()}
+	pm := &Perms{user: user, version: c.doc.Version()}
 	var indep, dep []*Rule
 	sig := make([]byte, 0, 64)
-	for i, r := range p.rules {
+	for i, r := range c.policy.rules {
 		if !h.ISA(user, r.Subject) {
 			continue
 		}
@@ -284,18 +275,14 @@ func (p *Policy) EvaluateSharedCtx(ctx context.Context, doc *xmltree.Document, h
 	sp.AnnotateInt("rules_dep", int64(len(dep)))
 	// $USER-dependent sets are per-user work; scan them outside the cache
 	// lock so concurrent warm-ups only serialize on genuinely shared state.
-	depSets, err := scanSets(ctx, dep, doc, xpath.Vars{"USER": xpath.String(user)})
+	depSets, err := scanSets(ctx, dep, c.doc, xpath.Vars{"USER": xpath.String(user)})
 	if err != nil {
 		return nil, err
 	}
-	if cache == nil {
-		cache = NewRuleCache()
-	}
-	cache.mu.Lock()
-	cache.ensure(p, doc)
+	c.mu.Lock()
 	if len(dep) == 0 {
-		g, err := cache.grantsFor(ctx, p, doc, string(sig), indep)
-		cache.mu.Unlock()
+		g, err := c.grantsFor(ctx, string(sig), indep)
+		c.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
@@ -307,26 +294,20 @@ func (p *Policy) EvaluateSharedCtx(ctx context.Context, doc *xmltree.Document, h
 	// $USER-independent profile and patches only the nodes its dependent
 	// rules touch — typically a handful (the user's own subtree) out of
 	// the whole document.
-	base, err := cache.latestFor(ctx, p, doc, string(sig), indep)
+	base, err := c.latestFor(ctx, string(sig), indep)
 	if err != nil {
-		cache.mu.Unlock()
+		c.mu.Unlock()
 		return nil, err
 	}
-	g, err := cache.grantsFor(ctx, p, doc, string(sig), indep)
+	g, err := c.grantsFor(ctx, string(sig), indep)
+	c.mu.Unlock()
 	if err != nil {
-		cache.mu.Unlock()
 		return nil, err
 	}
-	ids := cache.ids
-	depIdx := make(map[*Rule][]int32, len(dep))
-	for r, ns := range depSets {
-		depIdx[r] = cache.intern(ns)
-	}
-	cache.mu.Unlock()
-	// base, g and ids are shared snapshots: read-only from here on.
+	// base and g are shared snapshots: read-only from here on.
 	touched := make(map[int32]permCells)
 	for _, r := range dep { // ascending priority, same merge as Evaluate
-		for _, idx := range depIdx[r] {
+		for _, idx := range c.intern(depSets[r]) {
 			cells, ok := touched[idx]
 			if !ok {
 				cells = base[idx]
@@ -339,7 +320,7 @@ func (p *Policy) EvaluateSharedCtx(ctx context.Context, doc *xmltree.Document, h
 	}
 	overlay := make(map[string]uint8, len(touched))
 	for idx, cells := range touched {
-		overlay[ids[idx]] = cells.mask()
+		overlay[c.ids[idx]] = cells.mask()
 	}
 	sp.AnnotateInt("overlay_nodes", int64(len(overlay)))
 	pm.grants, pm.overlay, pm.shared = g, overlay, true

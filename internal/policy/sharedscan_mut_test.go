@@ -21,13 +21,13 @@ func TestSharedMaskMutationIsolated(t *testing.T) {
 	for _, kind := range ssKinds {
 		t.Run(kind, func(t *testing.T) {
 			d, h, p := ssEnv(t, 1, kind)
-			cache := policy.NewRuleCache()
+			cache := policy.NewRuleCache(p, d)
 			users := h.Users()
 
 			// Warm the shared cache and keep each user's Perms handle.
 			perms := make(map[string]*policy.Perms, len(users))
 			for _, u := range users {
-				pm, err := p.EvaluateShared(d, h, u, cache)
+				pm, err := cache.EvaluateShared(h, u)
 				if err != nil {
 					t.Fatalf("warm evaluate(%s): %v", u, err)
 				}
@@ -60,7 +60,7 @@ func TestSharedMaskMutationIsolated(t *testing.T) {
 				}(u, pm)
 				go func(u string) {
 					defer wg.Done()
-					if _, err := p.EvaluateShared(d, h, u, cache); err != nil {
+					if _, err := cache.EvaluateShared(h, u); err != nil {
 						errs <- err
 					}
 				}(u)
@@ -79,7 +79,7 @@ func TestSharedMaskMutationIsolated(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference evaluate(%s): %v", u, err)
 				}
-				got, err := p.EvaluateShared(d, h, u, cache)
+				got, err := cache.EvaluateShared(h, u)
 				if err != nil {
 					t.Fatalf("shared evaluate(%s): %v", u, err)
 				}

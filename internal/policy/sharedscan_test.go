@@ -119,34 +119,35 @@ func permsDiff(d *xmltree.Document, ref, got *policy.Perms) string {
 }
 
 // runShared replays ops over a fresh environment, diffing EvaluateShared
-// against Evaluate for every user at every checkpoint. One RuleCache
-// persists across the whole run, so its self-healing on document-version
-// change is exercised at every checkpoint after the first. Returns the
-// index of the op whose checkpoint failed (-1 on success).
+// against Evaluate for every user at every checkpoint. A cache is bound to
+// one document state, so each checkpoint builds a fresh one that every
+// user shares. Returns the index of the op whose checkpoint failed (-1 on
+// success).
 func runShared(t *testing.T, seed int64, kind string, ops []*xupdate.Op) (int, string) {
 	t.Helper()
 	d, h, p := ssEnv(t, seed, kind)
-	cache := policy.NewRuleCache()
 	check := func() string {
+		cache := policy.NewRuleCache(p, d)
 		for _, u := range h.Users() {
 			ref, err := p.Evaluate(d, h, u)
 			if err != nil {
 				return fmt.Sprintf("reference evaluate(%s): %v", u, err)
 			}
-			got, err := p.EvaluateShared(d, h, u, cache)
+			got, err := cache.EvaluateShared(h, u)
 			if err != nil {
 				return fmt.Sprintf("shared evaluate(%s): %v", u, err)
 			}
 			if diff := permsDiff(d, ref, got); diff != "" {
 				return fmt.Sprintf("user %s: %s", u, diff)
 			}
-			// A nil cache must agree too (pure shared-walk path).
-			got2, err := p.EvaluateShared(d, h, u, nil)
+			// A cache of this user's own must agree too (nothing reused
+			// across users, rules still share document walks).
+			got2, err := policy.NewRuleCache(p, d).EvaluateShared(h, u)
 			if err != nil {
-				return fmt.Sprintf("shared evaluate(%s, nil cache): %v", u, err)
+				return fmt.Sprintf("shared evaluate(%s, fresh cache): %v", u, err)
 			}
 			if diff := permsDiff(d, ref, got2); diff != "" {
-				return fmt.Sprintf("user %s (nil cache): %s", u, diff)
+				return fmt.Sprintf("user %s (fresh cache): %s", u, diff)
 			}
 		}
 		return ""
@@ -235,14 +236,14 @@ func TestSharedScanDifferentialOracle(t *testing.T) {
 // still agree with the reference).
 func TestRuleCacheReuse(t *testing.T) {
 	d, h, p := ssEnv(t, 1, "paper")
-	cache := policy.NewRuleCache()
+	cache := policy.NewRuleCache(p, d)
 	users := []string{"beaufort", "laporte", "richard", "p0", "p1"}
 	for _, u := range users {
 		ref, err := p.Evaluate(d, h, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.EvaluateShared(d, h, u, cache)
+		got, err := cache.EvaluateShared(h, u)
 		if err != nil {
 			t.Fatal(err)
 		}

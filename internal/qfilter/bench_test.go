@@ -27,10 +27,10 @@ func BenchmarkForPermsSelect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache := policy.NewRuleCache()
+	cache := policy.NewRuleCache(p, d)
 	query := xpath.MustCompile("//diagnosis")
 	for _, user := range []string{"p7", "laporte"} {
-		pm, err := p.EvaluateShared(d, h, user, cache)
+		pm, err := cache.EvaluateShared(h, user)
 		if err != nil {
 			b.Fatal(err)
 		}

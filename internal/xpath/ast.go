@@ -149,10 +149,16 @@ func (p *pathExpr) String() string {
 
 // operand renders e where a token may follow it. The bare root path is
 // parenthesized: "/ * 0" would reparse as the path "/*" and a stray
-// number, "/ div 2" as the path "/div".
+// number, "/ div 2" as the path "/div". So is a negation: "-(0)/a" would
+// reparse as the negated path "-((0)/a)", "-(0)[1]" as "-((0)[1])".
 func operand(e expr) string {
-	if p, ok := e.(*pathExpr); ok && p.absolute && p.base == nil && len(p.steps) == 0 {
-		return "(/)"
+	switch e := e.(type) {
+	case *pathExpr:
+		if e.absolute && e.base == nil && len(e.steps) == 0 {
+			return "(/)"
+		}
+	case *negExpr:
+		return "(" + e.String() + ")"
 	}
 	return e.String()
 }

@@ -22,6 +22,7 @@ func FuzzCompile(f *testing.F) {
 		"//RESTRICTED[. != '']", "1<2", "processing-instruction('pi')",
 		"", "[", "]", ")", "a:", "$", "!", "'", "//a[", "1..2", "a-b",
 		"child::", "..::x", "@@", "--1", "//*[position()=last()-1]",
+		"(-0)/A", "(-1)[1]",
 	}
 	for _, s := range seeds {
 		f.Add(s)
