@@ -69,10 +69,11 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkWarmReadAfterWrite$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWriteAfterPublish$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 
-# Bounded fuzzing of the parser targets and the incremental-view
-# differential target from their seed corpora, plus the clone-independence
-# target over random mutator sequences and the secured-write equivalence
-# target (filtered selection on the source vs selection on the view).
+# Bounded fuzzing of the parser targets (XPath, XUpdate, Datalog, XSLT
+# stylesheets, storage snapshots) and the incremental-view differential
+# target from their seed corpora, plus the clone-independence target over
+# random mutator sequences and the secured-write equivalence target
+# (filtered selection on the source vs selection on the view).
 fuzz:
 	$(GO) test ./internal/xpath -fuzz FuzzCompile -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xupdate -fuzz FuzzParseModifications -fuzztime $(FUZZTIME) -run '^$$'
@@ -82,3 +83,5 @@ fuzz:
 	$(GO) test ./internal/rewrite -fuzz FuzzRewrite -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xmltree -fuzz FuzzCloneMutate -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/access -fuzz FuzzFilteredWrite -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/xslt -fuzz FuzzParseStylesheet -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/storage -fuzz FuzzRead -fuzztime $(FUZZTIME) -run '^$$'

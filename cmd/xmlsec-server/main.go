@@ -57,13 +57,7 @@ func main() {
 	accessLog := flag.String("accesslog", "stderr", `structured access log: "stderr", "off", or a file path`)
 	warm := flag.Int("warm", 0, "pre-materialize every user's view at startup through this many workers (0 = off)")
 	slowTrace := flag.Duration("slowtrace", 500*time.Millisecond, "log the full span tree of requests slower than this (0 = off)")
-	tier := flag.String("tier", "auto", `pin /query and /value to one read-ladder tier: "qfilter", "view" or "auto"`)
 	flag.Parse()
-
-	forcedTier, err := core.ParseTier(*tier)
-	if err != nil {
-		fatal(err)
-	}
 
 	var db *core.Database
 	if *snapshot != "" {
@@ -111,10 +105,6 @@ func main() {
 		}
 	}
 	opts := []server.Option{server.WithSlowTraceThreshold(*slowTrace)}
-	if forcedTier != core.TierAuto {
-		opts = append(opts, server.WithForcedTier(forcedTier))
-		fmt.Printf("read ladder pinned to tier %s\n", forcedTier)
-	}
 	if *pprof {
 		opts = append(opts, server.WithPprof())
 		fmt.Println("pprof enabled on /debug/pprof/")

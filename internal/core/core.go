@@ -36,7 +36,6 @@ import (
 	"securexml/internal/policy"
 	"securexml/internal/policyanalysis"
 	"securexml/internal/qfilter"
-	"securexml/internal/rewrite"
 	"securexml/internal/storage"
 	"securexml/internal/subject"
 	"securexml/internal/view"
@@ -85,40 +84,23 @@ var (
 	auditDepth = obs.Default().Gauge("xmlsec_audit_ring_depth")
 )
 
-// Tier identifies which route of the secured read path served a query
-// (§4.4.1 enforcement strategies): a static plan of the rewriter's
-// classifier (TierRewrite), the source under the qfilter permission
-// filter, or the materialized view.
+// Tier labels the route of the secured read path that served a read
+// (§4.4.1): the source under the session's maintained permissions
+// (TierQfilter), or the materialized view (TierView), which serves every
+// non-empty node-set value.
 type Tier int
 
-// The ladder tiers, cheapest first.
+// The read routes.
 const (
-	TierRewrite Tier = iota
-	TierQfilter
+	TierQfilter Tier = iota
 	TierView
 	numTiers
 )
 
-// TierAuto is the sentinel for normal routing (no pinning): static plans
-// on TierRewrite, other reads on TierQfilter, non-empty node-set values
-// on TierView. Only TierAuto consults the static classifier, so
-// TierRewrite cannot be pinned.
+// TierAuto is the sentinel for normal routing: every read on TierQfilter,
+// non-empty node-set values on TierView. It is what QueryTierCtx and
+// QueryValueTierCtx take unless a caller pins the view.
 const TierAuto Tier = -1
-
-// ParseTier parses a tier name as accepted by the server's -tier flag and
-// the shell's tier command: qfilter, view, or auto.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "qfilter":
-		return TierQfilter, nil
-	case "view":
-		return TierView, nil
-	case "auto", "":
-		return TierAuto, nil
-	default:
-		return TierAuto, fmt.Errorf("core: unknown tier %q (want qfilter|view|auto)", s)
-	}
-}
 
 // String names the tier.
 func (t Tier) String() string { return t.MetricLabel() }
@@ -127,8 +109,6 @@ func (t Tier) String() string { return t.MetricLabel() }
 // literal so labels stay compile-time bounded (xmlsec-vet obslabel).
 func (t Tier) MetricLabel() string {
 	switch t {
-	case TierRewrite:
-		return "rewrite"
 	case TierQfilter:
 		return "qfilter"
 	case TierView:
@@ -138,7 +118,7 @@ func (t Tier) MetricLabel() string {
 	}
 }
 
-// Telemetry: queries served per ladder tier, resolved once.
+// Telemetry: queries served per route, resolved once.
 var queryTierCounters = func() (c [numTiers]*obs.Counter) {
 	for t := Tier(0); t < numTiers; t++ {
 		c[t] = obs.Default().Counter("xmlsec_query_tier_total", "tier", t.MetricLabel())
@@ -151,13 +131,6 @@ var queryTierCounters = func() (c [numTiers]*obs.Counter) {
 // rewrite-fallback name its dashboards and benchmark already read.
 var nodeSetValueFallbacks = obs.Default().Counter("xmlsec_rewrite_fallback_total", "reason", "nodeset_value")
 
-// countTier records one query served by tier.
-func countTier(t Tier) {
-	if t >= 0 && t < numTiers {
-		queryTierCounters[t].Inc()
-	}
-}
-
 // sessionOp counts one session operation by name and outcome (ok | error).
 func sessionOp(op, outcome string) {
 	obs.Default().Counter("xmlsec_session_ops_total", "op", op, "outcome", outcome).Inc()
@@ -167,13 +140,6 @@ func sessionOp(op, outcome string) {
 var (
 	ErrUnknownUser = errors.New("core: unknown user")
 	ErrNotUser     = errors.New("core: sessions are for users, not roles")
-	// ErrTierUnavailable: a query was pinned to one ladder tier (A/B
-	// debugging via the server -tier flag or the shell tier command) and
-	// that tier cannot serve it — TierRewrite, which only static plans of
-	// the unpinned path reach, or a pinned qfilter value query that
-	// produced a node-set (which only the view tier may hand out without
-	// leaking).
-	ErrTierUnavailable = errors.New("core: forced tier cannot serve this query")
 )
 
 // Option configures a Database.
@@ -834,13 +800,12 @@ type Result struct {
 }
 
 // Query evaluates an XPath expression and returns the matching nodes as
-// the user's view shows them (§4.4.1). Queries take the one secured read
-// path (see secureRead): the rewriter's static classification, else
-// evaluation on the source under the session's maintained permissions.
-// Every tier is answer-equivalent to the view (pinned by internal/rewrite's
-// differential oracle and internal/qfilter's property tests), so the tier
-// choice is invisible except in latency and the xmlsec_query_tier_total
-// counters.
+// the user's view shows them (§4.4.1). Every query takes the one secured
+// read path (see secureRead): it is evaluated on the source under the
+// session's maintained permissions, which is answer-equivalent to
+// evaluating it on the view (pinned by internal/qfilter's property tests
+// and the tier agreement tests), so the route is invisible except in
+// latency and the xmlsec_query_tier_total counters.
 func (s *Session) Query(path string) ([]Result, error) {
 	return s.QueryCtx(context.Background(), path)
 }
@@ -848,28 +813,15 @@ func (s *Session) Query(path string) ([]Result, error) {
 // QueryCtx is Query with a request context: the request ID (if any) is
 // threaded into the audit entry alongside the operation's duration.
 func (s *Session) QueryCtx(ctx context.Context, path string) ([]Result, error) {
-	out, _, err := s.QueryTieredCtx(ctx, path)
+	out, _, err := s.QueryTierCtx(ctx, path, TierAuto)
 	return out, err
 }
 
-// QueryTiered is Query also reporting which ladder tier served the answer.
-func (s *Session) QueryTiered(path string) ([]Result, Tier, error) {
-	return s.QueryTieredCtx(context.Background(), path)
-}
-
-// QueryTieredCtx evaluates path through the secured read path against one
-// pinned generation: no lock is taken and concurrent commits cannot tear
-// the snapshot.
-func (s *Session) QueryTieredCtx(ctx context.Context, path string) ([]Result, Tier, error) {
-	return s.QueryTierCtx(ctx, path, TierAuto)
-}
-
-// QueryTierCtx is QueryTieredCtx with the ladder pinned to one tier
-// (TierAuto routes normally). Pinning exists for A/B debugging — the
-// server's -tier flag and the shell's tier command route here. A pinned
-// tier that cannot serve the query fails with ErrTierUnavailable instead
-// of falling through, so a pinned comparison never silently measures a
-// different tier.
+// QueryTierCtx is QueryCtx also reporting the route that served the
+// answer. It evaluates against one pinned generation: no lock is taken and
+// concurrent commits cannot tear the snapshot. forced == TierView
+// evaluates on the session's maintained view instead, the reference the
+// agreement tests compare against; any other value routes normally.
 func (s *Session) QueryTierCtx(ctx context.Context, path string, forced Tier) ([]Result, Tier, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_query", queryStage)
 	fail := func(tier Tier, err error) ([]Result, Tier, error) {
@@ -877,22 +829,19 @@ func (s *Session) QueryTierCtx(ctx context.Context, path string, forced Tier) ([
 		s.db.recordCtx(ctx, "query", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, tier, err
 	}
-	rd, err := s.secureRead(ctx, s.db.gen(), path, forced)
+	rd, err := s.secureRead(ctx, s.db.gen(), path, forced == TierView)
 	if err != nil {
 		return fail(rd.tier, err)
 	}
-	out := []Result{}
-	if rd.c != nil {
-		_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
-		ns, err := rd.c.SelectFiltered(rd.root, s.vars(), rd.sec)
-		xe.AnnotateInt("selected", int64(len(ns)))
-		xe.End()
-		if err != nil {
-			return fail(rd.tier, err)
-		}
-		out = filteredResults(ns, rd.sec)
+	_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
+	ns, err := rd.c.SelectFiltered(rd.root, s.vars(), rd.sec)
+	xe.AnnotateInt("selected", int64(len(ns)))
+	xe.End()
+	if err != nil {
+		return fail(rd.tier, err)
 	}
-	countTier(rd.tier)
+	out := filteredResults(ns, rd.sec)
+	queryTierCounters[rd.tier].Inc()
 	sp.Annotate("query_tier", rd.tier.String())
 	sessionOp("query", "ok")
 	s.db.recordCtx(ctx, "query", s.user, path, fmt.Sprintf("%d nodes", len(out)), sp.End())
@@ -900,61 +849,32 @@ func (s *Session) QueryTierCtx(ctx context.Context, path string, forced Tier) ([
 }
 
 // securedRead is one read resolved by secureRead: the compiled expression
-// and where to evaluate it. A nil c is the statically empty answer.
+// and where to evaluate it.
 type securedRead struct {
 	tier Tier
 	c    *xpath.Compiled
 	// root is the pinned generation's source root, or the view's root
 	// for TierView.
 	root *xmltree.Node
-	// sec filters the source; nil for a transparent plan and the view.
+	// sec filters the source; nil for the view.
 	sec *xpath.Security
 }
 
 // secureRead resolves one read of path on the pinned generation g. This is
 // the paper's §5 filtered-query design fed by the session's maintained
-// state. Under TierAuto:
-//
-//   - the rewriter's static classification decides first (Cheney's static
-//     enforceability): PlanEmpty is the empty answer, PlanTransparent
-//     evaluates the raw query on the source (TierRewrite);
-//   - every other read evaluates on the source under qfilter.ForPerms over
-//     the session's maintained permissions (TierQfilter) — a cache hit, a
-//     delta patch, or one derivation that is then cached (secureSource).
-//
-// Pinned, TierQfilter runs the maintained-permissions path without the
-// static shortcut and TierView evaluates on the maintained view;
-// TierRewrite cannot be pinned. The returned read is non-nil even on
-// error, carrying the tier to report.
-func (s *Session) secureRead(ctx context.Context, g *generation, path string, forced Tier) (*securedRead, error) {
-	rd := &securedRead{tier: forced, root: g.doc.Root()}
-	switch forced {
-	case TierAuto:
-		rd.tier = TierQfilter
-		pl, err := g.rewriteEngine().ProgramFor(s.user).PlanFor(path)
-		if err != nil {
-			return rd, err // compile errors are tier-independent
-		}
-		rd.c = pl.Compiled()
-		switch pl.Mode {
-		case rewrite.PlanEmpty:
-			rd.tier, rd.c = TierRewrite, nil
-			return rd, nil
-		case rewrite.PlanTransparent:
-			rd.tier = TierRewrite
-			return rd, nil
-		}
-	case TierRewrite:
-		return rd, fmt.Errorf("%w: the rewrite tier serves only static plans and cannot be pinned", ErrTierUnavailable)
+// state: the read evaluates on the source under qfilter.ForPerms over the
+// session's maintained permissions (TierQfilter) — a cache hit, a delta
+// patch, or one derivation that is then cached (secureSource). With
+// onView it evaluates on the session's maintained view (TierView). The
+// returned read is non-nil even on error, carrying the tier to report.
+func (s *Session) secureRead(ctx context.Context, g *generation, path string, onView bool) (*securedRead, error) {
+	rd := &securedRead{tier: TierQfilter, root: g.doc.Root()}
+	c, err := xpath.Compile(path)
+	if err != nil {
+		return rd, err
 	}
-	if rd.c == nil {
-		c, err := xpath.Compile(path)
-		if err != nil {
-			return rd, err
-		}
-		rd.c = c
-	}
-	if rd.tier == TierView {
+	rd.c = c
+	if onView {
 		return rd, s.onView(ctx, g, rd)
 	}
 	sec, err := s.secureSource(ctx, g)
@@ -991,8 +911,7 @@ func (s *Session) onView(ctx context.Context, g *generation, rd *securedRead) er
 
 // filteredResults renders source nodes exactly as the user's materialized
 // view would show them: effective labels, filtered string-values, view
-// paths. A nil sec renders stored labels: a transparent profile, or nodes
-// of the view itself.
+// paths. A nil sec renders stored labels: nodes of the view itself.
 func filteredResults(ns xpath.NodeSet, sec *xpath.Security) []Result {
 	out := make([]Result, len(ns))
 	for i, n := range ns {
@@ -1019,26 +938,13 @@ func (s *Session) QueryValue(path string) (xpath.Value, error) {
 // any) is threaded into the audit entry alongside the operation's
 // duration.
 func (s *Session) QueryValueCtx(ctx context.Context, path string) (xpath.Value, error) {
-	val, _, err := s.QueryValueTieredCtx(ctx, path)
+	val, _, err := s.QueryValueTierCtx(ctx, path, TierAuto)
 	return val, err
 }
 
-// QueryValueTiered is QueryValue also reporting the serving tier.
-func (s *Session) QueryValueTiered(path string) (xpath.Value, Tier, error) {
-	return s.QueryValueTieredCtx(context.Background(), path)
-}
-
-// QueryValueTieredCtx evaluates an arbitrary expression through the
-// secured read path (see QueryTieredCtx); a non-empty node-set is
-// re-evaluated on the view.
-func (s *Session) QueryValueTieredCtx(ctx context.Context, path string) (xpath.Value, Tier, error) {
-	return s.QueryValueTierCtx(ctx, path, TierAuto)
-}
-
-// QueryValueTierCtx is QueryValueTieredCtx with the ladder pinned to one
-// tier (see QueryTierCtx). A pinned qfilter query whose value is a
-// non-empty node-set fails with ErrTierUnavailable: only the view
-// tier may hand out node-sets without leaking hidden labels.
+// QueryValueTierCtx is QueryValueCtx also reporting the route that served
+// the value; a non-empty node-set is re-evaluated on the view. forced is
+// as for QueryTierCtx.
 func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tier) (xpath.Value, Tier, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_query_value", valueStage)
 	fail := func(tier Tier, err error) (xpath.Value, Tier, error) {
@@ -1047,18 +953,13 @@ func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tie
 		return nil, tier, err
 	}
 	eval := func(rd *securedRead) (xpath.Value, error) {
-		if rd.c == nil {
-			// Empty plans only arise from path expressions, whose value is
-			// a node-set — here the provably empty one.
-			return xpath.NodeSet(nil), nil
-		}
 		_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
 		val, err := rd.c.EvalFiltered(rd.root, s.vars(), rd.sec)
 		xe.End()
 		return val, err
 	}
 	g := s.db.gen()
-	rd, err := s.secureRead(ctx, g, path, forced)
+	rd, err := s.secureRead(ctx, g, path, forced == TierView)
 	if err != nil {
 		return fail(rd.tier, err)
 	}
@@ -1067,9 +968,6 @@ func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tie
 		return fail(rd.tier, err)
 	}
 	if ns, ok := val.(xpath.NodeSet); ok && len(ns) > 0 && rd.tier != TierView {
-		if forced != TierAuto {
-			return fail(rd.tier, fmt.Errorf("%w: non-empty node-set values must come from the view tier", ErrTierUnavailable))
-		}
 		nodeSetValueFallbacks.Inc()
 		if err := s.onView(ctx, g, rd); err != nil {
 			return fail(rd.tier, err)
@@ -1078,7 +976,7 @@ func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tie
 			return fail(rd.tier, err)
 		}
 	}
-	countTier(rd.tier)
+	queryTierCounters[rd.tier].Inc()
 	sp.Annotate("query_tier", rd.tier.String())
 	sessionOp("query_value", "ok")
 	s.db.recordCtx(ctx, "query_value", s.user, path, val.TypeName(), sp.End())

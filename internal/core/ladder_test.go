@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,44 +12,43 @@ import (
 	"securexml/internal/xupdate"
 )
 
-// tierCounts snapshots the per-tier query counters (process-global, so
+// tierCounts snapshots the per-route query counters (process-global, so
 // assertions are on deltas).
-func tierCounts() (rw, qf, vw uint64) {
-	return queryTierCounters[TierRewrite].Value(),
-		queryTierCounters[TierQfilter].Value(),
-		queryTierCounters[TierView].Value()
+func tierCounts() (qf, vw uint64) {
+	return queryTierCounters[TierQfilter].Value(), queryTierCounters[TierView].Value()
 }
 
 // TestQueryTierRouting drives each route of the secured read path and
-// asserts both the reported tier and the tier/fallback telemetry.
+// asserts the reported route, the answer and the route/fallback
+// telemetry.
 func TestQueryTierRouting(t *testing.T) {
 	db := hospital(t)
 	s := session(t, db, "laporte")
+	ctx := context.Background()
 
-	// Chain-only profile without a static plan: the source under the
-	// session's maintained permissions serves node-set and atomic queries.
-	r0, q0, v0 := tierCounts()
-	res, tier, err := s.QueryTiered("//diagnosis")
+	// The source under the session's maintained permissions serves
+	// node-set and atomic queries.
+	q0, v0 := tierCounts()
+	res, tier, err := s.QueryTierCtx(ctx, "//diagnosis", TierAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tier != TierQfilter || len(res) != 2 {
 		t.Fatalf("doctor query: tier %v with %d results, want qfilter/2", tier, len(res))
 	}
-	if _, tier, err = s.QueryValueTiered("count(//diagnosis)"); err != nil || tier != TierQfilter {
+	if _, tier, err = s.QueryValueTierCtx(ctx, "count(//diagnosis)", TierAuto); err != nil || tier != TierQfilter {
 		t.Fatalf("doctor count: tier %v err %v, want qfilter", tier, err)
 	}
-	r1, q1, v1 := tierCounts()
-	if r1 != r0 || q1 != q0+2 || v1 != v0 {
-		t.Errorf("tier counters after qfilter-served queries: rewrite+%d qfilter+%d view+%d, want 0/2/0",
-			r1-r0, q1-q0, v1-v0)
+	q1, v1 := tierCounts()
+	if q1 != q0+2 || v1 != v0 {
+		t.Errorf("tier counters after qfilter-served queries: qfilter+%d view+%d, want 2/0", q1-q0, v1-v0)
 	}
 
 	// A non-empty node-set value must come from the materialized view
 	// (raw source nodes would leak hidden labels), counted as a
 	// nodeset_value fallback.
 	n0 := nodeSetValueFallbacks.Value()
-	val, tier, err := s.QueryValueTiered("//diagnosis")
+	val, tier, err := s.QueryValueTierCtx(ctx, "//diagnosis", TierAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,42 +62,36 @@ func TestQueryTierRouting(t *testing.T) {
 		t.Errorf("nodeset_value fallback moved by %d, want 1", n1-n0)
 	}
 
-	// No staff rule reads attributes, so an attribute query is statically
-	// empty: served on the rewrite tier without touching the document.
-	if res, tier, err = s.QueryTiered("//@id"); err != nil || tier != TierRewrite || len(res) != 0 {
-		t.Fatalf("attribute query: tier %v err %v with %d results, want rewrite/0", tier, err, len(res))
+	// No staff rule reads attributes, so an attribute query is empty. It is
+	// served on the source like every other read, with the view's answer.
+	attrs := func(step string) {
+		t.Helper()
+		res, tier, err := s.QueryTierCtx(ctx, "//@id", TierAuto)
+		if err != nil || tier != TierQfilter || len(res) != 0 {
+			t.Fatalf("%s: attribute query tier %v err %v with %d results, want qfilter/0", step, tier, err, len(res))
+		}
+		if want := viewReference(t, s, "//@id"); fmt.Sprint(res) != fmt.Sprint(want) {
+			t.Errorf("%s: attribute query %v, view %v", step, res, want)
+		}
 	}
+	attrs("paper policy")
 
-	// A read rule with a positional predicate keeps the static
-	// classification: the empty plan stays on the rewrite tier and other
-	// queries stay on qfilter, also once the session holds a fresh view.
+	// A read rule with a positional predicate changes nothing about the
+	// route, also once the session holds a fresh view (viewReference
+	// catches it up).
 	if err := db.AddRule(policy.Rule{
 		Effect: policy.Accept, Privilege: policy.Read,
 		Path: "/patients/*[1]", Subject: "staff", Priority: 500,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, tier, err = s.QueryTiered("//@id"); err != nil || tier != TierRewrite {
-		t.Fatalf("positional rule: attribute query tier %v err %v, want rewrite", tier, err)
-	}
-	if _, tier, err = s.QueryTiered("//diagnosis"); err != nil || tier != TierQfilter {
+	if res, tier, err = s.QueryTierCtx(ctx, "//diagnosis", TierAuto); err != nil || tier != TierQfilter {
 		t.Fatalf("positional rule: tier %v err %v, want qfilter", tier, err)
 	}
-	if _, err := s.View(); err != nil {
-		t.Fatal(err)
+	if want := viewReference(t, s, "//diagnosis"); fmt.Sprint(res) != fmt.Sprint(want) {
+		t.Errorf("positional rule: query %v, view %v", res, want)
 	}
-	if _, tier, err = s.QueryTiered("//diagnosis"); err != nil || tier != TierQfilter {
-		t.Fatalf("positional rule with fresh view: tier %v err %v, want qfilter", tier, err)
-	}
-
-	// The rewrite tier serves only static plans of the unpinned path, so a
-	// pin on it fails instead of measuring another tier.
-	if _, tier, err = s.QueryTierCtx(context.Background(), "//diagnosis", TierRewrite); !errors.Is(err, ErrTierUnavailable) || tier != TierRewrite {
-		t.Fatalf("pinned rewrite query: tier %v err %v, want ErrTierUnavailable", tier, err)
-	}
-	if _, _, err = s.QueryValueTierCtx(context.Background(), "count(//diagnosis)", TierRewrite); !errors.Is(err, ErrTierUnavailable) {
-		t.Fatalf("pinned rewrite value: err %v, want ErrTierUnavailable", err)
-	}
+	attrs("positional rule with fresh view")
 }
 
 // TestFallbackCounters: only a non-empty node-set value moves the
@@ -111,47 +102,21 @@ func TestFallbackCounters(t *testing.T) {
 	c := obs.Default().Counter("xmlsec_rewrite_fallback_total", "reason", "nodeset_value")
 	n0 := c.Value()
 	for _, q := range []string{"count(//diagnosis)", "//nothing", "//@id"} {
-		if _, _, err := s.QueryValueTiered(q); err != nil {
+		if _, err := s.QueryValue(q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := s.QueryTiered("//diagnosis"); err != nil {
+	if _, err := s.Query("//diagnosis"); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.Value() - n0; d != 0 {
 		t.Errorf("nodeset_value moved by %d on atomic and empty values, want 0", d)
 	}
-	if _, tier, err := s.QueryValueTiered("//diagnosis"); err != nil || tier != TierView {
+	if _, tier, err := s.QueryValueTierCtx(context.Background(), "//diagnosis", TierAuto); err != nil || tier != TierView {
 		t.Fatalf("node-set value: tier %v err %v, want view", tier, err)
 	}
 	if d := c.Value() - n0; d != 1 {
 		t.Errorf("nodeset_value moved by %d, want 1", d)
-	}
-	// A node-set value pinned to qfilter is refused, not re-evaluated on
-	// the view, so it is no fallback.
-	pinned := session(t, hospital(t), "laporte")
-	n1 := c.Value()
-	if _, _, err := pinned.QueryValueTierCtx(context.Background(), "//diagnosis", TierQfilter); !errors.Is(err, ErrTierUnavailable) {
-		t.Fatalf("pinned node-set value: err %v, want ErrTierUnavailable", err)
-	}
-	if d := c.Value() - n1; d != 0 {
-		t.Errorf("nodeset_value moved by %d on a refused pinned value, want 0", d)
-	}
-}
-
-// TestParseTier pins the names the server's -tier flag and the shell's
-// tier command accept; rewrite is not among them.
-func TestParseTier(t *testing.T) {
-	for name, want := range map[string]Tier{"qfilter": TierQfilter, "view": TierView, "auto": TierAuto, "": TierAuto} {
-		if got, err := ParseTier(name); err != nil || got != want {
-			t.Errorf("ParseTier(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	for _, name := range []string{"rewrite", "bogus"} {
-		_, err := ParseTier(name)
-		if err == nil || !strings.Contains(err.Error(), "qfilter|view|auto") {
-			t.Errorf("ParseTier(%q) error %v, want one listing qfilter|view|auto", name, err)
-		}
 	}
 }
 
@@ -168,7 +133,7 @@ func TestQueryTierAgreement(t *testing.T) {
 		db := hospital(t)
 		s := session(t, db, user)
 		for _, q := range queries {
-			if _, tier, err := s.QueryTiered(q); err != nil || tier != TierQfilter {
+			if _, tier, err := s.QueryTierCtx(context.Background(), q, TierAuto); err != nil || tier != TierQfilter {
 				t.Fatalf("user %s query %s: tier %v err %v, want qfilter", user, q, tier, err)
 			}
 		}
@@ -182,7 +147,7 @@ func TestQueryTierAgreement(t *testing.T) {
 			}
 		}
 		// Write privileges never matter to reads: still the qfilter tier.
-		if _, tier, err := s.QueryTiered("//diagnosis"); err != nil || tier != TierQfilter {
+		if _, tier, err := s.QueryTierCtx(context.Background(), "//diagnosis", TierAuto); err != nil || tier != TierQfilter {
 			t.Fatalf("user %s: a write rule changed the read tier to %v (err %v)", user, tier, err)
 		}
 		for i, subj := range []string{"staff", "patient"} {
@@ -196,7 +161,7 @@ func TestQueryTierAgreement(t *testing.T) {
 		for _, q := range queries {
 			// A fresh session holds no view, so the qfilter rung derives
 			// the permissions once and caches them.
-			res, tier, err := session(t, db, user).QueryTiered(q)
+			res, tier, err := session(t, db, user).QueryTierCtx(context.Background(), q, TierAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +186,7 @@ func TestQueryTierAgreement(t *testing.T) {
 		t.Helper()
 		for _, s := range sessions {
 			for _, q := range queries {
-				auto, _, err := s.QueryTiered(q)
+				auto, _, err := s.QueryTierCtx(context.Background(), q, TierAuto)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -234,7 +199,7 @@ func TestQueryTierAgreement(t *testing.T) {
 				}
 			}
 			for _, q := range values {
-				auto, _, err := s.QueryValueTiered(q)
+				auto, _, err := s.QueryValueTierCtx(context.Background(), q, TierAuto)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -302,7 +267,7 @@ func viewReference(t *testing.T, s *Session, q string) []Result {
 // TestTierEnumLabels pins the ladder's telemetry labels.
 func TestTierEnumLabels(t *testing.T) {
 	want := map[Tier]string{
-		TierRewrite: "rewrite", TierQfilter: "qfilter", TierView: "view", Tier(99): "unknown",
+		TierQfilter: "qfilter", TierView: "view", Tier(99): "unknown",
 	}
 	for tier, label := range want {
 		if tier.String() != label || tier.MetricLabel() != label {
@@ -311,10 +276,11 @@ func TestTierEnumLabels(t *testing.T) {
 	}
 }
 
-// TestLadderEpochChurnRace hammers the read ladder from concurrent
-// sessions while the policy epoch moves (grants/revokes rebuild the
-// rewrite engine) and the document mutates — the invariants the rewrite
-// tier's epoch-keyed engine cache must survive. Run with -race.
+// TestLadderEpochChurnRace hammers the secured read path from concurrent
+// sessions while the policy epoch moves (grants/revokes make every
+// session re-derive its permissions) and the document mutates (sessions
+// patch their permissions by delta): every read must succeed throughout.
+// Run with -race.
 func TestLadderEpochChurnRace(t *testing.T) {
 	db := hospital(t)
 	readers := []*Session{
@@ -323,6 +289,7 @@ func TestLadderEpochChurnRace(t *testing.T) {
 		session(t, db, "franck"),
 	}
 	writer := session(t, db, "laporte")
+	ctx := context.Background()
 	const iters = 60
 	var wg sync.WaitGroup
 	for _, s := range readers {
@@ -331,15 +298,15 @@ func TestLadderEpochChurnRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if _, _, err := s.QueryTiered("//diagnosis"); err != nil {
+				if _, err := s.QueryCtx(ctx, "//diagnosis"); err != nil {
 					t.Errorf("%s query: %v", s.User(), err)
 					return
 				}
-				if _, _, err := s.QueryValueTiered("count(//*)"); err != nil {
+				if _, err := s.QueryValueCtx(ctx, "count(//*)"); err != nil {
 					t.Errorf("%s count: %v", s.User(), err)
 					return
 				}
-				if _, _, err := s.QueryTiered("/patients/*[name() = $USER]"); err != nil {
+				if _, err := s.QueryCtx(ctx, "/patients/*[name() = $USER]"); err != nil {
 					t.Errorf("%s self query: %v", s.User(), err)
 					return
 				}

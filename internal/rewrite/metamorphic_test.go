@@ -1,9 +1,9 @@
-// Metamorphic properties of the classifier and the plan answers the
-// session read path serves from it (planAnswer) — relations that must hold
+// Metamorphic properties of the classifier and the plan answers derived
+// from it (planAnswer) — relations that must hold
 // between answers without knowing any answer's expected value:
 //
 //  1. idempotence: classification is a fixpoint. Re-planning the same
-//     query (cached or from a freshly built engine) yields the same
+//     query (on the same program or a freshly built engine) yields the same
 //     classification and the identical answer.
 //  2. full privilege: for a profile that reads everything, the plan
 //     answer equals the raw query over the unfiltered source document.
@@ -47,8 +47,8 @@ func metaAnswer(t *testing.T, eng *rewrite.Engine, root *xmltree.Node, pm *polic
 }
 
 // TestRewriteIdempotent: same policy, same query — same plan mode, same
-// answer, whether the plan is served from the cache (second PlanFor on one
-// engine returns the same plan) or rebuilt from scratch on a second engine.
+// answer, whether the plan is re-planned on the same program or rebuilt
+// from scratch on a second engine.
 func TestRewriteIdempotent(t *testing.T) {
 	for _, kind := range []string{"paper", "scaled"} {
 		d, h, p := roEnv(t, 1, kind)
@@ -66,8 +66,8 @@ func TestRewriteIdempotent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pl1again != pl1 {
-					t.Errorf("%s user %s query %s: re-planning did not hit the plan cache", kind, u, q)
+				if pl1again.Mode != pl1.Mode {
+					t.Errorf("%s user %s query %s: mode %v vs %v on re-planning", kind, u, q, pl1.Mode, pl1again.Mode)
 				}
 				pl2, err := pg2.PlanFor(q)
 				if err != nil {

@@ -1,15 +1,14 @@
 // Differential oracle for the static read classifier: for every user and
 // every query of a corpus spanning downward paths, predicates, positional
-// tests, reverse and sideways axes, the answer the session read path
-// serves for the query's plan must equal the same query over that user's
-// materialized view (view.Materialize, axioms 15–17) node-for-node —
-// source identifiers, effective labels, view paths and filtered
-// string-values:
+// tests, reverse and sideways axes, the answer the query's plan denotes
+// must equal the same query over that user's materialized view
+// (view.Materialize, axioms 15–17) node-for-node — source identifiers,
+// effective labels, view paths and filtered string-values:
 //
 //   - PlanEmpty: the view answer is empty;
 //   - PlanTransparent: the raw query over the source equals the view;
 //   - PlanFiltered: the query over the source under
-//     qfilter.ForPerms(policy.Evaluate(...)) — the production path —
+//     qfilter.ForPerms(policy.Evaluate(...)) — the session read path —
 //     equals the view.
 //
 // Policies: the paper policy, the scaled policy, seeded random 4-quadrant
@@ -22,7 +21,7 @@
 // minimized, PR 4/5 style.
 //
 // External test package: the oracle drives the engine purely through its
-// exported surface, the same way internal/core does.
+// exported surface.
 package rewrite_test
 
 import (
@@ -241,8 +240,7 @@ func renderValue(val xpath.Value, sec *xpath.Security) []string {
 	return []string{val.TypeName() + " " + val.Str()}
 }
 
-// planAnswer evaluates q for user the way the session read path serves
-// the query's plan: nothing for PlanEmpty, the raw query on the source for
+// planAnswer evaluates q for user as the query's plan denotes it: nothing for PlanEmpty, the raw query on the source for
 // PlanTransparent, and the query on the source under qfilter.ForPerms over
 // the user's permissions pm for PlanFiltered.
 func planAnswer(pg *rewrite.Program, root *xmltree.Node, pm *policy.Perms, user, q string) ([]string, error) {

@@ -1,11 +1,12 @@
-// Package rewrite is the static read classifier. For one (rule profile,
-// query) pair it decides from the policy alone, without reading any
-// document, whether the query's answer over the user's view (axioms
-// 15–17) is provably empty or provably the raw query's answer over the
-// source. This is the static half of Cheney's "Static Enforceability of
-// XPath-Based Access Control Policies", adapted to the paper's
-// priority-merge semantics (axiom 14). Both decisions are word searches of
-// the policy analyzer's automata over xpath.Pattern abstractions:
+// Package rewrite is a static read analysis with no request-path caller.
+// For one (rule profile, query) pair it decides from the policy alone,
+// without reading any document, whether the query's answer over the
+// user's view (axioms 15–17) is provably empty or provably the raw query's
+// answer over the source. This is the static half of Cheney's "Static
+// Enforceability of XPath-Based Access Control Policies", adapted to the
+// paper's priority-merge semantics (axiom 14). Both decisions are word
+// searches of the policy analyzer's automata over xpath.Pattern
+// abstractions:
 //
 //   - PlanEmpty: the query's pattern, read over view words
 //     (xpath.Pattern.ViewPreimage), shares no root-to-node word with any
@@ -19,23 +20,20 @@
 //     is an accept (checked over the pattern alphabet, requiring every
 //     applicable read rule to be Exact), so the view is the source.
 //
-// Every other plan is PlanFiltered: the read needs the permission filter,
-// which the session read path (internal/core) applies on the source under
-// its maintained permissions (internal/qfilter).
+// Every other plan is PlanFiltered: the read needs the permission filter.
+// Reads themselves always take internal/core's secured read path, which
+// evaluates on the source under the session's maintained permissions
+// (internal/qfilter); like Cheney's analysis, this one belongs at
+// policy-authoring time, and its soundness suite checks every plan
+// against the view.
 //
-// Programs are shared per rule *profile* — the set of applicable read and
-// position rules — not per user: $USER stays a runtime variable, so every
-// patient shares one program and one plan cache. Rules for the write
-// privileges (insert, update, delete) cannot influence any answer and are
-// ignored. Engines are built per policy epoch (internal/core keeps one per
-// epoch on its generations), so every cache here is document-independent.
+// A program covers one rule *profile* — the set of applicable read and
+// position rules — not one user: $USER stays a runtime variable. Rules for
+// the write privileges (insert, update, delete) cannot influence any
+// answer and are ignored.
 package rewrite
 
 import (
-	"strconv"
-	"strings"
-	"sync"
-
 	"securexml/internal/policy"
 	"securexml/internal/policyanalysis"
 	"securexml/internal/subject"
@@ -51,27 +49,17 @@ type ruleInfo struct {
 	pattern *xpath.Pattern
 }
 
-// Engine holds the classifier's state for one (policy, hierarchy) epoch:
-// the read/position rules plus the per-profile program cache. Safe for
-// concurrent use; internal/core replaces the whole engine when the policy
-// epoch moves, so nothing here ever needs invalidation.
+// Engine holds the classifier's state for one (policy, hierarchy) pair:
+// the read/position rules in abstract form. It is immutable once built.
 type Engine struct {
 	h     *subject.Hierarchy
 	rules []ruleInfo // ascending priority (policy.Rules order)
-
-	mu       sync.Mutex
-	programs map[string]*Program // by profile key (applicable rule indices)
-	users    map[string]*Program // login -> program
 }
 
 // NewEngine abstracts the policy's read and position rules for
 // classification.
 func NewEngine(p *policy.Policy, h *subject.Hierarchy) *Engine {
-	e := &Engine{
-		h:        h,
-		programs: make(map[string]*Program),
-		users:    make(map[string]*Program),
-	}
+	e := &Engine{h: h}
 	for _, r := range p.Rules() {
 		if r.Privilege != policy.Read && r.Privilege != policy.Position {
 			continue
@@ -94,52 +82,29 @@ func NewEngine(p *policy.Policy, h *subject.Hierarchy) *Engine {
 	return e
 }
 
-// ProgramFor returns the shared program for the user's rule profile.
-// Programs are cached per profile, so all users with the same applicable
-// rules (e.g. every patient — $USER stays a variable) share one program
-// and one plan cache.
+// ProgramFor builds the program of the user's rule profile.
 func (e *Engine) ProgramFor(user string) *Program {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if pg, ok := e.users[user]; ok {
-		return pg
-	}
 	var idx []int
 	for i := range e.rules {
 		if e.h.ISA(user, e.rules[i].subject) {
 			idx = append(idx, i)
 		}
 	}
-	var b strings.Builder
-	for _, i := range idx {
-		b.WriteString(strconv.Itoa(i))
-		b.WriteByte(',')
-	}
-	key := b.String()
-	pg, ok := e.programs[key]
-	if !ok {
-		pg = buildProgram(e.rules, idx)
-		e.programs[key] = pg
-	}
-	e.users[user] = pg
-	return pg
+	return buildProgram(e.rules, idx)
 }
 
 // Program is the classifier of one rule profile: the applicable
-// read/position rules in ascending priority, the accept rules' patterns,
-// and the per-query plan cache.
+// read/position rules in ascending priority and the accept rules'
+// patterns.
 type Program struct {
 	rules       []ruleInfo
 	acceptPats  []*xpath.Pattern // patterns of the accept rules (visibility over-approximation)
 	transparent bool
-
-	mu    sync.Mutex
-	plans map[string]*Plan
 }
 
 // buildProgram classifies the profile selected by idx.
 func buildProgram(rules []ruleInfo, idx []int) *Program {
-	pg := &Program{plans: make(map[string]*Plan)}
+	pg := &Program{}
 	for _, i := range idx {
 		pg.rules = append(pg.rules, rules[i])
 		if rules[i].effect == policy.Accept {
@@ -234,27 +199,15 @@ func (m PlanMode) String() string {
 }
 
 // Plan is one classified query: the compiled expression plus its static
-// classification for this profile. Plans are cached per (profile, query
-// text) and are document-independent.
+// classification for this profile. Plans are document-independent.
 type Plan struct {
 	Mode PlanMode
 	c    *xpath.Compiled
 }
 
-// maxPlans bounds a profile's plan cache; on overflow the cache resets
-// (queries re-plan, nothing breaks).
-const maxPlans = 4096
-
-// PlanFor compiles and classifies query for this profile, serving from the
-// plan cache when possible. A compile error is the caller's to report — it
-// is tier-independent (every tier would fail the same way).
+// PlanFor compiles and classifies query for this profile. A compile error
+// is the caller's to report.
 func (pg *Program) PlanFor(query string) (*Plan, error) {
-	pg.mu.Lock()
-	if pl, ok := pg.plans[query]; ok {
-		pg.mu.Unlock()
-		return pl, nil
-	}
-	pg.mu.Unlock()
 	c, err := xpath.Compile(query)
 	if err != nil {
 		return nil, err
@@ -265,12 +218,6 @@ func (pg *Program) PlanFor(query string) (*Plan, error) {
 	} else if pg.provablyEmpty(c) {
 		pl.Mode = PlanEmpty
 	}
-	pg.mu.Lock()
-	if len(pg.plans) >= maxPlans {
-		pg.plans = make(map[string]*Plan)
-	}
-	pg.plans[query] = pl
-	pg.mu.Unlock()
 	return pl, nil
 }
 

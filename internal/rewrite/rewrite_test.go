@@ -5,13 +5,10 @@
 package rewrite
 
 import (
-	"slices"
-	"strings"
 	"testing"
 
 	"securexml/internal/policy"
 	"securexml/internal/subject"
-	"securexml/internal/workload"
 	"securexml/internal/xmltree"
 )
 
@@ -225,7 +222,7 @@ func TestPlanTransparentExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg := &Program{transparent: true, plans: make(map[string]*Plan)}
+	pg := &Program{transparent: true}
 	pl, err := pg.PlanFor("//service")
 	if err != nil {
 		t.Fatal(err)
@@ -242,46 +239,6 @@ func TestPlanTransparentExecution(t *testing.T) {
 	}
 	if !pg.Transparent() {
 		t.Error("Transparent() = false on a transparent program")
-	}
-}
-
-// TestProgramSharing: users with the same applicable rules share one
-// program (and so one plan cache) — $USER stays a runtime variable — so
-// the classifier's state grows with the number of role profiles, not with
-// the fleet. Checked on the hospital hierarchy at 8 and 512 patients plus
-// the staff: every patient holds the same program, and there are as many
-// programs as distinct role sets at both sizes.
-func TestProgramSharing(t *testing.T) {
-	counts := map[int]int{}
-	for _, n := range []int{8, 512} {
-		h, err := workload.HospitalHierarchy(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := workload.HospitalPolicy(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine(p, h)
-		patient := eng.ProgramFor("p0")
-		programs := map[*Program]bool{}
-		roleSets := map[string]bool{}
-		for _, u := range h.Users() {
-			pg := eng.ProgramFor(u)
-			programs[pg] = true
-			roles := slices.DeleteFunc(h.Ancestors(u), func(s string) bool { return s == u })
-			roleSets[strings.Join(roles, ",")] = true
-			if h.ISA(u, "patient") && pg != patient {
-				t.Errorf("%d patients: %s holds a program distinct from p0's", n, u)
-			}
-		}
-		if len(programs) != len(roleSets) {
-			t.Errorf("%d patients: %d programs for %d role profiles", n, len(programs), len(roleSets))
-		}
-		counts[n] = len(programs)
-	}
-	if counts[8] != counts[512] {
-		t.Errorf("program count changed with fleet size: %v", counts)
 	}
 }
 

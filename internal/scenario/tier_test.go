@@ -62,7 +62,7 @@ func TestCorpusTierAgreement(t *testing.T) {
 			agree := func(step string) {
 				t.Helper()
 				for _, q := range queries {
-					auto, _, err := reader.QueryTiered(q)
+					auto, _, err := reader.QueryTierCtx(ctx, q, core.TierAuto)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -75,7 +75,7 @@ func TestCorpusTierAgreement(t *testing.T) {
 					}
 				}
 				for _, q := range values {
-					auto, _, err := reader.QueryValueTiered(q)
+					auto, _, err := reader.QueryValueTierCtx(ctx, q, core.TierAuto)
 					if err != nil {
 						t.Fatal(err)
 					}

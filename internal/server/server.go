@@ -90,12 +90,11 @@ func WithSlowTraceThreshold(d time.Duration) Option {
 	return func(s *Server) { s.slowTrace = d }
 }
 
-// WithForcedTier pins every /query and /value request to one read-ladder
-// tier instead of the normal descent (A/B debugging and benchmarking):
-// core.TierQfilter or core.TierView. A query the pinned tier cannot serve
-// fails with 409 Conflict rather than falling through; the served tier is
-// still reported in X-Query-Tier. core.TierRewrite serves only the static
-// plans of the unpinned path, so pinning it fails every query with 409.
+// WithForcedTier with core.TierView answers every /query and /value
+// request on the user's materialized view, the reference route that
+// agreement tests and the end-to-end benchmark's oracle compare normal
+// routing against; X-Query-Tier still reports the route that served each
+// read. Any other value routes normally.
 func WithForcedTier(t core.Tier) Option {
 	return func(s *Server) { s.forcedTier = t }
 }
@@ -240,10 +239,6 @@ func statusFor(err error, fallback int) int {
 		return http.StatusForbidden
 	case errors.As(err, &syn), errors.Is(err, xpath.ErrNotNodeSet):
 		return http.StatusBadRequest
-	case errors.Is(err, core.ErrTierUnavailable):
-		// The operator pinned a tier this query cannot be served from: the
-		// request conflicts with the server's -tier configuration.
-		return http.StatusConflict
 	}
 	return fallback
 }

@@ -25,8 +25,6 @@ const HelpText = `Commands:
   view                            print your authorized view
   query <xpath>                   select nodes on your view
   value <xpath>                   evaluate an expression (count(...), ...)
-  tier [qfilter|view|auto]        pin the read ladder to one tier (A/B
-                                  debugging); no argument prints the pin
   explain <xpath>                 why each matched node is (in)visible: the
                                   winning rule, what it defeated, cell origin
   rename <path> <new-label>       xupdate:rename
@@ -53,14 +51,11 @@ type Shell struct {
 	db      *core.Database
 	session *core.Session
 	out     io.Writer
-	// forced pins the read ladder for query/value (the "tier" command);
-	// TierAuto means the normal descent.
-	forced core.Tier
 }
 
 // New builds a shell over db writing to out.
 func New(db *core.Database, out io.Writer) *Shell {
-	return &Shell{db: db, out: out, forced: core.TierAuto}
+	return &Shell{db: db, out: out}
 }
 
 // DB returns the current database (it changes when "open" restores one).
@@ -209,27 +204,6 @@ func (sh *Shell) Execute(line string) error {
 			return fmt.Errorf("usage: adduser <name> [roles...]")
 		}
 		return sh.db.AddUser(parts[0], parts[1:]...)
-	case "tier":
-		arg, _ := splitWord(rest)
-		if arg == "" {
-			if sh.forced == core.TierAuto {
-				sh.printf("tier: auto\n")
-			} else {
-				sh.printf("tier: %s (pinned)\n", sh.forced)
-			}
-			return nil
-		}
-		forced, err := core.ParseTier(arg)
-		if err != nil {
-			return err
-		}
-		sh.forced = forced
-		if forced == core.TierAuto {
-			sh.printf("tier: auto\n")
-		} else {
-			sh.printf("tier: %s (pinned)\n", forced)
-		}
-		return nil
 	}
 	return sh.sessionCommand(cmd, rest)
 }
@@ -251,7 +225,7 @@ func (sh *Shell) sessionCommand(cmd, rest string) error {
 		if rest == "" {
 			return fmt.Errorf("usage: query <xpath>")
 		}
-		results, tier, err := s.QueryTierCtx(context.Background(), rest, sh.forced)
+		results, tier, err := s.QueryTierCtx(context.Background(), rest, core.TierAuto)
 		if err != nil {
 			return err
 		}
@@ -264,7 +238,7 @@ func (sh *Shell) sessionCommand(cmd, rest string) error {
 		if rest == "" {
 			return fmt.Errorf("usage: value <expression>")
 		}
-		v, tier, err := s.QueryValueTierCtx(context.Background(), rest, sh.forced)
+		v, tier, err := s.QueryValueTierCtx(context.Background(), rest, core.TierAuto)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package shell
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -323,48 +322,5 @@ func TestLintFixCommand(t *testing.T) {
 	}
 	if !strings.Contains(out, "repair  conflict-overlap") {
 		t.Errorf("lint -fix printed no repair: %q", out)
-	}
-}
-
-func TestTierCommand(t *testing.T) {
-	out := run(t,
-		"tier",
-		"tier view",
-		"login laporte",
-		"query //service",
-		"tier qfilter",
-		"query //service",
-		// A non-empty node-set value cannot be served by a pinned qfilter
-		// tier (it would leak source nodes).
-		"!value //service",
-		// The rewrite tier serves only static plans and cannot be pinned;
-		// the refused pin leaves qfilter in place.
-		"!tier rewrite",
-		"tier",
-		"tier auto",
-		"value //service",
-		"!tier bogus",
-	)
-	for _, want := range []string{
-		"tier: auto\n",
-		"tier: view (pinned)\n",
-		"[view]",
-		"tier: qfilter (pinned)\n",
-		"[qfilter]",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Count(out, "tier: qfilter (pinned)\n") != 2 {
-		t.Errorf("refused rewrite pin should leave qfilter pinned:\n%s", out)
-	}
-	db, err := scenario.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = New(db, io.Discard).Execute("tier rewrite")
-	if err == nil || !strings.Contains(err.Error(), "qfilter|view|auto") {
-		t.Errorf("tier rewrite: error %v, want one listing qfilter|view|auto", err)
 	}
 }
