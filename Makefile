@@ -55,14 +55,15 @@ race:
 bench-selftest:
 	cd _e2ebench && $(GO) test ./...
 
-# Hot-kernel micro-benchmarks (document clone, per-node rule matcher, a cold
-# fleet's shared-scan policy evaluation, the parallel permission-filtered
-# read, a session's read after a write, a session's applied and refused
-# write after another session's publish) with
-# allocation counts; run on two commits for before/after tables, e.g. with
-# benchstat. CI runs them once (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
+# Hot-kernel micro-benchmarks (document clone, a doctor's view serialized
+# as XML, per-node rule matcher, a cold fleet's shared-scan policy
+# evaluation, the parallel permission-filtered read, a session's read after
+# a write, a session's applied and refused write after another session's
+# publish) with allocation counts; run on two commits for before/after
+# tables, e.g. with benchstat. CI runs them once (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkClone$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xmltree
+	$(GO) test -run '^$$' -bench '^BenchmarkSerialize$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/view
 	$(GO) test -run '^$$' -bench '^BenchmarkNodeMatcherMatch$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xpath
 	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateShared$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/policy
 	$(GO) test -run '^$$' -bench '^BenchmarkForPermsSelect$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/qfilter
@@ -72,8 +73,9 @@ bench-micro:
 # Bounded fuzzing of the parser targets (XPath, XUpdate, Datalog, XSLT
 # stylesheets, storage snapshots) and the incremental-view differential
 # target from their seed corpora, plus the clone-independence target over
-# random mutator sequences and the secured-write equivalence target
-# (filtered selection on the source vs selection on the view).
+# random mutator sequences, the serializer against its node-at-a-time
+# oracle, and the secured-write equivalence target (filtered selection on
+# the source vs selection on the view).
 fuzz:
 	$(GO) test ./internal/xpath -fuzz FuzzCompile -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xupdate -fuzz FuzzParseModifications -fuzztime $(FUZZTIME) -run '^$$'
@@ -82,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/policyanalysis -fuzz FuzzRepair -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/rewrite -fuzz FuzzRewrite -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xmltree -fuzz FuzzCloneMutate -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/xmltree -fuzz FuzzSerialize -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/access -fuzz FuzzFilteredWrite -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xslt -fuzz FuzzParseStylesheet -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/storage -fuzz FuzzRead -fuzztime $(FUZZTIME) -run '^$$'

@@ -55,6 +55,7 @@ var (
 	updateStage    = obs.Stage("session_update")
 	applyStage     = obs.Stage("session_apply")
 	transformStage = obs.Stage("session_transform")
+	serializeStage = obs.Stage("view_serialize")
 	xpathStage     = obs.Stage("xpath_eval")
 
 	cacheHits      = obs.Default().Counter("xmlsec_view_cache_hits_total")
@@ -772,22 +773,33 @@ func (s *Session) ViewCtx(ctx context.Context) (*view.View, error) {
 
 // ViewXML serializes the user's view.
 func (s *Session) ViewXML() (string, error) {
-	return s.ViewXMLCtx(context.Background())
+	var b strings.Builder
+	if err := s.WriteViewCtx(context.Background(), &b); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
-// ViewXMLCtx is ViewXML with a request context. Serialization reads the
-// shared frozen view directly — no snapshot copy.
-func (s *Session) ViewXMLCtx(ctx context.Context) (string, error) {
-	ctx, sp := obs.StartSpanCtx(ctx, "session_view", viewStage)
-	v, err := s.currentView(ctx, s.db.gen())
+// WriteViewCtx writes the user's view, serialized as pretty-printed XML,
+// to w in a single w.Write call, so a caller may take the body's length
+// from that call. It serializes the shared frozen view directly (no
+// snapshot copy) into a pooled buffer. A failed materialization returns
+// its error before anything is written. Serialization and the write are
+// timed as the view_serialize stage, which starts after session_view ends
+// and is not nested in it.
+func (s *Session) WriteViewCtx(ctx context.Context, w io.Writer) error {
+	vctx, sp := obs.StartSpanCtx(ctx, "session_view", viewStage)
+	v, err := s.currentView(vctx, s.db.gen())
 	if err != nil {
 		sessionOp("view", "error")
-		s.db.recordCtx(ctx, "view", s.user, "", "error: "+err.Error(), sp.End())
-		return "", err
+		s.db.recordCtx(vctx, "view", s.user, "", "error: "+err.Error(), sp.End())
+		return err
 	}
 	sp.End()
 	sessionOp("view", "ok")
-	return v.Doc.XML(), nil
+	_, ser := obs.StartSpanCtx(ctx, "view_serialize", serializeStage)
+	defer ser.End()
+	return v.Doc.Write(w, xmltree.WriteOptions{Indent: "  "})
 }
 
 // Result is one node matched by a query, described without exposing

@@ -245,10 +245,11 @@ func TestWarmReadsPatchMaintainedPermissions(t *testing.T) {
 
 		r0 := ruleEvals.Value()
 		ctx, trace = tracer.StartTrace(context.Background(), "test_view")
-		got, err := reader.ViewXMLCtx(ctx)
-		if err != nil {
+		var body strings.Builder
+		if err := reader.WriteViewCtx(ctx, &body); err != nil {
 			t.Fatal(err)
 		}
+		got := body.String()
 		trace.Finish()
 		if dr := ruleEvals.Value() - r0; dr != 0 {
 			t.Errorf("%s, then view: the catch-up evaluated %d rules, want 0", read.name, dr)
@@ -338,4 +339,64 @@ func TestTransformDerivationFailureAudited(t *testing.T) {
 		}
 	}
 	t.Fatal("failed transform not audited with its request id")
+}
+
+// writeCounter counts the Write calls a view makes.
+type writeCounter struct {
+	strings.Builder
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Builder.Write(p)
+}
+
+// TestViewSerializeStage: one view records exactly one view_serialize
+// observation and writes its body in one Write. The span starts after
+// session_view ends and is its sibling, not its child, so the traced
+// benchmark counts serialization and the response write as server time
+// rather than as a session stage. A view that cannot be materialized
+// records no serialization and writes nothing.
+func TestViewSerializeStage(t *testing.T) {
+	ser := obs.Stage("view_serialize")
+	db := hospital(t)
+	reader := session(t, db, "beaufort")
+	tracer := obs.NewTracer(8, 0, nil)
+	s0 := ser.Count()
+	ctx, trace := tracer.StartTrace(context.Background(), "test_view")
+	var body writeCounter
+	if err := reader.WriteViewCtx(ctx, &body); err != nil {
+		t.Fatal(err)
+	}
+	trace.Finish()
+	if d := ser.Count() - s0; d != 1 {
+		t.Errorf("one view recorded %d view_serialize observations, want 1", d)
+	}
+	if body.writes != 1 {
+		t.Errorf("one view made %d writes, want 1", body.writes)
+	}
+	var top []string
+	for _, sp := range trace.Export().Root.Children {
+		top = append(top, sp.Name)
+	}
+	if strings.Join(top, " ") != "session_view view_serialize" {
+		t.Errorf("top-level spans %v, want [session_view view_serialize]", top)
+	}
+	if want, err := reader.ViewXML(); err != nil || body.String() != want {
+		t.Errorf("written view differs from ViewXML (%v)\n got: %s\nwant: %s", err, body.String(), want)
+	}
+
+	// A rule path that evaluates to a number fails every staff derivation.
+	if err := db.Grant(policy.Read, "count(//diagnosis)", "staff"); err != nil {
+		t.Fatal(err)
+	}
+	s1 := ser.Count()
+	var failed writeCounter
+	if err := session(t, db, "laporte").WriteViewCtx(context.Background(), &failed); err == nil {
+		t.Fatal("view succeeded without derivable permissions")
+	}
+	if d := ser.Count() - s1; d != 0 || failed.writes != 0 {
+		t.Errorf("failed view: %d view_serialize observations and %d writes, want 0 and 0", d, failed.writes)
+	}
 }

@@ -273,13 +273,27 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *core.Se
 }
 
 func (s *Server) handleView(w http.ResponseWriter, r *http.Request, session *core.Session) {
-	xml, err := session.ViewXMLCtx(r.Context())
-	if err != nil {
+	body := &viewBody{w: w}
+	// A failed write is the client's broken connection: nothing to report.
+	if err := session.WriteViewCtx(r.Context(), body); err != nil && !body.wrote {
 		s.httpError(w, r, err, statusFor(err, http.StatusInternalServerError))
-		return
 	}
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	io.WriteString(w, xml)
+}
+
+// viewBody sets the /view response headers on the single Write that
+// Session.WriteViewCtx makes, where the body's length is known, so the
+// response carries a Content-Length instead of being chunked.
+type viewBody struct {
+	w     http.ResponseWriter
+	wrote bool
+}
+
+func (b *viewBody) Write(p []byte) (int, error) {
+	b.wrote = true
+	h := b.w.Header()
+	h.Set("Content-Type", "application/xml; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(p)))
+	return b.w.Write(p)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, session *core.Session) {

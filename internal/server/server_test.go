@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,9 +25,15 @@ func testServer(t *testing.T) *httptest.Server {
 // testServerDB builds the hospital database the endpoint tests run over.
 func testServerDB(t *testing.T) *core.Database {
 	t.Helper()
+	return testServerDBOn(t, medXML)
+}
+
+// testServerDBOn is testServerDB over another patients document.
+func testServerDBOn(t *testing.T, xml string) *core.Database {
+	t.Helper()
 	db := core.New()
 	steps := []error{
-		db.LoadXMLString(medXML),
+		db.LoadXMLString(xml),
 		db.AddRole("staff"),
 		db.AddRole("secretary", "staff"),
 		db.AddRole("doctor", "staff"),
@@ -119,6 +126,43 @@ func TestViewPerUser(t *testing.T) {
 	_, body = get(t, ts, "robert", "/view")
 	if strings.Contains(body, "franck") || !strings.Contains(body, "pneumonia") {
 		t.Errorf("robert view wrong:\n%s", body)
+	}
+}
+
+// TestViewContentLength: /view answers with a Content-Length, not a
+// chunked body, even when the view is larger than the server's chunking
+// buffer.
+func TestViewContentLength(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString("<patients>")
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&doc, "<p%d><service>cardiology</service><diagnosis>angina</diagnosis></p%d>", i, i)
+	}
+	doc.WriteString("</patients>")
+	ts := httptest.NewServer(New(testServerDBOn(t, doc.String())))
+	t.Cleanup(ts.Close)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/view", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.SetBasicAuth("laporte", "")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(body) < 4096 {
+		t.Fatalf("/view -> %d with %d bytes, want 200 with a large body", resp.StatusCode, len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("/view Content-Length %d, transfer encoding %v for a %d-byte body", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/xml; charset=utf-8" {
+		t.Errorf("/view Content-Type %q", ct)
 	}
 }
 

@@ -1,10 +1,11 @@
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // WriteOptions controls serialization.
@@ -12,45 +13,63 @@ type WriteOptions struct {
 	// Indent pretty-prints with the given unit (e.g. "  "). Empty writes a
 	// compact single line.
 	Indent string
-	// ShowIDs annotates every element with a sxml:id attribute carrying its
-	// persistent identifier. Useful for debugging and the demo binary; the
-	// identifiers are normally internal only (§4.4.1: "numbers are for
-	// internal processing only and are not visible to users").
-	ShowIDs bool
 }
 
-// Write serializes the document (or fragment) to w.
-func (d *Document) Write(w io.Writer, opts WriteOptions) error {
+// maxPooledBuf is the largest buffer the serializer pool takes back: the
+// buffer of a rare huge document goes to the garbage collector instead of
+// pinning its memory in the pool.
+const maxPooledBuf = 1 << 20
+
+// bufPool holds serialization buffers, so a steady stream of views of
+// similar size serializes without growing a fresh buffer each time.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// putBuf returns p to the pool unless it grew past maxPooledBuf.
+func putBuf(p *[]byte) {
+	if cap(*p) > maxPooledBuf {
+		return
+	}
+	*p = (*p)[:0]
+	bufPool.Put(p)
+}
+
+// appendTo appends the serialization of d to b.
+func (d *Document) appendTo(b []byte, indent string) []byte {
 	for _, c := range d.root.children {
-		if err := writeNode(w, c, opts, 0); err != nil {
-			return err
-		}
-		if opts.Indent != "" {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
+		b = appendNode(b, c, indent, 0)
+		if indent != "" {
+			b = append(b, '\n')
 		}
 	}
-	return nil
+	return b
+}
+
+// Write serializes the document (or fragment) to w with a single w.Write
+// call, so a caller may take the body's length from that call (an HTTP
+// handler setting Content-Length, for one).
+func (d *Document) Write(w io.Writer, opts WriteOptions) error {
+	p := bufPool.Get().(*[]byte)
+	*p = d.appendTo(*p, opts.Indent)
+	_, err := w.Write(*p)
+	putBuf(p)
+	return err
 }
 
 // XML returns the serialized document as a string, pretty-printed with
 // two-space indentation.
-func (d *Document) XML() string {
-	var b strings.Builder
-	if err := d.Write(&b, WriteOptions{Indent: "  "}); err != nil {
-		return "<!-- serialization error: " + err.Error() + " -->"
-	}
-	return b.String()
-}
+func (d *Document) XML() string { return d.serialize("  ") }
 
 // CompactXML returns the document on a single line.
-func (d *Document) CompactXML() string {
-	var b strings.Builder
-	if err := d.Write(&b, WriteOptions{}); err != nil {
-		return "<!-- serialization error: " + err.Error() + " -->"
-	}
-	return b.String()
+func (d *Document) CompactXML() string { return d.serialize("") }
+
+// serialize appends d into a pooled buffer and copies it into the one
+// string it returns.
+func (d *Document) serialize(indent string) string {
+	p := bufPool.Get().(*[]byte)
+	*p = d.appendTo(*p, indent)
+	s := string(*p)
+	putBuf(p)
+	return s
 }
 
 // hasTextChild reports whether n has a direct text child (mixed content).
@@ -63,85 +82,134 @@ func hasTextChild(n *Node) bool {
 	return false
 }
 
-func writeNode(w io.Writer, n *Node, opts WriteOptions, depth int) error {
-	pad := ""
-	nl := ""
-	if opts.Indent != "" {
-		pad = strings.Repeat(opts.Indent, depth)
-		nl = "\n"
+// appendNode appends the serialization of n, indented depth units deep
+// (no indentation when indent is empty), to b. Labels are written as
+// they are; text and attribute values are escaped by appendEscaped. A
+// document node has no markup of its own: appendTo serializes its
+// children.
+func appendNode(b []byte, n *Node, indent string, depth int) []byte {
+	for i := 0; i < depth; i++ {
+		b = append(b, indent...)
 	}
 	switch n.kind {
 	case KindText:
-		var esc strings.Builder
-		if err := xml.EscapeText(&esc, []byte(n.label)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s%s", pad, esc.String())
-		return err
+		b = appendEscaped(b, n.label)
 	case KindComment:
-		_, err := fmt.Fprintf(w, "%s<!--%s-->", pad, n.label)
-		return err
+		b = append(b, "<!--"...)
+		b = append(b, n.label...)
+		b = append(b, "-->"...)
+	case KindAttribute:
+		b = appendAttr(b, n)
 	case KindElement:
-		if _, err := fmt.Fprintf(w, "%s<%s", pad, n.label); err != nil {
-			return err
-		}
-		if opts.ShowIDs {
-			if _, err := fmt.Fprintf(w, " sxml:id=%q", n.idText); err != nil {
-				return err
-			}
-		}
+		b = append(b, '<')
+		b = append(b, n.label...)
 		for _, a := range n.attrs {
-			var esc strings.Builder
-			if err := xml.EscapeText(&esc, []byte(a.StringValue())); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, " %s=%q", a.label, esc.String()); err != nil {
-				return err
-			}
+			b = append(b, ' ')
+			b = appendAttr(b, a)
 		}
 		if len(n.children) == 0 {
-			_, err := io.WriteString(w, "/>")
-			return err
+			return append(b, "/>"...)
 		}
-		// Mixed content (any text child) renders inline: indentation would
-		// inject whitespace into the character data.
+		b = append(b, '>')
 		if hasTextChild(n) {
-			if _, err := io.WriteString(w, ">"); err != nil {
-				return err
-			}
-			inline := opts
-			inline.Indent = ""
+			// Mixed content renders inline: indentation would inject
+			// whitespace into the character data.
 			for _, c := range n.children {
-				if err := writeNode(w, c, inline, 0); err != nil {
-					return err
+				b = appendNode(b, c, "", 0)
+			}
+		} else {
+			if indent != "" {
+				b = append(b, '\n')
+			}
+			for _, c := range n.children {
+				b = appendNode(b, c, indent, depth+1)
+				if indent != "" {
+					b = append(b, '\n')
 				}
 			}
-			_, err := fmt.Fprintf(w, "</%s>", n.label)
-			return err
-		}
-		if _, err := io.WriteString(w, ">"+nl); err != nil {
-			return err
-		}
-		for _, c := range n.children {
-			if err := writeNode(w, c, opts, depth+1); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, nl); err != nil {
-				return err
+			for i := 0; i < depth; i++ {
+				b = append(b, indent...)
 			}
 		}
-		_, err := fmt.Fprintf(w, "%s</%s>", pad, n.label)
-		return err
-	case KindAttribute:
-		var esc strings.Builder
-		if err := xml.EscapeText(&esc, []byte(n.StringValue())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s%s=%q", pad, n.label, esc.String())
-		return err
-	default:
-		return fmt.Errorf("xmltree: cannot serialize %s node", n.kind)
+		b = append(b, "</"...)
+		b = append(b, n.label...)
+		b = append(b, '>')
 	}
+	return b
+}
+
+// appendAttr appends name="value" for attribute node a.
+func appendAttr(b []byte, a *Node) []byte {
+	var v string
+	if len(a.children) == 1 && a.children[0].kind == KindText {
+		v = a.children[0].label // the usual shape: no string-value walk
+	} else {
+		v = a.StringValue()
+	}
+	b = append(b, a.label...)
+	b = append(b, '=', '"')
+	b = appendEscaped(b, v)
+	return append(b, '"')
+}
+
+// appendEscaped appends s escaped as encoding/xml's EscapeText escapes it:
+// the five markup characters and tab, newline and carriage return become
+// character references, and bytes that do not decode to a valid XML
+// character become U+FFFD. Runs needing no escape are copied whole.
+func appendEscaped(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		var esc string
+		width := 1
+		if c < utf8.RuneSelf {
+			switch c {
+			case '"':
+				esc = "&#34;"
+			case '\'':
+				esc = "&#39;"
+			case '&':
+				esc = "&amp;"
+			case '<':
+				esc = "&lt;"
+			case '>':
+				esc = "&gt;"
+			case '\t':
+				esc = "&#x9;"
+			case '\n':
+				esc = "&#xA;"
+			case '\r':
+				esc = "&#xD;"
+			default:
+				if c >= 0x20 {
+					i++
+					continue
+				}
+				esc = "\uFFFD"
+			}
+		} else {
+			var r rune
+			r, width = utf8.DecodeRuneInString(s[i:])
+			if (r != utf8.RuneError || width != 1) && isXMLChar(r) {
+				i += width
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, esc...)
+		i += width
+		last = i
+	}
+	return append(b, s[last:]...)
+}
+
+// isXMLChar reports whether r is in the XML 1.0 Char production.
+func isXMLChar(r rune) bool {
+	return r == 0x09 || r == 0x0A || r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
 }
 
 // Sketch renders the tree in the indented "node facts" style used by the

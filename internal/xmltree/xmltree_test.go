@@ -637,14 +637,3 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
-
-func TestShowIDsSerialization(t *testing.T) {
-	d := MustParse("<a><b/></a>")
-	var b strings.Builder
-	if err := d.Write(&b, WriteOptions{Indent: " ", ShowIDs: true}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "sxml:id=") {
-		t.Errorf("ShowIDs output missing ids: %s", b.String())
-	}
-}
