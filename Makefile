@@ -57,7 +57,8 @@ bench-selftest:
 
 # Hot-kernel micro-benchmarks (document clone, a doctor's view serialized
 # as XML, per-node rule matcher, a cold fleet's shared-scan policy
-# evaluation, the parallel permission-filtered read, a session's read after
+# evaluation, the write-side permission-cell patch, the parallel
+# permission-filtered read, a session's read after
 # a write, a session's applied and refused write after another session's
 # publish) with allocation counts; run on two commits for before/after
 # tables, e.g. with benchstat. CI runs them once (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
@@ -66,6 +67,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkSerialize$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/view
 	$(GO) test -run '^$$' -bench '^BenchmarkNodeMatcherMatch$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xpath
 	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateShared$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/policy
+	$(GO) test -run '^$$' -bench '^BenchmarkRescore$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/policy
 	$(GO) test -run '^$$' -bench '^BenchmarkForPermsSelect$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/qfilter
 	$(GO) test -run '^$$' -bench '^BenchmarkWarmReadAfterWrite$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWriteAfterPublish$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core

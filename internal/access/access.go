@@ -125,7 +125,7 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 // children through the same filter (axioms 20–21), and the §4.4.2
 // privilege checks read pm. base is only read, so a frozen, published
 // document is fine. Each change goes to the document mutable returns,
-// which must be a copy of base with the same node identifiers; mutable is
+// which must be a clone of base (same identifiers and ordinals); mutable is
 // called at most once, just before the first change, so a refused or
 // no-op write copies nothing. v is the user's view of base and is read
 // only to expand value-of content (nil for an op without any). The
@@ -168,7 +168,10 @@ type writer struct {
 }
 
 // node returns the current counterpart of a selected node, or nil once an
-// earlier target of the same op removed it.
+// earlier target of the same op removed it. The counterpart is a node of
+// doc, the document (or a clone of the base) that the permissions were
+// evaluated on, so it is the node every privilege check reads: pm's cells
+// are keyed by ordinal, and a view node's ordinal is not its source's.
 func (w *writer) node(n *xmltree.Node) *xmltree.Node { return w.doc.NodeByID(n.ID()) }
 
 // writable returns the document to change and n's counterpart in it,
@@ -271,6 +274,10 @@ func (w *writer) apply(pm *policy.Perms, op *xupdate.Op, sn *xmltree.Node, res *
 			skip(res, sn, "node is RESTRICTED: renaming would overwrite a label the user cannot see")
 			return nil
 		}
+		if xmltree.CheckLabel(src.Kind(), op.NewValue) != nil {
+			skip(res, sn, xupdate.SkipInvalidName)
+			return nil
+		}
 		if err := w.relabel(src, op.NewValue, res); err != nil {
 			return err
 		}
@@ -297,6 +304,10 @@ func (w *writer) apply(pm *policy.Perms, op *xupdate.Op, sn *xmltree.Node, res *
 			}
 			if !pm.Has(sk, policy.Read) {
 				skip(res, c, "read privilege required on the child (axiom 21)")
+				continue
+			}
+			if xmltree.CheckLabel(sk.Kind(), op.NewValue) != nil {
+				skip(res, c, xupdate.SkipInvalidName)
 				continue
 			}
 			if err := w.relabel(sk, op.NewValue, res); err != nil {

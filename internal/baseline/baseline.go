@@ -41,6 +41,7 @@ func Execute(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, us
 	if op.Kind == xupdate.Variable {
 		return nil, errors.New("baseline: variable bindings need a sequence context")
 	}
+	// pm is read with nodes of doc only, the document it is evaluated on.
 	pm, err := pol.Evaluate(doc, h, user)
 	if err != nil {
 		return nil, err
@@ -88,6 +89,10 @@ func applyOne(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, n *xmltre
 			skip(res, n, "update privilege required")
 			return nil
 		}
+		if xmltree.CheckLabel(n.Kind(), op.NewValue) != nil {
+			skip(res, n, xupdate.SkipInvalidName)
+			return nil
+		}
 		if err := doc.Rename(n, op.NewValue); err != nil {
 			return err
 		}
@@ -102,6 +107,10 @@ func applyOne(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, n *xmltre
 		for _, k := range kids {
 			if !pm.Has(k, policy.Update) {
 				skip(res, k, "update privilege required on the child")
+				continue
+			}
+			if xmltree.CheckLabel(k.Kind(), op.NewValue) != nil {
+				skip(res, k, xupdate.SkipInvalidName)
 				continue
 			}
 			if err := doc.Rename(k, op.NewValue); err != nil {

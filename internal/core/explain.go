@@ -88,6 +88,8 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 		s.db.recordCtx(ctx, "explain", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, err
 	}
+	// ns are nodes of g.doc, whose lineage pm's ordinal-keyed cells were
+	// evaluated on (see policy.Perms).
 	ns, err := xpath.Select(g.doc, path, s.vars())
 	if err != nil {
 		sessionOp("explain", "error")
@@ -125,14 +127,14 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 func explainNode(st policy.NodeStory, n *xmltree.Node, pm *policy.Perms, v *view.View) NodeExplanation {
 	ne := NodeExplanation{
 		NodeStory:  st,
-		Origin:     pm.CellOrigin(st.NodeID),
+		Origin:     pm.CellOrigin(n),
 		Consistent: true,
 	}
 	// Differential check 1 (axiom 14): the re-derived winner must equal
 	// the production cell, privilege by privilege.
 	for j, priv := range policy.Privileges {
 		story := st.Privileges[j]
-		actual := pm.PeekID(st.NodeID, priv)
+		actual := pm.Peek(n, priv)
 		if story.Granted != actual {
 			ne.Consistent = false
 			ne.Mismatches = append(ne.Mismatches, fmt.Sprintf(
@@ -173,16 +175,15 @@ func deriveVisibility(n *xmltree.Node, pm *policy.Perms) string {
 	if n.Kind() == xmltree.KindDocument {
 		return VerdictVisible
 	}
-	id := n.IDString()
-	if !selectedLocally(pm, id) {
+	if !selectedLocally(pm, n) {
 		return VerdictNoRead
 	}
 	for a := n.Parent(); a != nil && a.Kind() != xmltree.KindDocument; a = a.Parent() {
-		if !selectedLocally(pm, a.IDString()) {
+		if !selectedLocally(pm, a) {
 			return VerdictHiddenByParent
 		}
 	}
-	if pm.PeekID(id, policy.Read) {
+	if pm.Peek(n, policy.Read) {
 		return VerdictVisible
 	}
 	return VerdictRestricted
@@ -190,6 +191,6 @@ func deriveVisibility(n *xmltree.Node, pm *policy.Perms) string {
 
 // selectedLocally reports whether the node's own cells admit it into the
 // view (read or position), ignoring ancestors.
-func selectedLocally(pm *policy.Perms, id string) bool {
-	return pm.PeekID(id, policy.Read) || pm.PeekID(id, policy.Position)
+func selectedLocally(pm *policy.Perms, n *xmltree.Node) bool {
+	return pm.Peek(n, policy.Read) || pm.Peek(n, policy.Position)
 }

@@ -217,7 +217,7 @@ func TestExplainErrors(t *testing.T) {
 }
 
 // TestExplainDoesNotCountDecisions: the diagnostic path must not inflate
-// the enforcement counters (PeekID, not HasID).
+// the enforcement counters (Peek, not Has).
 func TestExplainDoesNotCountDecisions(t *testing.T) {
 	db := hospital(t)
 	s := session(t, db, "laporte")

@@ -266,7 +266,7 @@ func printEntry(g *generation, e *viewEntry) string {
 		b.WriteString(id)
 		b.WriteByte('=')
 		for _, priv := range policy.Privileges {
-			if e.pm.PeekID(id, priv) {
+			if e.pm.Peek(n, priv) {
 				b.WriteByte('1')
 			} else {
 				b.WriteByte('0')

@@ -60,7 +60,7 @@ func (p *Policy) Explain(doc *xmltree.Document, h *subject.Hierarchy, user strin
 	type appRule struct {
 		index int
 		rule  *Rule
-		set   map[string]bool
+		set   map[uint32]bool
 	}
 	var applicable []appRule
 	for i, r := range p.rules {
@@ -71,17 +71,16 @@ func (p *Policy) Explain(doc *xmltree.Document, h *subject.Hierarchy, user strin
 		if err != nil {
 			return nil, 0, fmt.Errorf("policy: explaining %s: %w", r, err)
 		}
-		set := make(map[string]bool, len(ns))
+		set := make(map[uint32]bool, len(ns))
 		for _, n := range ns {
-			set[n.IDString()] = true
+			set[n.Ord()] = true
 		}
 		applicable = append(applicable, appRule{index: i, rule: r, set: set})
 	}
 	stories := make([]NodeStory, 0, len(nodes))
 	for _, n := range nodes {
-		id := n.IDString()
 		st := NodeStory{
-			NodeID: id, Path: n.Path(), Label: n.Label(), Kind: n.Kind().String(),
+			NodeID: n.IDString(), Path: n.Path(), Label: n.Label(), Kind: n.Kind().String(),
 			Privileges: make([]PrivilegeStory, 0, len(Privileges)),
 		}
 		for _, priv := range Privileges {
@@ -90,7 +89,7 @@ func (p *Policy) Explain(doc *xmltree.Document, h *subject.Hierarchy, user strin
 			// so the last addressing rule is the axiom-14 winner.
 			var traces []RuleTrace
 			for _, ar := range applicable {
-				if ar.rule.Privilege != priv || !ar.set[id] {
+				if ar.rule.Privilege != priv || !ar.set[n.Ord()] {
 					continue
 				}
 				traces = append(traces, RuleTrace{
@@ -115,25 +114,18 @@ func (p *Policy) Explain(doc *xmltree.Document, h *subject.Hierarchy, user strin
 	return stories, len(applicable), nil
 }
 
-// CellOrigin reports where the production cell for node id lives in this
+// CellOrigin reports where the production cell for node n lives in this
 // permission object: "overlay" (a cell private to this Perms: a
 // $USER-dependent cell or an incremental patch), "shared-profile" (the
 // RuleCache's profile mask shared across every user of the same role
-// signature), or "private" (an unshared map from Evaluate or a flattened
+// signature), or "private" (an unshared base from Evaluate or a flattened
 // overlay).
-func (pm *Perms) CellOrigin(id string) string {
-	if _, ok := pm.overlay[id]; ok {
+func (pm *Perms) CellOrigin(n *xmltree.Node) string {
+	if _, ok := pm.overlay[n.Ord()]; ok {
 		return "overlay"
 	}
 	if pm.shared {
 		return "shared-profile"
 	}
 	return "private"
-}
-
-// PeekID reports perm(user, id, priv) like HasID but without counting a
-// decision: the explain layer reads cells for introspection, and a
-// diagnostic call must not inflate the enforcement counters.
-func (pm *Perms) PeekID(id string, priv Privilege) bool {
-	return pm.cell(id)&(1<<uint(priv)) != 0
 }

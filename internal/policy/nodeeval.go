@@ -69,10 +69,7 @@ func (ne *NodeEvaluator) User() string { return ne.user }
 // Evaluate's: per privilege, the applicable rule with the greatest
 // priority wins, and only an accept grants.
 func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
-	var cells [numPrivileges]struct {
-		priority int64
-		effect   Effect
-	}
+	var cells permCells
 	// Every rule reads the same root-to-node chain; build it once.
 	var buf [16]*xmltree.Node
 	chain := xpath.AppendChain(buf[:0], n)
@@ -86,30 +83,11 @@ func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
 			continue
 		}
 		if r.priority >= cells[r.privilege].priority {
-			cells[r.privilege] = struct {
-				priority int64
-				effect   Effect
-			}{priority: r.priority, effect: r.effect}
+			cells[r.privilege] = permCell{priority: r.priority, effect: r.effect}
 		}
 	}
-	var mask uint8
-	for _, priv := range Privileges {
-		if cells[priv].priority > 0 && cells[priv].effect == Accept {
-			mask |= 1 << uint(priv)
-		}
-	}
-	pm.set(n.IDString(), mask)
+	pm.set(n.Ord(), cells.mask())
 	return nil
-}
-
-// Forget drops the grant cells for removed node ids, through the overlay
-// like Rescore. Persistent labels can be re-allocated after a removal
-// (Scheme.Between may hand back a key that was freed), so stale cells
-// must be scrubbed before any reuse.
-func (pm *Perms) Forget(ids ...string) {
-	for _, id := range ids {
-		pm.set(id, 0)
-	}
 }
 
 // SetDocVersion re-stamps the document version the permissions are current

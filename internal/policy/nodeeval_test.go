@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"testing"
 
 	"securexml/internal/subject"
@@ -57,24 +56,16 @@ func TestRescoreMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := &Perms{user: user, version: d.Version(), grants: make(map[string]uint8)}
+		got := &Perms{user: user, version: d.Version()}
 		for _, n := range d.Nodes() {
 			if err := ne.Rescore(got, n); err != nil {
 				t.Fatalf("%s rescore %s: %v", user, n.ID(), err)
 			}
 		}
-		got.flatten() // compare whole maps, overlay folded in
-		if len(got.grants) != len(want.grants) {
-			t.Errorf("%s: rescore produced %d granted nodes, Evaluate %d", user, len(got.grants), len(want.grants))
-		}
-		for id, mask := range want.grants {
-			if got.grants[id] != mask {
-				t.Errorf("%s node %s: rescore mask %08b, Evaluate %08b", user, id, got.grants[id], mask)
-			}
-		}
-		for id := range got.grants {
-			if _, ok := want.grants[id]; !ok {
-				t.Errorf("%s node %s: rescore granted, Evaluate did not", user, id)
+		got.flatten() // compare whole bases, overlay folded in
+		for ord := uint32(0); ord < d.OrdLimit(); ord++ {
+			if g, w := got.base(ord), want.base(ord); g != w {
+				t.Errorf("%s ordinal %d: rescore mask %08b, Evaluate %08b", user, ord, g, w)
 			}
 		}
 	}
@@ -89,9 +80,8 @@ func TestRescoreOverwritesStale(t *testing.T) {
 		t.Fatal("not matchable")
 	}
 	n := d.RootElement().Children()[0] // franck element: position-only for the epidemiologist
-	pm := &Perms{user: "richard", grants: map[string]uint8{
-		n.ID().String(): 1 << uint(Read), // stale: pretend read was granted
-	}}
+	pm := &Perms{user: "richard", grants: make([]uint8, d.OrdLimit())}
+	pm.grants[n.Ord()] = 1 << uint(Read) // stale: pretend read was granted
 	if err := ne.Rescore(pm, n); err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +98,12 @@ func TestRescoreOverwritesStale(t *testing.T) {
 		t.Fatal("not matchable")
 	}
 	txt := d.RootElement().Children()[1].Children()[0].Children()[0] // robert's service text
-	pmF := &Perms{user: "franck", grants: map[string]uint8{
-		txt.ID().String(): 1 << uint(Delete),
-	}}
+	pmF := &Perms{user: "franck", grants: make([]uint8, d.OrdLimit())}
+	pmF.grants[txt.Ord()] = 1 << uint(Delete)
 	if err := neF.Rescore(pmF, txt); err != nil {
 		t.Fatal(err)
 	}
-	if stale := pmF.cell(txt.ID().String()); stale != 0 {
+	if stale := pmF.Mask(txt); stale != 0 {
 		t.Errorf("empty mask should clear the grant cell, got %08b", stale)
 	}
 }
@@ -136,54 +125,90 @@ func TestNodeEvaluatorIneligible(t *testing.T) {
 	}
 }
 
-// TestPermsForget scrubs removed ids.
-func TestPermsForget(t *testing.T) {
-	pm := &Perms{grants: map[string]uint8{"a": 1, "b": 2, "c": 4}}
-	pm.Forget("a", "c", "zzz")
-	if pm.cell("a") != 0 {
-		t.Error("a survived Forget")
+// TestRemovedCellReadsCold: cells are keyed by node ordinal, which is
+// never reused. After a granted node is removed and a new node is inserted
+// at the same position — where the labeling scheme re-issues the removed
+// node's identifier — the permissions evaluated before the change read
+// the new node as holding nothing, with no scrub of the removed cell, and
+// rescoring it yields exactly what a fresh evaluation grants.
+func TestRemovedCellReadsCold(t *testing.T) {
+	d, h, p := nodeevalEnv(t)
+	pm, err := p.Evaluate(d, h, "laporte")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pm.cell("c") != 0 {
-		t.Error("c survived Forget")
+	diag := d.RootElement().Children()[0].Children()[1] // franck's diagnosis
+	old := diag.FirstChild()
+	if pm.Mask(old) == 0 {
+		t.Fatal("the doctor should hold privileges on the diagnosis text")
 	}
-	if pm.cell("b") != 2 {
-		t.Error("b damaged by Forget")
+	next := d.Clone() // the change lands on a new generation, as in core
+	nd := next.NodeByID(diag.ID())
+	if err := next.Remove(nd.FirstChild()); err != nil {
+		t.Fatal(err)
 	}
-	pm.flatten()
-	if len(pm.grants) != 1 || pm.grants["b"] != 2 {
-		t.Errorf("flattened grants = %v, want only b", pm.grants)
+	fresh, err := next.AppendChild(nd, xmltree.KindText, "angina")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.IDString() != old.IDString() {
+		t.Fatalf("the scheme did not re-issue %s (got %s); the test needs a re-issued identifier", old.IDString(), fresh.IDString())
+	}
+	if fresh.Ord() == old.Ord() {
+		t.Fatalf("ordinal %d reused", old.Ord())
+	}
+	if got := pm.Mask(fresh); got != 0 {
+		t.Errorf("new node reads %08b from the removed node's cell, want no privilege", got)
+	}
+	ne, ok := p.NodeEvaluator(h, "laporte")
+	if !ok {
+		t.Fatal("not matchable")
+	}
+	patched := pm.Clone()
+	if err := ne.Rescore(patched, fresh); err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Evaluate(next, h, "laporte")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patched.Mask(fresh) != want.Mask(fresh) || pm.Mask(fresh) != 0 {
+		t.Errorf("rescored %08b, fresh evaluation %08b, original %08b", patched.Mask(fresh), want.Mask(fresh), pm.Mask(fresh))
 	}
 }
 
-// TestPermsCloneCopiesOnlyOverlay: a Clone shares the base map and copies
-// only the overlay. Patching the clone never writes the base map or the
+// TestPermsCloneCopiesOnlyOverlay: a Clone shares the base and copies
+// only the overlay. Patching the clone never writes the base or the
 // original, a cell equal to the base's leaves no overlay entry, and an
 // overlay past 1/overlayFlattenDiv of the base is folded into a private
-// copy of it.
+// copy of it, extended to the overlay's largest ordinal.
 func TestPermsCloneCopiesOnlyOverlay(t *testing.T) {
-	base := make(map[string]uint8)
-	for i := 0; i < 4*overlayFlattenDiv; i++ {
-		base[fmt.Sprint(i)] = 1 << uint(Read)
+	const read = 1 << uint(Read)
+	base := make([]uint8, 4*overlayFlattenDiv)
+	for i := range base {
+		base[i] = read
 	}
-	orig := &Perms{grants: base, overlay: map[string]uint8{"x": 1}, shared: true}
+	const late = 1000 // an ordinal past the base: a node created later
+	orig := &Perms{grants: base, overlay: map[uint32]uint8{late: 1}, shared: true}
 	c := orig.Clone()
-	c.Forget("0")
-	c.set("1", 1<<uint(Read)) // equals the base cell
-	if len(c.overlay) != 2 || c.cell("0") != 0 || c.cell("x") != 1 {
-		t.Fatalf("clone overlay = %v, want x and a cleared 0", c.overlay)
+	c.set(0, 0)
+	c.set(1, read) // equals the base cell
+	if len(c.overlay) != 2 || c.cell(0) != 0 || c.cell(late) != 1 {
+		t.Fatalf("clone overlay = %v, want %d and a cleared 0", c.overlay, late)
 	}
-	if orig.cell("0") != 1<<uint(Read) || len(orig.overlay) != 1 {
+	if orig.cell(0) != read || len(orig.overlay) != 1 {
 		t.Fatalf("patching the clone changed the original: overlay %v", orig.overlay)
 	}
-	c.Forget("2", "3") // four overlay cells: at the bound
+	c.set(2, 0)
+	c.set(3, 0) // four overlay cells: at the bound
 	if c.overlay == nil || !c.shared {
 		t.Fatal("overlay flattened before it passed the bound")
 	}
-	c.Forget("4")
-	if c.overlay != nil || c.shared || len(c.grants) != len(base)-4+1 || c.cell("x") != 1 || c.cell("4") != 0 {
-		t.Fatalf("after passing the bound: overlay %v, shared %v, %d grants", c.overlay, c.shared, len(c.grants))
+	c.set(4, 0)
+	if c.overlay != nil || c.shared || len(c.grants) != late+1 || c.cell(late) != 1 || c.cell(4) != 0 || c.cell(5) != read {
+		t.Fatalf("after passing the bound: overlay %v, shared %v, %d cells", c.overlay, c.shared, len(c.grants))
 	}
-	if len(base) != 4*overlayFlattenDiv || base["0"] != 1<<uint(Read) {
-		t.Fatal("flattening wrote the shared base map")
+	if len(base) != 4*overlayFlattenDiv || base[0] != read {
+		t.Fatal("flattening wrote the shared base")
 	}
 }

@@ -26,7 +26,7 @@ import (
 
 // Telemetry: every perm(s, n, r) lookup is one access-control decision
 // (axiom 14); the counters split allow/deny per privilege. Handles are
-// resolved once so the hot path (two map hits per node during view
+// resolved once so the hot path (two cell reads per node during view
 // materialization) stays a single atomic increment.
 var (
 	evalStage       = obs.Stage("policy_evaluate")
@@ -274,28 +274,39 @@ func (p *Policy) Clone() *Policy {
 
 // Perms is the materialized perm(s, n, r) relation for one user on one
 // document snapshot (axiom 14).
+//
+// Cells are keyed by node ordinal (xmltree.Node.Ord), so every lookup —
+// Has, Peek, Mask, CellOrigin — must take a node of the lineage of the
+// document the relation was evaluated on: that document, or a document
+// cloned from it, directly or through later generations. Ordinals of any
+// other document index unrelated cells. That includes a view, whose
+// mirrored nodes share the source's identifiers but not its ordinals, and
+// a separately parsed copy of the same XML. Nodes created after the
+// evaluation have ordinals past the base and read no access until
+// incremental maintenance rescores them.
 type Perms struct {
 	user    string
 	version uint64
-	// grants[nodeID] is a bitmask over privileges. The map is never
+	// grants[ord] is the privilege bitmask of the node with ordinal ord;
+	// ordinals at or past len(grants) hold no privilege. The slice is never
 	// written once the Perms is handed out: it may be a RuleCache profile
-	// map read by every session of the profile, or the base a published
+	// base read by every session of the profile, or the base a published
 	// session entry shares with the patched copies Clone makes of it —
-	// callers must clone before mutating (flatten does). overlay holds
-	// this Perms' divergences from grants: the user's $USER-dependent
-	// cells and the cells incremental maintenance rescored or forgot. A
-	// present entry wins over grants, with 0 meaning no access; the
-	// overlay is private to the Perms. shared records that grants is a
-	// RuleCache map (see CellOrigin).
-	grants  map[string]uint8
-	overlay map[string]uint8
+	// callers must clone before mutating (flatten does). overlay
+	// holds this Perms' divergences from grants: the user's $USER-dependent
+	// cells and the cells incremental maintenance rescored. A present entry
+	// wins over grants, with 0 meaning no access; the overlay is private to
+	// the Perms. shared records that grants is a RuleCache profile base (see
+	// CellOrigin).
+	grants  []uint8
+	overlay map[uint32]uint8
 	shared  bool
 }
 
-// overlayFlattenDiv bounds the overlay against the base map: once the
-// overlay holds more than len(grants)/overlayFlattenDiv cells, set folds
-// it into a private copy of grants. A patch then costs its own cells plus
-// an overlay copy at most 1/overlayFlattenDiv of the base, and the O(base)
+// overlayFlattenDiv bounds the overlay against the base: once the overlay
+// holds more than len(grants)/overlayFlattenDiv cells, set folds it into
+// a private copy of grants. A patch then costs its own cells plus an
+// overlay copy at most 1/overlayFlattenDiv of the base, and the O(base)
 // flatten is amortized over the patches that grew the overlay.
 const overlayFlattenDiv = 16
 
@@ -306,68 +317,84 @@ func (pm *Perms) User() string { return pm.user }
 // against; higher layers use it for cache invalidation.
 func (pm *Perms) DocVersion() uint64 { return pm.version }
 
-// Has reports perm(user, n, priv).
+// Has reports perm(user, n, priv) and counts the decision.
 func (pm *Perms) Has(n *xmltree.Node, priv Privilege) bool {
-	return pm.HasID(n.IDString(), priv)
+	ok := pm.Peek(n, priv)
+	countDecision(priv, ok)
+	return ok
 }
 
+// Peek reports perm(user, n, priv) like Has but without counting a
+// decision: a filter reads cells once per visited node, and the explain
+// layer reads them for introspection; neither may inflate the enforcement
+// counters.
+func (pm *Perms) Peek(n *xmltree.Node, priv Privilege) bool {
+	return pm.Mask(n)&(1<<uint(priv)) != 0
+}
+
+// Mask returns n's privilege bitmask (bit 1<<priv per held privilege)
+// without counting a decision.
+func (pm *Perms) Mask(n *xmltree.Node) uint8 { return pm.cell(n.Ord()) }
+
 // Clone returns an independent copy of the permission relation in
-// O(overlay): the copy shares the immutable grants map and copies only the
-// overlay. The incremental maintainer patches such a copy (Rescore and
-// Forget write its overlay) while readers keep using the original, so a
+// O(overlay): the copy shares the immutable grants base and copies only
+// the overlay. The incremental maintainer patches such a copy (Rescore
+// writes its overlay) while readers keep using the original, so a
 // copy-on-write session cache never mutates a published Perms.
 func (pm *Perms) Clone() *Perms {
 	return &Perms{user: pm.user, version: pm.version, grants: pm.grants, overlay: maps.Clone(pm.overlay), shared: pm.shared}
 }
 
-// cell returns id's grant mask: the overlay entry when present, else the
-// base map's.
-func (pm *Perms) cell(id string) uint8 {
-	if mask, ok := pm.overlay[id]; ok {
-		return mask
+// cell returns ord's grant mask: the overlay entry when present, else the
+// base's. Most Perms have no overlay (every all-independent profile until
+// a patch), so the probe is skipped without a map call.
+func (pm *Perms) cell(ord uint32) uint8 {
+	if len(pm.overlay) != 0 {
+		if mask, ok := pm.overlay[ord]; ok {
+			return mask
+		}
 	}
-	return pm.grants[id]
+	return pm.base(ord)
 }
 
-// set records mask as id's cell without writing the base map: the cell
-// goes to the overlay (or leaves it when it equals the base cell), and an
+// base returns ord's cell in the base, 0 past its end.
+func (pm *Perms) base(ord uint32) uint8 {
+	if ord < uint32(len(pm.grants)) {
+		return pm.grants[ord]
+	}
+	return 0
+}
+
+// set records mask as ord's cell without writing the base: the cell goes
+// to the overlay (or leaves it when it equals the base cell), and an
 // overlay past its bound is flattened.
-func (pm *Perms) set(id string, mask uint8) {
-	if pm.grants[id] == mask {
-		delete(pm.overlay, id)
+func (pm *Perms) set(ord uint32, mask uint8) {
+	if pm.base(ord) == mask {
+		delete(pm.overlay, ord)
 		return
 	}
 	if pm.overlay == nil {
-		pm.overlay = make(map[string]uint8)
+		pm.overlay = make(map[uint32]uint8)
 	}
-	pm.overlay[id] = mask
+	pm.overlay[ord] = mask
 	if len(pm.overlay) > len(pm.grants)/overlayFlattenDiv {
 		pm.flatten()
 	}
 }
 
-// flatten folds the overlay into a private copy of grants (dropping
-// no-access cells), leaving the overlay empty.
+// flatten folds the overlay into a private copy of grants, extended to
+// cover the overlay's largest ordinal, leaving the overlay empty.
 func (pm *Perms) flatten() {
-	g := maps.Clone(pm.grants)
-	if g == nil {
-		g = make(map[string]uint8, len(pm.overlay))
+	n := len(pm.grants)
+	for ord := range pm.overlay {
+		n = max(n, int(ord)+1)
 	}
-	for id, mask := range pm.overlay {
-		if mask == 0 {
-			delete(g, id)
-		} else {
-			g[id] = mask
-		}
+	g := make([]uint8, n)
+	copy(g, pm.grants)
+	for ord, mask := range pm.overlay {
+		g[ord] = mask
 	}
 	pm.grants, pm.overlay, pm.shared = g, nil, false
-}
-
-// HasID reports perm(user, id, priv) by node identifier.
-func (pm *Perms) HasID(id string, priv Privilege) bool {
-	ok := pm.cell(id)&(1<<uint(priv)) != 0
-	countDecision(priv, ok)
-	return ok
 }
 
 // Evaluate computes the perm relation for user on doc, per axiom 14:
@@ -390,14 +417,9 @@ func (p *Policy) EvaluateCtx(ctx context.Context, doc *xmltree.Document, h *subj
 	_, sp := obs.StartSpanCtx(ctx, "policy_evaluate", evalStage)
 	defer sp.End()
 	applicable := 0
-	pm := &Perms{user: user, version: doc.Version(), grants: make(map[string]uint8)}
-	// latest[nodeID][priv] = priority of the latest applicable rule; sign
-	// tracked separately via accepts bitmask updates below.
-	type cell struct {
-		priority int64
-		effect   Effect
-	}
-	latest := make(map[string]*[numPrivileges]cell)
+	pm := &Perms{user: user, version: doc.Version(), grants: make([]uint8, doc.OrdLimit())}
+	// latest[ord][priv] = priority and effect of the latest applicable rule.
+	latest := make(map[uint32]*permCells)
 	vars := xpath.Vars{"USER": xpath.String(user)}
 	// Strictly ascending priority (Add's verifySorted invariant): later
 	// rules overwrite, so the >= below can never see an equal priority.
@@ -412,30 +434,25 @@ func (p *Policy) EvaluateCtx(ctx context.Context, doc *xmltree.Document, h *subj
 			return nil, fmt.Errorf("policy: evaluating %s: %w", r, err)
 		}
 		for _, n := range ns {
-			id := n.IDString()
-			c := latest[id]
+			c := latest[n.Ord()]
 			if c == nil {
-				c = &[numPrivileges]cell{}
-				latest[id] = c
+				c = &permCells{}
+				latest[n.Ord()] = c
 			}
 			if r.Priority >= c[r.Privilege].priority {
-				c[r.Privilege] = cell{priority: r.Priority, effect: r.Effect}
+				c[r.Privilege] = permCell{priority: r.Priority, effect: r.Effect}
 			}
 		}
 	}
-	for id, cells := range latest {
-		var mask uint8
-		for _, priv := range Privileges {
-			if cells[priv].priority > 0 && cells[priv].effect == Accept {
-				mask |= 1 << uint(priv)
-			}
-		}
-		if mask != 0 {
-			pm.grants[id] = mask
+	granted := 0
+	for ord, cells := range latest {
+		if mask := cells.mask(); mask != 0 {
+			pm.grants[ord] = mask
+			granted++
 		}
 	}
 	sp.AnnotateInt("rules_applicable", int64(applicable))
-	sp.AnnotateInt("nodes_granted", int64(len(pm.grants)))
+	sp.AnnotateInt("nodes_granted", int64(granted))
 	return pm, nil
 }
 

@@ -253,8 +253,22 @@ func TestPermsMetadata(t *testing.T) {
 	if pm.DocVersion() != d.Version() {
 		t.Error("DocVersion mismatch")
 	}
-	if pm.HasID("/nonexistent", Read) {
-		t.Error("HasID on unknown id")
+	// A node created after the evaluation has an ordinal past the base
+	// and holds nothing, though the staff read rule would address it.
+	paper, err := PaperPolicy(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm, err = paper.Evaluate(d, h, "laporte"); err != nil {
+		t.Fatal(err)
+	}
+	next := d.Clone()
+	late, err := next.AppendChild(next.RootElement(), xmltree.KindElement, "late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Ord() < d.OrdLimit() || pm.Has(late, Read) {
+		t.Errorf("node created after the evaluation: ordinal %d (limit %d), read %t", late.Ord(), d.OrdLimit(), pm.Has(late, Read))
 	}
 }
 

@@ -23,9 +23,9 @@
 //     secretary clones the first one's result instead of re-running the
 //     priority merge.
 //
-// Inside the cache, nodes are dense document-order indices, so the merge
-// is array arithmetic; node-ID strings appear only in the final grants
-// projection (the Perms API is string-keyed). The priority merge is
+// Inside the cache, nodes are their ordinals (xmltree.Node.Ord), the same
+// key Perms cells use, so the merge is array arithmetic and the projected
+// grants are the Perms base itself. The priority merge is
 // identical to Evaluate's latest-wins scan and relies on the same
 // strictly-ascending rule order that Policy.Add enforces.
 package policy
@@ -71,8 +71,8 @@ type permCell struct {
 type permCells [numPrivileges]permCell
 
 // RuleCache holds the shareable parts of cold evaluation for one policy
-// over one frozen document snapshot: the dense node index, the node set of
-// every $USER-independent rule evaluated so far, and the merged permission
+// over one frozen document snapshot: the node set of every
+// $USER-independent rule evaluated so far, and the merged permission
 // state per rule-set profile (one profile per distinct set of applicable
 // $USER-independent rules — in practice, one per role combination).
 // A cache is bound to its policy and document at construction; callers
@@ -84,64 +84,50 @@ type permCells [numPrivileges]permCell
 // completes and then share the result, so N simultaneous cold starts cost
 // one document scan, not N.
 type RuleCache struct {
-	// policy, doc and the dense snapshot index are fixed at construction
-	// and read-only afterwards: the ID strings of the nodes in document
-	// order, and the reverse pointer→index map used to intern rule node
-	// sets.
+	// policy and doc are fixed at construction and read-only afterwards.
 	policy *Policy
 	doc    *xmltree.Document
-	ids    []string
-	index  map[*xmltree.Node]int32
 
 	mu sync.Mutex
-	// sets holds each $USER-independent rule's dense node set, guarded by
-	// mu like the rest of the cache state below.
-	sets map[*Rule][]int32
-	// grants holds, per profile, the final grant masks of users whose
-	// applicable rules are all $USER-independent; latest holds the dense
-	// pre-projection merge state for profiles that $USER-dependent rules
-	// still need to be merged over.
-	grants map[string]map[string]uint8
+	// sets holds each $USER-independent rule's node set as ordinals,
+	// guarded by mu like the rest of the cache state below.
+	sets map[*Rule][]uint32
+	// grants holds, per profile, the final grant masks (indexed by
+	// ordinal) of users whose applicable rules are all $USER-independent;
+	// latest holds the pre-projection merge state, indexed the same way,
+	// for profiles that $USER-dependent rules still need to be merged over.
+	grants map[string][]uint8
 	latest map[string][]permCells
 }
 
-// NewRuleCache returns an empty cache for policy p over document doc,
-// building the dense node index. doc must not change while the cache is
-// in use.
+// NewRuleCache returns an empty cache for policy p over document doc. doc
+// must not change while the cache is in use.
 func NewRuleCache(p *Policy, doc *xmltree.Document) *RuleCache {
-	nodes := doc.Nodes()
-	c := &RuleCache{
+	return &RuleCache{
 		policy: p,
 		doc:    doc,
-		ids:    make([]string, len(nodes)),
-		index:  make(map[*xmltree.Node]int32, len(nodes)),
-		sets:   make(map[*Rule][]int32),
-		grants: make(map[string]map[string]uint8),
+		sets:   make(map[*Rule][]uint32),
+		grants: make(map[string][]uint8),
 		latest: make(map[string][]permCells),
 	}
-	for i, n := range nodes {
-		c.ids[i] = n.IDString()
-		c.index[n] = int32(i)
-	}
-	return c
 }
 
-// intern converts a node set to dense indices.
-func (c *RuleCache) intern(ns []*xmltree.Node) []int32 {
-	out := make([]int32, len(ns))
+// ords converts a node set to ordinals.
+func ords(ns []*xmltree.Node) []uint32 {
+	out := make([]uint32, len(ns))
 	for i, n := range ns {
-		out[i] = c.index[n]
+		out[i] = n.Ord()
 	}
 	return out
 }
 
-// fill returns the dense node sets of the given $USER-independent rules,
-// computing only the ones no earlier evaluation has cached yet — a
-// homogeneous fleet (say, thousands of patients) never pays for staff
-// rules it will not merge. Missing rules are still computed together, so
-// the chain-only ones share one bank walk. The returned map is the live
-// cache — callers must clone before mutating. Callers hold c.mu.
-func (c *RuleCache) fill(ctx context.Context, indep []*Rule) (map[*Rule][]int32, error) {
+// fill returns the node sets (as ordinals) of the given
+// $USER-independent rules, computing only the ones no earlier evaluation
+// has cached yet — a homogeneous fleet (say, thousands of patients) never
+// pays for staff rules it will not merge. Missing rules are still computed
+// together, so the chain-only ones share one bank walk. The returned map is
+// the live cache — callers must clone before mutating. Callers hold c.mu.
+func (c *RuleCache) fill(ctx context.Context, indep []*Rule) (map[*Rule][]uint32, error) {
 	var missing []*Rule
 	for _, r := range indep {
 		if _, ok := c.sets[r]; !ok {
@@ -162,12 +148,12 @@ func (c *RuleCache) fill(ctx context.Context, indep []*Rule) (map[*Rule][]int32,
 		return nil, err
 	}
 	for r, ns := range sets {
-		c.sets[r] = c.intern(ns)
+		c.sets[r] = ords(ns)
 	}
 	return c.sets, nil
 }
 
-// latestFor returns the dense merged permission state of a profile (an
+// latestFor returns the merged permission state of a profile (an
 // ascending list of applicable $USER-independent rules), computing and
 // caching it on first use. The returned slice is shared — callers must
 // clone before mutating. Callers hold c.mu.
@@ -182,10 +168,10 @@ func (c *RuleCache) latestFor(ctx context.Context, sig string, indep []*Rule) ([
 	if err != nil {
 		return nil, err
 	}
-	m := make([]permCells, len(c.ids))
+	m := make([]permCells, c.doc.OrdLimit())
 	for _, r := range indep { // ascending priority: later rules overwrite
-		for _, idx := range sets[r] {
-			if cell := &m[idx][r.Privilege]; r.Priority >= cell.priority {
+		for _, ord := range sets[r] {
+			if cell := &m[ord][r.Privilege]; r.Priority >= cell.priority {
 				*cell = permCell{priority: r.Priority, effect: r.Effect}
 			}
 		}
@@ -195,9 +181,9 @@ func (c *RuleCache) latestFor(ctx context.Context, sig string, indep []*Rule) ([
 }
 
 // grantsFor returns the final grant masks of an all-independent profile,
-// projecting and caching them on first use. The returned map is shared —
+// projecting and caching them on first use. The returned slice is shared —
 // callers must clone. Callers hold c.mu.
-func (c *RuleCache) grantsFor(ctx context.Context, sig string, indep []*Rule) (map[string]uint8, error) {
+func (c *RuleCache) grantsFor(ctx context.Context, sig string, indep []*Rule) ([]uint8, error) {
 	if g, ok := c.grants[sig]; ok {
 		ruleCacheHits.Add(uint64(len(indep)))
 		obs.AnnotateCtx(ctx, "profile_grants", "hit")
@@ -208,7 +194,7 @@ func (c *RuleCache) grantsFor(ctx context.Context, sig string, indep []*Rule) (m
 	if err != nil {
 		return nil, err
 	}
-	g := c.projectGrants(latest)
+	g := projectGrants(latest)
 	c.grants[sig] = g
 	return g, nil
 }
@@ -225,14 +211,12 @@ func (cs *permCells) mask() uint8 {
 	return mask
 }
 
-// projectGrants collapses dense merge state into the grant-mask form Perms
-// serves, keeping only nodes with at least one accepted privilege.
-func (c *RuleCache) projectGrants(latest []permCells) map[string]uint8 {
-	g := make(map[string]uint8, len(latest))
-	for idx := range latest {
-		if mask := latest[idx].mask(); mask != 0 {
-			g[c.ids[idx]] = mask
-		}
+// projectGrants collapses merge state into the grant masks Perms serves,
+// one per ordinal.
+func projectGrants(latest []permCells) []uint8 {
+	g := make([]uint8, len(latest))
+	for ord := range latest {
+		g[ord] = latest[ord].mask()
 	}
 	return g
 }
@@ -286,7 +270,7 @@ func (c *RuleCache) EvaluateSharedCtx(ctx context.Context, h *subject.Hierarchy,
 		if err != nil {
 			return nil, err
 		}
-		// Hand the cached map out directly; patches go to the overlay.
+		// Hand the cached base out directly; patches go to the overlay.
 		pm.grants, pm.shared = g, true
 		return pm, nil
 	}
@@ -305,22 +289,23 @@ func (c *RuleCache) EvaluateSharedCtx(ctx context.Context, h *subject.Hierarchy,
 		return nil, err
 	}
 	// base and g are shared snapshots: read-only from here on.
-	touched := make(map[int32]permCells)
+	touched := make(map[uint32]permCells)
 	for _, r := range dep { // ascending priority, same merge as Evaluate
-		for _, idx := range c.intern(depSets[r]) {
-			cells, ok := touched[idx]
+		for _, n := range depSets[r] {
+			ord := n.Ord()
+			cells, ok := touched[ord]
 			if !ok {
-				cells = base[idx]
+				cells = base[ord]
 			}
 			if cell := &cells[r.Privilege]; r.Priority >= cell.priority {
 				*cell = permCell{priority: r.Priority, effect: r.Effect}
 			}
-			touched[idx] = cells
+			touched[ord] = cells
 		}
 	}
-	overlay := make(map[string]uint8, len(touched))
-	for idx, cells := range touched {
-		overlay[c.ids[idx]] = cells.mask()
+	overlay := make(map[uint32]uint8, len(touched))
+	for ord, cells := range touched {
+		overlay[ord] = cells.mask()
 	}
 	sp.AnnotateInt("overlay_nodes", int64(len(overlay)))
 	pm.grants, pm.overlay, pm.shared = g, overlay, true

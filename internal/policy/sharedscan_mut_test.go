@@ -2,7 +2,9 @@
 // code mutates a RuleCache-returned grant mask without cloning; this test
 // proves the clone-on-first-write helpers actually deliver that isolation
 // at runtime. Every user's Perms comes from one shared RuleCache, one
-// goroutine per user hammers its Perms with Forget and Rescore while
+// goroutine per user hammers its Perms with Rescore — over a clone of the
+// document whose elements are all renamed, so the rescored cells differ
+// from the shared ones and go to the overlay until it flattens — while
 // other goroutines keep evaluating through the same cache, and at the end
 // a fresh differential Evaluate must still agree with EvaluateShared for
 // every user — a leaked mutation of the shared masks would break the
@@ -15,6 +17,7 @@ import (
 	"testing"
 
 	"securexml/internal/policy"
+	"securexml/internal/xmltree"
 )
 
 func TestSharedMaskMutationIsolated(t *testing.T) {
@@ -33,10 +36,16 @@ func TestSharedMaskMutationIsolated(t *testing.T) {
 				}
 				perms[u] = pm
 			}
-			ids := make([]string, 0, 16)
-			nodes := d.Nodes()
+			// A later generation of the same lineage in which every
+			// element is renamed: rescoring its nodes changes the cells.
+			renamed := d.Clone()
+			nodes := renamed.Nodes()
 			for _, n := range nodes {
-				ids = append(ids, n.ID().String())
+				if n.Kind() == xmltree.KindElement {
+					if err := renamed.Rename(n, "renamed"); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 
 			// Mutate every user's Perms through the clone-on-first-write
@@ -56,7 +65,6 @@ func TestSharedMaskMutationIsolated(t *testing.T) {
 							}
 						}
 					}
-					pm.Forget(ids...)
 				}(u, pm)
 				go func(u string) {
 					defer wg.Done()
@@ -72,7 +80,7 @@ func TestSharedMaskMutationIsolated(t *testing.T) {
 			}
 
 			// Differential oracle: the shared cache must still serve every
-			// user the reference permissions — no Forget or Rescore above may
+			// user the reference permissions — no Rescore above may
 			// have written through to the shared masks.
 			for _, u := range users {
 				ref, err := p.Evaluate(d, h, u)

@@ -107,11 +107,10 @@ func randomPolicy(h *subject.Hierarchy, seed int64) (*policy.Policy, error) {
 // the document and every privilege, returning "" when identical.
 func permsDiff(d *xmltree.Document, ref, got *policy.Perms) string {
 	for _, n := range d.Nodes() {
-		id := n.ID().String()
 		for _, priv := range policy.Privileges {
-			r, g := ref.HasID(id, priv), got.HasID(id, priv)
+			r, g := ref.Has(n, priv), got.Has(n, priv)
 			if r != g {
-				return fmt.Sprintf("node %s (%s) priv %s: reference=%v shared=%v", id, n.Label(), priv, r, g)
+				return fmt.Sprintf("node %s (%s) priv %s: reference=%v shared=%v", n.IDString(), n.Label(), priv, r, g)
 			}
 		}
 	}

@@ -364,7 +364,7 @@ func TestRepairMirrorMatchesEvaluate(t *testing.T) {
 		for _, n := range doc.Nodes() {
 			id := n.ID().String()
 			for _, priv := range policy.Privileges {
-				want := pm.HasID(id, priv)
+				want := pm.Has(n, priv)
 				got := masks[id]&(1<<uint(priv)) != 0
 				if want != got {
 					t.Fatalf("mirror disagrees with Evaluate: user %s node %s priv %s: evaluate=%v mirror=%v",

@@ -20,11 +20,11 @@
 // ForPerms over those maintained permissions. Only a non-empty node-set
 // value is answered from the view.
 //
-// internal/rewrite is the static refinement of this package: its
+// internal/rewrite is a static analysis beside this package: its
 // classifier proves some queries empty or unfiltered for a rule profile
-// from the policy alone, and the session path asks it first. Both are
-// pinned answer-equivalent to the view by this package's property tests
-// and internal/rewrite's oracle.
+// from the policy alone. No read path consults it; its oracle pins its
+// verdicts answer-equivalent to the view, as this package's property
+// tests pin the filter.
 package qfilter
 
 import (
@@ -43,26 +43,31 @@ import (
 //   - a visible node's effective label is its own with read, RESTRICTED
 //     with position only (axiom 17).
 //
-// Lookups use the uncounted Perms.PeekID: a filter reads cells once per
-// visited node, and counting each read as a policy decision would put a
-// process-global atomic on every concurrent query's hot path.
+// Each test is one uncounted Perms.Mask lookup, by the node's ordinal: a
+// filter reads cells once per visited node, and counting each read as a
+// policy decision would put a process-global atomic on every concurrent
+// query's hot path. The nodes the evaluator visits must therefore belong
+// to the lineage of the document pm was evaluated on (see policy.Perms).
 func ForPerms(pm *policy.Perms) *xpath.Security {
 	return &xpath.Security{
 		Visible: func(n *xmltree.Node) bool {
-			if n.Kind() == xmltree.KindDocument {
-				return true // axiom 15
-			}
-			id := n.IDString()
-			return pm.PeekID(id, policy.Read) || pm.PeekID(id, policy.Position)
+			return n.Kind() == xmltree.KindDocument || // axiom 15
+				pm.Mask(n)&(readBit|positionBit) != 0
 		},
 		Label: func(n *xmltree.Node) string {
-			if n.Kind() == xmltree.KindDocument || pm.PeekID(n.IDString(), policy.Read) {
+			if n.Kind() == xmltree.KindDocument || pm.Mask(n)&readBit != 0 {
 				return n.Label()
 			}
 			return xmltree.Restricted
 		},
 	}
 }
+
+// The Perms.Mask bits of the two privileges the filter reads.
+const (
+	readBit     = 1 << policy.Read
+	positionBit = 1 << policy.Position
+)
 
 // Select evaluates path on the source document under the user's filter and
 // returns the matching *source* nodes in document order. The answer set

@@ -202,7 +202,12 @@ func TestFilteredStringValueOfElements(t *testing.T) {
 	}
 }
 
-// TestRandomizedEquivalence fuzzes documents, policies and queries.
+// TestRandomizedEquivalence fuzzes documents, policies and queries. Each
+// round removes a few nodes and inserts a replacement where each stood
+// (the labeling scheme may re-issue its identifier, never its ordinal),
+// then clones the document, as a commit round does, so the permissions —
+// both the reference Evaluate and the shared-scan EvaluateShared — are
+// evaluated over ordinals with holes.
 func TestRandomizedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	names := []string{"a", "b", "c", "diagnosis"}
@@ -235,6 +240,30 @@ func TestRandomizedEquivalence(t *testing.T) {
 			}
 			elems = append(elems, n)
 		}
+		for i := 0; i < 1+rng.Intn(3); i++ {
+			all := d.Nodes()
+			victim := all[rng.Intn(len(all))]
+			if victim.Kind() == xmltree.KindDocument || victim == d.RootElement() {
+				continue
+			}
+			parent, next := victim.Parent(), victim.FollowingSibling()
+			if err := d.Remove(victim); err != nil {
+				t.Fatal(err)
+			}
+			label := names[rng.Intn(len(names))]
+			if next != nil {
+				_, err = d.InsertBefore(next, xmltree.KindElement, label)
+			} else {
+				_, err = d.AppendChild(parent, xmltree.KindElement, label)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d.OrdLimit() == uint32(d.Len()) {
+			t.Fatal("no ordinal hole")
+		}
+		d = d.Clone()
 		// Random policy.
 		h := subject.NewHierarchy()
 		if err := h.AddUser("u"); err != nil {
@@ -263,8 +292,13 @@ func TestRandomizedEquivalence(t *testing.T) {
 			}
 		}
 		pm := perms(t, d, h, p, "u")
+		shared, err := policy.NewRuleCache(p, d).EvaluateShared(h, "u")
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, q := range queryPool {
 			checkEquivalence(t, d, pm, q, "u")
+			checkEquivalence(t, d, shared, q, "u")
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 // cache tier. RuleCache interns per-rule node sets and per-profile grant
 // masks and hands them to every session that shares the cache version;
 // the functions that return them say "callers must clone" in their doc
-// comments, and Perms writes only its private overlay (Rescore, Forget)
-// and folds it into a maps.Clone of its shared base map (flatten). One
+// comments, and Perms writes only its private overlay (Rescore)
+// and folds it into a fresh copy of its shared base (flatten). One
 // forgotten clone silently leaks a privilege edit
 // from one user's Perms into every other session's — the exact axiom-14
 // violation the tier was built to avoid.

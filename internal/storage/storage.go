@@ -192,7 +192,7 @@ func readNode(doc *xmltree.Document, rest string) error {
 		return fmt.Errorf("%w: node id: %v", ErrBadSnapshot, err)
 	}
 	kindNum, err := strconv.Atoi(kindText)
-	if err != nil {
+	if err != nil || kindNum < int(xmltree.KindDocument) || kindNum > int(xmltree.KindComment) {
 		return fmt.Errorf("%w: node kind %q", ErrBadSnapshot, kindText)
 	}
 	label, err := strconv.Unquote(quoted)

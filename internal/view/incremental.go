@@ -20,8 +20,10 @@
 // times:
 //
 //   - the permissions half (PatchPermsCtx) re-runs axiom 14 over the
-//     touched subtrees: Forget scrubs removed cells, Rescore recomputes
-//     the rest, all in the copy's overlay — O(delta);
+//     touched subtrees: Rescore recomputes their cells in the copy's
+//     overlay — O(delta). Removed nodes need nothing: cells are keyed by
+//     node ordinal, which is never reused, so a removed node's cell is
+//     never read again, even when its identifier is re-issued;
 //   - the view half (CatchUpViewCtx) re-runs axioms 15–17 over the same
 //     subtrees against permissions that are already current: reconcile
 //     mirrors the show/RESTRICTED/hide decision into a snapshot of the
@@ -95,8 +97,8 @@ func (m *Maintainer) ApplyCtx(ctx context.Context, v *View, src *xmltree.Documen
 
 // PatchPermsCtx is the permissions half: it returns a copy of pm — the
 // relation for an earlier version of src — advanced over the delta chain
-// to src's version, re-running axiom 14 (Forget, then Rescore) over the
-// touched subtrees only. pm itself is not modified; the copy is
+// to src's version, re-running axiom 14 (Rescore) over the touched
+// subtrees only. pm itself is not modified; the copy is
 // Perms.Clone, O(overlay), so the whole patch costs O(delta).
 func (m *Maintainer) PatchPermsCtx(ctx context.Context, src *xmltree.Document, pm *policy.Perms, chain [][]xupdate.Delta) (*policy.Perms, error) {
 	var out *policy.Perms
@@ -141,16 +143,14 @@ func part(ctx context.Context, name string, chain [][]xupdate.Delta, run func() 
 	return nil
 }
 
-// rescore is the permissions half in place. Deltas run in order, so a
-// removed identifier's cells are scrubbed before a later insert re-uses
-// the identifier. Each touched subtree is rescored as it stands in src,
-// which a later delta of the chain may already have changed again; that
-// delta rescores it once more.
+// rescore is the permissions half in place. Each touched subtree is
+// rescored as it stands in src, which a later delta of the chain may
+// already have changed again; that delta rescores it once more. A removal
+// touches no surviving node, so it has nothing to rescore.
 func (m *Maintainer) rescore(src *xmltree.Document, pm *policy.Perms, chain [][]xupdate.Delta) error {
 	for _, deltas := range chain {
 		for _, d := range deltas {
 			if d.Kind == xupdate.DeltaRemove {
-				pm.Forget(d.RemovedIDs...)
 				continue
 			}
 			_, sn, err := deltaNode(src, d)

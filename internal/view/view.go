@@ -110,7 +110,8 @@ func copySelected(v *View, pm *policy.Perms, srcParent, dstParent *xmltree.Node)
 
 // selectLabel decides visibility of one node: (original label, true) with
 // read; (RESTRICTED, true) with position only (axiom 17); ("", false)
-// otherwise.
+// otherwise. n is a source node, never a view node: pm's cells are keyed
+// by the ordinals of the source's lineage (see policy.Perms).
 func selectLabel(pm *policy.Perms, n *xmltree.Node) (string, bool) {
 	switch {
 	case pm.Has(n, policy.Read):

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"securexml/internal/labeling"
@@ -17,13 +18,21 @@ const cloneFragXML = `<g k="v"><h/>t</g>`
 
 // checkInvariants verifies the bookkeeping Clone and the mutators must
 // keep: cached identifier text, the label index, the name index, parent
-// and owner pointers.
+// and owner pointers, and ordinals unique and below OrdLimit.
 func checkInvariants(t *testing.T, d *Document) {
 	t.Helper()
 	seen := 0
 	elems := map[string]int{}
+	ords := map[uint32]string{}
 	d.root.Walk(func(n *Node) bool {
 		seen++
+		if n.ord >= d.OrdLimit() {
+			t.Fatalf("node %s has ordinal %d, limit %d", n.idText, n.ord, d.OrdLimit())
+		}
+		if other, dup := ords[n.ord]; dup {
+			t.Fatalf("nodes %s and %s share ordinal %d", other, n.idText, n.ord)
+		}
+		ords[n.ord] = n.idText
 		if n.idText != n.id.String() {
 			t.Fatalf("node %s caches text %q", n.id, n.idText)
 		}
@@ -264,10 +273,37 @@ func applyFuzzOps(t *testing.T, docs []*Document, op []byte) {
 	}
 }
 
+// ordinals maps every node's ordinal to its identifier text.
+func ordinals(d *Document) map[uint32]string {
+	out := make(map[uint32]string, d.Len())
+	d.root.Walk(func(n *Node) bool {
+		out[n.ord] = n.idText
+		return true
+	})
+	return out
+}
+
+// checkNoReuse fails unless every node of d with an ordinal below the
+// earlier limit is a node that carried that ordinal before (same
+// identifier), so a removed node's ordinal was never handed out again.
+func checkNoReuse(t *testing.T, d *Document, before map[uint32]string, limit uint32) {
+	t.Helper()
+	if d.OrdLimit() < limit {
+		t.Fatalf("OrdLimit fell from %d to %d", limit, d.OrdLimit())
+	}
+	for ord, id := range ordinals(d) {
+		if ord < limit && before[ord] != id {
+			t.Fatalf("ordinal %d reused: was %q, now %s", ord, before[ord], id)
+		}
+	}
+}
+
 // FuzzCloneMutate drives random mutator sequences against a chain of
 // clones and a freshly parsed twin. A zero label byte re-clones the
 // current document mid-sequence; every earlier generation must stay
-// exactly as it was when it was cloned from.
+// exactly as it was when it was cloned from, and the clone must carry
+// the same ordinals and counter. After every op the ordinals are unique
+// and no ordinal of the lineage is reused.
 func FuzzCloneMutate(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 1, 5, 0, 5, 4, 1})
 	f.Add([]byte{2, 7, 0, 3, 9, 2, 6, 1, 1, 7, 12, 0, 1, 1, 5})
@@ -288,10 +324,16 @@ func FuzzCloneMutate(f *testing.F) {
 			op := data[i : i+3]
 			if op[2] == 0 {
 				gens = append(gens, gen{c, c.Sketch()})
+				prev := c
 				c = c.Clone()
+				if c.OrdLimit() != prev.OrdLimit() || !maps.Equal(ordinals(c), ordinals(prev)) {
+					t.Fatalf("clone changed the ordinals (limit %d, was %d)", c.OrdLimit(), prev.OrdLimit())
+				}
 			}
+			before, limit := ordinals(c), c.OrdLimit()
 			applyFuzzOps(t, []*Document{c, fresh}, op)
 			checkInvariants(t, c)
+			checkNoReuse(t, c, before, limit)
 			if !Equal(c, fresh) {
 				t.Fatalf("clone diverged after op %v:\n%s\nwant:\n%s", op, c.Sketch(), fresh.Sketch())
 			}

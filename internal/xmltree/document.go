@@ -3,6 +3,7 @@ package xmltree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"securexml/internal/labeling"
@@ -26,8 +27,9 @@ type Document struct {
 	index    map[string]*Node
 	names    map[string]map[*Node]struct{} // element-name index
 	version  uint64
-	fragment bool // fragments may carry several top-level nodes
-	frozen   bool // frozen documents reject every mutation (see Freeze)
+	nextOrd  uint32 // the ordinal the next created node takes
+	fragment bool   // fragments may carry several top-level nodes
+	frozen   bool   // frozen documents reject every mutation (see Freeze)
 }
 
 // Errors returned by Document mutations.
@@ -37,6 +39,8 @@ var (
 	ErrSecondRoot      = errors.New("xmltree: the document node already has a root element")
 	ErrAttributeTarget = errors.New("xmltree: operation not applicable to an attribute node")
 	ErrFrozen          = errors.New("xmltree: document is frozen (published snapshot generations are immutable; Clone first)")
+	ErrInvalidName     = errors.New("xmltree: element and attribute labels must be XML names")
+	ErrOrdinals        = errors.New("xmltree: node ordinals exhausted for this document lineage")
 )
 
 // New creates an empty document (just the document node) using the given
@@ -46,9 +50,10 @@ func New(scheme labeling.Scheme) *Document {
 		scheme = labeling.NewFracPath()
 	}
 	d := &Document{
-		scheme: scheme,
-		index:  make(map[string]*Node),
-		names:  make(map[string]map[*Node]struct{}),
+		scheme:  scheme,
+		index:   make(map[string]*Node),
+		names:   make(map[string]map[*Node]struct{}),
+		nextOrd: 1,
 	}
 	d.root = &Node{kind: KindDocument, label: "/", id: labeling.DocumentLabel, idText: "/", doc: d}
 	d.index["/"] = d.root
@@ -90,6 +95,21 @@ func (d *Document) Version() uint64 { return d.version }
 
 // NodeByID returns the node with the given persistent identifier, or nil.
 func (d *Document) NodeByID(id labeling.Label) *Node { return d.index[id.String()] }
+
+// OrdLimit returns one more than the largest ordinal any node of the
+// document's lineage has taken so far: every node of the document has
+// Ord() < OrdLimit(), so it sizes a table indexed by ordinal.
+func (d *Document) OrdLimit() uint32 { return d.nextOrd }
+
+// mint hands out the next ordinal.
+func (d *Document) mint() (uint32, error) {
+	if d.nextOrd == math.MaxUint32 {
+		return 0, ErrOrdinals
+	}
+	o := d.nextOrd
+	d.nextOrd++
+	return o, nil
+}
 
 // Len returns the number of nodes in the document, including the document
 // node and attribute nodes.
@@ -177,13 +197,18 @@ func (d *Document) newChildNode(parent *Node, kind Kind, label string, lo, hi *N
 	if err != nil {
 		return nil, fmt.Errorf("xmltree: allocating identifier under %s: %w", parent.Path(), err)
 	}
-	n := &Node{kind: kind, label: label, id: parent.id.Child(key), idText: childIDText(parent.idText, key), parent: parent}
+	ord, err := d.mint()
+	if err != nil {
+		return nil, err
+	}
+	n := &Node{kind: kind, ord: ord, label: label, id: parent.id.Child(key), idText: childIDText(parent.idText, key), parent: parent}
 	d.register(n)
 	return n, nil
 }
 
 // MirrorChild appends a node under parent that carries a caller-supplied
-// persistent identifier instead of a freshly allocated one. It exists for
+// persistent identifier instead of a freshly allocated one; its ordinal
+// comes from d's own counter, like any created node's. It exists for
 // view materialization (§4.4.1): view nodes keep the source document's
 // identifiers so that write operations selected on the view can be mapped
 // back to source nodes. The identifier must be a child identifier of
@@ -213,7 +238,11 @@ func (d *Document) MirrorChild(parent *Node, kind Kind, label string, id labelin
 	if prev != nil && prev.id.Compare(id) >= 0 {
 		return nil, fmt.Errorf("xmltree: mirrored identifier %s out of document order after %s", id, prev.id)
 	}
-	n := &Node{kind: kind, label: label, id: id.Clone(), idText: text, parent: parent}
+	ord, err := d.mint()
+	if err != nil {
+		return nil, err
+	}
+	n := &Node{kind: kind, ord: ord, label: label, id: id.Clone(), idText: text, parent: parent}
 	d.register(n)
 	if kind == KindAttribute {
 		parent.attrs = append(parent.attrs, n)
@@ -245,8 +274,12 @@ func (d *Document) MirrorInsert(parent *Node, kind Kind, label string, id labeli
 	if kind == KindAttribute {
 		list = &parent.attrs
 	}
+	ord, err := d.mint()
+	if err != nil {
+		return nil, err
+	}
 	pos := sort.Search(len(*list), func(i int) bool { return (*list)[i].id.Compare(id) > 0 })
-	n := &Node{kind: kind, label: label, id: id.Clone(), idText: text, parent: parent}
+	n := &Node{kind: kind, ord: ord, label: label, id: id.Clone(), idText: text, parent: parent}
 	d.register(n)
 	*list = append(*list, nil)
 	copy((*list)[pos+1:], (*list)[pos:])
@@ -387,13 +420,18 @@ func (d *Document) SetAttribute(elem *Node, name, value string) (*Node, error) {
 
 // Rename changes the label of a node (xupdate:rename for elements and
 // attributes; for text nodes it replaces the content, which is how
-// xupdate:update is expressed on a text child).
+// xupdate:update is expressed on a text child). An element or attribute
+// label must be an XML name (see CheckLabel), or the serialized document
+// would carry whatever markup the label spells.
 func (d *Document) Rename(n *Node, label string) error {
 	if err := d.checkOwned(n); err != nil {
 		return err
 	}
 	if n.kind == KindDocument {
 		return ErrDocumentNode
+	}
+	if err := CheckLabel(n.kind, label); err != nil {
+		return err
 	}
 	if n.label != label {
 		d.relabel(n, label)
@@ -504,8 +542,8 @@ func (m GraftMode) String() string {
 // Graft deep-copies the subtree rooted at the fragment node src (typically
 // from another Document used as a construction buffer) into this document,
 // positioned relative to ref according to mode. It returns the new root node
-// of the copied subtree. Fresh identifiers are allocated for every copied
-// node (the create_number predicate of axiom 7).
+// of the copied subtree. Fresh identifiers and ordinals are allocated for
+// every copied node (the create_number predicate of axiom 7).
 func (d *Document) Graft(ref *Node, mode GraftMode, src *Node) (*Node, error) {
 	if err := d.checkOwned(ref); err != nil {
 		return nil, err
@@ -563,8 +601,8 @@ func (d *Document) copyInto(dst, src *Node) error {
 // from one presized arena, every child and attribute list is carved from
 // one shared backing array (see the package doc for the full-slice rule),
 // identifiers and their cached text are shared with the source (both are
-// immutable), and the label and name indexes are presized from the
-// source's. The allocation count therefore grows with the number of
+// immutable), every node keeps its ordinal, and the label and name
+// indexes are presized from the source's. The allocation count therefore grows with the number of
 // distinct element names, not with the number of nodes. Cloning is the
 // dominant cost of a group commit and of a view snapshot.
 func (d *Document) Clone() *Document {
@@ -574,6 +612,7 @@ func (d *Document) Clone() *Document {
 		index:    make(map[string]*Node, n),
 		names:    make(map[string]map[*Node]struct{}, len(d.names)),
 		version:  d.version,
+		nextOrd:  d.nextOrd,
 		fragment: d.fragment,
 	}
 	for name, set := range d.names {
@@ -614,7 +653,7 @@ func (cl *cloner) under(dst, src *Node) {
 // copyNode copies src (and, recursively, its subtree) under parent.
 func (cl *cloner) copyNode(parent, src *Node) *Node {
 	n := cl.node()
-	*n = Node{kind: src.kind, label: src.label, id: src.id, idText: src.idText, parent: parent}
+	*n = Node{kind: src.kind, ord: src.ord, label: src.label, id: src.id, idText: src.idText, parent: parent}
 	cl.doc.register(n)
 	cl.under(n, src)
 	return n

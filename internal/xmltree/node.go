@@ -10,7 +10,20 @@
 // label is the attribute name with a single text child carrying the value,
 // so the access control machinery applies to attributes unchanged.
 //
-// Two invariants keep copying and lookups cheap:
+// Three invariants keep copying and lookups cheap:
+//
+//   - Node ordinals. Every node, the document node included (0), carries
+//     a small integer (Node.Ord) taken from its document's counter when
+//     the node is created, by parsing, an insert, SetAttribute, Graft or
+//     mirroring. Clone copies every ordinal and the counter, so the
+//     ordinals of a document and of all its clones, and of their clones,
+//     form one space (a lineage) in which an ordinal is never handed out
+//     twice: a removed node's ordinal is not reused even when the labeling
+//     scheme re-issues its identifier. Like the identifier it is
+//     persistent, so it keys per-node tables (policy.Perms) by slice
+//     index instead of by identifier text. Document.OrdLimit bounds every
+//     ordinal in use. A mirrored view is a new lineage: its nodes share
+//     the source's identifiers but not its ordinals.
 //
 //   - Cached identifier text. Every node, the document node included
 //     ("/"), stores the canonical text of its identifier, rendered once
@@ -18,6 +31,7 @@
 //     never changes, neither does its text; the label index, Clone and
 //     callers keyed by identifier text use it instead of re-rendering
 //     Label.String.
+//
 //   - Carved slices. Clone allocates every child and attribute list from
 //     one shared backing array, each carved with a full slice expression
 //     (b[lo:lo:hi]) so its capacity ends where its neighbour's list
@@ -36,8 +50,9 @@ import (
 	"securexml/internal/labeling"
 )
 
-// Kind discriminates node types.
-type Kind int
+// Kind discriminates node types. It is a byte so that it packs with the
+// node ordinal into one word of Node.
+type Kind uint8
 
 // Node kinds. The paper's model has Document, Element and Text; Attribute
 // and Comment are XML-fidelity extensions.
@@ -78,6 +93,7 @@ const Restricted = "RESTRICTED"
 // Document methods, which maintain the label index and version counter.
 type Node struct {
 	kind     Kind
+	ord      uint32 // see Ord; packed beside kind so Node stays 128 bytes
 	label    string
 	id       labeling.Label
 	idText   string // id.String(), rendered once when the node is created
@@ -98,6 +114,12 @@ func (n *Node) Label() string { return n.label }
 // ID returns the node's persistent identifier. The returned label must not
 // be mutated.
 func (n *Node) ID() labeling.Label { return n.id }
+
+// Ord returns the node's ordinal: a small integer unique within the node's
+// document lineage (the document and everything cloned from it), assigned
+// when the node is created and never reused (see the package doc). The
+// document node's ordinal is 0.
+func (n *Node) Ord() uint32 { return n.ord }
 
 // IDString returns the canonical text of the node's identifier, equal to
 // ID().String(). The text is rendered once, when the node is created, and

@@ -10,8 +10,8 @@ package xupdate
 // Soundness rests on how consumers interpret deltas: every non-remove delta
 // is re-derived from the *final* document (the maintainer rescores the
 // subtree rooted at NodeID against the post-batch source and ignores
-// NewLabel beyond treating the node as touched), while a remove's
-// RemovedIDs drive permission-cache forgetting and view scrubbing. Hence:
+// NewLabel beyond treating the node as touched), while a remove drives
+// view scrubbing. Hence:
 //
 //   - removes are kept verbatim, in order — their RemovedIDs snapshots are
 //     the only record of identifiers that left the tree (identifiers may be

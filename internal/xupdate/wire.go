@@ -197,6 +197,9 @@ func parseContent(dec *xml.Decoder, frag *xmltree.Document, cur *xmltree.Node) e
 				if name == "" {
 					return fmt.Errorf("xupdate: parse: xupdate:element lacks a name attribute")
 				}
+				if err := xmltree.CheckLabel(xmltree.KindElement, name); err != nil {
+					return fmt.Errorf("xupdate: parse: xupdate:element: %w", err)
+				}
 				el, err := frag.AppendChild(cur, xmltree.KindElement, name)
 				if err != nil {
 					return err
@@ -208,6 +211,9 @@ func parseContent(dec *xml.Decoder, frag *xmltree.Document, cur *xmltree.Node) e
 				name := attrOf(t, "name")
 				if name == "" {
 					return fmt.Errorf("xupdate: parse: xupdate:attribute lacks a name attribute")
+				}
+				if err := xmltree.CheckLabel(xmltree.KindAttribute, name); err != nil {
+					return fmt.Errorf("xupdate: parse: xupdate:attribute: %w", err)
 				}
 				value, err := collectText(dec)
 				if err != nil {

@@ -190,6 +190,12 @@ type SkipReason struct {
 	Reason string
 }
 
+// SkipInvalidName is the reason every executor gives for a node it does not
+// relabel because the new label is not an XML name and the node is an
+// element or attribute (xmltree.CheckLabel): the label would be serialized
+// verbatim as markup.
+const SkipInvalidName = "the new label is not an XML name, as an element or attribute label must be"
+
 // DeltaKind classifies one structural change to the document.
 type DeltaKind int
 
@@ -218,8 +224,9 @@ type Delta struct {
 	NewLabel string
 	// RemovedIDs lists every identifier in the removed subtree (root
 	// first, document order) for a DeltaRemove. Persistent labels can be
-	// re-allocated after a removal, so consumers must scrub state keyed
-	// by these ids before processing later deltas.
+	// re-allocated after a removal, so a consumer keyed by identifier
+	// (Coalesce, the view's scrubbing) must process it before later
+	// deltas.
 	RemovedIDs []string
 }
 
@@ -303,6 +310,10 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 			res.Skipped = append(res.Skipped, SkipReason{n.IDString(), "cannot rename the document node"})
 			return nil
 		}
+		if xmltree.CheckLabel(n.Kind(), op.NewValue) != nil {
+			res.Skipped = append(res.Skipped, SkipReason{n.IDString(), SkipInvalidName})
+			return nil
+		}
 		old := n.Label()
 		if err := doc.Rename(n, op.NewValue); err != nil {
 			return err
@@ -330,7 +341,12 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 			res.Created++
 			return nil
 		}
+		applied := false
 		for _, c := range kids {
+			if xmltree.CheckLabel(c.Kind(), op.NewValue) != nil {
+				res.Skipped = append(res.Skipped, SkipReason{c.IDString(), SkipInvalidName})
+				continue
+			}
 			old := c.Label()
 			if err := doc.Rename(c, op.NewValue); err != nil {
 				return err
@@ -338,8 +354,11 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 			if old != op.NewValue {
 				res.Deltas = append(res.Deltas, Delta{Kind: DeltaRelabel, NodeID: c.IDString(), NewLabel: op.NewValue})
 			}
+			applied = true
 		}
-		res.Applied++
+		if applied {
+			res.Applied++
+		}
 	case Append:
 		for _, top := range op.Content.Root().Children() {
 			grafted, err := graftOne(doc, n, xmltree.GraftAppend, top, res)
