@@ -56,7 +56,8 @@ bench-selftest:
 	cd _e2ebench && $(GO) test ./...
 
 # Hot-kernel micro-benchmarks (document clone, a doctor's view serialized
-# as XML, per-node rule matcher, a cold fleet's shared-scan policy
+# as XML, a patient's and a doctor's view serialized from the source
+# through the permission filter, per-node rule matcher, a cold fleet's shared-scan policy
 # evaluation, the write-side permission-cell patch, the parallel
 # permission-filtered read, a session's read after
 # a write, a session's applied and refused write after another session's
@@ -65,6 +66,7 @@ bench-selftest:
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkClone$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xmltree
 	$(GO) test -run '^$$' -bench '^BenchmarkSerialize$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/view
+	$(GO) test -run '^$$' -bench '^BenchmarkWriteFiltered$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/view
 	$(GO) test -run '^$$' -bench '^BenchmarkNodeMatcherMatch$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xpath
 	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateShared$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/policy
 	$(GO) test -run '^$$' -bench '^BenchmarkRescore$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/policy
@@ -73,11 +75,12 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkWriteAfterPublish$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 
 # Bounded fuzzing of the parser targets (XPath, XUpdate, Datalog, XSLT
-# stylesheets, storage snapshots) and the incremental-view differential
+# stylesheets, storage snapshots) and the incremental-maintenance differential
 # target from their seed corpora, plus the clone-independence target over
 # random mutator sequences, the serializer against its node-at-a-time
-# oracle, and the secured-write equivalence target (filtered selection on
-# the source vs selection on the view).
+# oracle, the filtered serializer and copy against the materialized view,
+# and the secured-write equivalence target (filtered selection on the
+# source vs selection on the view).
 fuzz:
 	$(GO) test ./internal/xpath -fuzz FuzzCompile -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xupdate -fuzz FuzzParseModifications -fuzztime $(FUZZTIME) -run '^$$'
@@ -87,6 +90,7 @@ fuzz:
 	$(GO) test ./internal/rewrite -fuzz FuzzRewrite -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xmltree -fuzz FuzzCloneMutate -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xmltree -fuzz FuzzSerialize -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/qfilter -fuzz FuzzFilteredRender -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/access -fuzz FuzzFilteredWrite -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xslt -fuzz FuzzParseStylesheet -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/storage -fuzz FuzzRead -fuzztime $(FUZZTIME) -run '^$$'

@@ -1,13 +1,16 @@
-// Experiment B11 (EXPERIMENTS.md): incremental view maintenance vs full
-// re-materialization. An administrator streams secured single-target
+// Experiment B11 (EXPERIMENTS.md): incremental permission maintenance vs
+// full re-evaluation. An administrator streams secured single-target
 // XUpdate ops over the hospital document; after every applied op each
-// staff user's cached view is patched in place by view.Maintainer and,
-// separately, rebuilt from scratch (policy.Evaluate + view.Materialize).
-// Both paths are timed per op per user and the patched view is verified
-// node-for-node against the rebuild. Rows are emitted as BENCH_b11.json.
+// staff user's axiom-14 permissions are patched by view.Maintainer
+// (PatchPermsCtx) and, separately, re-derived from scratch
+// (policy.Evaluate). Both paths are timed per op per user and the patched
+// permissions are verified cell-for-cell against the re-derivation. The
+// permissions are all a session keeps: its view is rendered from them
+// through the permission filter. Rows are emitted as BENCH_b11.json.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -19,9 +22,10 @@ import (
 	"securexml/internal/view"
 	"securexml/internal/workload"
 	"securexml/internal/xmltree"
+	"securexml/internal/xupdate"
 )
 
-const b11Schema = "securexml/bench-b11/v1"
+const b11Schema = "securexml/bench-b11/v2"
 
 type b11Row struct {
 	Patients    int     `json:"patients"`
@@ -77,11 +81,10 @@ func b11Env(patients int, seed int64) (*xmltree.Document, *subject.Hierarchy, *p
 	return d, h, p, nil
 }
 
-// b11State is one maintained user: the incrementally patched view and the
-// perms it is scored under.
+// b11State is one maintained user: the incrementally patched permissions
+// and the maintainer that patches them.
 type b11State struct {
 	user string
-	v    *view.View
 	pm   *policy.Perms
 	m    *view.Maintainer
 }
@@ -121,7 +124,7 @@ func b11Run(patients, ops int, mix string) (b11Row, error) {
 		if !ok {
 			return row, fmt.Errorf("user %s: hospital policy is not chain-only", u)
 		}
-		states = append(states, &b11State{user: u, v: view.Materialize(d, pm), pm: pm, m: m})
+		states = append(states, &b11State{user: u, pm: pm, m: m})
 	}
 
 	stream := workload.OpStream(workload.OpConfig{Doc: d, Seed: 1, Weights: b11Mix(mix)})
@@ -137,27 +140,29 @@ func b11Run(patients, ops int, mix string) (b11Row, error) {
 		}
 		for _, st := range states {
 			start := time.Now()
-			applyErr := st.m.Apply(st.v, d, st.pm, res.Deltas)
+			patched, patchErr := st.m.PatchPermsCtx(context.Background(), d, st.pm, [][]xupdate.Delta{res.Deltas})
 			incTotal += time.Since(start)
 
 			start = time.Now()
-			pm, err := p.Evaluate(d, h, st.user)
+			fresh, err := p.Evaluate(d, h, st.user)
 			if err != nil {
 				return row, err
 			}
-			fresh := view.Materialize(d, pm)
 			fullTotal += time.Since(start)
 
-			if applyErr != nil {
-				// Fall back exactly as core does: rebuild the cached state.
+			if patchErr != nil {
+				// Fall back exactly as core does: re-derive the permissions.
 				row.Fallbacks++
-				st.v, st.pm = fresh, pm
+				st.pm = fresh
 				continue
 			}
-			if !xmltree.Equal(st.v.Doc, fresh.Doc) {
-				return row, fmt.Errorf("op %d (%s %s): user %s: patched view diverged from rebuild",
-					i, op.Kind, op.Select, st.user)
+			for _, n := range d.Nodes() {
+				if patched.Mask(n) != fresh.Mask(n) {
+					return row, fmt.Errorf("op %d (%s %s): user %s: patched cell of %s diverged from re-evaluation",
+						i, op.Kind, op.Select, st.user, n.IDString())
+				}
 			}
+			st.pm = patched
 		}
 	}
 	perUserOps := float64(ops * len(users))
@@ -170,7 +175,7 @@ func b11Run(patients, ops int, mix string) (b11Row, error) {
 }
 
 func b11IncrementalMaintenance() error {
-	header("B11 — incremental view maintenance vs full re-materialization")
+	header("B11 — incremental permission maintenance vs full re-evaluation")
 	sizes := []int{100, 1000, 5000}
 	ops := 40
 	if quick {
@@ -203,7 +208,7 @@ func b11IncrementalMaintenance() error {
 		return err
 	}
 	fmt.Printf("\nwrote %s\n", b11Out)
-	fmt.Println("Expected shape: full rebuild scales with document size; the patch cost")
+	fmt.Println("Expected shape: re-evaluation scales with document size; the patch cost")
 	fmt.Println("scales with the touched subtree, so the speedup grows with the document.")
 	return nil
 }

@@ -10,7 +10,7 @@
 //	xmlsec-server -snapshot db.sxml    # serve a restored snapshot
 //	xmlsec-server -pprof               # also expose /debug/pprof/
 //	xmlsec-server -accesslog access.jsonl
-//	xmlsec-server -warm 4              # pre-materialize all views, 4 workers
+//	xmlsec-server -warm 4              # derive all users' permissions, 4 workers
 //
 // Telemetry is always on: Prometheus text on /metrics, an expvar snapshot
 // on /debug/vars, and a structured JSON access log (stderr by default,
@@ -55,7 +55,7 @@ func main() {
 	recover := flag.Bool("recover", false, "replay the journal on top of the snapshot before serving")
 	pprof := flag.Bool("pprof", false, "expose runtime profiles under /debug/pprof/")
 	accessLog := flag.String("accesslog", "stderr", `structured access log: "stderr", "off", or a file path`)
-	warm := flag.Int("warm", 0, "pre-materialize every user's view at startup through this many workers (0 = off)")
+	warm := flag.Int("warm", 0, "derive every user's permissions at startup through this many workers (0 = off)")
 	slowTrace := flag.Duration("slowtrace", 500*time.Millisecond, "log the full span tree of requests slower than this (0 = off)")
 	flag.Parse()
 

@@ -25,16 +25,16 @@
 // and a full materialization (axioms 15–17), then the execute step, which
 // selects on that view and changes the document in place. They are the
 // specification. ExecuteFilteredCtx runs the same execute step with no
-// view document at all: it selects on a frozen base document under
-// qfilter.ForPerms over permissions the caller already holds (the §5
-// filtered evaluation, answer-equivalent to the view), and copies the
-// base only just before its first change. internal/core uses it for every
-// write whose commit round still equals the published generation it
+// view document at all: it selects under qfilter.ForPerms over
+// permissions the caller already holds (the §5 filtered evaluation,
+// answer-equivalent to the view), and value-of content is evaluated under
+// the same filter and copied through it. internal/core runs every secured
+// write through it: on the frozen published generation the commit round
 // started from, with the writing session's incrementally maintained
-// permissions of that generation; only value-of content still reads the
-// session's view. Once an earlier request in the same round changed the
-// document, the policy or the subject hierarchy, core falls back to the
-// deriving entry point on the round's scratch state.
+// permissions of that generation, copying the base only just before the
+// first change; or, once an earlier request in the same round changed the
+// document, the policy or the subject hierarchy, on the round's scratch
+// document under permissions evaluated afresh on it.
 package access
 
 import (
@@ -110,7 +110,7 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 		return nil, nil, err
 	}
 	v := view.MaterializeCtx(ctx, doc, pm)
-	w := &writer{root: v.Doc.Root(), content: v, doc: doc}
+	w := &writer{root: v.Doc.Root(), doc: doc}
 	res, err := w.execute(ctx, pm, user, op, extra)
 	if err != nil {
 		return nil, nil, err
@@ -123,21 +123,19 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 // qfilter.ForPerms(pm), which answers exactly as the same path on the
 // user's view would (§5), xupdate:update reads the selected node's
 // children through the same filter (axioms 20–21), and the §4.4.2
-// privilege checks read pm. base is only read, so a frozen, published
-// document is fine. Each change goes to the document mutable returns,
-// which must be a clone of base (same identifiers and ordinals); mutable is
-// called at most once, just before the first change, so a refused or
-// no-op write copies nothing. v is the user's view of base and is read
-// only to expand value-of content (nil for an op without any). The
-// caller vouches that pm, and v if given, are the user's own.
-func ExecuteFilteredCtx(ctx context.Context, base *xmltree.Document, mutable func() *xmltree.Document, pm *policy.Perms, v *view.View, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
+// privilege checks read pm. Each change goes to the document mutable
+// returns, which must be a clone of base (same identifiers and ordinals);
+// mutable is called at most once, just before the first change, so a
+// refused or no-op write copies nothing, and base is only read, so a
+// frozen, published document is fine. With mutable nil the changes go to
+// base itself, which must then be mutable. value-of content is evaluated on base under
+// the same filter and copied through it. The caller vouches that pm is the
+// user's own.
+func ExecuteFilteredCtx(ctx context.Context, base *xmltree.Document, mutable func() *xmltree.Document, pm *policy.Perms, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
 	if err := checkOp(op); err != nil {
 		return nil, err
 	}
-	if v == nil && op.HasDynamicContent() {
-		return nil, fmt.Errorf("access: value-of content expands on the user's view, and none was given")
-	}
-	w := &writer{root: base.Root(), sec: qfilter.ForPerms(pm), content: v, doc: base, mutable: mutable}
+	w := &writer{root: base.Root(), sec: qfilter.ForPerms(pm), doc: base, mutable: mutable}
 	return w.execute(ctx, pm, user, op, extra)
 }
 
@@ -159,8 +157,6 @@ type writer struct {
 	// under the filter sec (nil for a view, which needs no filter).
 	root *xmltree.Node
 	sec  *xpath.Security
-	// content is the view value-of placeholders expand on.
-	content *view.View
 	// doc is the document's current state: the one to change, or, until
 	// mutable is called, the frozen base it will be copied from.
 	doc     *xmltree.Document
@@ -194,7 +190,7 @@ func (w *writer) execute(ctx context.Context, pm *policy.Perms, user string, op 
 	vars["USER"] = xpath.String(user)
 	run := op
 	if op.HasDynamicContent() {
-		expanded, err := op.ExpandContent(w.content.Doc.Root(), vars)
+		expanded, err := op.ExpandContent(w.root, vars, w.sec)
 		if err != nil {
 			return nil, fmt.Errorf("access: expanding dynamic content on view: %w", err)
 		}

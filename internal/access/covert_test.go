@@ -130,7 +130,7 @@ func TestSecuredResultIndependentOfHiddenData(t *testing.T) {
 			if pm, err = p.Evaluate(d, h, "user_B"); err != nil {
 				t.Fatal(err)
 			}
-			res, err = ExecuteFilteredCtx(context.Background(), d, d.Clone, pm, nil, "user_B", probe, nil)
+			res, err = ExecuteFilteredCtx(context.Background(), d, d.Clone, pm, "user_B", probe, nil)
 		case unsecured:
 			res, err = baseline.Execute(d, h, p, "user_B", probe)
 		}

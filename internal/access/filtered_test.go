@@ -12,7 +12,6 @@ import (
 	"securexml/internal/policy"
 	"securexml/internal/scenario"
 	"securexml/internal/subject"
-	"securexml/internal/view"
 	"securexml/internal/workload"
 	"securexml/internal/xmltree"
 	"securexml/internal/xupdate"
@@ -171,17 +170,13 @@ func checkFilteredWrite(tb testing.TB, what string, env writeEnv, base *xmltree.
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var v *view.View
-	if op.HasDynamicContent() {
-		v = view.Materialize(frozen, pm)
-	}
 	var clones int
 	var clone *xmltree.Document
 	got, gotErr := access.ExecuteFilteredCtx(ctx, frozen, func() *xmltree.Document {
 		clones++
 		clone = frozen.Clone()
 		return clone
-	}, pm, v, user, op, nil)
+	}, pm, user, op, nil)
 
 	spec := base.Clone()
 	from := spec.Version()

@@ -49,7 +49,7 @@ func Execute(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, us
 	vars := xpath.Vars{"USER": xpath.String(user)}
 	if op.HasDynamicContent() {
 		// Model [10] reads the source even here — another face of the leak.
-		expanded, err := op.ExpandContent(doc.Root(), vars)
+		expanded, err := op.ExpandContent(doc.Root(), vars, nil)
 		if err != nil {
 			return nil, err
 		}

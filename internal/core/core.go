@@ -45,9 +45,11 @@ import (
 	"securexml/internal/xupdate"
 )
 
-// Telemetry: session-level stages plus the per-session view cache (the
-// registry's hit rate is the leverage of caching materialized views across
-// queries within one (document version, policy epoch) window).
+// Telemetry: session-level stages plus the per-session permission cache
+// (the registry's hit rate is the leverage of caching a user's axiom-14
+// permissions across requests within one (document version, policy
+// epoch) window). The counters keep the view-cache names their dashboards
+// and benchmark read.
 var (
 	queryStage     = obs.Stage("session_query")
 	valueStage     = obs.Stage("session_query_value")
@@ -74,7 +76,7 @@ var (
 
 	// Where each secured write's permissions came from: the writing
 	// session's maintained permissions of the round's base generation, or
-	// a fresh derivation of the view from the round's scratch state (see
+	// a fresh derivation from the round's scratch state (see
 	// executeInRound).
 	securedViewSession = obs.Default().Counter("xmlsec_secured_view_total", "source", "session")
 	securedViewRebuild = obs.Default().Counter("xmlsec_secured_view_total", "source", "rebuild")
@@ -87,8 +89,9 @@ var (
 
 // Tier labels the route of the secured read path that served a read
 // (§4.4.1): the source under the session's maintained permissions
-// (TierQfilter), or the materialized view (TierView), which serves every
-// non-empty node-set value.
+// (TierQfilter), which serves every read, or the specification
+// (TierView): a fresh materialization of the user's view, taken only when
+// a caller pins it as the reference the other route is checked against.
 type Tier int
 
 // The read routes.
@@ -98,9 +101,9 @@ const (
 	numTiers
 )
 
-// TierAuto is the sentinel for normal routing: every read on TierQfilter,
-// non-empty node-set values on TierView. It is what QueryTierCtx and
-// QueryValueTierCtx take unless a caller pins the view.
+// TierAuto is the sentinel for normal routing: every read on TierQfilter.
+// It is what QueryTierCtx and QueryValueTierCtx take unless a caller pins
+// the view.
 const TierAuto Tier = -1
 
 // String names the tier.
@@ -127,9 +130,10 @@ var queryTierCounters = func() (c [numTiers]*obs.Counter) {
 	return
 }()
 
-// nodeSetValueFallbacks counts value queries re-evaluated on the view
-// because they produced a non-empty node-set. The metric keeps the
-// rewrite-fallback name its dashboards and benchmark already read.
+// nodeSetValueFallbacks counts value queries answered with a non-empty
+// node-set, each copied through the permission filter
+// (xmltree.CopyFiltered). The metric keeps the rewrite-fallback name its
+// dashboards and benchmark already read.
 var nodeSetValueFallbacks = obs.Default().Counter("xmlsec_rewrite_fallback_total", "reason", "nodeset_value")
 
 // sessionOp counts one session operation by name and outcome (ok | error).
@@ -194,8 +198,8 @@ type Database struct {
 	auditSeq uint64
 
 	// sessions holds the per-user shared sessions handed out by
-	// SharedSession, so server requests and warm-up hit one view cache per
-	// user instead of re-materializing per connection.
+	// SharedSession, so server requests and warm-up hit one permission
+	// cache per user instead of re-deriving per connection.
 	sessMu   sync.Mutex
 	sessions map[string]*Session
 }
@@ -501,17 +505,14 @@ func (db *Database) Audit() []AuditEntry {
 
 // --- sessions -----------------------------------------------------------------
 
-// viewEntry is one published cell of a session's view cache: the axiom-14
-// permissions current at document version ver, and the materialized (or
-// incrementally patched) view, which may lag behind at version
-// v.SourceVersion <= ver. Reads through the permission filter advance only
-// the permissions; the view catches up when something needs the view
-// document (see currentViewPerms). An entry is immutable after publication
-// — v.Doc is frozen and neither pm's base map nor its overlay is mutated
-// in place — so concurrent requests on one shared session can read the
-// same entry while another request swaps in a newer one.
-type viewEntry struct {
-	v     *view.View
+// permsEntry is one published cell of a session's permission cache: the
+// user's axiom-14 permissions current at document version ver. It is all
+// the session keeps: every view consumer reads the pinned source through
+// qfilter.ForPerms over these permissions. An entry is immutable after
+// publication — neither pm's base map nor its overlay is mutated in place
+// — so concurrent requests on one shared session can read the same entry
+// while another request swaps in a newer one.
+type permsEntry struct {
 	pm    *policy.Perms
 	ver   uint64
 	epoch uint64
@@ -524,10 +525,10 @@ type Session struct {
 	user string
 
 	mu    sync.Mutex
-	entry *viewEntry
+	entry *permsEntry
 	// maint is the compiled incremental maintainer for (policy epoch
 	// maintEpoch); nil with maintReady=true means the policy is not
-	// chain-only for this user and every doc change must re-materialize.
+	// chain-only for this user and every doc change must re-evaluate.
 	maint      *view.Maintainer
 	maintEpoch uint64
 	maintReady bool
@@ -547,8 +548,8 @@ func (db *Database) Session(user string) (*Session, error) {
 
 // SharedSession returns the database's singleton session for user,
 // creating it on first use. Unlike Session, repeated calls for the same
-// user share one view cache, so a warmed view keeps serving every later
-// request for that user (the server's request path and WarmSessions both
+// user share one permission cache, so warmed permissions keep serving
+// every later request for that user (the server's request path and WarmSessions both
 // go through here). Sessions are already safe for concurrent use.
 func (db *Database) SharedSession(user string) (*Session, error) {
 	db.sessMu.Lock()
@@ -583,18 +584,8 @@ func (s *Session) vars() xpath.Vars {
 	return xpath.Vars{"USER": xpath.String(s.user)}
 }
 
-// currentView returns the session's view of the pinned generation g (see
-// currentViewPerms). The returned view is immutable (frozen) and remains
-// valid after newer generations are published — callers need no lock.
-func (s *Session) currentView(ctx context.Context, g *generation) (*view.View, error) {
-	v, _, err := s.currentViewPerms(ctx, g)
-	return v, err
-}
-
 // currentPerms returns the session's axiom-14 permissions for the pinned
-// generation g, the only state a read through the permission filter
-// needs. It advances the cached entry's permissions without touching its
-// view (see entryFor).
+// generation g, the only state any view consumer needs (see entryFor).
 func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perms, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -605,39 +596,14 @@ func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perm
 	return e.pm, nil
 }
 
-// currentViewPerms returns the session's view of g and the permissions it
-// was derived from (a write with value-of content expands it on the view;
-// the Explain layer re-reads the same cell the production path served).
-// It first brings the permissions to g (entryFor), then catches the view
-// up if it lags: the view half of incremental maintenance over the delta
-// chain from the view's version, against the current permissions. When
-// the log no longer covers the view's version, or the catch-up fails, the
-// view is re-materialized from the current permissions — no policy
-// evaluation.
-func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.View, *policy.Perms, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, err := s.entryFor(ctx, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	if e.v.SourceVersion == e.ver {
-		return e.v, e.pm, nil
-	}
-	v := s.catchUpView(ctx, g, e)
-	s.entry = &viewEntry{v: v, pm: e.pm, ver: e.ver, epoch: e.epoch, gen: e.gen}
-	return v, e.pm, nil
-}
-
 // entryFor returns the session's cache entry with permissions current for
 // g, rebuilding only when the document or the policy changed since the
 // cached entry. A document change whose deltas are still in the
 // generation's log is absorbed by patching a copy of the cached
-// permissions (axiom 14 re-run over the touched subtrees only); the view
-// is left behind for currentViewPerms to catch up. Policy changes and
-// document replacements re-derive the permissions and re-materialize the
-// view. Callers hold s.mu.
-func (s *Session) entryFor(ctx context.Context, g *generation) (*viewEntry, error) {
+// permissions (axiom 14 re-run over the touched subtrees only). Policy
+// changes, document replacements and log gaps re-derive the permissions.
+// Callers hold s.mu.
+func (s *Session) entryFor(ctx context.Context, g *generation) (*permsEntry, error) {
 	ver, epoch, gen := g.ver(), g.epoch, g.docGen
 	e := s.entry
 	if e != nil && e.gen == gen && e.ver == ver && e.epoch == epoch {
@@ -648,7 +614,7 @@ func (s *Session) entryFor(ctx context.Context, g *generation) (*viewEntry, erro
 	if e != nil && e.gen == gen && e.epoch == epoch && e.ver < ver {
 		if ne := s.patchPerms(ctx, g, e); ne != nil {
 			// Counted as xmlsec_view_incremental_applied_total by the view
-			// package — neither a plain hit nor a materializing miss.
+			// package — neither a plain hit nor a deriving miss.
 			s.entry = ne
 			obs.AnnotateCtx(ctx, "view_source", "incremental")
 			return ne, nil
@@ -672,9 +638,7 @@ func (s *Session) entryFor(ctx context.Context, g *generation) (*viewEntry, erro
 	if err != nil {
 		return nil, err
 	}
-	v := view.MaterializeCtx(ctx, g.doc, pm)
-	v.Doc.Freeze()
-	s.entry = &viewEntry{v: v, pm: pm, ver: ver, epoch: epoch, gen: gen}
+	s.entry = &permsEntry{pm: pm, ver: ver, epoch: epoch, gen: gen}
 	return s.entry, nil
 }
 
@@ -692,13 +656,13 @@ func (s *Session) maintainer(g *generation) *view.Maintainer {
 
 // patchPerms builds a fresh cache entry whose permissions are e's patched
 // from e.ver up to the generation's version over the generation's delta
-// log; the entry keeps e's view, now lagging. It returns nil when
+// log. It returns nil when
 // patching is not possible (the caller re-derives; the reason was
 // counted) — and poisons s.entry on a hard patch error. The published
 // entry e itself is never mutated: the maintainer patches a Clone of the
 // permissions, which shares e's base map and copies only its overlay.
 // Callers hold s.mu.
-func (s *Session) patchPerms(ctx context.Context, g *generation, e *viewEntry) *viewEntry {
+func (s *Session) patchPerms(ctx context.Context, g *generation, e *permsEntry) *permsEntry {
 	m := s.maintainer(g)
 	if m == nil {
 		incFallbackIneligible.Inc()
@@ -721,54 +685,34 @@ func (s *Session) patchPerms(ctx context.Context, g *generation, e *viewEntry) *
 		obs.AnnotateCtx(ctx, "incremental_fallback", "error")
 		return nil
 	}
-	return &viewEntry{v: e.v, pm: pm, ver: g.ver(), epoch: e.epoch, gen: e.gen}
+	return &permsEntry{pm: pm, ver: g.ver(), epoch: e.epoch, gen: e.gen}
 }
 
-// catchUpView returns e's lagging view brought up to e.ver = g.ver(): the
-// view half of incremental maintenance over the delta chain from the
-// view's version, against e's current permissions. A log gap or a failed
-// catch-up re-materializes the view from those permissions instead (the
-// reason is counted). The returned view is frozen. Only a successful
-// patchPerms leaves a view behind, so g's policy epoch has a maintainer.
-// Callers hold s.mu.
-func (s *Session) catchUpView(ctx context.Context, g *generation, e *viewEntry) *view.View {
-	if chain, ok := g.deltaChain(e.v.SourceVersion); !ok {
-		incFallbackGap.Inc()
-		obs.AnnotateCtx(ctx, "incremental_fallback", "gap")
-	} else if v, err := s.maintainer(g).CatchUpViewCtx(ctx, e.v, g.doc, e.pm, chain); err != nil {
-		incFallbackError.Inc()
-		obs.AnnotateCtx(ctx, "incremental_fallback", "error")
-	} else {
-		v.Doc.Freeze()
-		return v
-	}
-	v := view.MaterializeCtx(ctx, g.doc, e.pm)
-	v.Doc.Freeze()
-	return v
-}
-
-// View returns an independent snapshot of the user's current view. The
-// cached view instance is frozen and shared across concurrent requests,
-// so callers get a mutable Snapshot copy.
+// View returns the user's current view as a document of its own: a fresh
+// materialization (axioms 15–17) of the pinned source under the session's
+// maintained permissions — the specification every other rendering of the
+// view is checked against. It is independent of the database and of every
+// other caller, and costs a walk of the document; /view renders the same
+// view without building it (WriteViewCtx).
 func (s *Session) View() (*view.View, error) {
 	return s.ViewCtx(context.Background())
 }
 
-// ViewCtx is View with a request context: a failed materialization is
-// audited with the context's request ID (successes are not audited —
-// views are rebuilt implicitly on most operations and would drown the
-// log).
+// ViewCtx is View with a request context: a failed derivation is audited
+// with the context's request ID (successes are not audited).
 func (s *Session) ViewCtx(ctx context.Context) (*view.View, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_view", viewStage)
-	v, err := s.currentView(ctx, s.db.gen())
+	g := s.db.gen()
+	pm, err := s.currentPerms(ctx, g)
 	if err != nil {
 		sessionOp("view", "error")
 		s.db.recordCtx(ctx, "view", s.user, "", "error: "+err.Error(), sp.End())
 		return nil, err
 	}
+	v := view.MaterializeCtx(ctx, g.doc, pm)
 	sp.End()
 	sessionOp("view", "ok")
-	return v.Snapshot(), nil
+	return v, nil
 }
 
 // ViewXML serializes the user's view.
@@ -782,14 +726,17 @@ func (s *Session) ViewXML() (string, error) {
 
 // WriteViewCtx writes the user's view, serialized as pretty-printed XML,
 // to w in a single w.Write call, so a caller may take the body's length
-// from that call. It serializes the shared frozen view directly (no
-// snapshot copy) into a pooled buffer. A failed materialization returns
-// its error before anything is written. Serialization and the write are
-// timed as the view_serialize stage, which starts after session_view ends
-// and is not nested in it.
+// from that call. No view document is built: the pinned source is
+// serialized through qfilter.ForPerms over the session's maintained
+// permissions, which walks only what the user can see (axioms 15–17) and
+// writes the bytes Materialize's document would. A failed derivation of
+// the permissions returns its error before anything is written.
+// Serialization and the write are timed as the view_serialize stage,
+// which starts after session_view ends and is not nested in it.
 func (s *Session) WriteViewCtx(ctx context.Context, w io.Writer) error {
 	vctx, sp := obs.StartSpanCtx(ctx, "session_view", viewStage)
-	v, err := s.currentView(vctx, s.db.gen())
+	g := s.db.gen()
+	pm, err := s.currentPerms(vctx, g)
 	if err != nil {
 		sessionOp("view", "error")
 		s.db.recordCtx(vctx, "view", s.user, "", "error: "+err.Error(), sp.End())
@@ -799,7 +746,7 @@ func (s *Session) WriteViewCtx(ctx context.Context, w io.Writer) error {
 	sessionOp("view", "ok")
 	_, ser := obs.StartSpanCtx(ctx, "view_serialize", serializeStage)
 	defer ser.End()
-	return v.Doc.Write(w, xmltree.WriteOptions{Indent: "  "})
+	return g.doc.Write(w, xmltree.WriteOptions{Indent: "  ", Filter: qfilter.ForPerms(pm)})
 }
 
 // Result is one node matched by a query, described without exposing
@@ -832,8 +779,8 @@ func (s *Session) QueryCtx(ctx context.Context, path string) ([]Result, error) {
 // QueryTierCtx is QueryCtx also reporting the route that served the
 // answer. It evaluates against one pinned generation: no lock is taken and
 // concurrent commits cannot tear the snapshot. forced == TierView
-// evaluates on the session's maintained view instead, the reference the
-// agreement tests compare against; any other value routes normally.
+// evaluates on a fresh materialization of the view instead, the reference
+// the agreement tests compare against; any other value routes normally.
 func (s *Session) QueryTierCtx(ctx context.Context, path string, forced Tier) ([]Result, Tier, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_query", queryStage)
 	fail := func(tier Tier, err error) ([]Result, Tier, error) {
@@ -865,8 +812,8 @@ func (s *Session) QueryTierCtx(ctx context.Context, path string, forced Tier) ([
 type securedRead struct {
 	tier Tier
 	c    *xpath.Compiled
-	// root is the pinned generation's source root, or the view's root
-	// for TierView.
+	// root is the pinned generation's source root, or the root of a
+	// fresh view for TierView.
 	root *xmltree.Node
 	// sec filters the source; nil for the view.
 	sec *xpath.Security
@@ -876,9 +823,10 @@ type securedRead struct {
 // the paper's §5 filtered-query design fed by the session's maintained
 // state: the read evaluates on the source under qfilter.ForPerms over the
 // session's maintained permissions (TierQfilter) — a cache hit, a delta
-// patch, or one derivation that is then cached (secureSource). With
-// onView it evaluates on the session's maintained view (TierView). The
-// returned read is non-nil even on error, carrying the tier to report.
+// patch, or one derivation that is then cached. With onView it evaluates
+// on a fresh materialization of the view from the same permissions
+// (TierView), the specification. The returned read is non-nil even on
+// error, carrying the tier to report.
 func (s *Session) secureRead(ctx context.Context, g *generation, path string, onView bool) (*securedRead, error) {
 	rd := &securedRead{tier: TierQfilter, root: g.doc.Root()}
 	c, err := xpath.Compile(path)
@@ -886,39 +834,16 @@ func (s *Session) secureRead(ctx context.Context, g *generation, path string, on
 		return rd, err
 	}
 	rd.c = c
-	if onView {
-		return rd, s.onView(ctx, g, rd)
-	}
-	sec, err := s.secureSource(ctx, g)
+	pm, err := s.currentPerms(ctx, g)
 	if err != nil {
 		return rd, err
 	}
-	rd.sec = sec
+	if onView {
+		rd.tier, rd.root = TierView, view.MaterializeCtx(ctx, g.doc, pm).Doc.Root()
+		return rd, nil
+	}
+	rd.sec = qfilter.ForPerms(pm)
 	return rd, nil
-}
-
-// secureSource returns the filter that evaluates the source of g as the
-// session's view shows it: qfilter.ForPerms over the permissions
-// currentPerms keeps current. The view document itself is not needed, so
-// it is left to catch up later.
-func (s *Session) secureSource(ctx context.Context, g *generation) (*xpath.Security, error) {
-	pm, err := s.currentPerms(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	return qfilter.ForPerms(pm), nil
-}
-
-// onView re-targets rd at the session's view of g, catching the view up
-// first if it lags.
-func (s *Session) onView(ctx context.Context, g *generation, rd *securedRead) error {
-	rd.tier, rd.sec = TierView, nil
-	v, err := s.currentView(ctx, g)
-	if err != nil {
-		return err
-	}
-	rd.root = v.Doc.Root()
-	return nil
 }
 
 // filteredResults renders source nodes exactly as the user's materialized
@@ -939,9 +864,10 @@ func filteredResults(ns xpath.NodeSet, sec *xpath.Security) []Result {
 
 // QueryValue evaluates an XPath expression that may yield an atomic value
 // (count(), boolean tests, string()...) against the user's view, through
-// the same secured read path as Query. Non-empty node-set values always
-// come from the materialized view: handing out raw source nodes would leak
-// hidden labels.
+// the same secured read path as Query. A non-empty node-set value is
+// copied through the permission filter (xmltree.CopyFiltered) before it is
+// handed out: raw source nodes would leak hidden labels, and the copies
+// carry exactly what the view shows of the selected nodes.
 func (s *Session) QueryValue(path string) (xpath.Value, error) {
 	return s.QueryValueCtx(context.Background(), path)
 }
@@ -955,8 +881,7 @@ func (s *Session) QueryValueCtx(ctx context.Context, path string) (xpath.Value, 
 }
 
 // QueryValueTierCtx is QueryValueCtx also reporting the route that served
-// the value; a non-empty node-set is re-evaluated on the view. forced is
-// as for QueryTierCtx.
+// the value. forced is as for QueryTierCtx.
 func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tier) (xpath.Value, Tier, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_query_value", valueStage)
 	fail := func(tier Tier, err error) (xpath.Value, Tier, error) {
@@ -964,29 +889,19 @@ func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tie
 		s.db.recordCtx(ctx, "query_value", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, tier, err
 	}
-	eval := func(rd *securedRead) (xpath.Value, error) {
-		_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
-		val, err := rd.c.EvalFiltered(rd.root, s.vars(), rd.sec)
-		xe.End()
-		return val, err
-	}
-	g := s.db.gen()
-	rd, err := s.secureRead(ctx, g, path, forced == TierView)
+	rd, err := s.secureRead(ctx, s.db.gen(), path, forced == TierView)
 	if err != nil {
 		return fail(rd.tier, err)
 	}
-	val, err := eval(rd)
-	if err != nil {
-		return fail(rd.tier, err)
-	}
-	if ns, ok := val.(xpath.NodeSet); ok && len(ns) > 0 && rd.tier != TierView {
+	_, xe := obs.StartSpanCtx(ctx, "xpath_eval", xpathStage)
+	val, err := rd.c.EvalFiltered(rd.root, s.vars(), rd.sec)
+	if ns, ok := val.(xpath.NodeSet); ok && len(ns) > 0 && rd.sec != nil {
 		nodeSetValueFallbacks.Inc()
-		if err := s.onView(ctx, g, rd); err != nil {
-			return fail(rd.tier, err)
-		}
-		if val, err = eval(rd); err != nil {
-			return fail(rd.tier, err)
-		}
+		val = xpath.NodeSet(xmltree.CopyFiltered(ns, rd.sec))
+	}
+	xe.End()
+	if err != nil {
+		return fail(rd.tier, err)
 	}
 	queryTierCounters[rd.tier].Inc()
 	sp.Annotate("query_tier", rd.tier.String())
@@ -1043,7 +958,7 @@ func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpat
 	// writer's own goroutine, so the serialized round below usually finds
 	// them cached. An error here resurfaces from the round's own
 	// derivation.
-	_, _, _ = s.writeState(ctx, s.db.gen(), op)
+	_, _ = s.currentPerms(ctx, s.db.gen())
 	var res *xupdate.Result
 	var err error
 	s.db.submit(func(c *commitCtx) {
@@ -1072,19 +987,6 @@ func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpat
 	return res, nil
 }
 
-// writeState returns what a secured write of op needs from the session
-// for the pinned generation g: the maintained permissions, and the view
-// only when op has value-of content to expand on it (nil otherwise), so
-// a plain write never makes the view catch up.
-func (s *Session) writeState(ctx context.Context, g *generation, op *xupdate.Op) (*policy.Perms, *view.View, error) {
-	if op.HasDynamicContent() {
-		v, pm, err := s.currentViewPerms(ctx, g)
-		return pm, v, err
-	}
-	pm, err := s.currentPerms(ctx, g)
-	return pm, nil, err
-}
-
 // executeInRound runs op in the commit round c. While the round's state
 // still equals its base generation, the op selects on the frozen base
 // document under the session's maintained permissions of that generation
@@ -1092,26 +994,32 @@ func (s *Session) writeState(ctx context.Context, g *generation, op *xupdate.Op)
 // patch when another round published in between), and the round clones
 // the document only when the op is about to change it. Once an earlier
 // request in the round changed the document, the policy or the hierarchy,
-// the view is derived afresh from the scratch state, as it is when the
-// session cannot produce its permissions.
+// the permissions are derived afresh from the scratch state, as they are
+// when the session cannot produce its own, and the op selects and changes
+// the scratch document under them. Either way the op runs through the
+// same filtered executor (access.ExecuteFilteredCtx).
 func (s *Session) executeInRound(ctx context.Context, c *commitCtx, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
 	if c.pristine() {
-		if pm, v, err := s.writeState(ctx, c.base, op); err == nil {
+		if pm, err := s.currentPerms(ctx, c.base); err == nil {
 			securedViewSession.Inc()
 			obs.AnnotateCtx(ctx, "view_source", "session")
-			return access.ExecuteFilteredCtx(ctx, c.base.doc, c.mutableDoc, pm, v, s.user, op, extra)
+			return access.ExecuteFilteredCtx(ctx, c.base.doc, c.mutableDoc, pm, s.user, op, extra)
 		}
 	}
 	securedViewRebuild.Inc()
 	obs.AnnotateCtx(ctx, "view_source", "rebuild")
-	res, _, err := access.ExecuteWithVarsCtx(ctx, c.mutableDoc(), c.curSubjects(), c.curPolicy(), s.user, op, extra)
-	return res, err
+	doc := c.mutableDoc()
+	pm, err := c.curPolicy().EvaluateCtx(ctx, doc, c.curSubjects(), s.user)
+	if err != nil {
+		return nil, err
+	}
+	return access.ExecuteFilteredCtx(ctx, doc, nil, pm, s.user, op, extra)
 }
 
 // Apply parses an <xupdate:modifications> document and executes its
 // operations in order, returning one result per operation (a zero result
 // for xupdate:variable bindings, which are threaded through the sequence
-// and evaluated against the user's view). Execution stops at the first
+// and evaluated under the user's permission filter). Execution stops at the first
 // hard error; privilege refusals are not errors (they appear as skipped
 // nodes in the results).
 func (s *Session) Apply(modifications string) ([]*xupdate.Result, error) {
@@ -1160,13 +1068,16 @@ func (s *Session) apply(ctx context.Context, modifications string) ([]*xupdate.R
 			if err := op.Validate(); err != nil {
 				return results, err
 			}
-			// Bind on the shared frozen view: evaluation only reads it, and
-			// value-of content is copied into a fresh fragment on expansion.
-			v, err := s.currentView(ctx, s.db.gen())
+			// Bind on the pinned source under the session's filter. A
+			// node-set binding holds source nodes, and every later use
+			// reads them under the same user's filter: the secured
+			// executor selects and expands value-of content with it.
+			g := s.db.gen()
+			pm, err := s.currentPerms(ctx, g)
 			if err != nil {
 				return results, err
 			}
-			val, err := op.BindVariable(v.Doc.Root(), mergeUser(env, s.user))
+			val, err := op.BindVariable(g.doc.Root(), mergeUser(env, s.user), qfilter.ForPerms(pm))
 			if err != nil {
 				return results, err
 			}
@@ -1253,8 +1164,8 @@ func (db *Database) AttachJournal(w io.Writer, seqStart uint64) {
 
 // Transform runs an XSLT stylesheet as the session user through the §5
 // security-processor path: the stylesheet executes against the source
-// document but observes only the user's authorized view (secureSource:
-// qfilter.ForPerms over the session's maintained permissions).
+// document but observes only the user's authorized view (qfilter.ForPerms
+// over the session's maintained permissions).
 func (s *Session) Transform(stylesheet string) (string, error) {
 	return s.TransformCtx(context.Background(), stylesheet)
 }
@@ -1272,11 +1183,11 @@ func (s *Session) TransformCtx(ctx context.Context, stylesheet string) (string, 
 		return fail(err)
 	}
 	g := s.db.gen()
-	sec, err := s.secureSource(ctx, g)
+	pm, err := s.currentPerms(ctx, g)
 	if err != nil {
 		return fail(err)
 	}
-	out, err := sheet.TransformString(g.doc, s.vars(), sec)
+	out, err := sheet.TransformString(g.doc, s.vars(), qfilter.ForPerms(pm))
 	if err != nil {
 		return fail(err)
 	}

@@ -200,8 +200,8 @@ func TestUpdateDeniedInvisible(t *testing.T) {
 func TestViewCacheInvalidation(t *testing.T) {
 	db := hospital(t)
 	sec := session(t, db, "beaufort")
-	// View() hands out snapshots (the cached instance is patched in place
-	// on updates), so caching shows in the counters, not in identity.
+	// View() hands out fresh materializations of the cached permissions,
+	// so caching shows in the counters, not in identity.
 	h0, _, _, _ := cacheCounts()
 	v1, err := sec.View()
 	if err != nil {
@@ -239,7 +239,7 @@ func TestViewCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Value != "flu" {
-		t.Errorf("document change not reflected in cached view: %+v", got)
+		t.Errorf("document change not reflected in cached permissions: %+v", got)
 	}
 }
 

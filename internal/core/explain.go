@@ -1,10 +1,10 @@
 // Session.Explain: the user-facing decision-provenance endpoint. It
 // combines the policy layer's axiom-14 story (internal/policy/explain.go)
-// with what the production path actually served — the cached Perms cell
-// and the materialized view — and cross-checks the two: the re-derived
-// winner must equal the production cell for every privilege, and the
-// axiom 15–17 verdict derived from the cells alone must match the view
-// node-for-node. A mismatch means the provenance explanation and the
+// with what the production path actually serves — the cached Perms cell —
+// and cross-checks the two: the re-derived winner must equal the
+// production cell for every privilege, and the axiom 15–17 verdict
+// derived from the cells alone must match a fresh materialization of the
+// view (the specification) node-for-node. A mismatch means the provenance explanation and the
 // enforcement disagree, which the differential tests treat as a bug.
 package core
 
@@ -78,16 +78,17 @@ func (s *Session) Explain(path string) (*Explanation, error) {
 // ExplainCtx is Explain with a request context.
 func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_explain", explainStage)
-	// Pin one generation for the whole explanation: the view, the
-	// permission cells and the re-derived story all come from the same
+	// Pin one generation for the whole explanation: the permission
+	// cells, the view and the re-derived story all come from the same
 	// snapshot even while commits land concurrently.
 	g := s.db.gen()
-	v, pm, err := s.currentViewPerms(ctx, g)
+	pm, err := s.currentPerms(ctx, g)
 	if err != nil {
 		sessionOp("explain", "error")
 		s.db.recordCtx(ctx, "explain", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, err
 	}
+	v := view.MaterializeCtx(ctx, g.doc, pm)
 	// ns are nodes of g.doc, whose lineage pm's ordinal-keyed cells were
 	// evaluated on (see policy.Perms).
 	ns, err := xpath.Select(g.doc, path, s.vars())
@@ -123,7 +124,8 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 }
 
 // explainNode assembles one node's explanation and runs the differential
-// checks against the production permissions and view.
+// checks against the production permissions and the view v materialized
+// from them.
 func explainNode(st policy.NodeStory, n *xmltree.Node, pm *policy.Perms, v *view.View) NodeExplanation {
 	ne := NodeExplanation{
 		NodeStory:  st,

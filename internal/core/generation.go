@@ -19,8 +19,8 @@ import (
 // which mutates clones and never a published component).
 //
 // Generations do not link to their predecessors: a prev chain would retain
-// up to deltaLogCap full document snapshots. The incremental-view history
-// lives in log instead — an append-only slice whose backing array is
+// up to deltaLogCap full document snapshots. The incremental-maintenance
+// history lives in log instead — an append-only slice whose backing array is
 // shared between consecutive generations. That sharing is race-free
 // because only the commit leader appends, always to the latest
 // generation's log, each backing slot is written exactly once, and the
@@ -37,13 +37,13 @@ type generation struct {
 	// mutations: a fresh document restarts its version counter, so the
 	// version alone cannot key session caches.
 	docGen uint64
-	// epoch counts policy/hierarchy changes, keying rule caches and view
-	// caches exactly as before the COW refactor.
+	// epoch counts policy/hierarchy changes, keying rule caches and
+	// session permission caches.
 	epoch uint64
 	born  time.Time
 	// log is the bounded ring of recent update batches (oldest first),
-	// consumed by session caches to patch views incrementally instead of
-	// re-materializing (see internal/view/incremental.go).
+	// consumed by session caches to patch permissions incrementally
+	// instead of re-deriving them (see internal/view/incremental.go).
 	log []deltaBatch
 
 	// rules is the cross-user RuleCache for this generation's policy and

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"securexml/internal/obs"
 	"securexml/internal/policy"
+	"securexml/internal/xmltree"
 	"securexml/internal/xpath"
 	"securexml/internal/xupdate"
 )
@@ -44,19 +46,34 @@ func TestQueryTierRouting(t *testing.T) {
 		t.Errorf("tier counters after qfilter-served queries: qfilter+%d view+%d, want 2/0", q1-q0, v1-v0)
 	}
 
-	// A non-empty node-set value must come from the materialized view
-	// (raw source nodes would leak hidden labels), counted as a
-	// nodeset_value fallback.
+	// A non-empty node-set value is served on the source too, but handed
+	// out as copies through the filter (raw source nodes would leak
+	// hidden labels), counted as a nodeset_value fallback.
 	n0 := nodeSetValueFallbacks.Value()
 	val, tier, err := s.QueryValueTierCtx(ctx, "//diagnosis", TierAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tier != TierView {
-		t.Fatalf("node-set value: tier %v, want view", tier)
+	if tier != TierQfilter {
+		t.Fatalf("node-set value: tier %v, want qfilter", tier)
 	}
-	if ns, ok := val.(xpath.NodeSet); !ok || len(ns) != 2 {
+	ns, ok := val.(xpath.NodeSet)
+	if !ok || len(ns) != 2 {
 		t.Fatalf("node-set value: %v", val)
+	}
+	for _, n := range ns {
+		if n.Document() == db.gen().doc || !n.Document().Frozen() {
+			t.Fatalf("node-set value hands out %s of the source, want a frozen copy", n.Path())
+		}
+	}
+	want, _, err := s.QueryValueTierCtx(ctx, "//diagnosis", TierView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range want.(xpath.NodeSet) {
+		if got := ns[i]; got.Path() != n.Path() || got.StringValue() != n.StringValue() || got.ID().String() != n.ID().String() {
+			t.Errorf("node-set value %d: copy %s %q, view %s %q", i, got.Path(), got.StringValue(), n.Path(), n.StringValue())
+		}
 	}
 	if n1 := nodeSetValueFallbacks.Value(); n1 != n0+1 {
 		t.Errorf("nodeset_value fallback moved by %d, want 1", n1-n0)
@@ -77,8 +94,7 @@ func TestQueryTierRouting(t *testing.T) {
 	attrs("paper policy")
 
 	// A read rule with a positional predicate changes nothing about the
-	// route, also once the session holds a fresh view (viewReference
-	// catches it up).
+	// route, checked against a fresh view (viewReference).
 	if err := db.AddRule(policy.Rule{
 		Effect: policy.Accept, Privilege: policy.Read,
 		Path: "/patients/*[1]", Subject: "staff", Priority: 500,
@@ -112,8 +128,8 @@ func TestFallbackCounters(t *testing.T) {
 	if d := c.Value() - n0; d != 0 {
 		t.Errorf("nodeset_value moved by %d on atomic and empty values, want 0", d)
 	}
-	if _, tier, err := s.QueryValueTierCtx(context.Background(), "//diagnosis", TierAuto); err != nil || tier != TierView {
-		t.Fatalf("node-set value: tier %v err %v, want view", tier, err)
+	if _, tier, err := s.QueryValueTierCtx(context.Background(), "//diagnosis", TierAuto); err != nil || tier != TierQfilter {
+		t.Fatalf("node-set value: tier %v err %v, want qfilter", tier, err)
 	}
 	if d := c.Value() - n0; d != 1 {
 		t.Errorf("nodeset_value moved by %d, want 1", d)
@@ -181,7 +197,8 @@ func TestQueryTierAgreement(t *testing.T) {
 	for _, u := range []string{"laporte", "beaufort", "richard", "robert", "franck"} {
 		sessions = append(sessions, session(t, db, u))
 	}
-	values := []string{"count(//diagnosis)", "string(/patients)", "//diagnosis", "boolean(//RESTRICTED)"}
+	values := []string{"count(//diagnosis)", "string(/patients)", "//diagnosis", "boolean(//RESTRICTED)",
+		"/patients/*", "//RESTRICTED", "//text()", "/", "//diagnosis/..", "//nothing"}
 	agree := func(step string) {
 		t.Helper()
 		for _, s := range sessions {
@@ -207,9 +224,8 @@ func TestQueryTierAgreement(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if auto.TypeName()+auto.Str() != want.TypeName()+want.Str() {
-					t.Errorf("%s: user %s value %s: auto %s %q, view %s %q", step, s.User(), q,
-						auto.TypeName(), auto.Str(), want.TypeName(), want.Str())
+				if got, want := valueSignature(auto), valueSignature(want); got != want {
+					t.Errorf("%s: user %s value %s:\nauto: %s\nview: %s", step, s.User(), q, got, want)
 				}
 			}
 		}
@@ -239,6 +255,23 @@ func TestQueryTierAgreement(t *testing.T) {
 		}
 		agree(fmt.Sprintf("after %s %s %s", w.user, w.kind, w.path))
 	}
+}
+
+// valueSignature renders a value for comparison: its type and string,
+// and for a node-set every node's kind, identifier, path, string-value and
+// subtree — what a caller of QueryValue can observe of it.
+func valueSignature(v xpath.Value) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %q\n", v.TypeName(), v.Str())
+	ns, _ := v.(xpath.NodeSet)
+	for _, n := range ns {
+		fmt.Fprintf(&b, "%s %s %s %q\n", n.Kind(), n.IDString(), n.Path(), n.StringValue())
+		n.Walk(func(m *xmltree.Node) bool {
+			fmt.Fprintf(&b, "  %s|%s|%s\n", m.IDString(), m.Kind(), m.Label())
+			return true
+		})
+	}
+	return b.String()
 }
 
 // viewReference evaluates q over the session's materialized view through

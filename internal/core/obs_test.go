@@ -7,6 +7,7 @@ import (
 
 	"securexml/internal/obs"
 	"securexml/internal/policy"
+	"securexml/internal/view"
 	"securexml/internal/xupdate"
 )
 
@@ -17,7 +18,7 @@ func cacheCounts() (hits, cold, doc, epoch uint64) {
 }
 
 // TestViewCacheCounters walks the session cache through its outcomes —
-// cold miss, hit, permissions patch on a read after a write, view catch-up
+// cold miss, hit, permissions patch on a read after a write, a plain hit
 // on the next View, policy-epoch miss after a grant — and asserts exactly
 // the expected counters move each time. Views are pulled explicitly
 // through View, one of the cache's clients alongside queries and the write
@@ -48,8 +49,8 @@ func TestViewCacheCounters(t *testing.T) {
 
 	// An applied update bumps the document version. The paper policy is
 	// chain-only for laporte, so the *next read* patches the cached
-	// permissions incrementally and leaves the view behind: the applied
-	// counter moves once (the permissions half), no hit or miss does.
+	// permissions incrementally: the applied counter moves once, no hit
+	// or miss does.
 	incApplied := obs.Default().Counter("xmlsec_view_incremental_applied_total")
 	ruleEvals := obs.Default().Counter("xmlsec_policy_rule_evals_total")
 	if _, err := s.Update(&xupdate.Op{
@@ -71,17 +72,16 @@ func TestViewCacheCounters(t *testing.T) {
 			i4-i3, h4-h3, c4-c3, d4-d3, e4-e3)
 	}
 
-	// The next View finds the permissions current (a hit) and catches the
-	// lagging view up: one more apply (the view half), which re-runs no
-	// policy rule.
+	// The next View finds the permissions current: a hit, with no patch
+	// and no policy rule re-run.
 	r4 := ruleEvals.Value()
 	if _, err := s.View(); err != nil {
 		t.Fatal(err)
 	}
 	h5, c5, d5, e5 := cacheCounts()
 	i5, r5 := incApplied.Value(), ruleEvals.Value()
-	if i5 != i4+1 || h5 != h4+1 || c5 != c4 || d5 != d4 || e5 != e4 || r5 != r4 {
-		t.Errorf("view after read: want one view catch-up and a hit, got applied+%d hits+%d cold+%d doc+%d epoch+%d rule evals+%d",
+	if i5 != i4 || h5 != h4+1 || c5 != c4 || d5 != d4 || e5 != e4 || r5 != r4 {
+		t.Errorf("view after read: want a hit and nothing else, got applied+%d hits+%d cold+%d doc+%d epoch+%d rule evals+%d",
 			i5-i4, h5-h4, c5-c4, d5-d4, e5-e4, r5-r4)
 	}
 
@@ -145,8 +145,7 @@ func TestAuditCarriesRequestID(t *testing.T) {
 // session_update span names the source. A follow-up write patches the
 // permissions from the first write's deltas before it submits, so it
 // derives nothing either. A write after another session's publish patches
-// only the permissions (one part=perms span) and leaves the view behind
-// (no part=view catch-up).
+// the permissions (one view_incremental span) and nothing else.
 func TestFreshSessionWriteDerivesNoView(t *testing.T) {
 	db := hospital(t)
 	s := session(t, db, "laporte")
@@ -170,7 +169,7 @@ func TestFreshSessionWriteDerivesNoView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if de, dm := eval.Count()-e0, mat.Count()-m0; de != 0 || dm != 0 {
-		t.Errorf("writes with a fresh cached view recorded %d policy_evaluate and %d view_materialize stages, want 0 and 0", de, dm)
+		t.Errorf("writes with fresh cached permissions recorded %d policy_evaluate and %d view_materialize stages, want 0 and 0", de, dm)
 	}
 	if s1, r1 := sourceCounts(); s1 != s0+2 || r1 != r0 {
 		t.Errorf("view sources session+%d rebuild+%d, want +2/+0", s1-s0, r1-r0)
@@ -191,18 +190,18 @@ func TestFreshSessionWriteDerivesNoView(t *testing.T) {
 		t.Fatalf("write after another session's publish: %+v %v", res, err)
 	}
 	trace.Finish()
-	if parts := incrementalParts(t, trace.Export()); len(parts) != 1 || parts[0] != "perms" {
-		t.Errorf("write after another session's publish: view_incremental parts %v, want [perms]", parts)
+	if n := incrementalSpans(t, trace.Export()); n != 1 {
+		t.Errorf("write after another session's publish: %d view_incremental spans, want 1", n)
 	}
 }
 
 // TestWarmReadsPatchMaintainedPermissions: after another session's write,
 // a warm session's auto Query, atomic QueryValue and Transform each bring
 // the session's maintained permissions up to date with one delta patch,
-// traced as one view_incremental span annotated part=perms. None derives
-// permissions, materializes a view or catches the view up. A following
-// View catches the view up in one part=view span that re-runs no policy
-// rule, and serves what a fresh session materializes.
+// traced as one view_incremental span. None derives permissions or
+// materializes a view. A following /view body needs no further patch,
+// re-runs no policy rule and materializes nothing, and equals the
+// specification's view.
 func TestWarmReadsPatchMaintainedPermissions(t *testing.T) {
 	const sheet = `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 	  <xsl:template match="/"><r><xsl:value-of select="count(//diagnosis)"/></r></xsl:template>
@@ -239,8 +238,8 @@ func TestWarmReadsPatchMaintainedPermissions(t *testing.T) {
 		if de, dm := evalShared.Count()-e0, mat.Count()-m0; de != 0 || dm != 0 {
 			t.Errorf("%s after a write: %d policy_evaluate_shared, %d view_materialize stages, want 0, 0", read.name, de, dm)
 		}
-		if parts := incrementalParts(t, trace.Export()); len(parts) != 1 || parts[0] != "perms" {
-			t.Errorf("%s after a write: view_incremental parts %v, want [perms]", read.name, parts)
+		if n := incrementalSpans(t, trace.Export()); n != 1 {
+			t.Errorf("%s after a write: %d view_incremental spans, want 1", read.name, n)
 		}
 
 		r0 := ruleEvals.Value()
@@ -252,31 +251,35 @@ func TestWarmReadsPatchMaintainedPermissions(t *testing.T) {
 		got := body.String()
 		trace.Finish()
 		if dr := ruleEvals.Value() - r0; dr != 0 {
-			t.Errorf("%s, then view: the catch-up evaluated %d rules, want 0", read.name, dr)
+			t.Errorf("%s, then view: the view evaluated %d rules, want 0", read.name, dr)
 		}
 		if dm := mat.Count() - m0; dm != 0 {
 			t.Errorf("%s, then view: %d view_materialize stages, want 0", read.name, dm)
 		}
-		if parts := incrementalParts(t, trace.Export()); len(parts) != 1 || parts[0] != "view" {
-			t.Errorf("%s, then view: view_incremental parts %v, want [view]", read.name, parts)
+		if n := incrementalSpans(t, trace.Export()); n != 0 {
+			t.Errorf("%s, then view: %d view_incremental spans, want 0", read.name, n)
 		}
-		if want, err := session(t, db, "beaufort").ViewXML(); err != nil || got != want {
-			t.Errorf("%s, then view: caught-up view differs from a fresh one (%v)\n got: %s\nwant: %s", read.name, err, got, want)
+		g := db.gen()
+		pm, err := g.policy.Evaluate(g.doc, g.subjects, "beaufort")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := view.Materialize(g.doc, pm).Doc.XML(); got != want {
+			t.Errorf("%s, then view: rendered view differs from the specification\n got: %s\nwant: %s", read.name, got, want)
 		}
 	}
 }
 
-// incrementalParts lists the part annotation of every view_incremental span
-// in a trace, in order. It fails the test if a view_incremental span has
-// a child span: the traced benchmark adds the stage time of every
-// child stage, so they must not nest.
-func incrementalParts(t *testing.T, ex *obs.TraceExport) []string {
+// incrementalSpans counts the view_incremental spans in a trace. It fails
+// the test if one has a child span: the traced benchmark adds the stage
+// time of every child stage, so they must not nest.
+func incrementalSpans(t *testing.T, ex *obs.TraceExport) int {
 	t.Helper()
-	var parts []string
+	n := 0
 	var walk func(sp *obs.TraceSpan)
 	walk = func(sp *obs.TraceSpan) {
 		if sp.Name == "view_incremental" {
-			parts = append(parts, sp.Attrs["part"])
+			n++
 			if len(sp.Children) > 0 {
 				t.Errorf("view_incremental span has children: %+v", sp.Children)
 			}
@@ -286,7 +289,7 @@ func incrementalParts(t *testing.T, ex *obs.TraceExport) []string {
 		}
 	}
 	walk(ex.Root)
-	return parts
+	return n
 }
 
 // TestWarmQueryCountsNoDecisions: the read filter looks permissions up

@@ -10,17 +10,17 @@ import (
 	"securexml/internal/obs"
 )
 
-// warmPoolActive gauges how many warm-up workers are materializing views
+// warmPoolActive gauges how many warm-up workers are deriving permissions
 // right now; zero between WarmSessions calls.
 var warmPoolActive = obs.Default().Gauge("xmlsec_warm_pool_active")
 
-// Warm materializes the session's view without returning it, so a later
-// View/Query/Transform starts from the cache instead of a cold axiom-14
-// evaluation. The first warmed user also fills the database's cross-user
+// Warm derives the session's axiom-14 permissions without returning them,
+// so a later view, query, transform or write starts from the cache
+// instead of a cold evaluation. The first warmed user also fills the database's cross-user
 // rule cache, making every other user's warm-up cheap.
 func (s *Session) Warm(ctx context.Context) error {
 	start := time.Now()
-	_, err := s.currentView(ctx, s.db.gen())
+	_, err := s.currentPerms(ctx, s.db.gen())
 	if err != nil {
 		sessionOp("warm", "error")
 		s.db.recordCtx(ctx, "warm", s.user, "", "error: "+err.Error(), time.Since(start))
@@ -30,14 +30,14 @@ func (s *Session) Warm(ctx context.Context) error {
 	return nil
 }
 
-// WarmSessions materializes the views of many users through a bounded
+// WarmSessions derives the permissions of many users through a bounded
 // worker pool, sharing the cross-user rule cache so N cold users cost
 // roughly one document scan plus per-user merges. users nil means every
 // declared user; workers <= 0 means GOMAXPROCS. It returns how many users
 // were warmed successfully and the first error encountered (remaining
 // users are still attempted — a bad user must not shadow the rest of the
-// fleet). The warm-up races harmlessly with concurrent writes: a view
-// invalidated mid-warm is simply rebuilt or patched on next use.
+// fleet). The warm-up races harmlessly with concurrent writes: permissions
+// invalidated mid-warm are simply patched or re-derived on next use.
 func (db *Database) WarmSessions(ctx context.Context, users []string, workers int) (int, error) {
 	if users == nil {
 		users = db.Users()

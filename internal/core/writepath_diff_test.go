@@ -55,7 +55,7 @@ func (m *writeMirror) apply(user, mods string) ([]*xupdate.Result, error) {
 			if err != nil {
 				return results, err
 			}
-			val, err := op.BindVariable(view.Materialize(m.doc, pm).Doc.Root(), mergeUser(env, user))
+			val, err := op.BindVariable(view.Materialize(m.doc, pm).Doc.Root(), mergeUser(env, user), nil)
 			if err != nil {
 				return results, err
 			}
@@ -142,7 +142,12 @@ var interactingPairs = [][2]pathOp{
 }
 
 // writePathMods are modification documents with xupdate:variable bindings
-// and value-of content, which bind on the session's view.
+// and value-of content. The session binds and expands them on the source
+// under its permission filter, copying node-sets through it; the mirror
+// binds on a freshly materialized view. They cover variables used as
+// selection roots (down and up the tree), node-set bindings whose
+// subtrees hold hidden and RESTRICTED nodes copied by value-of, and
+// atomic bindings.
 var writePathMods = []string{
 	`<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
 	  <xupdate:variable name="dx" select="//diagnosis/text()"/>
@@ -161,6 +166,21 @@ var writePathMods = []string{
 	  <xupdate:variable name="p" select="/patients/*[last()]"/>
 	  <xupdate:remove select="$p/service"/>
 	  <xupdate:append select="$p"><xupdate:element name="memo"><xupdate:value-of select="$p"/></xupdate:element></xupdate:append>
+	</xupdate:modifications>`,
+	`<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
+	  <xupdate:variable name="all" select="/patients"/>
+	  <xupdate:append select="/patients"><xupdate:element name="copy"><xupdate:value-of select="$all"/></xupdate:element></xupdate:append>
+	</xupdate:modifications>`,
+	`<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
+	  <xupdate:variable name="d" select="//diagnosis"/>
+	  <xupdate:insert-before select="$d/.."><xupdate:element name="seen"><xupdate:value-of select="$d/../*"/></xupdate:element></xupdate:insert-before>
+	  <xupdate:update select="$d[last()]/..">moved</xupdate:update>
+	</xupdate:modifications>`,
+	`<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
+	  <xupdate:variable name="s" select="//service | //RESTRICTED"/>
+	  <xupdate:variable name="t" select="string($s[1])"/>
+	  <xupdate:append select="/patients"><xupdate:element name="note"><xupdate:value-of select="$t"/>/<xupdate:value-of select="count($s)"/></xupdate:element></xupdate:append>
+	  <xupdate:remove select="$s[2]"/>
 	</xupdate:modifications>`,
 }
 
@@ -264,8 +284,8 @@ func (hs *writePathHarness) checkSource() {
 }
 
 // sequential runs n writes one at a time, by random users: each user's
-// cached view is patched (or rebuilt, for users whose policy is not
-// chain-only) between its writes as other users commit.
+// cached permissions are patched (or re-derived, for users whose policy
+// is not chain-only) between its writes as other users commit.
 func (hs *writePathHarness) sequential(n int) {
 	for i := 0; i < n; i++ {
 		if hs.rng.Intn(4) == 0 {
@@ -338,7 +358,7 @@ func (hs *writePathHarness) expectSources(what string, s0, r0, wantSession, want
 
 // baseMoved pins user's view on generation G, then lets another user's
 // write of pair[0] publish G+1 before user's pair[1] write reaches its
-// own round: the round's currentViewPerms must patch (or, for users whose
+// own round: the round's currentPerms must patch (or, for users whose
 // policy is not chain-only, rebuild) the pin for G+1.
 func (hs *writePathHarness) baseMoved(user string, pair [2]pathOp) {
 	opOther, op := pair[0].op(hs.t), pair[1].op(hs.t)
@@ -446,7 +466,7 @@ func (hs *writePathHarness) loadThenWrite(xml string, p pathOp) {
 }
 
 // ineligibleUsers lists the users whose policy is not chain-only, so
-// their cached views are re-materialized rather than patched.
+// their cached permissions are re-derived rather than patched.
 func ineligibleUsers(db *Database) []string {
 	g := db.gen()
 	var out []string
@@ -490,6 +510,12 @@ func TestSecuredWritePathDifferential(t *testing.T) {
 		hs.loadThenWrite(renamed, pathOp{xupdate.Rename, "//service", "dept"})
 		hs.loadThenWrite(initial, pathOp{xupdate.Rename, "//unit", "service"})
 		hs.sequential(30)
+		for _, mods := range writePathMods {
+			for _, u := range hs.users {
+				hs.apply(u, mods)
+				hs.checkSource()
+			}
+		}
 		for _, pair := range interactingPairs {
 			for _, u := range hs.users {
 				hs.baseMoved(u, pair)

@@ -43,28 +43,37 @@ func (t Term) String() string {
 	if t.Var {
 		return t.Val
 	}
-	if needsQuotes(t.Val) {
-		return strconv.Quote(t.Val)
+	if !needsQuotes(t.Val) {
+		return t.Val
 	}
-	return t.Val
+	// The parser takes the byte after a backslash as it is, so escaping
+	// exactly the quote and the backslash reads back the same value.
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(t.Val); i++ {
+		if c := t.Val[i]; c == '"' || c == '\\' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(t.Val[i])
+	}
+	b.WriteByte('"')
+	return b.String()
 }
 
+// needsQuotes reports whether the constant s must be quoted to read back
+// as itself: the parser reads a bare term as an identifier (identByte
+// bytes only) and takes one that starts with an uppercase letter or an
+// underscore for a variable.
 func needsQuotes(s string) bool {
-	if s == "" {
+	if s == "" || s[0] >= 'A' && s[0] <= 'Z' || s[0] == '_' {
 		return true
 	}
-	for i, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z':
-		case r >= '0' && r <= '9':
-		case r == '_' || r == '-' || r == '/' || r == '.':
-		case i > 0 && r >= 'A' && r <= 'Z':
-		default:
+	for i := 0; i < len(s); i++ {
+		if !identByte(s[i]) {
 			return true
 		}
 	}
-	// Must not look like a variable (leading uppercase handled above).
-	return s[0] >= 'A' && s[0] <= 'Z'
+	return false
 }
 
 // Atom is a predicate applied to terms.

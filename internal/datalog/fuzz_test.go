@@ -15,6 +15,7 @@ func FuzzParse(f *testing.F) {
 		"p(a). q(b). r(X, Y) :- p(X), q(Y).",
 		"p(", ":-", "p(a)", "p(a) :-", "not p(a).", `p(").`, "p(a))).",
 		"p(a,b,c,d,e,f,g,h).",
+		`0("."):-0.`, `0("_x"):-0.`, `p("a\\b", "\"").`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -25,8 +26,14 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		for _, r := range e.Rules() {
-			if _, err := Parse(r.String()); err != nil {
+			again, err := Parse(r.String())
+			if err != nil {
 				t.Fatalf("accepted rule %q does not reparse: %v", r.String(), err)
+			}
+			// Printing is a fixed point: a constant must not read back as
+			// a variable or as another constant.
+			if rs := again.Rules(); len(rs) != 1 || rs[0].String() != r.String() {
+				t.Fatalf("rule %q reparses as %v", r.String(), rs)
 			}
 		}
 		// Tiny programs must also evaluate without panicking (they may

@@ -226,19 +226,19 @@ func (p *dlParser) quoted() (Term, error) {
 	return Term{}, p.errf("unterminated string literal")
 }
 
-// ident scans an identifier / number: letters, digits, and the punctuation
-// that appears in node identifiers and paths (_ - / . * [ ] $ : ( ) are NOT
-// included; quote paths instead).
+// ident scans an identifier / number: a run of identByte bytes.
 func (p *dlParser) ident() (string, error) {
 	start := p.pos
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-			c == '_' || c == '-' || c == '/' {
-			p.pos++
-			continue
-		}
-		break
+	for p.pos < len(p.src) && identByte(p.src[p.pos]) {
+		p.pos++
 	}
 	return p.src[start:p.pos], nil
+}
+
+// identByte reports whether c may appear in a bare identifier: letters,
+// digits, and the punctuation that appears in node identifiers (_ - /).
+// Anything else — . * [ ] $ : ( ) included — needs a quoted string.
+func identByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+		c == '_' || c == '-' || c == '/'
 }

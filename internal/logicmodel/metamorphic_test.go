@@ -1,14 +1,16 @@
 package logicmodel
 
 // Metamorphic extension of the E9 equivalence suite: after a secured write,
-// the *incrementally maintained* view (internal/view.Maintainer patching a
-// previously materialized view with the executor's delta report) must equal
-// the Datalog derivation of the view axioms 15–17 evaluated over the
-// axiom-18–25 post-update database. This closes the loop between the two
-// implementations: the native fast path and the logic model must agree not
-// just on fresh materializations but on patched ones.
+// the view materialized from *incrementally maintained* permissions
+// (internal/view.Maintainer patching previously evaluated permissions with
+// the executor's delta report) must equal the Datalog derivation of the
+// view axioms 15–17 evaluated over the axiom-18–25 post-update database.
+// This closes the loop between the two implementations: the native fast
+// path and the logic model must agree not just on fresh evaluations but on
+// patched ones.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -20,15 +22,15 @@ import (
 	"securexml/internal/xupdate"
 )
 
-// maintainAndCompare materializes user's view of d, executes op on a clone
-// as writer via the secured executor, patches the view with the reported
-// deltas, and compares the patched view against the logic model's
-// node_view facts derived from the post-update clone. It returns the
+// maintainAndCompare evaluates every user's permissions on d, executes op
+// on a clone as writer via the secured executor, patches the permissions
+// with the reported deltas, and compares the view materialized from them
+// against the logic model's node_view facts derived from the post-update
+// clone. It returns the
 // post-update clone so callers can chain further ops.
 func maintainAndCompare(t *testing.T, tag string, d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, writer string, op *xupdate.Op) *xmltree.Document {
 	t.Helper()
 	type state struct {
-		v  *view.View
 		pm *policy.Perms
 		m  *view.Maintainer
 	}
@@ -42,7 +44,7 @@ func maintainAndCompare(t *testing.T, tag string, d *xmltree.Document, h *subjec
 		if !ok {
 			t.Fatalf("%s: user %s: policy must be chain-only for the maintainer", tag, u)
 		}
-		states[u] = &state{v: view.Materialize(d, pm), pm: pm, m: m}
+		states[u] = &state{pm: pm, m: m}
 	}
 	clone := d.Clone()
 	res, _, err := accessExecute(clone, h, p, writer, op)
@@ -51,14 +53,15 @@ func maintainAndCompare(t *testing.T, tag string, d *xmltree.Document, h *subjec
 	}
 	for _, u := range h.Users() {
 		st := states[u]
-		if err := st.m.Apply(st.v, clone, st.pm, res.Deltas); err != nil {
-			t.Fatalf("%s: user %s: apply: %v", tag, u, err)
+		pm, err := st.m.PatchPermsCtx(context.Background(), clone, st.pm, [][]xupdate.Delta{res.Deltas})
+		if err != nil {
+			t.Fatalf("%s: user %s: patch: %v", tag, u, err)
 		}
 		m, err := Build(clone, h, p, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareViewToLogic(t, fmt.Sprintf("%s: user %s", tag, u), st.v, m.ViewFacts())
+		compareViewToLogic(t, fmt.Sprintf("%s: user %s", tag, u), view.Materialize(clone, pm), m.ViewFacts())
 	}
 	return clone
 }
@@ -88,7 +91,8 @@ func compareViewToLogic(t *testing.T, tag string, v *view.View, logic map[string
 
 // TestMetamorphicPaperMaintainedView replays the paper write scenario
 // (the same op tables as the direct equivalence tests) and checks every
-// user's incrementally maintained view against the Datalog axioms.
+// user's view of incrementally maintained permissions against the Datalog
+// axioms.
 func TestMetamorphicPaperMaintainedView(t *testing.T) {
 	for _, tc := range []struct {
 		writer string
@@ -135,8 +139,8 @@ func TestMetamorphicPaperOpChain(t *testing.T) {
 }
 
 // TestMetamorphicRandomMaintainedView fuzzes documents, policies and write
-// ops: after each secured write the maintained views of u1 and u2 must
-// match the Datalog view derivation over the post-update database.
+// ops: after each secured write the views of u1's and u2's maintained
+// permissions must match the Datalog view derivation over the post-update database.
 func TestMetamorphicRandomMaintainedView(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	sels := []string{"//a", "//diagnosis", "/root/*", "//b", "//c/node()"}

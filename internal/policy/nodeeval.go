@@ -17,8 +17,8 @@ import (
 // to an xpath.NodeMatcher — i.e. membership of a node in each rule's
 // select set depends solely on the node's root-to-node chain. That is the
 // soundness gate: under it, an update can only change perms inside the
-// subtree it touched, so Rescore over that subtree fully reconciles the
-// relation (see internal/view/incremental.go).
+// subtree it touched, so Rescore over that subtree brings the whole
+// relation up to date (see internal/view/incremental.go).
 type NodeEvaluator struct {
 	user  string
 	rules []nodeRule

@@ -11,14 +11,15 @@
 // asks for: for every query, filtered evaluation on the source is
 // answer-equivalent to plain evaluation on the materialized view.
 //
-// The trade-off is quantified by the BenchmarkQueryFilter ablation: the
-// filtered path wins for one-shot queries on large documents (no O(n)
-// materialization), while the view path amortizes over many queries per
-// policy epoch. internal/core gets both: each session keeps its axiom-14
-// permissions current by delta patching, and its secured read path
-// evaluates queries, values and XSLT transforms on the source under
-// ForPerms over those maintained permissions. Only a non-empty node-set
-// value is answered from the view.
+// internal/core serves every view user this way and keeps no view
+// document: each session keeps its axiom-14 permissions current by delta
+// patching, and ForPerms over those permissions is the one filter its
+// queries, values, XSLT transforms, writes and /view renderings read. The
+// filter is an xmltree.Filter, so the XPath evaluator, the serializer
+// (xmltree.WriteOptions.Filter) and xmltree.CopyFiltered — which answers
+// a non-empty node-set value and copies value-of content — all present
+// the same view. view.Materialize stays as the specification the
+// property tests compare against.
 //
 // internal/rewrite is a static analysis beside this package: its
 // classifier proves some queries empty or unfiltered for a rule profile
@@ -48,8 +49,8 @@ import (
 // policy decision would put a process-global atomic on every concurrent
 // query's hot path. The nodes the evaluator visits must therefore belong
 // to the lineage of the document pm was evaluated on (see policy.Perms).
-func ForPerms(pm *policy.Perms) *xpath.Security {
-	return &xpath.Security{
+func ForPerms(pm *policy.Perms) *xmltree.Filter {
+	return &xmltree.Filter{
 		Visible: func(n *xmltree.Node) bool {
 			return n.Kind() == xmltree.KindDocument || // axiom 15
 				pm.Mask(n)&(readBit|positionBit) != 0

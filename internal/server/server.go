@@ -15,7 +15,7 @@
 //	POST /transform               an XSLT stylesheet, run as the user (§5)
 //	GET  /explain?xpath=EXPR      axiom-14 decision provenance per node (JSON)
 //	GET  /analyze                 static policy analysis (JSON; ?format=text)
-//	POST /warm                    pre-materialize all users' views (?workers=N)
+//	POST /warm                    derive all users' permissions (?workers=N)
 //	GET  /healthz                 liveness, database stats
 //	GET  /traces                  recent request trace summaries (JSON)
 //	GET  /trace/{id}              one trace's full span tree (JSON)
@@ -261,8 +261,8 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *core.Se
 			return
 		}
 		// Shared per-user sessions: every request for a user hits the same
-		// view cache, so one cold materialization (or a warm-up) serves the
-		// whole connection population.
+		// permission cache, so one cold derivation (or a warm-up) serves
+		// the whole connection population.
 		session, err := s.db.SharedSession(user)
 		if err != nil {
 			s.httpError(w, r, err, statusFor(err, http.StatusInternalServerError))
@@ -404,7 +404,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, _ *core.S
 	}
 }
 
-// handleWarm pre-materializes every user's view through the bounded warm
+// handleWarm derives every user's permissions through the bounded warm
 // pool (core.WarmSessions), so the fleet's first real requests hit warm
 // caches. Operator endpoint: no auth beyond reachability, like /analyze.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {

@@ -34,7 +34,6 @@ func TestForcedTierPinsLadder(t *testing.T) {
 	for _, path := range []string{
 		"/query?xpath=//service",
 		"/value?xpath=count(//service)",
-		// A non-empty node-set value comes from the view on every route.
 		"/value?xpath=//service",
 	} {
 		status, tier := getTier(t, ts, "laporte", path)
@@ -45,11 +44,11 @@ func TestForcedTierPinsLadder(t *testing.T) {
 			t.Errorf("pinned view: %s X-Query-Tier = %q, want view", path, tier)
 		}
 	}
-	// Unpinned, reads run on the source and node-set values on the view.
+	// Unpinned, every read runs on the source, node-set values included.
 	ts = testServer(t)
 	for path, want := range map[string]string{
 		"/query?xpath=//service": "qfilter",
-		"/value?xpath=//service": "view",
+		"/value?xpath=//service": "qfilter",
 	} {
 		if status, tier := getTier(t, ts, "laporte", path); status != http.StatusOK || tier != want {
 			t.Errorf("auto: %s status %d X-Query-Tier %q, want 200 %s", path, status, tier, want)

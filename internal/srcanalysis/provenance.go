@@ -194,7 +194,7 @@ func (t *tainter) callTainted(env *taintEnv, call *ast.CallExpr) bool {
 
 // isCloneCall recognizes the sanctioned copy operations: maps.Clone,
 // slices.Clone, and any method named Clone or Snapshot (the module's
-// deep-copy convention, e.g. xmltree.Document.Clone, view.View.Snapshot).
+// deep-copy convention, e.g. xmltree.Document.Clone).
 func isCloneCall(fn *types.Func) bool {
 	switch objPkgPath(fn) {
 	case "maps", "slices":

@@ -7,11 +7,11 @@ import (
 
 // snapshotimmutPass proves that session snapshots are read-only outside
 // their owning packages. core.Session.View and ViewCtx return a *view.View
-// backed by an xmltree.Document; incremental maintenance hands the same
-// snapshot structure to later calls, and the write path maps view
-// identifiers back through it — a caller that edits the snapshot in place
-// corrupts every later read of the same session and the axiom 18–25
-// mapping. The banked dense-index slices and cached per-profile merges of
+// backed by an xmltree.Document, the materialized view that specifies what
+// every filtered read of the session must show, and the write path maps
+// view identifiers back through such documents — a caller that edits one
+// in place no longer holds the user's view, and any identifier it maps
+// back through the edited tree no longer names what the view showed. The banked dense-index slices and cached per-profile merges of
 // the RuleCache carry the same contract inside internal/policy, where the
 // cowdiscipline and lockguard passes enforce it; this pass closes the
 // exported surface.
@@ -25,10 +25,10 @@ import (
 //   - snapshot-mutator: calling one of xmltree.Document's mutating methods
 //     (AppendChild, Remove, Rename, ...) on a snapshot-derived document.
 //
-// Cloning first (view.View.Snapshot, xmltree.Document.Clone) launders the
-// taint: edits to a private copy are the sanctioned pattern. The owning
-// packages internal/core and internal/view are exempt — maintaining the
-// snapshot is their job.
+// Cloning first (xmltree.Document.Clone) launders the taint: edits to a
+// private copy are the sanctioned pattern. The owning packages
+// internal/core and internal/view are exempt — deriving the snapshot is
+// their job.
 //
 // Generation roots (S29) carry the same contract with a dynamic twin:
 // every document published in a copy-on-write generation is frozen
@@ -47,7 +47,6 @@ var snapshotimmutPass = &pass{
 // documentMutators are the xmltree.Document methods that change the tree.
 var documentMutators = map[string]bool{
 	"MirrorChild":  true,
-	"MirrorInsert": true,
 	"AppendChild":  true,
 	"InsertBefore": true,
 	"InsertAfter":  true,

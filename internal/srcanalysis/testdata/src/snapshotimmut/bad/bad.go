@@ -1,12 +1,11 @@
 // Package snapbad seeds the snapshotimmut violations: a Session.View
-// snapshot is edited in place, corrupting the session's cached view and
-// the write path's identifier mapping.
+// snapshot, the specification of the user's view, is edited in place.
 package snapbad
 
 import "securexml/internal/core"
 
-// Scrub removes nodes from the shared snapshot document and resets its
-// accounting: both writes land in the session's cached view.
+// Scrub removes nodes from the snapshot document and resets its
+// accounting: both writes go through the snapshot.
 func Scrub(s *core.Session) error {
 	v, err := s.View()
 	if err != nil {

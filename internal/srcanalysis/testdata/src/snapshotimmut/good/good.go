@@ -1,6 +1,6 @@
 // Package snapgood is the conforming twin of snapbad: snapshots are read
-// freely, and edits go to a private deep copy obtained with Clone (or
-// view.View.Snapshot), never to the shared snapshot itself.
+// freely, and edits go to a private deep copy obtained with Clone, never
+// to the snapshot itself.
 package snapgood
 
 import "securexml/internal/core"

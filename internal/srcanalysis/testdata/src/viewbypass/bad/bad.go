@@ -33,5 +33,5 @@ func Compare(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, op
 // Forge selects and authorizes under caller-built permissions: nothing
 // proves pm is the user's own.
 func Forge(doc *xmltree.Document, mutable func() *xmltree.Document, pm *policy.Perms, op *xupdate.Op) (*xupdate.Result, error) {
-	return access.ExecuteFilteredCtx(context.Background(), doc, mutable, pm, nil, "user", op, nil)
+	return access.ExecuteFilteredCtx(context.Background(), doc, mutable, pm, "user", op, nil)
 }

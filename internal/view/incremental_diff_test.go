@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"securexml/internal/policy"
+	"securexml/internal/qfilter"
 	"securexml/internal/subject"
 	"securexml/internal/workload"
 	"securexml/internal/xmltree"
@@ -40,14 +41,14 @@ func diffEnv(t *testing.T, seed int64) (*xmltree.Document, *subject.Hierarchy, *
 	return d, h, p
 }
 
-// userState is one user's maintained view, perms and maintainer.
+// userState is one user's maintained permissions and maintainer.
 type userState struct {
-	v  *View
 	pm *policy.Perms
 	m  *Maintainer
 }
 
-// initStates materializes every user's view and compiles their maintainer.
+// initStates evaluates every user's permissions and compiles their
+// maintainer.
 func initStates(t *testing.T, d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy) map[string]*userState {
 	t.Helper()
 	states := make(map[string]*userState)
@@ -60,114 +61,81 @@ func initStates(t *testing.T, d *xmltree.Document, h *subject.Hierarchy, p *poli
 		if !ok {
 			t.Fatalf("user %s: paper policy must be chain-only", u)
 		}
-		states[u] = &userState{v: Materialize(d, pm), pm: pm, m: m}
+		states[u] = &userState{pm: pm, m: m}
 	}
 	return states
 }
 
-// diffCheck compares a maintained view with a fresh materialization,
-// returning a description of the first divergence ("" when identical):
-// ids+labels+shape (xmltree.Equal), RESTRICTED and hidden accounting, and
-// the serialized form.
+// renderFiltered is the view as a session serves it: d serialized through
+// the permission filter over pm, with no view document.
+func renderFiltered(d *xmltree.Document, pm *policy.Perms) string {
+	var b strings.Builder
+	if err := d.Write(&b, xmltree.WriteOptions{Indent: "  ", Filter: qfilter.ForPerms(pm)}); err != nil {
+		panic(err)
+	}
+	return b.String()
+}
+
+// diffCheck compares the view the maintained permissions render with the
+// specification, Materialize over a full Evaluate, returning a
+// description of the first divergence ("" when identical): every
+// permission cell of d, then the serialized view.
 func diffCheck(d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, u string, st *userState) (string, error) {
-	fresh, err := freshView(d, h, p, u)
+	fresh, err := p.Evaluate(d, h, u)
 	if err != nil {
 		return "", err
 	}
-	return viewDiff(st.v, fresh), nil
-}
-
-// freshView is the specification: Materialize over a full Evaluate.
-func freshView(d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, u string) (*View, error) {
-	pm, err := p.Evaluate(d, h, u)
-	if err != nil {
-		return nil, err
+	for _, n := range d.Nodes() {
+		if got, want := st.pm.Mask(n), fresh.Mask(n); got != want {
+			return fmt.Sprintf("cell %s (%s) = %04b, want %04b", n.IDString(), n.Label(), got, want), nil
+		}
 	}
-	return Materialize(d, pm), nil
-}
-
-// viewDiff describes the first divergence of got from fresh, "" when
-// identical.
-func viewDiff(got, fresh *View) string {
-	switch {
-	case !xmltree.Equal(got.Doc, fresh.Doc):
-		return fmt.Sprintf("tree differs\nmaintained:\n%s\nfresh:\n%s", got.Doc.Sketch(), fresh.Doc.Sketch())
-	case got.Restricted != fresh.Restricted:
-		return fmt.Sprintf("Restricted=%d want %d", got.Restricted, fresh.Restricted)
-	case got.Hidden != fresh.Hidden:
-		return fmt.Sprintf("Hidden=%d want %d", got.Hidden, fresh.Hidden)
-	case got.SourceVersion != fresh.SourceVersion:
-		return fmt.Sprintf("SourceVersion=%d want %d", got.SourceVersion, fresh.SourceVersion)
-	case got.Doc.XML() != fresh.Doc.XML():
-		return fmt.Sprintf("serialization differs\nmaintained:\n%s\nfresh:\n%s", got.Doc.XML(), fresh.Doc.XML())
-	}
-	return ""
-}
-
-// lagStep is one op of lagging mode for one user: the permissions half
-// over the op's batch, checked by materializing the view from the patched
-// permissions. The view itself stays behind; the batch joins the user's
-// chain.
-func lagStep(d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, u string, st *userState, chain *[][]xupdate.Delta, deltas []xupdate.Delta) (string, error) {
-	pm, err := st.m.PatchPermsCtx(context.Background(), d, st.pm, [][]xupdate.Delta{deltas})
-	if err != nil {
-		return fmt.Sprintf("patch perms: %v", err), nil
-	}
-	st.pm = pm
-	*chain = append(*chain, deltas)
-	fresh, err := freshView(d, h, p, u)
-	if err != nil {
-		return "", err
-	}
-	if diff := viewDiff(Materialize(d, pm), fresh); diff != "" {
-		return "permissions: " + diff, nil
+	if got, want := renderFiltered(d, st.pm), Materialize(d, fresh).Doc.XML(); got != want {
+		return fmt.Sprintf("serialization differs\nmaintained:\n%s\nfresh:\n%s", got, want), nil
 	}
 	return "", nil
 }
 
-// catchUp is the end of lagging mode for one user: the view half once
-// over the whole chain, against the current permissions.
-func catchUp(d *xmltree.Document, st *userState, chain [][]xupdate.Delta) error {
-	v, err := st.m.CatchUpViewCtx(context.Background(), st.v, d, st.pm, chain)
+// patch advances st's permissions over a chain of delta batches.
+func patch(d *xmltree.Document, st *userState, chain [][]xupdate.Delta) error {
+	pm, err := st.m.PatchPermsCtx(context.Background(), d, st.pm, chain)
 	if err != nil {
 		return err
 	}
-	st.v = v
+	st.pm = pm
 	return nil
 }
 
 // runSequence executes ops in order over a fresh environment, maintaining
-// every user's view incrementally and diffing against the oracle. It
-// returns the index and description of the first failure, or (-1, "").
+// every user's permissions incrementally and diffing the view they render
+// against the oracle. It returns the index and description of the first
+// failure, or (-1, "").
 //
-//   - eager mode applies both halves after every op (Apply) and diffs the
-//     view after every op;
-//   - lagging mode, the order a session that only reads through the
-//     permission filter produces, patches the permissions batch by batch
-//     (diffing the view they materialize after every op) and catches the
-//     view up once over the whole chain at the end, then diffs it.
+//   - eager mode patches the permissions over every op's batch and diffs
+//     after every op;
+//   - lagging mode, the order a session that is not asked for anything
+//     while others write produces, patches the permissions once over the
+//     whole chain of batches at the end, then diffs.
 func runSequence(t *testing.T, seed int64, ops []*xupdate.Op, lagging bool) (int, string) {
 	t.Helper()
 	d, h, p := diffEnv(t, seed)
 	states := initStates(t, d, h, p)
-	chains := make(map[string][][]xupdate.Delta)
+	var chain [][]xupdate.Delta
 	for i, op := range ops {
 		res, err := xupdate.Execute(d, op, nil)
 		if err != nil {
 			return i, fmt.Sprintf("execute: %v", err)
 		}
+		if lagging {
+			chain = append(chain, res.Deltas)
+			continue
+		}
 		for _, u := range h.Users() {
 			st := states[u]
-			var diff string
-			if lagging {
-				chain := chains[u]
-				diff, err = lagStep(d, h, p, u, st, &chain, res.Deltas)
-				chains[u] = chain
-			} else if err := st.m.Apply(st.v, d, st.pm, res.Deltas); err != nil {
-				return i, fmt.Sprintf("user %s: apply: %v", u, err)
-			} else {
-				diff, err = diffCheck(d, h, p, u, st)
+			if err := patch(d, st, [][]xupdate.Delta{res.Deltas}); err != nil {
+				return i, fmt.Sprintf("user %s: patch: %v", u, err)
 			}
+			diff, err := diffCheck(d, h, p, u, st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,15 +150,15 @@ func runSequence(t *testing.T, seed int64, ops []*xupdate.Op, lagging bool) (int
 	last := len(ops) - 1
 	for _, u := range h.Users() {
 		st := states[u]
-		if err := catchUp(d, st, chains[u]); err != nil {
-			return last, fmt.Sprintf("user %s: view catch-up over %d batches: %v", u, len(chains[u]), err)
+		if err := patch(d, st, chain); err != nil {
+			return last, fmt.Sprintf("user %s: patch over %d batches: %v", u, len(chain), err)
 		}
 		diff, err := diffCheck(d, h, p, u, st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if diff != "" {
-			return last, fmt.Sprintf("user %s after the view catch-up over %d batches: %s", u, len(chains[u]), diff)
+			return last, fmt.Sprintf("user %s after the patch over %d batches: %s", u, len(chain), diff)
 		}
 	}
 	return -1, ""
@@ -230,14 +198,14 @@ func dumpOps(ops []*xupdate.Op) string {
 	return b.String()
 }
 
-// TestIncrementalDifferentialOracle is the incremental view's differential
-// harness: seeded op streams from internal/workload run against the
-// hospital document, and the incrementally maintained view of every user
-// in the hierarchy must be node-for-node identical (ids, labels,
-// RESTRICTED flags, serialization) to a fresh Materialize — after every op
-// in eager mode, and after the one view catch-up over the whole stream in
-// lagging mode (whose permissions are checked after every op). On
-// mismatch the greedily minimized op sequence is dumped.
+// TestIncrementalDifferentialOracle is the incremental maintenance's
+// differential harness: seeded op streams from internal/workload run
+// against the hospital document, and for every user in the hierarchy the
+// incrementally patched permissions must equal a fresh Evaluate cell for
+// cell, and the view they render through the permission filter must be
+// byte-identical to a fresh Materialize — after every op in eager mode,
+// and after one patch over the whole stream in lagging mode. On mismatch
+// the greedily minimized op sequence is dumped.
 func TestIncrementalDifferentialOracle(t *testing.T) {
 	for _, seed := range diffSeeds {
 		seed := seed

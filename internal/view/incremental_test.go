@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"securexml/internal/policy"
+	"securexml/internal/qfilter"
 	"securexml/internal/subject"
 	"securexml/internal/xmltree"
 	"securexml/internal/xupdate"
@@ -44,30 +45,49 @@ func incEnv(t *testing.T) (*xmltree.Document, *subject.Hierarchy, *policy.Policy
 	return d, h, p
 }
 
-// requireViewsEqual asserts structural equality plus the maintained
-// counters and the serialized form.
-func requireViewsEqual(t *testing.T, got, want *View, ctx string) {
+// requirePatchedEqual asserts that st's patched permissions equal a
+// fresh Evaluate for u and render the fresh Materialize byte for byte.
+func requirePatchedEqual(t *testing.T, d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, u string, st *userState, ctx string) {
 	t.Helper()
-	if !xmltree.Equal(got.Doc, want.Doc) {
-		t.Fatalf("%s: maintained view differs\nmaintained:\n%s\nfresh:\n%s", ctx, got.Doc.XML(), want.Doc.XML())
+	diff, err := diffCheck(d, h, p, u, st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Restricted != want.Restricted {
-		t.Errorf("%s: Restricted = %d, want %d", ctx, got.Restricted, want.Restricted)
-	}
-	if got.Hidden != want.Hidden {
-		t.Errorf("%s: Hidden = %d, want %d", ctx, got.Hidden, want.Hidden)
-	}
-	if got.SourceVersion != want.SourceVersion {
-		t.Errorf("%s: SourceVersion = %d, want %d", ctx, got.SourceVersion, want.SourceVersion)
-	}
-	if g, w := got.Doc.XML(), want.Doc.XML(); g != w {
-		t.Errorf("%s: serialization differs\n got: %s\nwant: %s", ctx, g, w)
+	if diff != "" {
+		t.Fatalf("%s: %s", ctx, diff)
 	}
 }
 
+// applyOp executes op unsecured on d and patches st over its deltas.
+func applyOp(t *testing.T, d *xmltree.Document, st *userState, op *xupdate.Op) {
+	t.Helper()
+	res, err := xupdate.Execute(d, op, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Deltas) == 0 {
+		t.Fatalf("%s %s produced no deltas (selected %d, applied %d)", op.Kind, op.Select, res.Selected, res.Applied)
+	}
+	if err := patch(d, st, [][]xupdate.Delta{res.Deltas}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// visibleTo reports whether n appears in the view st's permissions render.
+func visibleTo(st *userState, n *xmltree.Node) bool {
+	f := qfilter.ForPerms(st.pm)
+	for m := n; m != nil; m = m.Parent() {
+		if !f.IsVisible(m) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestMaintainerPaperOps drives each XUpdate kind through the unsecured
-// executor and checks the maintained view against a fresh Materialize for
-// every user of the paper scenario.
+// executor and checks, for every user of the paper scenario, the patched
+// permissions and the view they render against a fresh Evaluate and
+// Materialize.
 func TestMaintainerPaperOps(t *testing.T) {
 	ops := []struct {
 		name string
@@ -85,23 +105,7 @@ func TestMaintainerPaperOps(t *testing.T) {
 	for _, tc := range ops {
 		t.Run(tc.name, func(t *testing.T) {
 			d, h, p := incEnv(t)
-			type state struct {
-				v  *View
-				pm *policy.Perms
-				m  *Maintainer
-			}
-			states := make(map[string]*state)
-			for _, u := range users {
-				pm, err := p.Evaluate(d, h, u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, ok := NewMaintainer(p, h, u)
-				if !ok {
-					t.Fatalf("%s: paper policy should be maintainable", u)
-				}
-				states[u] = &state{v: Materialize(d, pm), pm: pm, m: m}
-			}
+			states := initStates(t, d, h, p)
 			res, err := xupdate.Execute(d, tc.op, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -111,14 +115,10 @@ func TestMaintainerPaperOps(t *testing.T) {
 			}
 			for _, u := range users {
 				st := states[u]
-				if err := st.m.Apply(st.v, d, st.pm, res.Deltas); err != nil {
-					t.Fatalf("%s: apply: %v", u, err)
+				if err := patch(d, st, [][]xupdate.Delta{res.Deltas}); err != nil {
+					t.Fatalf("%s: patch: %v", u, err)
 				}
-				pmFresh, err := p.Evaluate(d, h, u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireViewsEqual(t, st.v, Materialize(d, pmFresh), u)
+				requirePatchedEqual(t, d, h, p, u, st, u)
 			}
 		})
 	}
@@ -130,128 +130,65 @@ func TestMaintainerPaperOps(t *testing.T) {
 // delta is one node but visibility flips for the entire subtree.
 func TestMaintainerRenameFlipsPatientVisibility(t *testing.T) {
 	d, h, p := incEnv(t)
-	pm, err := p.Evaluate(d, h, "robert")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := Materialize(d, pm)
-	m, ok := NewMaintainer(p, h, "robert")
-	if !ok {
-		t.Fatal("not maintainable")
-	}
-	if !v.Visible(d.RootElement().Children()[1].ID().String()) {
+	st := initStates(t, d, h, p)["robert"]
+	robert := d.RootElement().Children()[1]
+	if !visibleTo(st, robert) {
 		t.Fatal("robert should see his own element before the rename")
 	}
-	res, err := xupdate.Execute(d, mustOp(t, xupdate.Rename, "/patients/robert", "benoit"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Apply(v, d, pm, res.Deltas); err != nil {
-		t.Fatal(err)
-	}
-	if v.Visible(d.RootElement().Children()[1].ID().String()) {
+	applyOp(t, d, st, mustOp(t, xupdate.Rename, "/patients/robert", "benoit"))
+	if visibleTo(st, robert) {
 		t.Error("renamed element still visible to robert")
 	}
-	pmFresh, err := p.Evaluate(d, h, "robert")
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireViewsEqual(t, v, Materialize(d, pmFresh), "robert after rename")
+	requirePatchedEqual(t, d, h, p, "robert", st, "robert after rename")
 
 	// And back: renaming it to robert again restores visibility.
-	res, err = xupdate.Execute(d, mustOp(t, xupdate.Rename, "/patients/benoit", "robert"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Apply(v, d, pm, res.Deltas); err != nil {
-		t.Fatal(err)
-	}
-	pmFresh, err = p.Evaluate(d, h, "robert")
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireViewsEqual(t, v, Materialize(d, pmFresh), "robert after rename back")
-	if !v.Visible(d.RootElement().Children()[1].ID().String()) {
+	applyOp(t, d, st, mustOp(t, xupdate.Rename, "/patients/benoit", "robert"))
+	requirePatchedEqual(t, d, h, p, "robert", st, "robert after rename back")
+	if !visibleTo(st, robert) {
 		t.Error("re-renamed element not visible to robert")
 	}
 }
 
-// TestMaintainerOutOfOrderVisibility: a node becoming visible between two
-// already-visible siblings exercises MirrorInsert's splice (MirrorChild
-// alone would reject the out-of-order mirror).
+// TestMaintainerOutOfOrderVisibility: a node becoming visible before an
+// already-visible later sibling. Rule 5 matches patients by name, so
+// renaming robert to franck gives franck a second, later visible element;
+// renaming the first franck away and back then makes a node visible in
+// front of it, which the rendering must place in document order.
 func TestMaintainerOutOfOrderVisibility(t *testing.T) {
 	d, h, p := incEnv(t)
-	// franck initially sees /patients and his own subtree; robert's element
-	// sits between franck's element and nothing — so make a third patient
-	// named zoe, rename franck→zoe later... Simpler: use robert's view and
-	// rename the *middle* sibling. Build patients: franck, robert. For
-	// robert, franck's element is hidden. Renaming franck→robert is wrong
-	// (duplicate); instead evaluate for the user "franck" after franck's
-	// element was renamed away and back while a later sibling stayed
-	// visible is already covered above. Here we check the splice directly.
-	pm, err := p.Evaluate(d, h, "franck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := Materialize(d, pm)
-	m, ok := NewMaintainer(p, h, "franck")
-	if !ok {
-		t.Fatal("not maintainable")
-	}
-	// Give franck a later visible sibling by renaming robert→franck? Not
-	// allowed by uniqueness of login-named elements in spirit; but the
-	// tree has no such constraint, and rule 5 matches by name, so a second
-	// "franck" element becomes visible. Then renaming the *first* franck
-	// away and back forces a mirror before an existing sibling.
-	steps := []*xupdate.Op{
+	st := initStates(t, d, h, p)["franck"]
+	for _, op := range []*xupdate.Op{
 		mustOp(t, xupdate.Rename, "/patients/robert", "franck"),
 		mustOp(t, xupdate.Rename, "/patients/*[1]", "someone"),
 		mustOp(t, xupdate.Rename, "/patients/*[1]", "franck"),
-	}
-	for i, op := range steps {
-		res, err := xupdate.Execute(d, op, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Apply(v, d, pm, res.Deltas); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		pmFresh, err := p.Evaluate(d, h, "franck")
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireViewsEqual(t, v, Materialize(d, pmFresh), op.Select)
+	} {
+		applyOp(t, d, st, op)
+		requirePatchedEqual(t, d, h, p, "franck", st, op.Select)
 	}
 }
 
-// TestSnapshotIndependence: mutating the original view must not affect a
-// snapshot.
+// TestSnapshotIndependence: patching returns a copy, so a rendering under
+// the permissions a concurrent reader still holds does not change.
 func TestSnapshotIndependence(t *testing.T) {
 	d, h, p := incEnv(t)
-	pm, err := p.Evaluate(d, h, "laporte")
-	if err != nil {
-		t.Fatal(err)
+	st := initStates(t, d, h, p)["laporte"]
+	held := st.pm
+	before := renderFiltered(d, held)
+	if want := Materialize(d, held).Doc.XML(); before != want {
+		t.Fatalf("rendering differs from Materialize\n got: %s\nwant: %s", before, want)
 	}
-	v := Materialize(d, pm)
-	snap := v.Snapshot()
-	if !xmltree.Equal(snap.Doc, v.Doc) {
-		t.Fatal("snapshot differs from original")
+	applyOp(t, d, st, mustOp(t, xupdate.Rename, "/patients/franck/diagnosis", "pathology"))
+	if st.pm == held {
+		t.Fatal("patching returned the permissions it was given")
 	}
-	m, ok := NewMaintainer(p, h, "laporte")
-	if !ok {
-		t.Fatal("not maintainable")
+	for _, n := range d.Nodes() {
+		if n.Label() == "pathology" {
+			if held.Mask(n) == st.pm.Mask(n) {
+				t.Fatalf("rename did not change laporte's cells on %s", n.IDString())
+			}
+		}
 	}
-	res, err := xupdate.Execute(d, mustOp(t, xupdate.Remove, "/patients/franck", ""), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := snap.Doc.XML()
-	if err := m.Apply(v, d, pm, res.Deltas); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Doc.XML() != before {
-		t.Error("maintaining the original mutated the snapshot")
-	}
+	requirePatchedEqual(t, d, h, p, "laporte", st, "laporte after rename")
 }
 
 func mustOp(t *testing.T, kind xupdate.Kind, path, arg string) *xupdate.Op {

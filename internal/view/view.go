@@ -58,8 +58,9 @@ func Materialize(src *xmltree.Document, pm *policy.Perms) *View {
 }
 
 // MaterializeCtx is Materialize with request-scoped tracing: under an
-// active trace it records a view_materialize span annotated with the node
-// accounting.
+// active trace it records a view_materialize span annotated with the
+// view's node count. The counts of restricted and hidden nodes go to the
+// process-wide counters only, not to the request's span.
 func MaterializeCtx(ctx context.Context, src *xmltree.Document, pm *policy.Perms) *View {
 	_, sp := obs.StartSpanCtx(ctx, "view_materialize", matStage)
 	v := &View{
@@ -69,8 +70,6 @@ func MaterializeCtx(ctx context.Context, src *xmltree.Document, pm *policy.Perms
 	}
 	copySelected(v, pm, src.Root(), v.Doc.Root())
 	sp.AnnotateInt("nodes", int64(v.Doc.Len()))
-	sp.AnnotateInt("restricted", int64(v.Restricted))
-	sp.AnnotateInt("hidden", int64(v.Hidden))
 	sp.End()
 	matTotal.Inc()
 	matNodes.Add(uint64(v.Doc.Len()))
@@ -111,12 +110,15 @@ func copySelected(v *View, pm *policy.Perms, srcParent, dstParent *xmltree.Node)
 // selectLabel decides visibility of one node: (original label, true) with
 // read; (RESTRICTED, true) with position only (axiom 17); ("", false)
 // otherwise. n is a source node, never a view node: pm's cells are keyed
-// by the ordinals of the source's lineage (see policy.Perms).
+// by the ordinals of the source's lineage (see policy.Perms). Like the
+// permission filter every production read goes through, it reads cells
+// with Peek: deriving a view is not an enforcement decision, and the
+// explain layer's cross-check derives one.
 func selectLabel(pm *policy.Perms, n *xmltree.Node) (string, bool) {
 	switch {
-	case pm.Has(n, policy.Read):
+	case pm.Peek(n, policy.Read):
 		return n.Label(), true
-	case pm.Has(n, policy.Position):
+	case pm.Peek(n, policy.Position):
 		return xmltree.Restricted, true
 	default:
 		return "", false
@@ -141,20 +143,6 @@ func countNodes(n *xmltree.Node) int {
 		return true
 	})
 	return total
-}
-
-// Snapshot returns an independent deep copy of the view. Incremental
-// maintenance patches a cached view in place, so callers that hand a view
-// out of the owning lock's scope must snapshot it first. Identifiers are
-// preserved by Clone, so write-path mapping still works on the copy.
-func (v *View) Snapshot() *View {
-	return &View{
-		Doc:           v.Doc.Clone(),
-		User:          v.User,
-		SourceVersion: v.SourceVersion,
-		Restricted:    v.Restricted,
-		Hidden:        v.Hidden,
-	}
 }
 
 // Visible reports whether the node with the given source identifier appears

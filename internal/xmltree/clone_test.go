@@ -137,24 +137,6 @@ var cloneMutators = []struct {
 		_, err := d.MirrorChild(n, KindElement, "m", n.id.Child(afterKey(t, d, n.children)))
 		return err
 	}},
-	{"MirrorInsert", func(t *testing.T, d *Document, n *Node) error {
-		if len(n.children) < 2 {
-			_, err := d.MirrorInsert(n, KindElement, "m", n.id.Child(afterKey(t, d, n.children)))
-			return err
-		}
-		lo, _ := n.children[0].id.Key()
-		hi, _ := n.children[1].id.Key()
-		k, err := d.scheme.Between(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = d.MirrorInsert(n, KindElement, "m", n.id.Child(k))
-		return err
-	}},
-	{"MirrorInsertAttr", func(t *testing.T, d *Document, n *Node) error {
-		_, err := d.MirrorInsert(n, KindAttribute, "m", n.id.Child(afterKey(t, d, n.attrs)))
-		return err
-	}},
 	{"GraftAppend", func(_ *testing.T, d *Document, n *Node) error {
 		_, err := d.Graft(n, GraftAppend, MustParseFragment(cloneFragXML).Root().FirstChild())
 		return err
@@ -260,7 +242,7 @@ func applyFuzzOps(t *testing.T, docs []*Document, op []byte) {
 		case 5:
 			err = d.Remove(n)
 		case 6:
-			_, err = d.MirrorInsert(n, KindElement, "m", n.id.Child(afterKey(t, d, n.children)))
+			_, err = d.MirrorChild(n, KindElement, "m", n.id.Child(afterKey(t, d, n.children)))
 		case 7:
 			_, err = d.Graft(n, GraftMode(op[2]%3), MustParseFragment(cloneFragXML).Root().FirstChild())
 		}

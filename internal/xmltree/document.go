@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"securexml/internal/labeling"
 )
@@ -17,7 +16,7 @@ import (
 //     insertion time and keeps it until removal (§3.1: no renumbering);
 //   - the label→node index stays consistent;
 //   - the version counter advances on every mutation (used by higher layers
-//     to invalidate cached views).
+//     to invalidate cached permissions).
 //
 // Document is not safe for concurrent use; the core package serializes
 // access.
@@ -253,41 +252,6 @@ func (d *Document) MirrorChild(parent *Node, kind Kind, label string, id labelin
 	return n, nil
 }
 
-// MirrorInsert is MirrorChild without the append-only restriction: the
-// mirrored node is spliced into parent's child (or attribute) list at the
-// position its identifier dictates. It exists for incremental view
-// maintenance, where a source node can become visible after later siblings
-// were already mirrored. The identifier ordering invariant (§3.1: sibling
-// keys sort in document order) keeps the splice position well defined.
-func (d *Document) MirrorInsert(parent *Node, kind Kind, label string, id labeling.Label) (*Node, error) {
-	if err := d.checkOwned(parent); err != nil {
-		return nil, err
-	}
-	if !id.IsChildOf(parent.id) {
-		return nil, fmt.Errorf("xmltree: mirrored identifier %s is not a child of %s", id, parent.id)
-	}
-	text := childIDText(parent.idText, id[len(id)-1])
-	if d.index[text] != nil {
-		return nil, fmt.Errorf("xmltree: identifier %s already present", id)
-	}
-	list := &parent.children
-	if kind == KindAttribute {
-		list = &parent.attrs
-	}
-	ord, err := d.mint()
-	if err != nil {
-		return nil, err
-	}
-	pos := sort.Search(len(*list), func(i int) bool { return (*list)[i].id.Compare(id) > 0 })
-	n := &Node{kind: kind, ord: ord, label: label, id: id.Clone(), idText: text, parent: parent}
-	d.register(n)
-	*list = append(*list, nil)
-	copy((*list)[pos+1:], (*list)[pos:])
-	(*list)[pos] = n
-	d.version++
-	return n, nil
-}
-
 // AppendChild creates a new node of the given kind as the last child of
 // parent and returns it. Appending a second element under the document node
 // is rejected.
@@ -504,8 +468,8 @@ func (d *Document) checkOwned(n *Node) error {
 
 // Freeze marks the document immutable: every subsequent mutation returns
 // ErrFrozen. The core package freezes a document when it is published as a
-// copy-on-write generation root (or as a cached view snapshot shared across
-// session readers); lock-free readers may then traverse it without any
+// copy-on-write generation root, and CopyFiltered freezes the copies it
+// hands out; lock-free readers may then traverse it without any
 // synchronization beyond the atomic generation load. Freezing is one-way —
 // obtain a mutable tree with Clone, which always returns an unfrozen copy.
 func (d *Document) Freeze() { d.frozen = true }

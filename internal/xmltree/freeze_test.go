@@ -51,10 +51,6 @@ func TestFreezeRejectsEveryMutation(t *testing.T) {
 			_, err := d.MirrorChild(d.Root(), KindElement, "x", svc.ID())
 			return err
 		},
-		"MirrorInsert": func() error {
-			_, err := d.MirrorInsert(d.Root(), KindElement, "x", svc.ID())
-			return err
-		},
 	}
 	for name, fn := range mutations {
 		if err := fn(); !errors.Is(err, ErrFrozen) {

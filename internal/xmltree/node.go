@@ -35,7 +35,7 @@
 //   - Carved slices. Clone allocates every child and attribute list from
 //     one shared backing array, each carved with a full slice expression
 //     (b[lo:lo:hi]) so its capacity ends where its neighbour's list
-//     begins. Any append that grows a list (insertBeside, MirrorInsert,
+//     begins. Any append that grows a list (insertBeside,
 //     MirrorChild, SetAttribute, AppendChild) then reallocates instead of
 //     overwriting the next list. Code that grows a list in place must go
 //     through append; writing past len(list) into spare capacity is

@@ -13,6 +13,10 @@ type WriteOptions struct {
 	// Indent pretty-prints with the given unit (e.g. "  "). Empty writes a
 	// compact single line.
 	Indent string
+	// Filter, when set, writes the document as the filter presents it:
+	// the user's view (axioms 15–17) rendered from the source without
+	// materializing it. Nil writes the stored tree.
+	Filter *Filter
 }
 
 // maxPooledBuf is the largest buffer the serializer pool takes back: the
@@ -33,10 +37,13 @@ func putBuf(p *[]byte) {
 	bufPool.Put(p)
 }
 
-// appendTo appends the serialization of d to b.
-func (d *Document) appendTo(b []byte, indent string) []byte {
+// appendTo appends the serialization of d, as f presents it, to b.
+func (d *Document) appendTo(b []byte, indent string, f *Filter) []byte {
 	for _, c := range d.root.children {
-		b = appendNode(b, c, indent, 0)
+		if !f.IsVisible(c) {
+			continue
+		}
+		b = appendNode(b, c, indent, 0, f)
 		if indent != "" {
 			b = append(b, '\n')
 		}
@@ -49,7 +56,7 @@ func (d *Document) appendTo(b []byte, indent string) []byte {
 // handler setting Content-Length, for one).
 func (d *Document) Write(w io.Writer, opts WriteOptions) error {
 	p := bufPool.Get().(*[]byte)
-	*p = d.appendTo(*p, opts.Indent)
+	*p = d.appendTo(*p, opts.Indent, opts.Filter)
 	_, err := w.Write(*p)
 	putBuf(p)
 	return err
@@ -66,87 +73,104 @@ func (d *Document) CompactXML() string { return d.serialize("") }
 // string it returns.
 func (d *Document) serialize(indent string) string {
 	p := bufPool.Get().(*[]byte)
-	*p = d.appendTo(*p, indent)
+	*p = d.appendTo(*p, indent, nil)
 	s := string(*p)
 	putBuf(p)
 	return s
 }
 
-// hasTextChild reports whether n has a direct text child (mixed content).
-func hasTextChild(n *Node) bool {
+// hasTextChild reports whether f lets a text child of n through: n's
+// content is then mixed.
+func hasTextChild(n *Node, f *Filter) bool {
 	for _, c := range n.children {
-		if c.kind == KindText {
+		if c.kind == KindText && f.IsVisible(c) {
 			return true
 		}
 	}
 	return false
 }
 
-// appendNode appends the serialization of n, indented depth units deep
-// (no indentation when indent is empty), to b. Labels are written as
-// they are; text and attribute values are escaped by appendEscaped. A
-// document node has no markup of its own: appendTo serializes its
-// children.
-func appendNode(b []byte, n *Node, indent string, depth int) []byte {
+// appendNode appends the serialization of n, as f presents it, indented
+// depth units deep (no indentation when indent is empty), to b. n itself
+// must pass f; the walk never descends below a child that does not, so a
+// hidden node takes its whole subtree with it (axiom 17). Labels are
+// written as f presents them; text and attribute values are escaped by
+// appendEscaped. Whether an element is empty and whether its content is
+// mixed are decided over the children f lets through. A document node
+// has no markup of its own: appendTo serializes its children.
+func appendNode(b []byte, n *Node, indent string, depth int, f *Filter) []byte {
 	for i := 0; i < depth; i++ {
 		b = append(b, indent...)
 	}
 	switch n.kind {
 	case KindText:
-		b = appendEscaped(b, n.label)
+		b = appendEscaped(b, f.EffectiveLabel(n))
 	case KindComment:
 		b = append(b, "<!--"...)
-		b = append(b, n.label...)
+		b = append(b, f.EffectiveLabel(n)...)
 		b = append(b, "-->"...)
 	case KindAttribute:
-		b = appendAttr(b, n)
+		b = appendAttr(b, n, f)
 	case KindElement:
+		label := f.EffectiveLabel(n)
 		b = append(b, '<')
-		b = append(b, n.label...)
+		b = append(b, label...)
 		for _, a := range n.attrs {
-			b = append(b, ' ')
-			b = appendAttr(b, a)
-		}
-		if len(n.children) == 0 {
-			return append(b, "/>"...)
+			if f.IsVisible(a) {
+				b = append(b, ' ')
+				b = appendAttr(b, a, f)
+			}
 		}
 		b = append(b, '>')
-		if hasTextChild(n) {
+		if hasTextChild(n, f) {
 			// Mixed content renders inline: indentation would inject
 			// whitespace into the character data.
 			for _, c := range n.children {
-				b = appendNode(b, c, "", 0)
+				if f.IsVisible(c) {
+					b = appendNode(b, c, "", 0, f)
+				}
 			}
 		} else {
+			open := len(b)
 			if indent != "" {
 				b = append(b, '\n')
 			}
+			content := false
 			for _, c := range n.children {
-				b = appendNode(b, c, indent, depth+1)
+				if !f.IsVisible(c) {
+					continue
+				}
+				b = appendNode(b, c, indent, depth+1, f)
 				if indent != "" {
 					b = append(b, '\n')
 				}
+				content = true
+			}
+			if !content {
+				// No child passes f: an empty element.
+				return append(b[:open-1], "/>"...)
 			}
 			for i := 0; i < depth; i++ {
 				b = append(b, indent...)
 			}
 		}
 		b = append(b, "</"...)
-		b = append(b, n.label...)
+		b = append(b, label...)
 		b = append(b, '>')
 	}
 	return b
 }
 
-// appendAttr appends name="value" for attribute node a.
-func appendAttr(b []byte, a *Node) []byte {
+// appendAttr appends name="value" for attribute node a as f presents it:
+// the value is the filtered string-value of its text.
+func appendAttr(b []byte, a *Node, f *Filter) []byte {
 	var v string
-	if len(a.children) == 1 && a.children[0].kind == KindText {
+	if f == nil && len(a.children) == 1 && a.children[0].kind == KindText {
 		v = a.children[0].label // the usual shape: no string-value walk
 	} else {
-		v = a.StringValue()
+		v = f.StringValue(a)
 	}
-	b = append(b, a.label...)
+	b = append(b, f.EffectiveLabel(a)...)
 	b = append(b, '=', '"')
 	b = appendEscaped(b, v)
 	return append(b, '"')

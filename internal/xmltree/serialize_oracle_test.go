@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -61,7 +62,7 @@ func oracleWriteNode(w io.Writer, n *Node, indent string, depth int) error {
 			_, err := io.WriteString(w, "/>")
 			return err
 		}
-		if hasTextChild(n) {
+		if slices.ContainsFunc(n.children, func(c *Node) bool { return c.kind == KindText }) {
 			if _, err := io.WriteString(w, ">"); err != nil {
 				return err
 			}

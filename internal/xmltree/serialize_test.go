@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestSerializeAttributeRoundTrip: an attribute value survives parse →
@@ -173,4 +174,73 @@ func FuzzSerialize(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSerializeDeepMixedChainIsLinear: serializing a deep chain of mixed
+// content, <a><a>…</a>t</a>t</a>, where every element writes an element
+// child before its first text child, costs time linear in the chain,
+// pretty and compact, with and without a filter. Each element's mixed-
+// content decision reads its direct text children before any child is
+// written; a writer that wrote the children indented and then rewrote
+// them inline on meeting the text would double the work per level. The
+// filtered cases count Visible calls and stop at a linear bound; the
+// unfiltered ones must finish within a generous deadline.
+func TestSerializeDeepMixedChainIsLinear(t *testing.T) {
+	const depth = 60
+	chain := strings.Repeat("<a>", depth) + strings.Repeat("t</a>", depth)
+	d := MustParse(chain)
+	bare := MustParse(strings.Repeat("<a>", depth-1) + "<a/>" + strings.Repeat("</a>", depth-1))
+	nodes := 2 * depth
+
+	for _, indent := range []string{"", "  "} {
+		name := "compact"
+		if indent != "" {
+			name = "pretty"
+		}
+		t.Run(name+"/unfiltered", func(t *testing.T) {
+			done := make(chan string, 1)
+			go func() {
+				var b strings.Builder
+				_ = d.Write(&b, WriteOptions{Indent: indent})
+				done <- b.String()
+			}()
+			select {
+			case got := <-done:
+				want := chain
+				if indent != "" {
+					want += "\n" // the root's content is mixed: all inline
+				}
+				if got != want {
+					t.Fatalf("got %q\nwant %q", got, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("serializing a %d-deep mixed chain did not finish in 10s", depth)
+			}
+		})
+		for _, hideText := range []bool{false, true} {
+			calls := 0
+			f := &Filter{
+				Visible: func(n *Node) bool {
+					if calls++; calls > 4*nodes {
+						t.Fatalf("more than %d Visible calls for %d nodes", 4*nodes, nodes)
+					}
+					return !hideText || n.Kind() != KindText
+				},
+				Label: func(n *Node) string { return n.Label() },
+			}
+			var b strings.Builder
+			if err := d.Write(&b, WriteOptions{Indent: indent, Filter: f}); err != nil {
+				t.Fatal(err)
+			}
+			want := d.serialize(indent)
+			if hideText {
+				// No text is visible, so no element has mixed content and
+				// the innermost one has no visible child at all.
+				want = bare.serialize(indent)
+			}
+			if b.String() != want {
+				t.Errorf("%s, hideText=%v: got %q\nwant %q", name, hideText, b.String(), want)
+			}
+		}
+	}
 }

@@ -373,7 +373,7 @@ func axisNodes(n *xmltree.Node, axis Axis, sec *Security) (nodes []*xmltree.Node
 				continue
 			}
 			for sib := cur.FollowingSibling(); sib != nil; sib = sib.FollowingSibling() {
-				if !sec.visible(sib) {
+				if !sec.IsVisible(sib) {
 					continue
 				}
 				out = append(out, sib)
@@ -388,7 +388,7 @@ func axisNodes(n *xmltree.Node, axis Axis, sec *Security) (nodes []*xmltree.Node
 				continue
 			}
 			for sib := cur.PrecedingSibling(); sib != nil; sib = sib.PrecedingSibling() {
-				if !sec.visible(sib) {
+				if !sec.IsVisible(sib) {
 					continue
 				}
 				out = append(out, sib)
@@ -406,7 +406,7 @@ func axisNodes(n *xmltree.Node, axis Axis, sec *Security) (nodes []*xmltree.Node
 // order, pruning below invisible nodes.
 func collectDescendants(n *xmltree.Node, out *[]*xmltree.Node, sec *Security) {
 	for _, c := range n.Children() {
-		if !sec.visible(c) {
+		if !sec.IsVisible(c) {
 			continue
 		}
 		*out = append(*out, c)
@@ -430,7 +430,7 @@ func filterTest(cands []*xmltree.Node, unfiltered bool, nt nodeTest, axis Axis, 
 	}
 	var out []*xmltree.Node
 	for _, c := range cands {
-		if unfiltered && !sec.visible(c) {
+		if unfiltered && !sec.IsVisible(c) {
 			continue
 		}
 		switch nt.kind {
@@ -451,7 +451,7 @@ func filterTest(cands []*xmltree.Node, unfiltered bool, nt nodeTest, axis Axis, 
 				out = append(out, c)
 			}
 		case testName:
-			if c.Kind() == principal && sec.label(c) == nt.name {
+			if c.Kind() == principal && sec.EffectiveLabel(c) == nt.name {
 				out = append(out, c)
 			}
 		}

@@ -39,13 +39,13 @@ func init() {
 		"local-name": {0, 1, nameFunc},
 		"string": {0, 1, func(ctx *evalCtx, args []Value) (Value, error) {
 			if len(args) == 0 {
-				return String(ctx.sec.stringValue(ctx.node)), nil
+				return String(ctx.sec.StringValue(ctx.node)), nil
 			}
 			if ns, ok := args[0].(NodeSet); ok {
 				if len(ns) == 0 {
 					return String(""), nil
 				}
-				return String(ctx.sec.stringValue(ns[0])), nil
+				return String(ctx.sec.StringValue(ns[0])), nil
 			}
 			return String(args[0].Str()), nil
 		}},
@@ -79,14 +79,14 @@ func init() {
 		"substring": {2, 3, substringFunc},
 		"string-length": {0, 1, func(ctx *evalCtx, args []Value) (Value, error) {
 			if len(args) == 0 {
-				return Number(len([]rune(ctx.sec.stringValue(ctx.node)))), nil
+				return Number(len([]rune(ctx.sec.StringValue(ctx.node)))), nil
 			}
 			return Number(len([]rune(valueStr(ctx, args[0])))), nil
 		}},
 		"normalize-space": {0, 1, func(ctx *evalCtx, args []Value) (Value, error) {
 			s := ""
 			if len(args) == 0 {
-				s = ctx.sec.stringValue(ctx.node)
+				s = ctx.sec.StringValue(ctx.node)
 			} else {
 				s = valueStr(ctx, args[0])
 			}
@@ -133,13 +133,13 @@ func init() {
 		}},
 		"number": {0, 1, func(ctx *evalCtx, args []Value) (Value, error) {
 			if len(args) == 0 {
-				return Number(parseNumber(ctx.sec.stringValue(ctx.node))), nil
+				return Number(parseNumber(ctx.sec.StringValue(ctx.node))), nil
 			}
 			if ns, ok := args[0].(NodeSet); ok {
 				if len(ns) == 0 {
 					return Number(parseNumber("")), nil
 				}
-				return Number(parseNumber(ctx.sec.stringValue(ns[0]))), nil
+				return Number(parseNumber(ctx.sec.StringValue(ns[0]))), nil
 			}
 			return Number(args[0].Num()), nil
 		}},
@@ -150,7 +150,7 @@ func init() {
 			}
 			total := 0.0
 			for _, n := range ns {
-				total += parseNumber(ctx.sec.stringValue(n))
+				total += parseNumber(ctx.sec.StringValue(n))
 			}
 			return Number(total), nil
 		}},
@@ -189,7 +189,7 @@ func nameFunc(ctx *evalCtx, args []Value) (Value, error) {
 	}
 	switch node.Kind() {
 	case xmltree.KindElement, xmltree.KindAttribute:
-		return String(ctx.sec.label(node)), nil
+		return String(ctx.sec.EffectiveLabel(node)), nil
 	default:
 		return String(""), nil
 	}
@@ -202,7 +202,7 @@ func valueStr(ctx *evalCtx, v Value) string {
 		if len(ns) == 0 {
 			return ""
 		}
-		return ctx.sec.stringValue(ns[0])
+		return ctx.sec.StringValue(ns[0])
 	}
 	return v.Str()
 }

@@ -15,7 +15,8 @@ import (
 // rule's select set depends only on the node's root-to-node chain (kinds
 // and labels) plus the variable bindings. Under that restriction an update
 // can only change the permissions of the subtree it touched, which is what
-// makes patching a cached view sound (see internal/view/incremental.go).
+// makes patching a user's cached permissions sound (see
+// internal/view/incremental.go).
 //
 // The supported fragment is a union of rooted location paths whose steps
 // use only the downward axes (child, attribute, self, descendant,

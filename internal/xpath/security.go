@@ -1,10 +1,6 @@
 package xpath
 
-import (
-	"strings"
-
-	"securexml/internal/xmltree"
-)
+import "securexml/internal/xmltree"
 
 // Security is an optional evaluation-time filter implementing the
 // query-filtering enforcement sketched in the paper's conclusion (§5,
@@ -22,63 +18,10 @@ import (
 // query over the source is answer-equivalent to the plain query over the
 // materialized view; internal/qfilter packages that construction and
 // property-tests the equivalence.
-type Security struct {
-	// Visible reports whether the node exists for this evaluation. A nil
-	// Security or nil Visible means everything is visible. Invisibility is
-	// hereditary: children of an invisible node are never reached.
-	Visible func(*xmltree.Node) bool
-	// Label returns the node's effective label (e.g. RESTRICTED). nil
-	// means the stored label.
-	Label func(*xmltree.Node) string
-}
-
-// visible reports whether n passes the filter.
-func (s *Security) visible(n *xmltree.Node) bool {
-	if s == nil || s.Visible == nil {
-		return true
-	}
-	return s.Visible(n)
-}
-
-// label returns the effective label of n.
-func (s *Security) label(n *xmltree.Node) string {
-	if s == nil || s.Label == nil {
-		return n.Label()
-	}
-	return s.Label(n)
-}
-
-// stringValue computes the XPath string-value of n under the filter: the
-// concatenation of the effective labels of visible text descendants (or
-// the effective label itself for text/comment nodes).
-func (s *Security) stringValue(n *xmltree.Node) string {
-	if s == nil || (s.Visible == nil && s.Label == nil) {
-		return n.StringValue()
-	}
-	switch n.Kind() {
-	case xmltree.KindText, xmltree.KindComment:
-		return s.label(n)
-	default:
-		var b []byte
-		b = s.appendText(b, n)
-		return string(b)
-	}
-}
-
-func (s *Security) appendText(b []byte, n *xmltree.Node) []byte {
-	for _, c := range n.Children() {
-		if !s.visible(c) {
-			continue
-		}
-		switch c.Kind() {
-		case xmltree.KindText:
-			b = append(b, s.label(c)...)
-		case xmltree.KindElement:
-			b = s.appendText(b, c)
-		}
-	}
-	return b
-}
+//
+// Security is xmltree.Filter, so the serializer and xmltree.CopyFiltered
+// read the same value a filtered evaluation does.
+type Security = xmltree.Filter
 
 // EvalFiltered evaluates the expression with node as the context node
 // under the security filter.
@@ -101,48 +44,4 @@ func (c *Compiled) SelectFiltered(node *xmltree.Node, vars Vars, sec *Security) 
 		return nil, errNotNodeSetf(c.src, v)
 	}
 	return ns, nil
-}
-
-// IsVisible reports whether n passes the filter (nil-safe: everything is
-// visible without a filter). Exported for consumers that walk trees
-// themselves (e.g. the XSLT processor's built-in template rules).
-func (s *Security) IsVisible(n *xmltree.Node) bool { return s.visible(n) }
-
-// EffectiveLabel returns the label the filter presents for n (nil-safe).
-func (s *Security) EffectiveLabel(n *xmltree.Node) string { return s.label(n) }
-
-// StringValue returns the XPath string-value of n under the filter
-// (nil-safe): only visible text contributes, with effective labels.
-func (s *Security) StringValue(n *xmltree.Node) string { return s.stringValue(n) }
-
-// Path renders n's path as the user's materialized view would show it:
-// xmltree.Node.Path with every element and attribute label replaced by its
-// effective label (so position-only ancestors read RESTRICTED). Only
-// meaningful for nodes whose ancestors are all visible — which holds for
-// every node a filtered evaluation can return, since the evaluator never
-// descends below an invisible node. Nil-safe: without a filter it equals
-// n.Path().
-func (s *Security) Path(n *xmltree.Node) string {
-	if n.Kind() == xmltree.KindDocument {
-		return "/"
-	}
-	var parts []string
-	for m := n; m != nil && m.Kind() != xmltree.KindDocument; m = m.Parent() {
-		switch m.Kind() {
-		case xmltree.KindText:
-			parts = append(parts, "text()")
-		case xmltree.KindComment:
-			parts = append(parts, "comment()")
-		case xmltree.KindAttribute:
-			parts = append(parts, "@"+s.label(m))
-		default:
-			parts = append(parts, s.label(m))
-		}
-	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
-	return b.String()
 }

@@ -113,12 +113,12 @@ func TestSecurityStringValue(t *testing.T) {
 	}
 	// Nil-Security fast path of stringValue.
 	var nilSec *Security
-	if nilSec.stringValue(d.RootElement()) != "openhiddenx" {
+	if nilSec.StringValue(d.RootElement()) != "openhiddenx" {
 		t.Error("nil security stringValue wrong")
 	}
 	// Label-only filter (no Visible).
 	labelOnly := &Security{Label: func(n *xmltree.Node) string { return strings.ToUpper(n.Label()) }}
-	if got := labelOnly.stringValue(d.RootElement().Children()[0]); got != "OPEN" {
+	if got := labelOnly.StringValue(d.RootElement().Children()[0]); got != "OPEN" {
 		t.Errorf("label-only stringValue = %q", got)
 	}
 }

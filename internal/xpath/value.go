@@ -145,9 +145,9 @@ func compareValues(op binaryOp, l, r Value, sec *Security) (bool, error) {
 	case lok && rok:
 		// Exists a pair of nodes whose string-values satisfy the comparison.
 		for _, a := range ln {
-			av := sec.stringValue(a)
+			av := sec.StringValue(a)
 			for _, b := range rn {
-				ok, err := compareAtomic(op, String(av), String(sec.stringValue(b)))
+				ok, err := compareAtomic(op, String(av), String(sec.StringValue(b)))
 				if err != nil {
 					return false, err
 				}
@@ -178,9 +178,9 @@ func compareNodeSetAtomic(op binaryOp, ns NodeSet, atom Value, swapped bool, sec
 		var nodeVal Value
 		switch atom.(type) {
 		case Number:
-			nodeVal = Number(parseNumber(sec.stringValue(n)))
+			nodeVal = Number(parseNumber(sec.StringValue(n)))
 		default:
-			nodeVal = String(sec.stringValue(n))
+			nodeVal = String(sec.StringValue(n))
 		}
 		l, r := nodeVal, atom
 		if swapped {

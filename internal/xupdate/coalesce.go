@@ -10,15 +10,15 @@ package xupdate
 // Soundness rests on how consumers interpret deltas: every non-remove delta
 // is re-derived from the *final* document (the maintainer rescores the
 // subtree rooted at NodeID against the post-batch source and ignores
-// NewLabel beyond treating the node as touched), while a remove drives
-// view scrubbing. Hence:
+// NewLabel beyond treating the node as touched), while a remove records
+// which identifiers left the tree. Hence:
 //
 //   - removes are kept verbatim, in order — their RemovedIDs snapshots are
 //     the only record of identifiers that left the tree (identifiers may be
 //     reused by later inserts, so removes are never merged or dropped);
 //   - a relabel or insert whose NodeID is swept away by a LATER remove is
-//     dead — the node is gone from the final document (a consumer would hit
-//     the defensive drop path) — unless a later delta re-touches the same
+//     dead — the node is gone from the final document (the maintainer
+//     would find nothing to rescore) — unless a later delta re-touches the same
 //     identifier after reuse, which appears as its own surviving entry;
 //   - of several surviving relabels on one identifier, only the last
 //     matters: the maintainer reads the final label from the document.

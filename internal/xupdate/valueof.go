@@ -54,30 +54,32 @@ func isPlaceholder(n *xmltree.Node) bool {
 }
 
 // ExpandContent resolves the value-of placeholders of op.Content by
-// evaluating their select expressions with ctx as the context node
-// (the document the operation reads from — the user's view under the
-// secured executor, the source under the unsecured one) and returns a
+// evaluating their select expressions with ctx as the context node under
+// sec (the user's permission filter under the secured executor, nil for
+// the unsecured one, which reads the document as stored) and returns a
 // fresh fragment with the placeholders replaced:
 //
 //   - a node-set result is replaced by deep copies of its nodes in
-//     document order (elements and text; attribute results contribute
-//     their values as text, as serializing an attribute alone would);
+//     document order, copied through sec (xmltree.CopyFiltered), so only
+//     what the user's view shows of them is copied (elements and text;
+//     attribute results contribute their values as text, as serializing
+//     an attribute alone would);
 //   - an atomic result is replaced by a text node with its string value.
 //
 // Content without placeholders is returned unchanged.
-func (op *Op) ExpandContent(ctx *xmltree.Node, vars xpath.Vars) (*xmltree.Document, error) {
+func (op *Op) ExpandContent(ctx *xmltree.Node, vars xpath.Vars, sec *xpath.Security) (*xmltree.Document, error) {
 	if !op.HasDynamicContent() {
 		return op.Content, nil
 	}
 	out := xmltree.NewFragment(op.Content.Scheme())
-	if err := expandInto(out, out.Root(), op.Content.Root(), ctx, vars); err != nil {
+	if err := expandInto(out, out.Root(), op.Content.Root(), ctx, vars, sec); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // expandInto copies src's children under dst, resolving placeholders.
-func expandInto(out *xmltree.Document, dst, src *xmltree.Node, ctx *xmltree.Node, vars xpath.Vars) error {
+func expandInto(out *xmltree.Document, dst, src *xmltree.Node, ctx *xmltree.Node, vars xpath.Vars, sec *xpath.Security) error {
 	for _, a := range src.Attributes() {
 		if _, err := out.SetAttribute(dst, a.Label(), a.StringValue()); err != nil {
 			return err
@@ -85,7 +87,7 @@ func expandInto(out *xmltree.Document, dst, src *xmltree.Node, ctx *xmltree.Node
 	}
 	for _, c := range src.Children() {
 		if isPlaceholder(c) {
-			if err := resolvePlaceholder(out, dst, c, ctx, vars); err != nil {
+			if err := resolvePlaceholder(out, dst, c, ctx, vars, sec); err != nil {
 				return err
 			}
 			continue
@@ -94,20 +96,20 @@ func expandInto(out *xmltree.Document, dst, src *xmltree.Node, ctx *xmltree.Node
 		if err != nil {
 			return err
 		}
-		if err := expandInto(out, nc, c, ctx, vars); err != nil {
+		if err := expandInto(out, nc, c, ctx, vars, sec); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func resolvePlaceholder(out *xmltree.Document, dst, ph *xmltree.Node, ctx *xmltree.Node, vars xpath.Vars) error {
+func resolvePlaceholder(out *xmltree.Document, dst, ph *xmltree.Node, ctx *xmltree.Node, vars xpath.Vars, sec *xpath.Security) error {
 	sel := strings.TrimPrefix(ph.Label(), valueOfMarker)
 	c, err := xpath.Compile(sel)
 	if err != nil {
 		return fmt.Errorf("xupdate: value-of select: %w", err)
 	}
-	v, err := c.Eval(ctx, vars)
+	v, err := c.EvalFiltered(ctx, vars, sec)
 	if err != nil {
 		return fmt.Errorf("xupdate: evaluating value-of %q: %w", sel, err)
 	}
@@ -116,7 +118,7 @@ func resolvePlaceholder(out *xmltree.Document, dst, ph *xmltree.Node, ctx *xmltr
 		_, err := out.AppendChild(dst, xmltree.KindText, v.Str())
 		return err
 	}
-	for _, n := range ns {
+	for _, n := range xmltree.CopyFiltered(ns, sec) {
 		switch n.Kind() {
 		case xmltree.KindAttribute:
 			if _, err := out.AppendChild(dst, xmltree.KindText, n.StringValue()); err != nil {
@@ -124,12 +126,12 @@ func resolvePlaceholder(out *xmltree.Document, dst, ph *xmltree.Node, ctx *xmltr
 			}
 		case xmltree.KindDocument:
 			for _, ch := range n.Children() {
-				if err := copyNodeInto(out, dst, ch); err != nil {
+				if _, err := out.Graft(dst, xmltree.GraftAppend, ch); err != nil {
 					return err
 				}
 			}
 		default:
-			if err := copyNodeInto(out, dst, n); err != nil {
+			if _, err := out.Graft(dst, xmltree.GraftAppend, n); err != nil {
 				return err
 			}
 		}
@@ -137,28 +139,15 @@ func resolvePlaceholder(out *xmltree.Document, dst, ph *xmltree.Node, ctx *xmltr
 	return nil
 }
 
-// copyNodeInto deep-copies node n (from any document) under dst.
-func copyNodeInto(out *xmltree.Document, dst, n *xmltree.Node) error {
-	nc, err := out.AppendChild(dst, n.Kind(), n.Label())
-	if err != nil {
-		return err
-	}
-	for _, a := range n.Attributes() {
-		if _, err := out.SetAttribute(nc, a.Label(), a.StringValue()); err != nil {
-			return err
-		}
-	}
-	for _, c := range n.Children() {
-		if err := copyNodeInto(out, nc, c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BindVariable executes a Variable op: it evaluates the select expression
-// with ctx as the context node and returns the binding to add to vars.
-func (op *Op) BindVariable(ctx *xmltree.Node, vars xpath.Vars) (xpath.Value, error) {
+// with ctx as the context node under sec (nil reads the document as
+// stored) and returns the binding to add to vars. A node-set binding
+// holds the selected nodes of ctx's document, so every later use of it
+// must read them under the same filter — as selection and ExpandContent
+// under the secured executor do, copying what they take through it —
+// for it to see no more than the user's view; navigation from a bound
+// node then reaches its ancestors and siblings as the view shows them.
+func (op *Op) BindVariable(ctx *xmltree.Node, vars xpath.Vars, sec *xpath.Security) (xpath.Value, error) {
 	if op.Kind != Variable {
 		return nil, fmt.Errorf("xupdate: BindVariable on %s", op.Kind)
 	}
@@ -166,5 +155,5 @@ func (op *Op) BindVariable(ctx *xmltree.Node, vars xpath.Vars) (xpath.Value, err
 	if err != nil {
 		return nil, err
 	}
-	return c.Eval(ctx, vars)
+	return c.EvalFiltered(ctx, vars, sec)
 }

@@ -140,7 +140,7 @@ func TestExpandContentNoPlaceholders(t *testing.T) {
 	d := parse(t)
 	frag, _ := xmltree.ParseString("<x/>", xmltree.ParseOptions{Fragment: true})
 	op := &Op{Kind: Append, Select: "/patients", Content: frag}
-	out, err := op.ExpandContent(d.Root(), nil)
+	out, err := op.ExpandContent(d.Root(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,8 +225,7 @@ type Delta struct {
 	// RemovedIDs lists every identifier in the removed subtree (root
 	// first, document order) for a DeltaRemove. Persistent labels can be
 	// re-allocated after a removal, so a consumer keyed by identifier
-	// (Coalesce, the view's scrubbing) must process it before later
-	// deltas.
+	// (Coalesce) must process it before later deltas.
 	RemovedIDs []string
 }
 
@@ -243,7 +242,7 @@ func Execute(doc *xmltree.Document, op *Op, vars xpath.Vars) (*Result, error) {
 	}
 	run := op
 	if op.HasDynamicContent() {
-		expanded, err := op.ExpandContent(doc.Root(), vars)
+		expanded, err := op.ExpandContent(doc.Root(), vars, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -284,7 +283,7 @@ func ExecuteAll(doc *xmltree.Document, ops []*Op, vars xpath.Vars) ([]*Result, e
 			if err := op.Validate(); err != nil {
 				return results, err
 			}
-			v, err := op.BindVariable(doc.Root(), env)
+			v, err := op.BindVariable(doc.Root(), env, nil)
 			if err != nil {
 				return results, err
 			}
