@@ -12,9 +12,9 @@ verify:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# Source-level invariant gate: go vet, formatting, and the seven
+# Source-level invariant gate: go vet, formatting, and the six
 # xmlsec-vet passes (viewbypass, privconst, obslabel, ctxflow, lockguard,
-# cowdiscipline, snapshotimmut) under the committed baseline — see
+# cowdiscipline) under the committed baseline — see
 # DESIGN.md S22 and S11 for the axiom and invariant mapping.
 vet:
 	$(GO) vet ./...
@@ -87,7 +87,6 @@ fuzz:
 	$(GO) test ./internal/datalog -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/view -fuzz FuzzIncrementalView -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/policyanalysis -fuzz FuzzRepair -fuzztime $(FUZZTIME) -run '^$$'
-	$(GO) test ./internal/rewrite -fuzz FuzzRewrite -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xmltree -fuzz FuzzCloneMutate -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xmltree -fuzz FuzzSerialize -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/qfilter -fuzz FuzzFilteredRender -fuzztime $(FUZZTIME) -run '^$$'

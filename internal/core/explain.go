@@ -4,8 +4,16 @@
 // and cross-checks the two: the re-derived winner must equal the
 // production cell for every privilege, and the axiom 15–17 verdict
 // derived from the cells alone must match a fresh materialization of the
-// view (the specification) node-for-node. A mismatch means the provenance explanation and the
-// enforcement disagree, which the differential tests treat as a bug.
+// view (the specification) node-for-node. A mismatch means the provenance
+// explanation and the enforcement disagree, which the differential tests
+// treat as a bug.
+//
+// A user explains only what the view shows: Session.Explain selects under
+// the same permission filter as Session.Query and reports view paths and
+// effective labels, so its answer is derivable from the view (§2.2: a
+// diagnostic that selected on the source would answer value tests over
+// hidden data). Database.ExplainAs is the administrator's source-wide
+// form, which also explains the hidden nodes.
 package core
 
 import (
@@ -14,6 +22,7 @@ import (
 
 	"securexml/internal/obs"
 	"securexml/internal/policy"
+	"securexml/internal/qfilter"
 	"securexml/internal/view"
 	"securexml/internal/xmltree"
 	"securexml/internal/xpath"
@@ -67,16 +76,36 @@ type Explanation struct {
 }
 
 // Explain re-derives the access-control story for every node the XPath
-// expression matches on the *source* document (hidden nodes are exactly
-// the ones worth explaining, so selection must not run on the view).
-// It is a diagnostic operation — each call costs a cold policy
-// evaluation — and is never on the hot path.
+// expression selects in the user's view: the selection runs on the source
+// under the same permission filter as Query, so it returns exactly Query's
+// nodes, and each node's path and label are the ones the view shows. It
+// is a diagnostic operation — each call costs a cold policy evaluation —
+// and is never on the hot path.
 func (s *Session) Explain(path string) (*Explanation, error) {
 	return s.ExplainCtx(context.Background(), path)
 }
 
 // ExplainCtx is Explain with a request context.
 func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, error) {
+	return s.explain(ctx, path, true)
+}
+
+// ExplainAs is the administrator's source-wide explain: it selects on the
+// source document, nodes hidden from user included, and reports for each
+// the verdict that hides it (hidden-by-parent or no-read) under its source
+// path and label. It is a Go API call only, in the style of ApplyAs; no
+// user-facing surface serves it.
+func (db *Database) ExplainAs(user, path string) (*Explanation, error) {
+	s, err := db.Session(user)
+	if err != nil {
+		return nil, err
+	}
+	return s.explain(context.Background(), path, false)
+}
+
+// explain selects path under the user's permission filter when filtered,
+// on the whole source otherwise, and explains every selected node.
+func (s *Session) explain(ctx context.Context, path string, filtered bool) (*Explanation, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_explain", explainStage)
 	// Pin one generation for the whole explanation: the permission
 	// cells, the view and the re-derived story all come from the same
@@ -89,9 +118,17 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 		return nil, err
 	}
 	v := view.MaterializeCtx(ctx, g.doc, pm)
+	var sec *xpath.Security
+	if filtered {
+		sec = qfilter.ForPerms(pm)
+	}
 	// ns are nodes of g.doc, whose lineage pm's ordinal-keyed cells were
 	// evaluated on (see policy.Perms).
-	ns, err := xpath.Select(g.doc, path, s.vars())
+	c, err := xpath.Compile(path)
+	var ns xpath.NodeSet
+	if err == nil {
+		ns, err = c.SelectFiltered(g.doc.Root(), s.vars(), sec)
+	}
 	if err != nil {
 		sessionOp("explain", "error")
 		s.db.recordCtx(ctx, "explain", s.user, path, "error: "+err.Error(), sp.End())
@@ -111,6 +148,9 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 		Consistent:      true,
 	}
 	for i, n := range ns {
+		// The filter presents a node as the view does; a nil filter
+		// keeps the source path and label.
+		stories[i].Path, stories[i].Label = sec.Path(n), sec.EffectiveLabel(n)
 		ne := explainNode(stories[i], n, pm, v)
 		if !ne.Consistent {
 			ex.Consistent = false

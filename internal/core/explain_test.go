@@ -24,7 +24,9 @@ func findPriv(t *testing.T, ne NodeExplanation, name string) policy.PrivilegeSto
 // TestExplainPaperScenario checks the provenance stories on the paper's
 // hospital policy: the secretary's diagnosis denial (axiom 14: the revoke
 // defeats the staff-wide grant), the RESTRICTED verdict it produces, and
-// the patient's $USER-overlay cells.
+// the patient's $USER-overlay cells; a patient's explain of another
+// patient's data is empty, and only the administrator's ExplainAs reaches
+// it.
 func TestExplainPaperScenario(t *testing.T) {
 	db := hospital(t)
 
@@ -94,14 +96,29 @@ func TestExplainPaperScenario(t *testing.T) {
 	if w := findPriv(t, ne, "read").Winner; w == nil || !strings.Contains(w.Rule, "$USER") {
 		t.Fatalf("patient read winner should be the $USER rule: %+v", w)
 	}
-	other, err := pat.Explain("/patients/franck/diagnosis/text()")
+	// Neither a path nor a value test over franck's data reaches it: his
+	// query and his explain answer alike.
+	for _, probe := range []string{"/patients/franck/diagnosis/text()", "//diagnosis[.='tonsillitis']"} {
+		res, err := pat.Query(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := pat.Explain(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 0 || len(other.Nodes) != 0 {
+			t.Fatalf("robert %s: query %v, explain %+v; want both empty", probe, res, other.Nodes)
+		}
+	}
+	admin, err := db.ExplainAs("robert", "/patients/franck/diagnosis/text()")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !other.Consistent || len(other.Nodes) != 1 {
-		t.Fatalf("patient cross-read explain: %+v", other)
+	if !admin.Consistent || len(admin.Nodes) != 1 {
+		t.Fatalf("patient cross-read ExplainAs: %+v", admin)
 	}
-	one := other.Nodes[0]
+	one := admin.Nodes[0]
 	if one.Visibility == VerdictVisible || one.Visibility == VerdictRestricted {
 		t.Fatalf("franck's diagnosis must not be in robert's view: %q", one.Visibility)
 	}
@@ -110,18 +127,19 @@ func TestExplainPaperScenario(t *testing.T) {
 	}
 }
 
-// TestExplainDifferentialOracle is the oracle the issue demands: for
-// seeded random 4-quadrant policies, the re-derived provenance winner must
-// equal the Evaluate/EvaluateShared cell for every (user, node, privilege)
-// and the axiom 15–17 verdict must match Materialize node-for-node — both
-// cross-checks run inside explainNode, so Consistent==true over every node
-// of the document is the assertion.
+// TestExplainDifferentialOracle: for seeded random 4-quadrant policies,
+// the re-derived provenance winner must equal the Evaluate/EvaluateShared
+// cell for every (user, node, privilege) and the axiom 15–17 verdict must
+// match Materialize node-for-node — both cross-checks run inside
+// explainNode, so Consistent==true over every node of the document is the
+// assertion. It runs through the source-wide ExplainAs, so the hidden
+// verdicts (hidden-by-parent, no-read) are derived and checked too.
 func TestExplainDifferentialOracle(t *testing.T) {
+	verdicts := make(map[string]int)
 	for seed := int64(1); seed <= 6; seed++ {
 		db := randomExplainDB(t, seed)
 		for _, user := range db.Users() {
-			s := session(t, db, user)
-			ex, err := s.ExplainCtx(context.Background(), "/descendant-or-self::node()")
+			ex, err := db.ExplainAs(user, "/descendant-or-self::node()")
 			if err != nil {
 				t.Fatalf("seed %d user %s: %v", seed, user, err)
 			}
@@ -129,6 +147,7 @@ func TestExplainDifferentialOracle(t *testing.T) {
 				t.Fatalf("seed %d user %s: no nodes explained", seed, user)
 			}
 			for _, ne := range ex.Nodes {
+				verdicts[ne.Visibility]++
 				if !ne.Consistent {
 					t.Errorf("seed %d user %s node %s: %v", seed, user, ne.Path, ne.Mismatches)
 				}
@@ -140,6 +159,50 @@ func TestExplainDifferentialOracle(t *testing.T) {
 			}
 			if !ex.Consistent {
 				t.Fatalf("seed %d user %s: provenance disagrees with production", seed, user)
+			}
+		}
+	}
+	for _, v := range []string{VerdictVisible, VerdictRestricted, VerdictHiddenByParent, VerdictNoRead} {
+		if verdicts[v] == 0 {
+			t.Errorf("no node got verdict %q: %v", v, verdicts)
+		}
+	}
+}
+
+// TestExplainSelectsLikeQuery: a user's explain is bounded by the view.
+// For every user and every path of the random policies (plus a value test
+// over another patient's diagnosis), the nodes Session.Explain reports —
+// kind, view path and effective label, in order — are exactly the nodes
+// Session.Query returns, so explain answers nothing a query would not.
+func TestExplainSelectsLikeQuery(t *testing.T) {
+	paths := append([]string{"/descendant-or-self::node()", "//diagnosis[.='tonsillitis']"}, explainRulePaths...)
+	for seed := int64(1); seed <= 6; seed++ {
+		db := randomExplainDB(t, seed)
+		for _, user := range db.Users() {
+			s := session(t, db, user)
+			for _, path := range paths {
+				res, err := s.Query(path)
+				if err != nil {
+					t.Fatalf("seed %d user %s query %s: %v", seed, user, path, err)
+				}
+				ex, err := s.Explain(path)
+				if err != nil {
+					t.Fatalf("seed %d user %s explain %s: %v", seed, user, path, err)
+				}
+				if !ex.Consistent {
+					t.Errorf("seed %d user %s explain %s inconsistent", seed, user, path)
+				}
+				var got, want []string
+				for _, ne := range ex.Nodes {
+					got = append(got, ne.Kind+" "+ne.Path+" "+ne.Label)
+				}
+				for _, r := range res {
+					want = append(want, r.Kind.String()+" "+r.Path+" "+r.Label)
+				}
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Errorf("seed %d user %s path %s: explain reports\n%s\nquery returns\n%s",
+						seed, user, path, strings.Join(got, "\n"), strings.Join(want, "\n"))
+				}
 			}
 		}
 	}
@@ -171,22 +234,10 @@ func randomExplainDB(t *testing.T, seed int64) *Database {
 	must(db.AddUser("laporte", "doctor"))
 	must(db.AddUser("franck", "patient"))
 	must(db.AddUser("robert", "patient"))
-	paths := []string{
-		"/patients",
-		"//service",
-		"//diagnosis/node()",
-		"/patients/*/record",
-		"//record[starts-with(name(), 'rec')]",
-		"/patients/*[name() = $USER]/descendant-or-self::node()",
-		"/patients/*[name() = $USER]",
-		"/patients/*[1]",
-		"//record[note]",
-		"/patients/*[name() = $USER]/record[note]",
-	}
 	subjects := []string{"staff", "secretary", "doctor", "patient", "epidemiologist"}
 	n := 8 + int(seed%5)
 	for i := 0; i < n; i++ {
-		path := paths[(int(seed)+i*7)%len(paths)]
+		path := explainRulePaths[(int(seed)+i*7)%len(explainRulePaths)]
 		priv := policy.Privileges[(int(seed)+i)%len(policy.Privileges)]
 		subj := subjects[(int(seed)+i*3)%len(subjects)]
 		if (int(seed)+i)%3 == 0 {
@@ -196,6 +247,20 @@ func randomExplainDB(t *testing.T, seed int64) *Database {
 		}
 	}
 	return db
+}
+
+// explainRulePaths is the rule path pool of randomExplainDB.
+var explainRulePaths = []string{
+	"/patients",
+	"//service",
+	"//diagnosis/node()",
+	"/patients/*/record",
+	"//record[starts-with(name(), 'rec')]",
+	"/patients/*[name() = $USER]/descendant-or-self::node()",
+	"/patients/*[name() = $USER]",
+	"/patients/*[1]",
+	"//record[note]",
+	"/patients/*[name() = $USER]/record[note]",
 }
 
 func TestExplainErrors(t *testing.T) {

@@ -1,12 +1,12 @@
-// Dynamic twin of the snapshotimmut vet pass: the static pass proves no
-// code outside the view layer writes to a Session.View snapshot; this
-// test proves the snapshot really is an independent copy at runtime.
-// One session mutates its View() snapshot as hostilely as the xmltree
-// API allows while every other user's session keeps querying, and
-// afterwards each session's view must be cell-for-cell identical to a
-// freshly built reference database — no session's permissions may move.
-// Run under -race (make race) this also proves snapshot hand-out does
-// not race with the shared view cache.
+// Session.View hands out a private materialization: this test proves the
+// snapshot really is an independent copy at runtime. One session mutates
+// its View() snapshot as hostilely as the xmltree API allows while every
+// other user's session keeps querying, and afterwards each session's view
+// must be cell-for-cell identical to a freshly built reference database —
+// no session's permissions may move. Run under -race (make race) this also
+// proves snapshot hand-out does not race with the shared permission cache.
+// Published generation roots are guarded separately: Freeze makes their
+// mutators return xmltree.ErrFrozen.
 package core
 
 import (

@@ -20,12 +20,6 @@
 // a non-empty node-set value and copies value-of content — all present
 // the same view. view.Materialize stays as the specification the
 // property tests compare against.
-//
-// internal/rewrite is a static analysis beside this package: its
-// classifier proves some queries empty or unfiltered for a rule profile
-// from the policy alone. No read path consults it; its oracle pins its
-// verdicts answer-equivalent to the view, as this package's property
-// tests pin the filter.
 package qfilter
 
 import (

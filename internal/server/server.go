@@ -439,9 +439,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleExplain re-derives the axiom-14 decision provenance for every node
-// the xpath expression matches on the source document, as the request's
-// user (GET /explain?xpath=EXPR). Diagnostic endpoint: each call costs a
-// cold policy evaluation.
+// the xpath expression selects in the request user's view — the nodes
+// /query returns for it (GET /explain?xpath=EXPR). Diagnostic endpoint:
+// each call costs a cold policy evaluation.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, session *core.Session) {
 	expr := r.URL.Query().Get("xpath")
 	if expr == "" {

@@ -141,6 +141,48 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainBoundedByView: a user's /explain reports exactly the nodes
+// /query returns for the same path. An explain that reached further would
+// answer value tests over hidden data, such as robert's test of franck's
+// diagnosis.
+func TestExplainBoundedByView(t *testing.T) {
+	ts := testServer(t)
+	for _, expr := range []string{"//diagnosis[.='tonsillitis']", "//diagnosis", "/descendant-or-self::node()"} {
+		code, body := get(t, ts, "robert", "/explain?xpath="+urlEscape(expr))
+		if code != http.StatusOK {
+			t.Fatalf("/explain %s = %d: %s", expr, code, body)
+		}
+		if strings.Contains(body, "franck") {
+			t.Errorf("robert's /explain %s names franck's data:\n%s", expr, body)
+		}
+		var ex struct {
+			Nodes []struct {
+				Path string `json:"path"`
+			} `json:"nodes"`
+		}
+		if err := json.Unmarshal([]byte(body), &ex); err != nil {
+			t.Fatalf("/explain not JSON: %v\n%s", err, body)
+		}
+		var got []string
+		for _, n := range ex.Nodes {
+			got = append(got, n.Path)
+		}
+		code, body = get(t, ts, "robert", "/query?xpath="+urlEscape(expr))
+		if code != http.StatusOK {
+			t.Fatalf("/query %s = %d: %s", expr, code, body)
+		}
+		var want []string
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+			if path, _, ok := strings.Cut(line, "\t"); ok {
+				want = append(want, path)
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s: /explain reports %v, /query returns %v", expr, got, want)
+		}
+	}
+}
+
 func TestSlowTraceThresholdOption(t *testing.T) {
 	var buf bytes.Buffer
 	db := testServerDB(t)

@@ -25,8 +25,9 @@ const HelpText = `Commands:
   view                            print your authorized view
   query <xpath>                   select nodes on your view
   value <xpath>                   evaluate an expression (count(...), ...)
-  explain <xpath>                 why each matched node is (in)visible: the
-                                  winning rule, what it defeated, cell origin
+  explain <xpath>                 why each node of your view it selects is
+                                  shown: the winning rule, what it defeated,
+                                  cell origin
   rename <path> <new-label>       xupdate:rename
   update <path> <new-content>     xupdate:update
   append <path> <xml-fragment>    xupdate:append

@@ -8,8 +8,8 @@ import (
 )
 
 // Concurrency contracts are written where Go programmers already write
-// them — in comments — and parsed here so lockguard, cowdiscipline and
-// snapshotimmut can enforce them instead of trusting them:
+// them — in comments — and parsed here so lockguard and cowdiscipline can
+// enforce them instead of trusting them:
 //
 //	guarded by <path>       on a struct field: the named mutex protects it
 //	                        (and, by convention, the rest of the field's
@@ -247,7 +247,7 @@ func selfSynchronized(t types.Type, depth int) bool {
 // refType reports whether values of t share state when copied — they
 // contain a pointer, slice, map, channel, function or interface. Plain
 // value types (ints, strings, arrays/structs of them) are safe to copy
-// out of a critical section or a shared snapshot.
+// out of a critical section or a shared cache.
 func refType(t types.Type) bool {
 	return refTypeSeen(t, make(map[types.Type]bool))
 }

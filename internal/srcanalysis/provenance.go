@@ -5,14 +5,14 @@ import (
 	"go/types"
 )
 
-// Shared provenance engine for the cowdiscipline and snapshotimmut passes:
-// a flow-insensitive least-fixpoint taint analysis, the dual of the
-// viewbypass cleanliness oracle. Where cleanliness asks "is this value
-// provably locally constructed", taint asks "can this value alias shared
-// state" — a source function's result, a source field's content, or
-// anything assembled from them. Taint propagates through assignments,
-// selectors, indexing, composite literals and module-function returns, and
-// is *broken* by exactly the operations that create an independent value:
+// Provenance engine for the cowdiscipline pass: a flow-insensitive
+// least-fixpoint taint analysis, the dual of the viewbypass cleanliness
+// oracle. Where cleanliness asks "is this value provably locally
+// constructed", taint asks "can this value alias shared state" — a source
+// function's result, a source field's content, or anything assembled from
+// them. Taint propagates through assignments, selectors, indexing,
+// composite literals and module-function returns, and is *broken* by
+// exactly the operations that create an independent value:
 //
 //   - a value-typed copy (the refType gate: copying an int, a string or a
 //     plain struct of them cannot alias anything);
@@ -29,10 +29,6 @@ type taintSpec struct {
 	sources map[types.Object]bool
 	// sourceFields are struct fields whose reads carry shared state.
 	sourceFields map[types.Object]bool
-	// methodProp propagates taint through method calls: a method invoked
-	// on a tainted receiver returns tainted values (used by snapshotimmut,
-	// where every accessor of a shared snapshot yields shared nodes).
-	methodProp bool
 }
 
 type tainter struct {
@@ -174,14 +170,7 @@ func (t *tainter) callTainted(env *taintEnv, call *ast.CallExpr) bool {
 		if isCloneCall(obj) {
 			return false
 		}
-		sig, _ := obj.Type().(*types.Signature)
-		if sig != nil && sig.Recv() != nil {
-			if !t.spec.methodProp {
-				return false
-			}
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && env.pkg.Info.Selections[sel] != nil {
-				return t.exprTainted(env, sel.X)
-			}
+		if sig, _ := obj.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
 			return false
 		}
 		if t.inModule(objPkgPath(obj)) {

@@ -3,7 +3,7 @@
 // go/parser and go/types (stdlib only, no x/tools) and proves, pass by
 // pass, that the Go code keeps the paper's access-control model closed.
 //
-// The seven passes and the invariants they guard:
+// The six passes and the invariants they guard:
 //
 //   - viewbypass: only the trusted internal packages may touch raw
 //     xmltree nodes or call the unsecured executors. Everything else must
@@ -25,8 +25,6 @@
 //     clone") are never mutated without a clone or the clone-on-first-
 //     write helpers — a missed clone would leak one user's grants into
 //     another's session.
-//   - snapshotimmut: Session.View snapshots are read-only outside
-//     internal/core and internal/view; callers edit private Clones only.
 //
 // Findings use the shared internal/findings schema (the same JSON CI
 // consumes from xmlsec-lint). A committed baseline file grandfathers
@@ -72,7 +70,7 @@ type pass struct {
 }
 
 // registry holds the passes in their fixed execution order.
-var registry = []*pass{viewbypassPass, privconstPass, obslabelPass, ctxflowPass, lockguardPass, cowdisciplinePass, snapshotimmutPass}
+var registry = []*pass{viewbypassPass, privconstPass, obslabelPass, ctxflowPass, lockguardPass, cowdisciplinePass}
 
 // Passes returns the registered pass names in execution order.
 func Passes() []string {
@@ -247,9 +245,8 @@ func (a *analysis) internalPath(short string) string {
 
 // untrustedInternal are the internal packages without a raw-node license:
 // the user-facing shell and server, which must go through the core session
-// API, and rewrite, whose static classifier reads policies, never
-// documents.
-var untrustedInternal = map[string]bool{"shell": true, "server": true, "rewrite": true}
+// API.
+var untrustedInternal = map[string]bool{"shell": true, "server": true}
 
 // trustedPkg reports whether the import path belongs to the trusted
 // enforcement core: the internal packages that implement the model

@@ -28,11 +28,6 @@ import (
 //     tracked through local assignments, same-package helpers and
 //     parameters whose every call site passes a clean value). A document
 //     of unknown provenance may be someone else's source document.
-//
-// internal/rewrite is checked like the user-facing packages: its static
-// classifier decides emptiness and transparency from policy patterns alone
-// and hands every document read to internal/core, so it needs no raw-node
-// license.
 var viewbypassPass = &pass{
 	name: "viewbypass",
 	doc:  "raw xmltree access and unsecured executors outside the trusted core",

@@ -269,8 +269,8 @@ func TestNodeMatcherMatchAllocs(t *testing.T) {
 }
 
 // BenchmarkNodeMatcherMatch runs the paper's axiom-13 rule paths against
-// every node of a 64-patient document, the per-node sweep the rewrite
-// tier's ruleMask makes.
+// every node of a 64-patient document, one matcher call per rule and
+// node.
 func BenchmarkNodeMatcherMatch(b *testing.B) {
 	var sb strings.Builder
 	sb.WriteString("<patients>")
