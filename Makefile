@@ -12,10 +12,10 @@ verify:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# Source-level invariant gate: go vet, formatting, and the six
-# xmlsec-vet passes (viewbypass, privconst, obslabel, ctxflow, lockguard,
-# cowdiscipline) under the committed baseline — see
-# DESIGN.md S22 and S11 for the axiom and invariant mapping.
+# Source-level invariant gate: go vet, formatting, and the four
+# xmlsec-vet passes (viewbypass, privconst, obslabel, ctxflow) under the
+# committed baseline — see DESIGN.md S22 for the axiom mapping and S11
+# for the lock discipline the race tests check instead.
 vet:
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \

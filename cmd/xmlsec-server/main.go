@@ -15,9 +15,10 @@
 // Telemetry is always on: Prometheus text on /metrics, an expvar snapshot
 // on /debug/vars, and a structured JSON access log (stderr by default,
 // -accesslog off to silence). Every request is traced into a bounded
-// in-memory ring: GET /traces lists recent summaries, GET /trace/{id}
-// returns the full span tree, and -slowtrace sets the latency above
-// which whole trees are logged through the access logger.
+// in-memory ring: GET /traces lists the authenticated user's recent
+// summaries, GET /trace/{id} returns the full span tree of one of that
+// user's requests, and -slowtrace sets the latency above which whole
+// trees are logged through the access logger.
 package main
 
 import (

@@ -1,14 +1,11 @@
 // Command xmlsec-vet statically proves that the Go source keeps the
 // paper's access-control model closed: it type-checks the whole module
-// (go/parser + go/types, stdlib only) and runs six invariant passes —
+// (go/parser + go/types, stdlib only) and runs four invariant passes —
 // viewbypass (no raw xmltree access or unsecured executors outside the
 // trusted core, axioms 15–25), privconst (privileges only from the named
 // axiom-14 constants), obslabel (metric labels compile-time bounded, no
-// §2.2 covert channel through /metrics), ctxflow (request contexts
-// accepted and forwarded on the hot path), lockguard (mutex-guarded
-// state only touched with its lock held or under a "callers hold"
-// contract) and cowdiscipline (shared cache values cloned before
-// mutation).
+// §2.2 covert channel through /metrics) and ctxflow (request contexts
+// accepted and forwarded on the hot path).
 //
 // Usage:
 //

@@ -466,25 +466,21 @@ type AuditEntry struct {
 	Duration time.Duration
 }
 
-// record appends an audit entry without request correlation. It takes the
-// audit lock itself, so it is safe from both the lock-free read paths and
-// the commit leader. Auditing is disabled with limit 0 — checked before
-// the lock, so a bench-configured silent database pays nothing here.
+// record appends an audit entry without request correlation.
 func (db *Database) record(user, action, detail, outcome string) {
+	db.recordFull(user, action, detail, outcome, "", 0)
+}
+
+// recordFull appends one fully annotated audit entry. It takes the audit
+// lock itself, so it is safe from both the lock-free read paths and the
+// commit leader. Auditing is disabled with limit 0 — checked before the
+// lock, so a bench-configured silent database pays nothing here.
+func (db *Database) recordFull(user, action, detail, outcome, reqID string, d time.Duration) {
 	if db.auditLimit == 0 {
 		return
 	}
 	db.auditMu.Lock()
 	defer db.auditMu.Unlock()
-	db.recordFull(user, action, detail, outcome, "", 0)
-}
-
-// recordFull appends one fully annotated audit entry. Callers hold
-// db.auditMu.
-func (db *Database) recordFull(user, action, detail, outcome, reqID string, d time.Duration) {
-	if db.auditLimit == 0 {
-		return
-	}
 	db.auditSeq++
 	db.audit = append(db.audit, AuditEntry{
 		Seq: db.auditSeq, User: user, Action: action, Detail: detail, Outcome: outcome,
@@ -509,7 +505,7 @@ func (db *Database) Audit() []AuditEntry {
 // user's axiom-14 permissions current at document version ver. It is all
 // the session keeps: every view consumer reads the pinned source through
 // qfilter.ForPerms over these permissions. An entry is immutable after
-// publication — neither pm's base map nor its overlay is mutated in place
+// publication — neither pm's base slice nor its overlay is mutated in place
 // — so concurrent requests on one shared session can read the same entry
 // while another request swaps in a newer one.
 type permsEntry struct {
@@ -524,6 +520,8 @@ type Session struct {
 	db   *Database
 	user string
 
+	// mu guards entry and the maint fields; currentPerms is the only
+	// function that touches them.
 	mu    sync.Mutex
 	entry *permsEntry
 	// maint is the compiled incremental maintainer for (policy epoch
@@ -585,43 +583,43 @@ func (s *Session) vars() xpath.Vars {
 }
 
 // currentPerms returns the session's axiom-14 permissions for the pinned
-// generation g, the only state any view consumer needs (see entryFor).
+// generation g, the only state any view consumer needs. It serves the
+// cached entry when the document and the policy are unchanged since it
+// was built. A document change whose deltas are still in the generation's
+// log is absorbed by patching a copy of the cached permissions (axiom 14
+// re-run over the touched subtrees only); policy changes, document
+// replacements and log gaps re-derive the permissions. The whole decision
+// runs under s.mu, the only place that reads or writes s.entry and the
+// maintainer fields.
 func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perms, error) {
+	ver, epoch, gen := g.ver(), g.epoch, g.docGen
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, err := s.entryFor(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	return e.pm, nil
-}
-
-// entryFor returns the session's cache entry with permissions current for
-// g, rebuilding only when the document or the policy changed since the
-// cached entry. A document change whose deltas are still in the
-// generation's log is absorbed by patching a copy of the cached
-// permissions (axiom 14 re-run over the touched subtrees only). Policy
-// changes, document replacements and log gaps re-derive the permissions.
-// Callers hold s.mu.
-func (s *Session) entryFor(ctx context.Context, g *generation) (*permsEntry, error) {
-	ver, epoch, gen := g.ver(), g.epoch, g.docGen
 	e := s.entry
 	if e != nil && e.gen == gen && e.ver == ver && e.epoch == epoch {
 		cacheHits.Inc()
 		obs.AnnotateCtx(ctx, "view_source", "cache_hit")
-		return e, nil
+		return e.pm, nil
 	}
 	if e != nil && e.gen == gen && e.epoch == epoch && e.ver < ver {
-		if ne := s.patchPerms(ctx, g, e); ne != nil {
+		if !s.maintReady || s.maintEpoch != epoch {
+			s.maint, _ = view.NewMaintainer(g.policy, g.subjects, s.user)
+			s.maintEpoch, s.maintReady = epoch, true
+		}
+		pm, err := patchPerms(ctx, g, s.maint, e)
+		if pm != nil {
 			// Counted as xmlsec_view_incremental_applied_total by the view
 			// package — neither a plain hit nor a deriving miss.
-			s.entry = ne
+			s.entry = &permsEntry{pm: pm, ver: ver, epoch: epoch, gen: gen}
 			obs.AnnotateCtx(ctx, "view_source", "incremental")
-			return ne, nil
+			return pm, nil
 		}
-		// A hard patch error poisoned the entry (patchPerms set
-		// s.entry = nil) so the rebuild below starts cold.
-		e = s.entry
+		if err != nil {
+			// The entry has no usable continuation: drop it so the rebuild
+			// below starts cold instead of retrying a failing patch on
+			// every request.
+			s.entry, e = nil, nil
+		}
 	}
 	switch {
 	case e == nil:
@@ -639,53 +637,34 @@ func (s *Session) entryFor(ctx context.Context, g *generation) (*permsEntry, err
 		return nil, err
 	}
 	s.entry = &permsEntry{pm: pm, ver: ver, epoch: epoch, gen: gen}
-	return s.entry, nil
+	return pm, nil
 }
 
-// maintainer returns the session's incremental maintainer for g's policy
-// epoch, compiling it on first use; nil means the policy is not chain-only
-// for the user. Callers hold s.mu.
-func (s *Session) maintainer(g *generation) *view.Maintainer {
-	if !s.maintReady || s.maintEpoch != g.epoch {
-		s.maint, _ = view.NewMaintainer(g.policy, g.subjects, s.user)
-		s.maintEpoch = g.epoch
-		s.maintReady = true
-	}
-	return s.maint
-}
-
-// patchPerms builds a fresh cache entry whose permissions are e's patched
-// from e.ver up to the generation's version over the generation's delta
-// log. It returns nil when
-// patching is not possible (the caller re-derives; the reason was
-// counted) — and poisons s.entry on a hard patch error. The published
-// entry e itself is never mutated: the maintainer patches a Clone of the
-// permissions, which shares e's base map and copies only its overlay.
-// Callers hold s.mu.
-func (s *Session) patchPerms(ctx context.Context, g *generation, e *permsEntry) *permsEntry {
-	m := s.maintainer(g)
+// patchPerms returns e's permissions patched by maintainer m from e.ver up
+// to g's version over g's delta log. It returns nil permissions when
+// patching is not possible — m is nil (the policy is not chain-only for
+// the user), the log has a gap, or the patch failed, the last with its
+// error — and counts the reason. e is never mutated: m patches a Clone of
+// its permissions, which shares the base and copies only the overlay.
+func patchPerms(ctx context.Context, g *generation, m *view.Maintainer, e *permsEntry) (*policy.Perms, error) {
 	if m == nil {
 		incFallbackIneligible.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "ineligible")
-		return nil
+		return nil, nil
 	}
 	chain, ok := g.deltaChain(e.ver)
 	if !ok {
 		incFallbackGap.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "gap")
-		return nil
+		return nil, nil
 	}
 	pm, err := m.PatchPermsCtx(ctx, g.doc, e.pm, chain)
 	if err != nil {
-		// The entry's coordinates no longer have a usable continuation;
-		// poison the cache so the rebuild starts cold instead of retrying
-		// a failing patch on every request.
-		s.entry = nil
 		incFallbackError.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "error")
-		return nil
+		return nil, err
 	}
-	return &permsEntry{pm: pm, ver: g.ver(), epoch: e.epoch, gen: e.gen}
+	return pm, nil
 }
 
 // View returns the user's current view as a document of its own: a fresh
@@ -912,12 +891,7 @@ func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tie
 
 // recordCtx is record with the context's request ID and a duration.
 func (db *Database) recordCtx(ctx context.Context, action, user, detail, outcome string, d time.Duration) {
-	if db.auditLimit == 0 {
-		return
-	}
-	db.auditMu.Lock()
 	db.recordFull(user, action, detail, outcome, obs.RequestID(ctx), d)
-	db.auditMu.Unlock()
 }
 
 // Update executes one XUpdate operation with the paper's write access

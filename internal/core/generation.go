@@ -47,8 +47,9 @@ type generation struct {
 	log []deltaBatch
 
 	// rules is the cross-user RuleCache for this generation's policy and
-	// document, built lazily by the first cold evaluation; RuleCache is
-	// internally synchronized, and tying it to the generation makes
+	// document, built lazily by the first cold evaluation. Its profiles
+	// are built once under the cache's own lock and never written
+	// afterwards, and tying the cache to the generation makes
 	// invalidation structural (a new generation starts a new cache)
 	// instead of a compare-and-swap on (gen, version, epoch).
 	rulesOnce sync.Once

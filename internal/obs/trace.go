@@ -73,13 +73,15 @@ type Trace struct {
 	start  time.Time
 
 	mu sync.Mutex
-	// root, spans, dur, slow and done are guarded by mu: root is the span
-	// tree, spans counts its nodes, and done marks Finish having run.
+	// root, spans, dur, slow, done and user are guarded by mu: root is the
+	// span tree, spans counts its nodes, done marks Finish having run and
+	// user is the authenticated user the request ran as ("" when none).
 	root  *TraceSpan
 	spans int
 	dur   time.Duration
 	slow  bool
 	done  bool
+	user  string
 }
 
 // ID returns the trace identifier — the request ID the trace was started
@@ -140,6 +142,18 @@ func (t *Trace) Annotate(key, value string) {
 	t.annotate(root, key, value)
 }
 
+// SetUser records the authenticated user the request runs as. The
+// server's trace endpoints show a trace to that user only. A nil trace is
+// a no-op.
+func (t *Trace) SetUser(user string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.user = user
+	t.mu.Unlock()
+}
+
 // Finish stamps the root duration and hands the trace to its tracer's
 // ring, logging it when it crossed the slow threshold. Finish is
 // idempotent, and a nil trace (tracing disabled) is a no-op, so callers
@@ -168,6 +182,7 @@ func (t *Trace) Finish() {
 type TraceExport struct {
 	ID    string     `json:"id"`
 	Name  string     `json:"name"`
+	User  string     `json:"user,omitempty"`
 	Start time.Time  `json:"start"`
 	DurNS int64      `json:"dur_ns"`
 	Spans int        `json:"spans"`
@@ -180,7 +195,7 @@ func (t *Trace) Summary() TraceExport {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return TraceExport{
-		ID: t.id, Name: t.name, Start: t.start,
+		ID: t.id, Name: t.name, User: t.user, Start: t.start,
 		DurNS: t.dur.Nanoseconds(), Spans: t.spans, Slow: t.slow,
 	}
 }
@@ -191,7 +206,7 @@ func (t *Trace) Export() *TraceExport {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := &TraceExport{
-		ID: t.id, Name: t.name, Start: t.start,
+		ID: t.id, Name: t.name, User: t.user, Start: t.start,
 		DurNS: t.dur.Nanoseconds(), Spans: t.spans, Slow: t.slow,
 		Root: copySpan(t.root),
 	}

@@ -289,10 +289,10 @@ type Perms struct {
 	version uint64
 	// grants[ord] is the privilege bitmask of the node with ordinal ord;
 	// ordinals at or past len(grants) hold no privilege. The slice is never
-	// written once the Perms is handed out: it may be a RuleCache profile
+	// written after the Perms is handed out — it may be a RuleCache profile
 	// base read by every session of the profile, or the base a published
-	// session entry shares with the patched copies Clone makes of it —
-	// callers must clone before mutating (flatten does). overlay
+	// session entry shares with the patched copies Clone makes of it — and
+	// flatten writes a fresh slice instead. overlay
 	// holds this Perms' divergences from grants: the user's $USER-dependent
 	// cells and the cells incremental maintenance rescored. A present entry
 	// wins over grants, with 0 meaning no access; the overlay is private to

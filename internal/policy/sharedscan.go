@@ -20,7 +20,7 @@
 //   - across roles: two users with the same applicable $USER-independent
 //     rule set (same roles) get identical merge results, so the cache also
 //     keeps the merged permission state per rule-set profile — a second
-//     secretary clones the first one's result instead of re-running the
+//     secretary shares the first one's result instead of re-running the
 //     priority merge.
 //
 // Inside the cache, nodes are their ordinals (xmltree.Node.Ord), the same
@@ -72,43 +72,48 @@ type permCells [numPrivileges]permCell
 
 // RuleCache holds the shareable parts of cold evaluation for one policy
 // over one frozen document snapshot: the node set of every
-// $USER-independent rule evaluated so far, and the merged permission
-// state per rule-set profile (one profile per distinct set of applicable
-// $USER-independent rules — in practice, one per role combination).
-// A cache is bound to its policy and document at construction; callers
-// key an instance by (document generation, document version, policy
-// epoch) and build a new one when any of them moves.
+// $USER-independent rule evaluated so far, and one profile per distinct
+// set of applicable $USER-independent rules (in practice, one per role
+// combination). A cache is bound to its policy and document at
+// construction; callers key an instance by (document generation, document
+// version, policy epoch) and build a new one when any of them moves.
 //
-// A RuleCache is safe for concurrent use. The first evaluation fills each
-// piece under the cache lock — concurrent cold users block until the fill
-// completes and then share the result, so N simultaneous cold starts cost
-// one document scan, not N.
+// A RuleCache is safe for concurrent use. A profile is built under the
+// cache lock, so concurrent cold users of one profile block until the
+// first one's build completes and then share it: N simultaneous cold
+// starts cost one document scan, not N.
 type RuleCache struct {
 	// policy and doc are fixed at construction and read-only afterwards.
 	policy *Policy
 	doc    *xmltree.Document
 
 	mu sync.Mutex
-	// sets holds each $USER-independent rule's node set as ordinals,
-	// guarded by mu like the rest of the cache state below.
-	sets map[*Rule][]uint32
-	// grants holds, per profile, the final grant masks (indexed by
-	// ordinal) of users whose applicable rules are all $USER-independent;
-	// latest holds the pre-projection merge state, indexed the same way,
-	// for profiles that $USER-dependent rules still need to be merged over.
-	grants map[string][]uint8
-	latest map[string][]permCells
+	// sets holds each $USER-independent rule's node set as ordinals;
+	// profiles holds the built profiles by signature. Only profileFor
+	// touches either, with mu held.
+	sets     map[*Rule][]uint32
+	profiles map[string]*profile
+}
+
+// profile is the merged evaluation of one set of applicable
+// $USER-independent rules. It is built once by profileFor and never
+// written afterwards, so every session of the profile reads it without a
+// lock: latest is the pre-projection merge state that $USER-dependent
+// rules are merged over, and grants its projection to grant masks, the
+// base every Perms of the profile shares. Both are indexed by ordinal.
+type profile struct {
+	latest []permCells
+	grants []uint8
 }
 
 // NewRuleCache returns an empty cache for policy p over document doc. doc
 // must not change while the cache is in use.
 func NewRuleCache(p *Policy, doc *xmltree.Document) *RuleCache {
 	return &RuleCache{
-		policy: p,
-		doc:    doc,
-		sets:   make(map[*Rule][]uint32),
-		grants: make(map[string][]uint8),
-		latest: make(map[string][]permCells),
+		policy:   p,
+		doc:      doc,
+		sets:     make(map[*Rule][]uint32),
+		profiles: make(map[string]*profile),
 	}
 }
 
@@ -121,13 +126,22 @@ func ords(ns []*xmltree.Node) []uint32 {
 	return out
 }
 
-// fill returns the node sets (as ordinals) of the given
-// $USER-independent rules, computing only the ones no earlier evaluation
-// has cached yet — a homogeneous fleet (say, thousands of patients) never
-// pays for staff rules it will not merge. Missing rules are still computed
-// together, so the chain-only ones share one bank walk. The returned map is
-// the live cache — callers must clone before mutating. Callers hold c.mu.
-func (c *RuleCache) fill(ctx context.Context, indep []*Rule) (map[*Rule][]uint32, error) {
+// profileFor returns the profile of sig, an ascending list of applicable
+// $USER-independent rules, building it on first use. A build scans only
+// the rules no earlier profile has scanned — a homogeneous fleet (say,
+// thousands of patients) never pays for staff rules it will not merge —
+// and scans them together, so the chain-only ones share one bank walk.
+// Each rule of indep counts once per call in the cache telemetry: a hit
+// when its node set was already cached, a miss when this call scanned it.
+func (c *RuleCache) profileFor(ctx context.Context, sig string, indep []*Rule) (*profile, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if pf, ok := c.profiles[sig]; ok {
+		ruleCacheHits.Add(uint64(len(indep)))
+		obs.AnnotateCtx(ctx, "profile", "hit")
+		return pf, nil
+	}
+	obs.AnnotateCtx(ctx, "profile", "miss")
 	var missing []*Rule
 	for _, r := range indep {
 		if _, ok := c.sets[r]; !ok {
@@ -135,68 +149,31 @@ func (c *RuleCache) fill(ctx context.Context, indep []*Rule) (map[*Rule][]uint32
 		}
 	}
 	ruleCacheHits.Add(uint64(len(indep) - len(missing)))
-	obs.AnnotateIntCtx(ctx, "rulecache_hit_rules", int64(len(indep)-len(missing)))
-	if len(missing) == 0 {
-		return c.sets, nil
-	}
 	ruleCacheMisses.Add(uint64(len(missing)))
-	fctx, fsp := obs.StartSpanCtx(ctx, "rulecache_fill", nil)
-	fsp.AnnotateInt("rules", int64(len(missing)))
-	sets, err := scanSets(fctx, missing, c.doc, nil)
-	fsp.End()
-	if err != nil {
-		return nil, err
+	obs.AnnotateIntCtx(ctx, "rulecache_hit_rules", int64(len(indep)-len(missing)))
+	if len(missing) > 0 {
+		fctx, fsp := obs.StartSpanCtx(ctx, "rulecache_fill", nil)
+		fsp.AnnotateInt("rules", int64(len(missing)))
+		sets, err := scanSets(fctx, missing, c.doc, nil)
+		fsp.End()
+		if err != nil {
+			return nil, err
+		}
+		for r, ns := range sets {
+			c.sets[r] = ords(ns)
+		}
 	}
-	for r, ns := range sets {
-		c.sets[r] = ords(ns)
-	}
-	return c.sets, nil
-}
-
-// latestFor returns the merged permission state of a profile (an
-// ascending list of applicable $USER-independent rules), computing and
-// caching it on first use. The returned slice is shared — callers must
-// clone before mutating. Callers hold c.mu.
-func (c *RuleCache) latestFor(ctx context.Context, sig string, indep []*Rule) ([]permCells, error) {
-	if m, ok := c.latest[sig]; ok {
-		ruleCacheHits.Add(uint64(len(indep)))
-		obs.AnnotateCtx(ctx, "profile_latest", "hit")
-		return m, nil
-	}
-	obs.AnnotateCtx(ctx, "profile_latest", "miss")
-	sets, err := c.fill(ctx, indep)
-	if err != nil {
-		return nil, err
-	}
-	m := make([]permCells, c.doc.OrdLimit())
+	latest := make([]permCells, c.doc.OrdLimit())
 	for _, r := range indep { // ascending priority: later rules overwrite
-		for _, ord := range sets[r] {
-			if cell := &m[ord][r.Privilege]; r.Priority >= cell.priority {
+		for _, ord := range c.sets[r] {
+			if cell := &latest[ord][r.Privilege]; r.Priority >= cell.priority {
 				*cell = permCell{priority: r.Priority, effect: r.Effect}
 			}
 		}
 	}
-	c.latest[sig] = m
-	return m, nil
-}
-
-// grantsFor returns the final grant masks of an all-independent profile,
-// projecting and caching them on first use. The returned slice is shared —
-// callers must clone. Callers hold c.mu.
-func (c *RuleCache) grantsFor(ctx context.Context, sig string, indep []*Rule) ([]uint8, error) {
-	if g, ok := c.grants[sig]; ok {
-		ruleCacheHits.Add(uint64(len(indep)))
-		obs.AnnotateCtx(ctx, "profile_grants", "hit")
-		return g, nil
-	}
-	obs.AnnotateCtx(ctx, "profile_grants", "miss")
-	latest, err := c.latestFor(ctx, sig, indep)
-	if err != nil {
-		return nil, err
-	}
-	g := projectGrants(latest)
-	c.grants[sig] = g
-	return g, nil
+	pf := &profile{latest: latest, grants: projectGrants(latest)}
+	c.profiles[sig] = pf
+	return pf, nil
 }
 
 // mask collapses one node's merge state into its grant bitmask: per
@@ -227,8 +204,8 @@ func projectGrants(latest []permCells) []uint8 {
 // $USER-independent rule sets and per-profile merges (computed in one bank
 // walk and one merge for the first user of a role combination), a
 // per-user scan of only the $USER-dependent rules, then the axiom-14
-// latest-wins merge of the dependent sets over a clone of the cached
-// state.
+// latest-wins merge of the dependent sets over the profile's merge state
+// into a private overlay.
 func (c *RuleCache) EvaluateShared(h *subject.Hierarchy, user string) (*Perms, error) {
 	return c.EvaluateSharedCtx(context.Background(), h, user)
 }
@@ -263,39 +240,25 @@ func (c *RuleCache) EvaluateSharedCtx(ctx context.Context, h *subject.Hierarchy,
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
+	pf, err := c.profileFor(ctx, string(sig), indep)
+	if err != nil {
+		return nil, err
+	}
 	if len(dep) == 0 {
-		g, err := c.grantsFor(ctx, string(sig), indep)
-		c.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		// Hand the cached base out directly; patches go to the overlay.
-		pm.grants, pm.shared = g, true
+		// Hand the profile's base out directly; patches go to the overlay.
+		pm.grants, pm.shared = pf.grants, true
 		return pm, nil
 	}
-	// A $USER-dependent user starts from the cached state of its
-	// $USER-independent profile and patches only the nodes its dependent
-	// rules touch — typically a handful (the user's own subtree) out of
-	// the whole document.
-	base, err := c.latestFor(ctx, string(sig), indep)
-	if err != nil {
-		c.mu.Unlock()
-		return nil, err
-	}
-	g, err := c.grantsFor(ctx, string(sig), indep)
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	// base and g are shared snapshots: read-only from here on.
+	// A $USER-dependent user starts from its profile's merge state and
+	// patches only the nodes its dependent rules touch — typically a
+	// handful (the user's own subtree) out of the whole document.
 	touched := make(map[uint32]permCells)
 	for _, r := range dep { // ascending priority, same merge as Evaluate
 		for _, n := range depSets[r] {
 			ord := n.Ord()
 			cells, ok := touched[ord]
 			if !ok {
-				cells = base[ord]
+				cells = pf.latest[ord]
 			}
 			if cell := &cells[r.Privilege]; r.Priority >= cell.priority {
 				*cell = permCell{priority: r.Priority, effect: r.Effect}
@@ -308,7 +271,7 @@ func (c *RuleCache) EvaluateSharedCtx(ctx context.Context, h *subject.Hierarchy,
 		overlay[ord] = cells.mask()
 	}
 	sp.AnnotateInt("overlay_nodes", int64(len(overlay)))
-	pm.grants, pm.overlay, pm.shared = g, overlay, true
+	pm.grants, pm.overlay, pm.shared = pf.grants, overlay, true
 	return pm, nil
 }
 

@@ -7,6 +7,7 @@ package policy_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"securexml/internal/obs"
@@ -52,12 +53,40 @@ func coldFleet(tb testing.TB, d *xmltree.Document, h *subject.Hierarchy, p *poli
 	}
 }
 
+// coldFleetConcurrent evaluates users through one fresh RuleCache, one
+// goroutine per user, all started together.
+func coldFleetConcurrent(tb testing.TB, d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, users []string) {
+	tb.Helper()
+	cache := policy.NewRuleCache(p, d)
+	start := make(chan struct{})
+	errs := make(chan error, len(users))
+	var wg sync.WaitGroup
+	for _, u := range users {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := cache.EvaluateShared(h, u); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		tb.Fatal(err)
+	}
+}
+
 // TestSharedScanRuleEvalsIndependentOfFleet counts rule evaluations
 // (xmlsec_policy_rule_evals_total) over cold fleets sharing one RuleCache.
 // The paper policy gives a secretary five $USER-independent rules and a
 // patient one, plus the $USER-dependent read of its own record. So N
 // secretaries cost 5 evaluations and N patients 1+N, where Evaluate per
-// user costs 5N and 2N.
+// user costs 5N and 2N. The count is the same when the N users start
+// together: a profile is built once under the cache lock and the other
+// cold users wait for it instead of scanning too.
 func TestSharedScanRuleEvalsIndependentOfFleet(t *testing.T) {
 	evals := obs.Default().Counter("xmlsec_policy_rule_evals_total")
 	for _, n := range []int{8, 64} {
@@ -78,11 +107,47 @@ func TestSharedScanRuleEvalsIndependentOfFleet(t *testing.T) {
 			{"secretaries", secretaries, 5},
 			{"patients", patients, uint64(1 + n)},
 		} {
-			n0 := evals.Value()
-			coldFleet(t, d, h, p, fleet.users)
-			if got := evals.Value() - n0; got != fleet.want {
-				t.Errorf("N=%d %s: %d rule evaluations, want %d", n, fleet.name, got, fleet.want)
+			for _, run := range []struct {
+				mode string
+				fn   func(testing.TB, *xmltree.Document, *subject.Hierarchy, *policy.Policy, []string)
+			}{
+				{"sequential", coldFleet},
+				{"concurrent", coldFleetConcurrent},
+			} {
+				n0 := evals.Value()
+				run.fn(t, d, h, p, fleet.users)
+				if got := evals.Value() - n0; got != fleet.want {
+					t.Errorf("N=%d %s %s: %d rule evaluations, want %d", n, fleet.name, run.mode, got, fleet.want)
+				}
 			}
+		}
+	}
+}
+
+// TestRuleCacheHitAccounting pins the cache telemetry: each
+// $USER-independent rule counts once per evaluation, as a hit when its
+// node set was already cached and as a miss when the evaluation scanned
+// it. A patient's profile holds one such rule, so a cold patient counts
+// one miss and no hit, and every later patient of the same cache one hit.
+func TestRuleCacheHitAccounting(t *testing.T) {
+	hits := obs.Default().Counter("xmlsec_policy_rulecache_hits_total")
+	misses := obs.Default().Counter("xmlsec_policy_rulecache_misses_total")
+	d, h, p := fleetEnv(t, 4, nil)
+	cache := policy.NewRuleCache(p, d)
+	for i, want := range []struct{ hits, misses uint64 }{
+		{0, 1}, // cold profile
+		{1, 0}, // warm: same profile, another patient
+		{1, 0},
+		{1, 0}, // warm: the same patient again
+	} {
+		user := fmt.Sprintf("p%d", min(i, 2))
+		h0, m0 := hits.Value(), misses.Value()
+		if _, err := cache.EvaluateShared(h, user); err != nil {
+			t.Fatal(err)
+		}
+		if got := (struct{ hits, misses uint64 }{hits.Value() - h0, misses.Value() - m0}); got != want {
+			t.Errorf("evaluation %d (%s): +%d hits/+%d misses, want +%d/+%d",
+				i, user, got.hits, got.misses, want.hits, want.misses)
 		}
 	}
 }

@@ -1,13 +1,12 @@
-// Dynamic twin of the cowdiscipline vet pass: the static pass proves no
-// code mutates a RuleCache-returned grant mask without cloning; this test
-// proves the clone-on-first-write helpers actually deliver that isolation
-// at runtime. Every user's Perms comes from one shared RuleCache, one
-// goroutine per user hammers its Perms with Rescore — over a clone of the
-// document whose elements are all renamed, so the rescored cells differ
-// from the shared ones and go to the overlay until it flattens — while
-// other goroutines keep evaluating through the same cache, and at the end
-// a fresh differential Evaluate must still agree with EvaluateShared for
-// every user — a leaked mutation of the shared masks would break the
+// Isolation of the shared grant masks, checked at run time: every user's
+// Perms comes from one shared RuleCache, whose profile bases are built
+// once and never written afterwards. One goroutine per user hammers its
+// Perms with Rescore — over a clone of the document whose elements are
+// all renamed, so the rescored cells differ from the shared ones and go
+// to the overlay until it flattens into a fresh slice — while other
+// goroutines keep evaluating through the same cache, and at the end a
+// fresh differential Evaluate must still agree with EvaluateShared for
+// every user — a write through to the shared masks would break the
 // cell-for-cell oracle. Run under -race (make race) this also proves the
 // cache tier is data-race free under the mixed workload.
 package policy_test
@@ -48,8 +47,8 @@ func TestSharedMaskMutationIsolated(t *testing.T) {
 				}
 			}
 
-			// Mutate every user's Perms through the clone-on-first-write
-			// helpers while other sessions evaluate through the same cache.
+			// Mutate every user's Perms through Rescore while other
+			// sessions evaluate through the same cache.
 			var wg sync.WaitGroup
 			errs := make(chan error, 2*len(users))
 			for _, u := range users {

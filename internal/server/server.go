@@ -17,8 +17,8 @@
 //	GET  /analyze                 static policy analysis (JSON; ?format=text)
 //	POST /warm                    derive all users' permissions (?workers=N)
 //	GET  /healthz                 liveness, database stats
-//	GET  /traces                  recent request trace summaries (JSON)
-//	GET  /trace/{id}              one trace's full span tree (JSON)
+//	GET  /traces                  the user's recent request trace summaries (JSON)
+//	GET  /trace/{id}              one of the user's traces, full span tree (JSON)
 //	GET  /metrics                 telemetry registry, Prometheus text format
 //	GET  /debug/vars              telemetry snapshot + runtime stats (expvar)
 //	GET  /debug/pprof/...         profiling (only with WithPprof)
@@ -121,9 +121,10 @@ func New(db *core.Database, opts ...Option) *Server {
 	s.handle("POST /warm", "warm", s.handleWarm)
 	s.handle("GET /healthz", "healthz", s.handleHealth)
 	// The trace endpoints bypass the tracing middleware: reading the trace
-	// ring must not itself append traces to it.
-	s.mux.HandleFunc("GET /traces", s.handleTraces)
-	s.mux.HandleFunc("GET /trace/{id}", s.handleTrace)
+	// ring must not itself append traces to it. They serve a user only the
+	// traces of that user's own requests.
+	s.mux.HandleFunc("GET /traces", s.withSession(s.handleTraces))
+	s.mux.HandleFunc("GET /trace/{id}", s.withSession(s.handleTrace))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	if s.pprof {
@@ -268,6 +269,7 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *core.Se
 			s.httpError(w, r, err, statusFor(err, http.StatusInternalServerError))
 			return
 		}
+		obs.TraceFrom(r.Context()).SetUser(user)
 		h(w, r, session)
 	}
 }
@@ -459,19 +461,26 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, session *
 	}
 }
 
-// handleTraces lists recent finished traces, newest first, as summaries
-// (no span trees — fetch /trace/{id} for one).
-func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
+// handleTraces lists the session user's recent finished traces, newest
+// first, as summaries (no span trees — fetch /trace/{id} for one).
+func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request, session *core.Session) {
+	own := []obs.TraceExport{}
+	for _, sum := range s.tracer.Summaries() {
+		if sum.User == session.User() {
+			own = append(own, sum)
+		}
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(s.tracer.Summaries())
+	json.NewEncoder(w).Encode(own)
 }
 
-// handleTrace returns one finished trace's full span tree by its ID (the
-// request's X-Request-Id).
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+// handleTrace returns one of the session user's finished traces, with its
+// full span tree, by its ID (the request's X-Request-Id). Another user's
+// trace is answered like an unknown ID.
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, session *core.Session) {
 	id := r.PathValue("id")
 	t, ok := s.tracer.Get(id)
-	if !ok {
+	if !ok || t.Summary().User != session.User() {
 		s.httpError(w, r, fmt.Errorf("no trace %q (ring keeps the most recent traces only)", id), http.StatusNotFound)
 		return
 	}

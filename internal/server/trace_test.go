@@ -16,6 +16,7 @@ import (
 type traceExport struct {
 	ID    string `json:"id"`
 	Name  string `json:"name"`
+	User  string `json:"user"`
 	DurNS int64  `json:"dur_ns"`
 	Spans int    `json:"spans"`
 	Root  *struct {
@@ -44,8 +45,8 @@ func TestTraceEndpoints(t *testing.T) {
 		t.Fatal("no X-Request-Id header")
 	}
 
-	// /traces lists it, newest first.
-	code, body := get(t, ts, "", "/traces")
+	// /traces lists it to its user, newest first.
+	code, body := get(t, ts, "laporte", "/traces")
 	if code != http.StatusOK {
 		t.Fatalf("/traces = %d: %s", code, body)
 	}
@@ -56,12 +57,15 @@ func TestTraceEndpoints(t *testing.T) {
 	if len(sums) == 0 || sums[0].ID != reqID || sums[0].Name != "view" {
 		t.Fatalf("/traces head = %+v, want trace %s for endpoint view", sums, reqID)
 	}
+	if sums[0].User != "laporte" {
+		t.Fatalf("trace user = %q, want laporte", sums[0].User)
+	}
 	if sums[0].Root != nil {
 		t.Fatal("summaries must not carry span trees")
 	}
 
 	// /trace/{id} returns the full tree with pipeline child spans.
-	code, body = get(t, ts, "", "/trace/"+reqID)
+	code, body = get(t, ts, "laporte", "/trace/"+reqID)
 	if code != http.StatusOK {
 		t.Fatalf("/trace/%s = %d: %s", reqID, code, body)
 	}
@@ -83,10 +87,10 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 
 	// Unknown IDs are 404; the trace endpoints themselves never trace.
-	if code, _ := get(t, ts, "", "/trace/nope"); code != http.StatusNotFound {
+	if code, _ := get(t, ts, "laporte", "/trace/nope"); code != http.StatusNotFound {
 		t.Fatalf("/trace/nope = %d, want 404", code)
 	}
-	_, body = get(t, ts, "", "/traces")
+	_, body = get(t, ts, "laporte", "/traces")
 	if strings.Contains(body, `"name":"traces"`) {
 		t.Fatal("reading /traces must not record traces of itself")
 	}
@@ -96,6 +100,80 @@ func TestTraceEndpoints(t *testing.T) {
 	if !strings.Contains(metrics, "# EXEMPLAR xmlsec_http_request_duration_seconds") ||
 		!strings.Contains(metrics, "trace_id=") {
 		t.Fatalf("/metrics missing latency exemplar:\n%s", metrics[:min(len(metrics), 600)])
+	}
+}
+
+// TestTracesOwnUserOnly: a trace is served only to the user whose request
+// it records. robert cannot list franck's trace, and fetching it by ID
+// answers exactly like an unknown ID. Without a user both endpoints refuse.
+func TestTracesOwnUserOnly(t *testing.T) {
+	db := testServerDB(t)
+	if err := db.AddUser("franck", "patient"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db))
+	t.Cleanup(ts.Close)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/view", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.SetBasicAuth("franck", "")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	franckID := resp.Header.Get("X-Request-Id")
+	if franckID == "" {
+		t.Fatal("no X-Request-Id header")
+	}
+
+	listed := func(user string) bool {
+		code, body := get(t, ts, user, "/traces")
+		if code != http.StatusOK {
+			t.Fatalf("%s /traces = %d: %s", user, code, body)
+		}
+		var sums []traceExport
+		if err := json.Unmarshal([]byte(body), &sums); err != nil {
+			t.Fatalf("/traces not JSON: %v\n%s", err, body)
+		}
+		found := false
+		for _, sum := range sums {
+			if sum.User != user {
+				t.Errorf("%s /traces lists a trace of %q", user, sum.User)
+			}
+			found = found || sum.ID == franckID
+		}
+		return found
+	}
+	if !listed("franck") {
+		t.Error("franck's /traces does not list franck's own trace")
+	}
+	if listed("robert") {
+		t.Error("robert's /traces lists franck's trace")
+	}
+	if code, body := get(t, ts, "franck", "/trace/"+franckID); code != http.StatusOK {
+		t.Fatalf("franck /trace/%s = %d: %s", franckID, code, body)
+	}
+
+	// Another user's trace and an unknown ID get the same answer, apart
+	// from the ID echoed back and the request ID.
+	answer := func(id string) (int, string) {
+		code, body := get(t, ts, "robert", "/trace/"+id)
+		body = strings.ReplaceAll(body, id, "ID")
+		body, _, _ = strings.Cut(body, " (request ")
+		return code, body
+	}
+	code, body := answer(franckID)
+	unknownCode, unknownBody := answer("0123456789abcdef")
+	if code != http.StatusNotFound || code != unknownCode || body != unknownBody {
+		t.Errorf("robert fetching franck's trace = %d %q; an unknown ID = %d %q", code, body, unknownCode, unknownBody)
+	}
+
+	for _, path := range []string{"/traces", "/trace/" + franckID} {
+		if code, _ := get(t, ts, "", path); code != http.StatusUnauthorized {
+			t.Errorf("unauthenticated %s = %d, want 401", path, code)
+		}
 	}
 }
 

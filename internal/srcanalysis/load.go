@@ -213,7 +213,7 @@ func (p *Program) load(path string) (*Pkg, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(p.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		f, err := parser.ParseFile(p.Fset, filepath.Join(dir, e.Name()), nil, 0)
 		if err != nil {
 			return nil, fmt.Errorf("srcanalysis: %w", err)
 		}

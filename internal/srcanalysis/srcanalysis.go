@@ -3,7 +3,7 @@
 // go/parser and go/types (stdlib only, no x/tools) and proves, pass by
 // pass, that the Go code keeps the paper's access-control model closed.
 //
-// The six passes and the invariants they guard:
+// The four passes and the invariants they guard:
 //
 //   - viewbypass: only the trusted internal packages may touch raw
 //     xmltree nodes or call the unsecured executors. Everything else must
@@ -17,14 +17,11 @@
 //     layer cannot become the §2.2 covert channel for document content.
 //   - ctxflow: request contexts are accepted and forwarded along the hot
 //     path, so every audited operation keeps its request identity.
-//   - lockguard: mutex-guarded struct fields ("guarded by mu" or
-//     mutex-adjacent by convention) are touched only with the guard held
-//     or under a "callers hold" annotation, and never escape their
-//     critical section by return or goroutine capture.
-//   - cowdiscipline: values from the shared-scan cache ("callers must
-//     clone") are never mutated without a clone or the clone-on-first-
-//     write helpers — a missed clone would leak one user's grants into
-//     another's session.
+//
+// Lock and copy-on-write discipline is not a pass: every function that
+// touches mutex-guarded state takes the lock in its own body, shared
+// values are built once and never written afterwards, and the race tests
+// under make race check both at run time.
 //
 // Findings use the shared internal/findings schema (the same JSON CI
 // consumes from xmlsec-lint). A committed baseline file grandfathers
@@ -70,7 +67,7 @@ type pass struct {
 }
 
 // registry holds the passes in their fixed execution order.
-var registry = []*pass{viewbypassPass, privconstPass, obslabelPass, ctxflowPass, lockguardPass, cowdisciplinePass}
+var registry = []*pass{viewbypassPass, privconstPass, obslabelPass, ctxflowPass}
 
 // Passes returns the registered pass names in execution order.
 func Passes() []string {
