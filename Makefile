@@ -57,12 +57,14 @@ bench-selftest:
 
 # Hot-kernel micro-benchmarks (document clone, a doctor's view serialized
 # as XML, a patient's and a doctor's view serialized from the source
-# through the permission filter, per-node rule matcher, a cold fleet's shared-scan policy
-# evaluation, the write-side permission-cell patch, the parallel
-# permission-filtered read, a session's read after
-# a write, a session's applied and refused write after another session's
-# publish) with allocation counts; run on two commits for before/after
-# tables, e.g. with benchstat. CI runs them once (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
+# through the permission filter, the two mechanisms that compute axiom 14
+# — a cold fleet's shared-scan evaluation, one Select per rule, and the
+# per-node rule matcher with the write-side permission-cell patch built on
+# it, NodeEvaluator.Rescore — the parallel permission-filtered read, a
+# session's read after a write, a session's applied and refused write
+# after another session's publish) with allocation counts; run on two
+# commits for before/after tables, e.g. with benchstat. CI runs them once
+# (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkClone$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/xmltree
 	$(GO) test -run '^$$' -bench '^BenchmarkSerialize$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/view
@@ -76,7 +78,8 @@ bench-micro:
 
 # Bounded fuzzing of the parser targets (XPath, XUpdate, Datalog, XSLT
 # stylesheets, storage snapshots) and the incremental-maintenance differential
-# target from their seed corpora, plus the clone-independence target over
+# target (permissions patched by NodeEvaluator over the touched subtree
+# roots against a fresh Evaluate) from their seed corpora, plus the clone-independence target over
 # random mutator sequences, the serializer against its node-at-a-time
 # oracle, the filtered serializer and copy against the materialized view,
 # and the secured-write equivalence target (filtered selection on the

@@ -1,9 +1,9 @@
 // Experiment B11 (EXPERIMENTS.md): incremental permission maintenance vs
 // full re-evaluation. An administrator streams secured single-target
 // XUpdate ops over the hospital document; after every applied op each
-// staff user's axiom-14 permissions are patched by view.Maintainer
-// (PatchPermsCtx) and, separately, re-derived from scratch
-// (policy.Evaluate). Both paths are timed per op per user and the patched
+// staff user's axiom-14 permissions are patched over the op's touched
+// subtree roots by policy.NodeEvaluator.PatchCtx and, separately,
+// re-derived from scratch (policy.Evaluate). Both paths are timed per op per user and the patched
 // permissions are verified cell-for-cell against the re-derivation. The
 // permissions are all a session keeps: its view is rendered from them
 // through the permission filter. Rows are emitted as BENCH_b11.json.
@@ -19,10 +19,8 @@ import (
 	"securexml/internal/access"
 	"securexml/internal/policy"
 	"securexml/internal/subject"
-	"securexml/internal/view"
 	"securexml/internal/workload"
 	"securexml/internal/xmltree"
-	"securexml/internal/xupdate"
 )
 
 const b11Schema = "securexml/bench-b11/v2"
@@ -82,11 +80,11 @@ func b11Env(patients int, seed int64) (*xmltree.Document, *subject.Hierarchy, *p
 }
 
 // b11State is one maintained user: the incrementally patched permissions
-// and the maintainer that patches them.
+// and the node evaluator that patches them.
 type b11State struct {
 	user string
 	pm   *policy.Perms
-	m    *view.Maintainer
+	ne   *policy.NodeEvaluator
 }
 
 func b11Mix(name string) workload.OpWeights {
@@ -120,11 +118,11 @@ func b11Run(patients, ops int, mix string) (b11Row, error) {
 		if err != nil {
 			return row, err
 		}
-		m, ok := view.NewMaintainer(p, h, u)
+		ne, ok := p.NodeEvaluator(h, u)
 		if !ok {
 			return row, fmt.Errorf("user %s: hospital policy is not chain-only", u)
 		}
-		states = append(states, &b11State{user: u, pm: pm, m: m})
+		states = append(states, &b11State{user: u, pm: pm, ne: ne})
 	}
 
 	stream := workload.OpStream(workload.OpConfig{Doc: d, Seed: 1, Weights: b11Mix(mix)})
@@ -140,7 +138,7 @@ func b11Run(patients, ops int, mix string) (b11Row, error) {
 		}
 		for _, st := range states {
 			start := time.Now()
-			patched, patchErr := st.m.PatchPermsCtx(context.Background(), d, st.pm, [][]xupdate.Delta{res.Deltas})
+			patched, patchErr := st.ne.PatchCtx(context.Background(), d, st.pm, [][]string{res.Touched})
 			incTotal += time.Since(start)
 
 			start = time.Now()

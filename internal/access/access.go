@@ -168,7 +168,7 @@ type writer struct {
 // doc, the document (or a clone of the base) that the permissions were
 // evaluated on, so it is the node every privilege check reads: pm's cells
 // are keyed by ordinal, and a view node's ordinal is not its source's.
-func (w *writer) node(n *xmltree.Node) *xmltree.Node { return w.doc.NodeByID(n.ID()) }
+func (w *writer) node(n *xmltree.Node) *xmltree.Node { return w.doc.NodeByID(n.IDString()) }
 
 // writable returns the document to change and n's counterpart in it,
 // taking the copy of the base on the first change.
@@ -373,17 +373,12 @@ func (w *writer) apply(pm *policy.Perms, op *xupdate.Op, sn *xmltree.Node, res *
 		}
 		// Axiom 25: the whole source subtree goes, including nodes the user
 		// cannot see (confidentiality over integrity).
-		sub := src.Subtree()
-		ids := make([]string, len(sub))
-		for i, s := range sub {
-			ids[i] = s.IDString()
-		}
-		res.Removed += len(sub)
 		doc, gone := w.writable(src)
+		before := doc.Len()
 		if err := doc.Remove(gone); err != nil {
 			return err
 		}
-		res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRemove, NodeID: ids[0], RemovedIDs: ids})
+		res.Removed += before - doc.Len()
 		res.Applied++
 	default:
 		return fmt.Errorf("access: unknown operation kind %d", int(op.Kind))
@@ -391,7 +386,7 @@ func (w *writer) apply(pm *policy.Perms, op *xupdate.Op, sn *xmltree.Node, res *
 	return nil
 }
 
-// relabel gives n the label label and records the delta. A node that
+// relabel gives n the label label and records it as touched. A node that
 // already carries it is left alone, so such a write copies nothing.
 func (w *writer) relabel(n *xmltree.Node, label string, res *xupdate.Result) error {
 	if n.Label() == label {
@@ -401,17 +396,17 @@ func (w *writer) relabel(n *xmltree.Node, label string, res *xupdate.Result) err
 	if err := doc.Rename(n, label); err != nil {
 		return err
 	}
-	res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaRelabel, NodeID: n.IDString(), NewLabel: label})
+	res.Touched = append(res.Touched, n.IDString())
 	return nil
 }
 
-// graft grafts srcTop relative to ref, records the insert delta, and
+// graft grafts srcTop relative to ref, records the inserted root, and
 // returns the number of nodes created.
 func graft(doc *xmltree.Document, ref *xmltree.Node, mode xmltree.GraftMode, srcTop *xmltree.Node, res *xupdate.Result) (int, error) {
 	top, err := doc.Graft(ref, mode, srcTop)
 	if err != nil {
 		return 0, err
 	}
-	res.Deltas = append(res.Deltas, xupdate.Delta{Kind: xupdate.DeltaInsert, NodeID: top.IDString()})
+	res.Touched = append(res.Touched, top.IDString())
 	return len(top.Subtree()), nil
 }

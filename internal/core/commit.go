@@ -7,7 +7,6 @@ import (
 	"securexml/internal/policy"
 	"securexml/internal/subject"
 	"securexml/internal/xmltree"
-	"securexml/internal/xupdate"
 )
 
 // Telemetry: one histogram point per commit round (how many writes were
@@ -212,30 +211,21 @@ func (db *Database) publish(c *commitCtx) {
 	db.current.Store(next)
 }
 
-// mergeRoundBatches collapses the round's batches into one coalesced
-// batch per contiguous version run. Version gaps between batches (a
-// failed executor moved the version without recording deltas) are
-// preserved as gaps, so deltaChain still refuses to patch across them.
+// mergeRoundBatches concatenates the round's batches into one batch per
+// contiguous version run. Version gaps between batches (a failed executor
+// moved the version without recording its roots) are preserved as gaps, so
+// deltaChain still refuses to patch across them.
 func mergeRoundBatches(batches []deltaBatch) []deltaBatch {
-	if len(batches) == 0 {
-		return nil
-	}
 	var out []deltaBatch
-	runFrom, runTo := batches[0].fromVer, batches[0].toVer
-	var run []xupdate.Delta
-	run = append(run, batches[0].deltas...)
-	flush := func() {
-		out = append(out, deltaBatch{fromVer: runFrom, toVer: runTo, deltas: xupdate.Coalesce(run)})
-	}
-	for _, b := range batches[1:] {
-		if b.fromVer != runTo {
-			flush()
-			runFrom, run = b.fromVer, nil
+	for _, b := range batches {
+		if len(out) == 0 || out[len(out)-1].toVer != b.fromVer {
+			out = append(out, deltaBatch{fromVer: b.fromVer})
 		}
-		runTo = b.toVer
-		run = append(run, b.deltas...)
+		run := &out[len(out)-1]
+		run.toVer = b.toVer
+		// A fresh slice: b.roots is the caller's Result.Touched.
+		run.roots = append(run.roots, b.roots...)
 	}
-	flush()
 	return out
 }
 

@@ -68,7 +68,7 @@ var (
 	// Incremental maintenance fallbacks, by reason: the policy is not
 	// chain-only for the user (ineligible), the delta log no longer covers
 	// the cached version (gap), or patching failed mid-batch (error).
-	// Successful patches are counted by the view package
+	// Successful patches are counted by policy.NodeEvaluator.PatchCtx
 	// (xmlsec_view_incremental_applied_total).
 	incFallbackIneligible = obs.Default().Counter("xmlsec_view_incremental_fallback_total", "reason", "ineligible")
 	incFallbackGap        = obs.Default().Counter("xmlsec_view_incremental_fallback_total", "reason", "gap")
@@ -508,8 +508,13 @@ func (db *Database) Audit() []AuditEntry {
 // publication — neither pm's base slice nor its overlay is mutated in place
 // — so concurrent requests on one shared session can read the same entry
 // while another request swaps in a newer one.
+//
+// ne is the user's node evaluator for the entry's (gen, epoch), compiled
+// at the first patch and handed on to each entry patched from this one;
+// nil until then.
 type permsEntry struct {
 	pm    *policy.Perms
+	ne    *policy.NodeEvaluator
 	ver   uint64
 	epoch uint64
 	gen   uint64 // docGen of the generation the entry was built against
@@ -520,16 +525,9 @@ type Session struct {
 	db   *Database
 	user string
 
-	// mu guards entry and the maint fields; currentPerms is the only
-	// function that touches them.
+	// mu guards entry; currentPerms is the only function that touches it.
 	mu    sync.Mutex
 	entry *permsEntry
-	// maint is the compiled incremental maintainer for (policy epoch
-	// maintEpoch); nil with maintReady=true means the policy is not
-	// chain-only for this user and every doc change must re-evaluate.
-	maint      *view.Maintainer
-	maintEpoch uint64
-	maintReady bool
 }
 
 // Session opens a session for a declared user. Roles cannot log in.
@@ -589,8 +587,7 @@ func (s *Session) vars() xpath.Vars {
 // log is absorbed by patching a copy of the cached permissions (axiom 14
 // re-run over the touched subtrees only); policy changes, document
 // replacements and log gaps re-derive the permissions. The whole decision
-// runs under s.mu, the only place that reads or writes s.entry and the
-// maintainer fields.
+// runs under s.mu, the only place that reads or writes s.entry.
 func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perms, error) {
 	ver, epoch, gen := g.ver(), g.epoch, g.docGen
 	s.mu.Lock()
@@ -602,15 +599,15 @@ func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perm
 		return e.pm, nil
 	}
 	if e != nil && e.gen == gen && e.epoch == epoch && e.ver < ver {
-		if !s.maintReady || s.maintEpoch != epoch {
-			s.maint, _ = view.NewMaintainer(g.policy, g.subjects, s.user)
-			s.maintEpoch, s.maintReady = epoch, true
+		ne := e.ne
+		if ne == nil {
+			ne, _ = g.policy.NodeEvaluator(g.subjects, s.user)
 		}
-		pm, err := patchPerms(ctx, g, s.maint, e)
+		pm, err := patchPerms(ctx, g, ne, e)
 		if pm != nil {
-			// Counted as xmlsec_view_incremental_applied_total by the view
-			// package — neither a plain hit nor a deriving miss.
-			s.entry = &permsEntry{pm: pm, ver: ver, epoch: epoch, gen: gen}
+			// Counted as xmlsec_view_incremental_applied_total by the
+			// patch — neither a plain hit nor a deriving miss.
+			s.entry = &permsEntry{pm: pm, ne: ne, ver: ver, epoch: epoch, gen: gen}
 			obs.AnnotateCtx(ctx, "view_source", "incremental")
 			return pm, nil
 		}
@@ -640,14 +637,14 @@ func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perm
 	return pm, nil
 }
 
-// patchPerms returns e's permissions patched by maintainer m from e.ver up
-// to g's version over g's delta log. It returns nil permissions when
-// patching is not possible — m is nil (the policy is not chain-only for
-// the user), the log has a gap, or the patch failed, the last with its
-// error — and counts the reason. e is never mutated: m patches a Clone of
-// its permissions, which shares the base and copies only the overlay.
-func patchPerms(ctx context.Context, g *generation, m *view.Maintainer, e *permsEntry) (*policy.Perms, error) {
-	if m == nil {
+// patchPerms returns e's permissions patched by ne from e.ver up to g's
+// version over g's delta log. It returns nil permissions when patching is
+// not possible — ne is nil (the policy is not chain-only for the user),
+// the log has a gap, or the patch failed, the last with its error — and
+// counts the reason. e is never mutated: ne patches a Clone of its
+// permissions, which shares the base and copies only the overlay.
+func patchPerms(ctx context.Context, g *generation, ne *policy.NodeEvaluator, e *permsEntry) (*policy.Perms, error) {
+	if ne == nil {
 		incFallbackIneligible.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "ineligible")
 		return nil, nil
@@ -658,7 +655,7 @@ func patchPerms(ctx context.Context, g *generation, m *view.Maintainer, e *perms
 		obs.AnnotateCtx(ctx, "incremental_fallback", "gap")
 		return nil, nil
 	}
-	pm, err := m.PatchPermsCtx(ctx, g.doc, e.pm, chain)
+	pm, err := ne.PatchCtx(ctx, g.doc, e.pm, chain)
 	if err != nil {
 		incFallbackError.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "error")
@@ -948,7 +945,7 @@ func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpat
 			return
 		}
 		if toVer := c.curDoc().Version(); toVer != fromVer {
-			c.batches = append(c.batches, deltaBatch{fromVer: fromVer, toVer: toVer, deltas: res.Deltas})
+			c.batches = append(c.batches, deltaBatch{fromVer: fromVer, toVer: toVer, roots: res.Touched})
 		}
 		sessionOp("update", "ok")
 		s.db.recordCtx(ctx, "update", s.user, opDetail(op),

@@ -65,9 +65,12 @@ type NodeExplanation struct {
 
 // Explanation is the result of Session.Explain.
 type Explanation struct {
-	User            string            `json:"user"`
-	XPath           string            `json:"xpath"`
-	DocVersion      uint64            `json:"doc_version"`
+	User  string `json:"user"`
+	XPath string `json:"xpath"`
+	// DocVersion is the source's mutation counter, which counts hidden
+	// nodes and writes too; like NodeStory.NodeID, only the source-wide
+	// ExplainAs reports it.
+	DocVersion      uint64            `json:"doc_version,omitempty"`
 	PolicyEpoch     uint64            `json:"policy_epoch"`
 	RulesApplicable int               `json:"rules_applicable"`
 	Nodes           []NodeExplanation `json:"nodes"`
@@ -78,9 +81,10 @@ type Explanation struct {
 // Explain re-derives the access-control story for every node the XPath
 // expression selects in the user's view: the selection runs on the source
 // under the same permission filter as Query, so it returns exactly Query's
-// nodes, and each node's path and label are the ones the view shows. It
-// is a diagnostic operation — each call costs a cold policy evaluation —
-// and is never on the hot path.
+// nodes, and each node's path and label are the ones the view shows; the
+// node's source identifier and the document version are left out, since
+// they encode hidden nodes. It is a diagnostic operation — each call
+// costs a cold policy evaluation — and is never on the hot path.
 func (s *Session) Explain(path string) (*Explanation, error) {
 	return s.ExplainCtx(context.Background(), path)
 }
@@ -141,17 +145,22 @@ func (s *Session) explain(ctx context.Context, path string, filtered bool) (*Exp
 		return nil, err
 	}
 	ex := &Explanation{
-		User: s.user, XPath: path,
-		DocVersion: g.ver(), PolicyEpoch: g.epoch,
+		User: s.user, XPath: path, PolicyEpoch: g.epoch,
 		RulesApplicable: applicable,
 		Nodes:           make([]NodeExplanation, 0, len(ns)),
 		Consistent:      true,
+	}
+	if !filtered {
+		ex.DocVersion = g.ver()
 	}
 	for i, n := range ns {
 		// The filter presents a node as the view does; a nil filter
 		// keeps the source path and label.
 		stories[i].Path, stories[i].Label = sec.Path(n), sec.EffectiveLabel(n)
 		ne := explainNode(stories[i], n, pm, v)
+		if filtered {
+			ne.NodeID = "" // see policy.NodeStory.NodeID
+		}
 		if !ne.Consistent {
 			ex.Consistent = false
 		}

@@ -211,8 +211,8 @@ func TestExplainSelectsLikeQuery(t *testing.T) {
 // randomExplainDB mirrors the shared-scan test generator on the public
 // API: rules drawn from a pool spanning all four quadrants of the
 // shared-scan partition, (chain-only | fallback) × ($USER-independent |
-// $USER-dependent), so the oracle exercises bank walks, per-rule
-// fallbacks, shared profiles and overlays alike.
+// $USER-dependent), so the oracle exercises patchable and unpatchable
+// users, shared profiles and overlays alike.
 func randomExplainDB(t *testing.T, seed int64) *Database {
 	t.Helper()
 	db := New()

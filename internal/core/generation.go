@@ -7,7 +7,6 @@ import (
 	"securexml/internal/policy"
 	"securexml/internal/subject"
 	"securexml/internal/xmltree"
-	"securexml/internal/xupdate"
 )
 
 // generation is one immutable snapshot of the database: the document, the
@@ -43,7 +42,7 @@ type generation struct {
 	born  time.Time
 	// log is the bounded ring of recent update batches (oldest first),
 	// consumed by session caches to patch permissions incrementally
-	// instead of re-deriving them (see internal/view/incremental.go).
+	// instead of re-deriving them (see policy.NodeEvaluator.PatchCtx).
 	log []deltaBatch
 
 	// rules is the cross-user RuleCache for this generation's policy and
@@ -66,26 +65,26 @@ func (g *generation) ruleCache() *policy.RuleCache {
 	return g.rules
 }
 
-// deltaBatch records the coalesced structural changes of one group-commit
-// round (or one replayed operation), spanning document versions
-// (fromVer, toVer].
+// deltaBatch records the touched subtree roots (xupdate.Result.Touched)
+// of one group-commit round (or one replayed operation), spanning document
+// versions (fromVer, toVer].
 type deltaBatch struct {
 	fromVer, toVer uint64
-	deltas         []xupdate.Delta
+	roots          []string
 }
 
 // deltaLogCap bounds the delta log; sessions further behind than the
 // oldest retained batch rebuild from scratch.
 const deltaLogCap = 256
 
-// deltaChain collects the contiguous delta batches leading from document
-// version from up to this generation's version. It returns ok=false when
+// deltaChain collects the roots of the contiguous batches leading from
+// document version from up to this generation's version. It returns ok=false when
 // the log has a gap — the oldest batches were trimmed, or an update
 // mutated the document without recording a batch (e.g. an executor error
 // after partial application).
-func (g *generation) deltaChain(from uint64) ([][]xupdate.Delta, bool) {
+func (g *generation) deltaChain(from uint64) ([][]string, bool) {
 	cur := from
-	var out [][]xupdate.Delta
+	var out [][]string
 	for _, b := range g.log {
 		if b.toVer <= cur {
 			continue
@@ -93,7 +92,7 @@ func (g *generation) deltaChain(from uint64) ([][]xupdate.Delta, bool) {
 		if b.fromVer != cur {
 			return nil, false
 		}
-		out = append(out, b.deltas)
+		out = append(out, b.roots)
 		cur = b.toVer
 	}
 	if cur != g.ver() {

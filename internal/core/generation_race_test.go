@@ -294,7 +294,7 @@ func TestReadsDoNotWaitForCommitRound(t *testing.T) {
 		db.submit(func(c *commitCtx) {
 			from := c.curDoc().Version()
 			if res, werr = writer.executeInRound(context.Background(), c, op, nil); werr == nil {
-				c.batches = append(c.batches, deltaBatch{fromVer: from, toVer: c.curDoc().Version(), deltas: res.Deltas})
+				c.batches = append(c.batches, deltaBatch{fromVer: from, toVer: c.curDoc().Version(), roots: res.Touched})
 			}
 			close(held)
 			<-release

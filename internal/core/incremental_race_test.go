@@ -19,7 +19,7 @@ import (
 // which patch the shared entry's permissions) and writes of their own,
 // while writers stream single-node updates, structural grafts and
 // removals through other sessions, and an administrator occasionally
-// flips the policy epoch to force full rebuilds and maintainer
+// flips the policy epoch to force full rebuilds and node-evaluator
 // recompiles. Published entries are fingerprinted as the readers go —
 // the view they render over the entry's generation and every permission
 // cell of that generation — and must still print the same after the

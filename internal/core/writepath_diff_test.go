@@ -84,7 +84,7 @@ func docSignature(d *xmltree.Document) string {
 
 // sameOutcome compares one secured write on both sides: every result
 // field (Selected, Applied, Created, Removed, Skipped IDs and reasons,
-// Deltas) and the error text.
+// Touched roots) and the error text.
 func sameOutcome(t *testing.T, what string, got, want *xupdate.Result, gotErr, wantErr error) {
 	t.Helper()
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
@@ -371,7 +371,7 @@ func (hs *writePathHarness) baseMoved(user string, pair [2]pathOp) {
 		from := doc.Version()
 		resOther, errOther = hs.sessions[other].executeInRound(context.Background(), c, opOther, nil)
 		if to := doc.Version(); errOther == nil && to != from {
-			c.batches = append(c.batches, deltaBatch{fromVer: from, toVer: to, deltas: resOther.Deltas})
+			c.batches = append(c.batches, deltaBatch{fromVer: from, toVer: to, roots: resOther.Touched})
 		}
 	}, func() { res, err = hs.sessions[user].Update(op) })
 	from := hs.m.doc.Version()
@@ -471,7 +471,7 @@ func ineligibleUsers(db *Database) []string {
 	g := db.gen()
 	var out []string
 	for _, u := range db.Users() {
-		if _, ok := view.NewMaintainer(g.policy, g.subjects, u); !ok {
+		if _, ok := g.policy.NodeEvaluator(g.subjects, u); !ok {
 			out = append(out, u)
 		}
 	}

@@ -2,9 +2,10 @@ package logicmodel
 
 // Metamorphic extension of the E9 equivalence suite: after a secured write,
 // the view materialized from *incrementally maintained* permissions
-// (internal/view.Maintainer patching previously evaluated permissions with
-// the executor's delta report) must equal the Datalog derivation of the
-// view axioms 15–17 evaluated over the axiom-18–25 post-update database.
+// (policy.NodeEvaluator.PatchCtx patching previously evaluated permissions
+// over the executor's touched subtree roots) must equal the Datalog
+// derivation of the view axioms 15–17 evaluated over the axiom-18–25
+// post-update database.
 // This closes the loop between the two implementations: the native fast
 // path and the logic model must agree not just on fresh evaluations but on
 // patched ones.
@@ -24,15 +25,15 @@ import (
 
 // maintainAndCompare evaluates every user's permissions on d, executes op
 // on a clone as writer via the secured executor, patches the permissions
-// with the reported deltas, and compares the view materialized from them
-// against the logic model's node_view facts derived from the post-update
-// clone. It returns the
-// post-update clone so callers can chain further ops.
+// over the touched roots it reports, and compares the view materialized
+// from them against the logic model's node_view facts derived from the
+// post-update clone. It returns the post-update clone so callers can chain
+// further ops.
 func maintainAndCompare(t *testing.T, tag string, d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, writer string, op *xupdate.Op) *xmltree.Document {
 	t.Helper()
 	type state struct {
 		pm *policy.Perms
-		m  *view.Maintainer
+		ne *policy.NodeEvaluator
 	}
 	states := make(map[string]*state)
 	for _, u := range h.Users() {
@@ -40,11 +41,11 @@ func maintainAndCompare(t *testing.T, tag string, d *xmltree.Document, h *subjec
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, ok := view.NewMaintainer(p, h, u)
+		ne, ok := p.NodeEvaluator(h, u)
 		if !ok {
-			t.Fatalf("%s: user %s: policy must be chain-only for the maintainer", tag, u)
+			t.Fatalf("%s: user %s: policy must be chain-only for the patch", tag, u)
 		}
-		states[u] = &state{pm: pm, m: m}
+		states[u] = &state{pm: pm, ne: ne}
 	}
 	clone := d.Clone()
 	res, _, err := accessExecute(clone, h, p, writer, op)
@@ -53,7 +54,7 @@ func maintainAndCompare(t *testing.T, tag string, d *xmltree.Document, h *subjec
 	}
 	for _, u := range h.Users() {
 		st := states[u]
-		pm, err := st.m.PatchPermsCtx(context.Background(), clone, st.pm, [][]xupdate.Delta{res.Deltas})
+		pm, err := st.ne.PatchCtx(context.Background(), clone, st.pm, [][]string{res.Touched})
 		if err != nil {
 			t.Fatalf("%s: user %s: patch: %v", tag, u, err)
 		}

@@ -1,9 +1,9 @@
 // Request span tracing. A Trace is one request's tree of timed spans:
 // the root covers the whole request and child spans cover the pipeline
-// stages underneath it (axiom-14 policy evaluation, the bank walk or
-// per-rule fallback inside it, axiom 15–17 view derivation, the secured
-// executor's per-op checks, journal append). Finished traces land in a
-// Tracer's bounded mutex-guarded ring for GET /traces and GET /trace/{id},
+// stages underneath it (axiom-14 policy evaluation, the RuleCache fill
+// inside it, axiom 15–17 view derivation, the secured executor's per-op
+// checks, journal append). Finished traces land in a Tracer's bounded
+// mutex-guarded ring for GET /traces and GET /trace/{id},
 // and traces over the tracer's slow threshold are logged whole through
 // the process slog logger. Span names and attribute keys/values are
 // bounded label strings (vet: obslabel); dynamic data goes through

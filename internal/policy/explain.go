@@ -42,7 +42,10 @@ type PrivilegeStory struct {
 
 // NodeStory is the full per-privilege story of one node.
 type NodeStory struct {
-	NodeID string `json:"node_id"`
+	// NodeID is the node's source identifier. A view-bounded explanation
+	// leaves it empty: identifiers are structural (/a0/a1), so one would
+	// tell the user how many hidden siblings precede the node.
+	NodeID string `json:"node_id,omitempty"`
 	Path   string `json:"path"`
 	Label  string `json:"label"`
 	Kind   string `json:"kind"`

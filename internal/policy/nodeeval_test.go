@@ -56,7 +56,7 @@ func TestRescoreMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := &Perms{user: user, version: d.Version()}
+		got := &Perms{user: user}
 		for _, n := range d.Nodes() {
 			if err := ne.Rescore(got, n); err != nil {
 				t.Fatalf("%s rescore %s: %v", user, n.ID(), err)
@@ -143,7 +143,7 @@ func TestRemovedCellReadsCold(t *testing.T) {
 		t.Fatal("the doctor should hold privileges on the diagnosis text")
 	}
 	next := d.Clone() // the change lands on a new generation, as in core
-	nd := next.NodeByID(diag.ID())
+	nd := next.NodeByID(diag.IDString())
 	if err := next.Remove(nd.FirstChild()); err != nil {
 		t.Fatal(err)
 	}

@@ -160,10 +160,10 @@ type Rule struct {
 	// matcher is the chain-only per-node form of the path (nil when the
 	// path falls outside the xpath.NodeMatcher fragment) and usesUser
 	// records whether the path references $USER. Both are derived once at
-	// Add time; EvaluateShared partitions rules on them — $USER-independent
+	// Add time: NodeEvaluator scores single nodes with matcher, and
+	// EvaluateShared partitions rules on usesUser — $USER-independent
 	// rules select the same node set for every user, so their sets can be
-	// cached across sessions, and matcher-capable rules can share one
-	// document walk through an xpath.Bank.
+	// cached across sessions.
 	matcher  *xpath.NodeMatcher
 	usesUser bool
 }
@@ -285,8 +285,7 @@ func (p *Policy) Clone() *Policy {
 // evaluation have ordinals past the base and read no access until
 // incremental maintenance rescores them.
 type Perms struct {
-	user    string
-	version uint64
+	user string
 	// grants[ord] is the privilege bitmask of the node with ordinal ord;
 	// ordinals at or past len(grants) hold no privilege. The slice is never
 	// written after the Perms is handed out — it may be a RuleCache profile
@@ -313,10 +312,6 @@ const overlayFlattenDiv = 16
 // User returns the subject the permissions were computed for.
 func (pm *Perms) User() string { return pm.user }
 
-// DocVersion returns the document version the permissions were computed
-// against; higher layers use it for cache invalidation.
-func (pm *Perms) DocVersion() uint64 { return pm.version }
-
 // Has reports perm(user, n, priv) and counts the decision.
 func (pm *Perms) Has(n *xmltree.Node, priv Privilege) bool {
 	ok := pm.Peek(n, priv)
@@ -338,11 +333,11 @@ func (pm *Perms) Mask(n *xmltree.Node) uint8 { return pm.cell(n.Ord()) }
 
 // Clone returns an independent copy of the permission relation in
 // O(overlay): the copy shares the immutable grants base and copies only
-// the overlay. The incremental maintainer patches such a copy (Rescore
+// the overlay. NodeEvaluator.PatchCtx patches such a copy (Rescore
 // writes its overlay) while readers keep using the original, so a
 // copy-on-write session cache never mutates a published Perms.
 func (pm *Perms) Clone() *Perms {
-	return &Perms{user: pm.user, version: pm.version, grants: pm.grants, overlay: maps.Clone(pm.overlay), shared: pm.shared}
+	return &Perms{user: pm.user, grants: pm.grants, overlay: maps.Clone(pm.overlay), shared: pm.shared}
 }
 
 // cell returns ord's grant mask: the overlay entry when present, else the
@@ -417,7 +412,7 @@ func (p *Policy) EvaluateCtx(ctx context.Context, doc *xmltree.Document, h *subj
 	_, sp := obs.StartSpanCtx(ctx, "policy_evaluate", evalStage)
 	defer sp.End()
 	applicable := 0
-	pm := &Perms{user: user, version: doc.Version(), grants: make([]uint8, doc.OrdLimit())}
+	pm := &Perms{user: user, grants: make([]uint8, doc.OrdLimit())}
 	// latest[ord][priv] = priority and effect of the latest applicable rule.
 	latest := make(map[uint32]*permCells)
 	vars := xpath.Vars{"USER": xpath.String(user)}

@@ -250,9 +250,6 @@ func TestPermsMetadata(t *testing.T) {
 	if pm.User() != "laporte" {
 		t.Errorf("User() = %q", pm.User())
 	}
-	if pm.DocVersion() != d.Version() {
-		t.Error("DocVersion mismatch")
-	}
 	// A node created after the evaluation has an ordinal past the base
 	// and holds nothing, though the staff read rule would address it.
 	paper, err := PaperPolicy(h)

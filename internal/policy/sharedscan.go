@@ -1,18 +1,13 @@
 // Shared-scan policy evaluation: the cold path of axiom 14 computed with
-// as little repeated work as possible across rules, users and sessions.
+// as little repeated work as possible across users and sessions.
 //
 // Evaluate (policy.go) is the reference implementation: one full-document
 // XPath evaluation per applicable rule, per user — O(users × rules ×
 // nodes) with nothing shared. EvaluateShared keeps its semantics (the
 // differential oracle in sharedscan_test.go pins them cell-for-cell) while
-// removing the repetition on three axes:
+// removing the repetition on two axes — every rule's node set is still one
+// XPath Select over the document:
 //
-//   - across rules: when enough rules compile to the chain-only
-//     xpath.NodeMatcher fragment, all of them are evaluated in one
-//     xpath.Bank walk — a single document traversal advances every rule's
-//     NFA together (YFilter-style multi-query evaluation). Rules outside
-//     the fragment, or too few to amortize a full walk, run a per-rule
-//     Select.
 //   - across users: rules whose paths do not reference $USER select the
 //     same node set for every user, so their node sets are computed once
 //     per (document snapshot, policy) and cached in a RuleCache shared by
@@ -42,23 +37,13 @@ import (
 	"securexml/internal/xpath"
 )
 
-// Telemetry: how many rule evaluations went through the shared bank walk
-// vs the per-rule fallback, and how often a user's cold evaluation was
-// served $USER-independent work from the shared cache instead of
-// recomputing it.
+// Telemetry: how often a user's cold evaluation was served
+// $USER-independent work from the shared cache instead of recomputing it.
 var (
 	evalSharedStage = obs.Stage("policy_evaluate_shared")
-	bankRuleCount   = obs.Default().Counter("xmlsec_policy_sharedscan_bank_rules_total")
-	fallbackRules   = obs.Default().Counter("xmlsec_policy_sharedscan_fallback_rules_total")
 	ruleCacheHits   = obs.Default().Counter("xmlsec_policy_rulecache_hits_total")
 	ruleCacheMisses = obs.Default().Counter("xmlsec_policy_rulecache_misses_total")
 )
-
-// bankMinRules is the break-even point for the shared walk: a Bank always
-// traverses the whole document, while Select follows the path's axes and
-// touches only the relevant subtrees — so banking one or two rules loses
-// to running their Selects directly.
-const bankMinRules = 3
 
 // permCell is one privilege's current winner during the axiom-14 merge:
 // the highest applicable priority seen so far and its effect.
@@ -129,8 +114,7 @@ func ords(ns []*xmltree.Node) []uint32 {
 // profileFor returns the profile of sig, an ascending list of applicable
 // $USER-independent rules, building it on first use. A build scans only
 // the rules no earlier profile has scanned — a homogeneous fleet (say,
-// thousands of patients) never pays for staff rules it will not merge —
-// and scans them together, so the chain-only ones share one bank walk.
+// thousands of patients) never pays for staff rules it will not merge.
 // Each rule of indep counts once per call in the cache telemetry: a hit
 // when its node set was already cached, a miss when this call scanned it.
 func (c *RuleCache) profileFor(ctx context.Context, sig string, indep []*Rule) (*profile, error) {
@@ -152,9 +136,9 @@ func (c *RuleCache) profileFor(ctx context.Context, sig string, indep []*Rule) (
 	ruleCacheMisses.Add(uint64(len(missing)))
 	obs.AnnotateIntCtx(ctx, "rulecache_hit_rules", int64(len(indep)-len(missing)))
 	if len(missing) > 0 {
-		fctx, fsp := obs.StartSpanCtx(ctx, "rulecache_fill", nil)
+		_, fsp := obs.StartSpanCtx(ctx, "rulecache_fill", nil)
 		fsp.AnnotateInt("rules", int64(len(missing)))
-		sets, err := scanSets(fctx, missing, c.doc, nil)
+		sets, err := scanSets(missing, c.doc, nil)
 		fsp.End()
 		if err != nil {
 			return nil, err
@@ -201,23 +185,22 @@ func projectGrants(latest []permCells) []uint8 {
 // EvaluateShared computes the same perm relation as the cache's
 // Policy.Evaluate over the cache's document — the differential oracle
 // keeps them interchangeable — through the shared-scan pipeline: cached
-// $USER-independent rule sets and per-profile merges (computed in one bank
-// walk and one merge for the first user of a role combination), a
-// per-user scan of only the $USER-dependent rules, then the axiom-14
-// latest-wins merge of the dependent sets over the profile's merge state
-// into a private overlay.
+// $USER-independent rule sets and per-profile merges (computed once, for
+// the first user of a role combination), a per-user scan of only the
+// $USER-dependent rules, then the axiom-14 latest-wins merge of the
+// dependent sets over the profile's merge state into a private overlay.
 func (c *RuleCache) EvaluateShared(h *subject.Hierarchy, user string) (*Perms, error) {
 	return c.EvaluateSharedCtx(context.Background(), h, user)
 }
 
 // EvaluateSharedCtx is EvaluateShared with request-scoped tracing: under
-// an active trace it records a policy_evaluate_shared span with child
-// spans for the bank walk / per-rule fallback and the RuleCache fill, and
-// annotations for profile hit/miss and the $USER overlay size.
+// an active trace it records a policy_evaluate_shared span with a child
+// span for the RuleCache fill, and annotations for profile hit/miss and
+// the $USER overlay size.
 func (c *RuleCache) EvaluateSharedCtx(ctx context.Context, h *subject.Hierarchy, user string) (*Perms, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "policy_evaluate_shared", evalSharedStage)
 	defer sp.End()
-	pm := &Perms{user: user, version: c.doc.Version()}
+	pm := &Perms{user: user}
 	var indep, dep []*Rule
 	sig := make([]byte, 0, 64)
 	for i, r := range c.policy.rules {
@@ -236,7 +219,7 @@ func (c *RuleCache) EvaluateSharedCtx(ctx context.Context, h *subject.Hierarchy,
 	sp.AnnotateInt("rules_dep", int64(len(dep)))
 	// $USER-dependent sets are per-user work; scan them outside the cache
 	// lock so concurrent warm-ups only serialize on genuinely shared state.
-	depSets, err := scanSets(ctx, dep, c.doc, xpath.Vars{"USER": xpath.String(user)})
+	depSets, err := scanSets(dep, c.doc, xpath.Vars{"USER": xpath.String(user)})
 	if err != nil {
 		return nil, err
 	}
@@ -275,56 +258,16 @@ func (c *RuleCache) EvaluateSharedCtx(ctx context.Context, h *subject.Hierarchy,
 	return pm, nil
 }
 
-// scanSets evaluates the given rules' node sets in as few document
-// traversals as possible: chain-only rules share one Bank walk when there
-// are at least bankMinRules of them, everything else runs a per-rule
-// Select.
-func scanSets(ctx context.Context, rules []*Rule, doc *xmltree.Document, vars xpath.Vars) (map[*Rule][]*xmltree.Node, error) {
+// scanSets evaluates the given rules' node sets, one Select per rule.
+func scanSets(rules []*Rule, doc *xmltree.Document, vars xpath.Vars) (map[*Rule][]*xmltree.Node, error) {
 	out := make(map[*Rule][]*xmltree.Node, len(rules))
-	var banked []*Rule
 	for _, r := range rules {
-		if r.matcher != nil {
-			banked = append(banked, r)
-		}
-	}
-	if len(banked) < bankMinRules {
-		banked = nil
-	}
-	var ms []*xpath.NodeMatcher
-	for _, r := range banked {
-		ms = append(ms, r.matcher)
-	}
-	if nFall := len(rules) - len(banked); nFall > 0 {
-		_, fsp := obs.StartSpanCtx(ctx, "policy_rule_select", nil)
-		fsp.AnnotateInt("rules", int64(nFall))
-		for _, r := range rules {
-			if len(banked) > 0 && r.matcher != nil {
-				continue
-			}
-			fallbackRules.Inc()
-			ruleEvals.Inc()
-			ns, err := r.compiled.Select(doc.Root(), vars)
-			if err != nil {
-				fsp.End()
-				return nil, fmt.Errorf("policy: evaluating %s: %w", r, err)
-			}
-			out[r] = ns
-		}
-		fsp.End()
-	}
-	if len(ms) > 0 {
-		_, bsp := obs.StartSpanCtx(ctx, "policy_bank_walk", nil)
-		bsp.AnnotateInt("rules", int64(len(banked)))
-		sets, err := xpath.NewBank(ms).Select(doc, vars)
-		bsp.End()
+		ruleEvals.Inc()
+		ns, err := r.compiled.Select(doc.Root(), vars)
 		if err != nil {
-			return nil, fmt.Errorf("policy: shared scan: %w", err)
+			return nil, fmt.Errorf("policy: evaluating %s: %w", r, err)
 		}
-		for i, r := range banked {
-			bankRuleCount.Inc()
-			ruleEvals.Inc()
-			out[r] = sets[i]
-		}
+		out[r] = ns
 	}
 	return out, nil
 }

@@ -2,8 +2,8 @@
 // agree with the reference per-rule Evaluate cell-for-cell — every node ×
 // every privilege × every user — for the paper policy, the scaled policy
 // and seeded randomized policies (which mix chain-only, $USER-dependent
-// and out-of-fragment paths, so the bank, the rule cache and the per-rule
-// fallback are all on the hook), across documents mutated by seeded
+// and out-of-fragment paths, so the rule cache, the shared profiles and
+// the per-user overlays are all on the hook), across documents mutated by seeded
 // workload.OpStream sequences. On mismatch the op sequence is greedily
 // minimized, PR 4 style.
 //

@@ -144,7 +144,7 @@ func checkRender(t testing.TB, d *xmltree.Document, pm *policy.Perms) {
 	}
 	all := xmltree.CopyFiltered(ns, f)
 	for i, n := range ns {
-		vn := v.Doc.NodeByID(n.ID())
+		vn := v.Doc.NodeByID(n.IDString())
 		if vn == nil {
 			t.Fatalf("filtered query reached %s, which the view lacks", n.IDString())
 		}

@@ -261,6 +261,34 @@ func TestExplainBoundedByView(t *testing.T) {
 	}
 }
 
+// TestExplainIdenticalAcrossHiddenSibling: two documents that differ only
+// in a patient record robert cannot see, placed before his own, must give
+// robert byte-identical /explain bodies. A structural source identifier
+// (/a0/a1 against /a0/a0) or the source's mutation counter in the body
+// would tell him that the hidden record exists.
+func TestExplainIdenticalAcrossHiddenSibling(t *testing.T) {
+	const robert = `<robert><service>pneumology</service><diagnosis>pneumonia</diagnosis></robert>`
+	var bodies []string
+	for _, xml := range []string{
+		`<patients>` + robert + `</patients>`,
+		`<patients><franck><service>otolaryngology</service><diagnosis>tonsillitis</diagnosis></franck>` + robert + `</patients>`,
+	} {
+		ts := httptest.NewServer(New(testServerDBOn(t, xml)))
+		code, body := get(t, ts, "robert", "/explain?xpath="+urlEscape("/patients/*"))
+		ts.Close()
+		if code != http.StatusOK {
+			t.Fatalf("/explain = %d: %s", code, body)
+		}
+		bodies = append(bodies, body)
+	}
+	if bodies[0] != bodies[1] {
+		t.Errorf("robert's /explain depends on a record hidden from him:\nwithout: %s\nwith:    %s", bodies[0], bodies[1])
+	}
+	if !strings.Contains(bodies[0], `"/patients/robert"`) {
+		t.Errorf("robert's /explain does not report his own record:\n%s", bodies[0])
+	}
+}
+
 func TestSlowTraceThresholdOption(t *testing.T) {
 	var buf bytes.Buffer
 	db := testServerDB(t)

@@ -315,10 +315,10 @@ func (sh *Shell) sessionCommand(cmd, rest string) error {
 // matched node with its visibility verdict, cell origin, and per-privilege
 // rule story (winner first, then what it defeated).
 func (sh *Shell) printExplanation(ex *core.Explanation) {
-	sh.printf("explain %s as %s (%d applicable rules, doc v%d, policy epoch %d)\n",
-		ex.XPath, ex.User, ex.RulesApplicable, ex.DocVersion, ex.PolicyEpoch)
+	sh.printf("explain %s as %s (%d applicable rules, policy epoch %d)\n",
+		ex.XPath, ex.User, ex.RulesApplicable, ex.PolicyEpoch)
 	for _, n := range ex.Nodes {
-		sh.printf("%s [%s %s] %s, cell=%s\n", n.Path, n.Kind, n.NodeID, n.Visibility, n.Origin)
+		sh.printf("%s [%s] %s, cell=%s\n", n.Path, n.Kind, n.Visibility, n.Origin)
 		for _, ps := range n.Privileges {
 			if ps.Winner == nil {
 				if ps.Privilege == "read" || ps.Privilege == "position" {
@@ -353,7 +353,7 @@ func (sh *Shell) runOp(op *xupdate.Op) error {
 	sh.printf("selected=%d applied=%d created=%d removed=%d\n",
 		res.Selected, res.Applied, res.Created, res.Removed)
 	for _, sk := range res.Skipped {
-		sh.printf("  skipped %s: %s\n", sk.NodeID, sk.Reason)
+		sh.printf("  skipped: %s\n", sk.Reason)
 	}
 	return nil
 }

@@ -92,6 +92,10 @@ func TestExplainCommand(t *testing.T) {
 	if strings.Contains(out, "MISMATCH") || strings.Contains(out, "WARNING") {
 		t.Fatalf("paper scenario must explain consistently:\n%s", out)
 	}
+	// Source identifiers (/a0/a1) encode hidden siblings.
+	if strings.Contains(out, "/a0") {
+		t.Fatalf("explain prints a source identifier:\n%s", out)
+	}
 }
 
 func TestUpdateCommands(t *testing.T) {
@@ -122,6 +126,9 @@ func TestDeniedUpdateShowsSkips(t *testing.T) {
 	)
 	if !strings.Contains(out, "applied=0") || !strings.Contains(out, "skipped") {
 		t.Errorf("refusal not reported:\n%s", out)
+	}
+	if strings.Contains(out, "/a0") {
+		t.Errorf("skip report prints a source identifier:\n%s", out)
 	}
 }
 

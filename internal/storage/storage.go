@@ -203,7 +203,7 @@ func readNode(doc *xmltree.Document, rest string) error {
 	if !okParent {
 		return fmt.Errorf("%w: node %s has no parent identifier", ErrBadSnapshot, idText)
 	}
-	parent := doc.NodeByID(parentID)
+	parent := doc.NodeByID(parentID.String())
 	if parent == nil {
 		return fmt.Errorf("%w: node %s arrives before its parent %s", ErrBadSnapshot, idText, parentID)
 	}

@@ -41,14 +41,14 @@ func diffEnv(t *testing.T, seed int64) (*xmltree.Document, *subject.Hierarchy, *
 	return d, h, p
 }
 
-// userState is one user's maintained permissions and maintainer.
+// userState is one user's maintained permissions and node evaluator.
 type userState struct {
 	pm *policy.Perms
-	m  *Maintainer
+	ne *policy.NodeEvaluator
 }
 
-// initStates evaluates every user's permissions and compiles their
-// maintainer.
+// initStates evaluates every user's permissions and collects their node
+// evaluator.
 func initStates(t *testing.T, d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy) map[string]*userState {
 	t.Helper()
 	states := make(map[string]*userState)
@@ -57,11 +57,11 @@ func initStates(t *testing.T, d *xmltree.Document, h *subject.Hierarchy, p *poli
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, ok := NewMaintainer(p, h, u)
+		ne, ok := p.NodeEvaluator(h, u)
 		if !ok {
 			t.Fatalf("user %s: paper policy must be chain-only", u)
 		}
-		states[u] = &userState{pm: pm, m: m}
+		states[u] = &userState{pm: pm, ne: ne}
 	}
 	return states
 }
@@ -96,9 +96,10 @@ func diffCheck(d *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, u st
 	return "", nil
 }
 
-// patch advances st's permissions over a chain of delta batches.
-func patch(d *xmltree.Document, st *userState, chain [][]xupdate.Delta) error {
-	pm, err := st.m.PatchPermsCtx(context.Background(), d, st.pm, chain)
+// patch advances st's permissions over a chain of batches of touched
+// subtree roots.
+func patch(d *xmltree.Document, st *userState, chain [][]string) error {
+	pm, err := st.ne.PatchCtx(context.Background(), d, st.pm, chain)
 	if err != nil {
 		return err
 	}
@@ -120,19 +121,19 @@ func runSequence(t *testing.T, seed int64, ops []*xupdate.Op, lagging bool) (int
 	t.Helper()
 	d, h, p := diffEnv(t, seed)
 	states := initStates(t, d, h, p)
-	var chain [][]xupdate.Delta
+	var chain [][]string
 	for i, op := range ops {
 		res, err := xupdate.Execute(d, op, nil)
 		if err != nil {
 			return i, fmt.Sprintf("execute: %v", err)
 		}
 		if lagging {
-			chain = append(chain, res.Deltas)
+			chain = append(chain, res.Touched)
 			continue
 		}
 		for _, u := range h.Users() {
 			st := states[u]
-			if err := patch(d, st, [][]xupdate.Delta{res.Deltas}); err != nil {
+			if err := patch(d, st, [][]string{res.Touched}); err != nil {
 				return i, fmt.Sprintf("user %s: patch: %v", u, err)
 			}
 			diff, err := diffCheck(d, h, p, u, st)

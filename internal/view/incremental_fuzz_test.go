@@ -98,8 +98,8 @@ func FuzzIncrementalView(f *testing.F) {
 		}
 		users := []string{"beaufort", "richard", "p0"}
 		states := initStates(t, d, h, p)
-		var chain [][]xupdate.Delta
-		check := func(what string, batches [][]xupdate.Delta) {
+		var chain [][]string
+		check := func(what string, batches [][]string) {
 			t.Helper()
 			for _, u := range users {
 				s := states[u]
@@ -127,10 +127,10 @@ func FuzzIncrementalView(f *testing.F) {
 				continue
 			}
 			if lagging {
-				chain = append(chain, res.Deltas)
+				chain = append(chain, res.Touched)
 				continue
 			}
-			check(fmt.Sprintf("pair %d (%s %s)", i/2, op.Kind, op.Select), [][]xupdate.Delta{res.Deltas})
+			check(fmt.Sprintf("pair %d (%s %s)", i/2, op.Kind, op.Select), [][]string{res.Touched})
 		}
 		if lagging {
 			check(fmt.Sprintf("after %d batches", len(chain)), chain)

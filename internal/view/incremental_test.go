@@ -58,17 +58,18 @@ func requirePatchedEqual(t *testing.T, d *xmltree.Document, h *subject.Hierarchy
 	}
 }
 
-// applyOp executes op unsecured on d and patches st over its deltas.
+// applyOp executes op unsecured on d and patches st over its touched
+// roots.
 func applyOp(t *testing.T, d *xmltree.Document, st *userState, op *xupdate.Op) {
 	t.Helper()
 	res, err := xupdate.Execute(d, op, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Deltas) == 0 {
-		t.Fatalf("%s %s produced no deltas (selected %d, applied %d)", op.Kind, op.Select, res.Selected, res.Applied)
+	if res.Applied == 0 {
+		t.Fatalf("%s %s applied nothing (selected %d)", op.Kind, op.Select, res.Selected)
 	}
-	if err := patch(d, st, [][]xupdate.Delta{res.Deltas}); err != nil {
+	if err := patch(d, st, [][]string{res.Touched}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,12 +111,12 @@ func TestMaintainerPaperOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Deltas) == 0 {
-				t.Fatalf("op produced no deltas (selected %d, applied %d)", res.Selected, res.Applied)
+			if res.Applied == 0 {
+				t.Fatalf("op applied nothing (selected %d)", res.Selected)
 			}
 			for _, u := range users {
 				st := states[u]
-				if err := patch(d, st, [][]xupdate.Delta{res.Deltas}); err != nil {
+				if err := patch(d, st, [][]string{res.Touched}); err != nil {
 					t.Fatalf("%s: patch: %v", u, err)
 				}
 				requirePatchedEqual(t, d, h, p, u, st, u)
@@ -189,6 +190,58 @@ func TestSnapshotIndependence(t *testing.T) {
 		}
 	}
 	requirePatchedEqual(t, d, h, p, "laporte", st, "laporte after rename")
+}
+
+// TestPatchChainRelabelRemoveReuse: the touched-root log is neither
+// deduplicated nor pruned, so a patch must come out right over a chain
+// that relabels one node twice, then removes a subtree holding that node,
+// then inserts a node that re-issues a removed identifier. For every user
+// the permissions patched over the chain — as one batch per op, as a
+// lagging session sees it, and as one concatenated batch, as a group
+// commit logs it — must equal a fresh Evaluate cell for cell.
+func TestPatchChainRelabelRemoveReuse(t *testing.T) {
+	d, h, p := incEnv(t)
+	states := initStates(t, d, h, p)
+	merged := initStates(t, d, h, p)
+	gone := d.RootElement().Children()[1] // robert's record, the last child
+	goneID := gone.IDString()
+	var chain [][]string
+	for _, op := range []*xupdate.Op{
+		mustOp(t, xupdate.Rename, "/patients/robert", "franck"),
+		mustOp(t, xupdate.Rename, "/patients/*[2]", "durand"),
+		mustOp(t, xupdate.Remove, "/patients/durand", ""),
+		mustOp(t, xupdate.Append, "/patients", "<robert><service>cardiology</service><diagnosis>angina</diagnosis></robert>"),
+	} {
+		res, err := xupdate.Execute(d, op, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Applied == 0 {
+			t.Fatalf("%s %s applied nothing", op.Kind, op.Select)
+		}
+		chain = append(chain, res.Touched)
+	}
+	reused := d.RootElement().Children()[1]
+	if reused.IDString() != goneID || reused == gone {
+		t.Fatalf("the scheme did not re-issue %s (got %s); the test needs a re-issued identifier", goneID, reused.IDString())
+	}
+	var all []string
+	for _, b := range chain {
+		all = append(all, b...)
+	}
+	if len(all) != 3 || all[0] != goneID || all[1] != goneID || all[2] != goneID {
+		t.Fatalf("touched roots = %v, want the relabeled node twice and the reused root", all)
+	}
+	for _, u := range h.Users() {
+		if err := patch(d, states[u], chain); err != nil {
+			t.Fatal(err)
+		}
+		requirePatchedEqual(t, d, h, p, u, states[u], u+" over one batch per op")
+		if err := patch(d, merged[u], [][]string{all}); err != nil {
+			t.Fatal(err)
+		}
+		requirePatchedEqual(t, d, h, p, u, merged[u], u+" over one merged batch")
+	}
 }
 
 func mustOp(t *testing.T, kind xupdate.Kind, path, arg string) *xupdate.Op {

@@ -20,7 +20,6 @@ package view
 import (
 	"context"
 
-	"securexml/internal/labeling"
 	"securexml/internal/obs"
 	"securexml/internal/policy"
 	"securexml/internal/xmltree"
@@ -147,23 +146,13 @@ func countNodes(n *xmltree.Node) int {
 
 // Visible reports whether the node with the given source identifier appears
 // in the view (with either its label or RESTRICTED).
-func (v *View) Visible(id string) bool {
-	l, err := labeling.Parse(id)
-	if err != nil {
-		return false
-	}
-	return v.Doc.NodeByID(l) != nil
-}
+func (v *View) Visible(id string) bool { return v.Doc.NodeByID(id) != nil }
 
 // IsRestricted reports whether the node appears in the view with the
 // RESTRICTED label. A node legitimately labeled "RESTRICTED" in the source
 // is indistinguishable by design (the label semantics is Sandhu & Jajodia's
 // cover story).
 func (v *View) IsRestricted(id string) bool {
-	l, err := labeling.Parse(id)
-	if err != nil {
-		return false
-	}
-	n := v.Doc.NodeByID(l)
+	n := v.Doc.NodeByID(id)
 	return n != nil && n.Label() == xmltree.Restricted
 }

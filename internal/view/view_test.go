@@ -161,7 +161,7 @@ func TestViewKeepsIdentifiers(t *testing.T) {
 	}
 	v := materialize(t, d, h, p, "u")
 	for _, n := range d.Nodes() {
-		vn := v.Doc.NodeByID(n.ID())
+		vn := v.Doc.NodeByID(n.IDString())
 		if vn == nil {
 			t.Fatalf("view lost node %s", n.ID())
 		}

@@ -92,8 +92,9 @@ func (d *Document) RootElement() *Node {
 // label change and never decreases.
 func (d *Document) Version() uint64 { return d.version }
 
-// NodeByID returns the node with the given persistent identifier, or nil.
-func (d *Document) NodeByID(id labeling.Label) *Node { return d.index[id.String()] }
+// NodeByID returns the node whose persistent identifier has the canonical
+// text id (Node.IDString), or nil.
+func (d *Document) NodeByID(id string) *Node { return d.index[id] }
 
 // OrdLimit returns one more than the largest ordinal any node of the
 // document's lineage has taken so far: every node of the document has

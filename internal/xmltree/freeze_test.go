@@ -91,7 +91,7 @@ func TestClonePreservesIndexesAndFragment(t *testing.T) {
 		t.Fatalf("clone Len %d != original %d", c.Len(), d.Len())
 	}
 	for _, n := range d.Nodes() {
-		cn := c.NodeByID(n.ID())
+		cn := c.NodeByID(n.IDString())
 		if cn == nil {
 			t.Fatalf("clone lost node %s", n.ID())
 		}

@@ -53,7 +53,7 @@ func TestNodeOrdinals(t *testing.T) {
 	if fresh.Ord() == goneOrd || fresh.Ord() != limit || c.OrdLimit() != limit+1 {
 		t.Fatalf("re-inserted node has ordinal %d (removed %d, limit was %d, now %d)", fresh.Ord(), goneOrd, limit, c.OrdLimit())
 	}
-	if d.OrdLimit() != limit || d.NodeByID(gone.ID()).Ord() != goneOrd {
+	if d.OrdLimit() != limit || d.NodeByID(gone.IDString()).Ord() != goneOrd {
 		t.Fatal("mutating the clone moved the source's ordinals")
 	}
 

@@ -166,7 +166,7 @@ func TestFig2AppendAlbert(t *testing.T) {
 	}
 	// Existing nodes keep their identifiers (axiom 6 / §3.1 no renumbering).
 	for pid, node := range n {
-		if d.NodeByID(node.ID()) != node {
+		if d.NodeByID(node.IDString()) != node {
 			t.Errorf("node %s lost or renumbered after append", pid)
 		}
 	}

@@ -266,7 +266,7 @@ func TestIdentifiersPersistAcrossUpdates(t *testing.T) {
 	if got := robert.ID().String(); got != robertID {
 		t.Errorf("robert's identifier changed across updates: %q -> %q", robertID, got)
 	}
-	if d.NodeByID(robert.ID()) != robert {
+	if d.NodeByID(robert.IDString()) != robert {
 		t.Error("index lookup by persistent identifier broken after updates")
 	}
 }
@@ -283,7 +283,7 @@ func TestRemoveSubtree(t *testing.T) {
 		t.Errorf("Len() = %d after removing %d nodes from %d", got, len(sub), before)
 	}
 	for _, n := range sub {
-		if d.NodeByID(n.ID()) != nil {
+		if d.NodeByID(n.IDString()) != nil {
 			t.Errorf("removed node %s still indexed", n.ID())
 		}
 	}
@@ -364,7 +364,7 @@ func TestGraftAppend(t *testing.T) {
 	}
 	// Fresh identifiers were allocated in this document.
 	top.Walk(func(n *Node) bool {
-		if d.NodeByID(n.ID()) != n {
+		if d.NodeByID(n.IDString()) != n {
 			t.Errorf("grafted node %s not indexed", n.ID())
 		}
 		return true
@@ -405,7 +405,7 @@ func TestCloneEqualAndIndependence(t *testing.T) {
 	}
 	// Identifiers are preserved so clones can map back to source nodes.
 	for _, n := range d.Nodes() {
-		cn := c.NodeByID(n.ID())
+		cn := c.NodeByID(n.IDString())
 		if cn == nil || cn.Label() != n.Label() || cn.Kind() != n.Kind() {
 			t.Fatalf("clone lost node %s", n.ID())
 		}

@@ -290,3 +290,54 @@ func (f *funcCall) String() string {
 	}
 	return f.name + "(" + strings.Join(parts, ", ") + ")"
 }
+
+// UsesVariable reports whether the compiled expression references $name
+// anywhere — in a step predicate, a filter base, or a function argument.
+// Expressions that do not are independent of the binding: they evaluate
+// identically whatever value (or no value) name is bound to.
+func (c *Compiled) UsesVariable(name string) bool {
+	return exprUsesVar(c.root, name)
+}
+
+// exprUsesVar walks the expression tree looking for $name.
+func exprUsesVar(e expr, name string) bool {
+	switch v := e.(type) {
+	case varRef:
+		return string(v) == name
+	case *pathExpr:
+		if v.base != nil && exprUsesVar(v.base, name) {
+			return true
+		}
+		for _, st := range v.steps {
+			for _, p := range st.preds {
+				if exprUsesVar(p, name) {
+					return true
+				}
+			}
+		}
+		return false
+	case *filterExpr:
+		if exprUsesVar(v.primary, name) {
+			return true
+		}
+		for _, p := range v.preds {
+			if exprUsesVar(p, name) {
+				return true
+			}
+		}
+		return false
+	case *binaryExpr:
+		return exprUsesVar(v.l, name) || exprUsesVar(v.r, name)
+	case *negExpr:
+		return exprUsesVar(v.e, name)
+	case *funcCall:
+		for _, a := range v.args {
+			if exprUsesVar(a, name) {
+				return true
+			}
+		}
+		return false
+	default:
+		return false
+	}
+}

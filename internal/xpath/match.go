@@ -16,7 +16,7 @@ import (
 // and labels) plus the variable bindings. Under that restriction an update
 // can only change the permissions of the subtree it touched, which is what
 // makes patching a user's cached permissions sound (see
-// internal/view/incremental.go).
+// policy.NodeEvaluator.PatchCtx).
 //
 // The supported fragment is a union of rooted location paths whose steps
 // use only the downward axes (child, attribute, self, descendant,

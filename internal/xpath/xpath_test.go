@@ -614,3 +614,31 @@ func TestIndexFastPathSkipsUnsupportedShapes(t *testing.T) {
 		t.Fatalf("relative .//author = %d nodes", len(ns))
 	}
 }
+
+// TestUsesVariable covers every expression position a variable can hide in.
+func TestUsesVariable(t *testing.T) {
+	cases := []struct {
+		src  string
+		uses bool
+	}{
+		{"/patients/*[name() = $USER]", true},
+		{"$USER", true},
+		{"//diagnosis[contains($USER, 'a')]", true},
+		{"//a[$OTHER = 1]", false},
+		{"/patients/*[name() = concat($USER, '')]", true},
+		{"//diagnosis/node()", false},
+		{"count(//a[. = $USER])", true},
+		{"-$USER", true},
+		{"($USER)[1]/x", true},
+		{"//a | //b[$USER]", true},
+	}
+	for _, tc := range cases {
+		c, err := Compile(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if got := c.UsesVariable("USER"); got != tc.uses {
+			t.Errorf("UsesVariable(%q, USER) = %v, want %v", tc.src, got, tc.uses)
+		}
+	}
+}

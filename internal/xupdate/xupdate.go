@@ -178,8 +178,13 @@ type Result struct {
 	Created int
 	// Removed is the number of nodes deleted from the document.
 	Removed int
-	// Deltas records the structural changes in application order.
-	Deltas []Delta
+	// Touched lists, in application order, the identifier texts
+	// (Node.IDString) of the relabeled nodes and of the roots of the
+	// inserted subtrees: the only nodes whose root-to-node chain the
+	// operation changed or created. A removal lists nothing — it leaves
+	// every surviving chain as it was. Incremental maintenance rescores
+	// these subtrees (policy.NodeEvaluator.PatchCtx).
+	Touched []string
 }
 
 // SkipReason explains why one selected node was not acted on.
@@ -195,39 +200,6 @@ type SkipReason struct {
 // element or attribute (xmltree.CheckLabel): the label would be serialized
 // verbatim as markup.
 const SkipInvalidName = "the new label is not an XML name, as an element or attribute label must be"
-
-// DeltaKind classifies one structural change to the document.
-type DeltaKind int
-
-// The delta kinds. Every mutation the six operations can make reduces to
-// one of these three.
-const (
-	// DeltaRelabel: the node kept its identity but its label changed.
-	DeltaRelabel DeltaKind = iota
-	// DeltaInsert: a new subtree rooted at NodeID was added.
-	DeltaInsert
-	// DeltaRemove: the subtree rooted at NodeID was removed.
-	DeltaRemove
-)
-
-// Delta is one structural change made by an executed operation, precise
-// enough for a consumer to patch derived state (a cached user view)
-// without rescanning the document — see internal/view/incremental.go.
-type Delta struct {
-	// Kind classifies the change.
-	Kind DeltaKind
-	// NodeID is the persistent identifier of the affected node: the
-	// relabeled node, the root of the inserted subtree (as grafted into
-	// the target document), or the root of the removed subtree.
-	NodeID string
-	// NewLabel is the label after a DeltaRelabel.
-	NewLabel string
-	// RemovedIDs lists every identifier in the removed subtree (root
-	// first, document order) for a DeltaRemove. Persistent labels can be
-	// re-allocated after a removal, so a consumer keyed by identifier
-	// (Coalesce) must process it before later deltas.
-	RemovedIDs []string
-}
 
 // Execute applies op to doc with the unsecured semantics of axioms 2–9:
 // the select path is evaluated on doc itself and every addressed node is
@@ -318,7 +290,7 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 			return err
 		}
 		if old != op.NewValue {
-			res.Deltas = append(res.Deltas, Delta{Kind: DeltaRelabel, NodeID: n.IDString(), NewLabel: op.NewValue})
+			res.Touched = append(res.Touched, n.IDString())
 		}
 		res.Applied++
 	case Update:
@@ -335,7 +307,7 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 			if err != nil {
 				return err
 			}
-			res.Deltas = append(res.Deltas, Delta{Kind: DeltaInsert, NodeID: created.IDString()})
+			res.Touched = append(res.Touched, created.IDString())
 			res.Applied++
 			res.Created++
 			return nil
@@ -351,7 +323,7 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 				return err
 			}
 			if old != op.NewValue {
-				res.Deltas = append(res.Deltas, Delta{Kind: DeltaRelabel, NodeID: c.IDString(), NewLabel: op.NewValue})
+				res.Touched = append(res.Touched, c.IDString())
 			}
 			applied = true
 		}
@@ -407,28 +379,23 @@ func applyOne(doc *xmltree.Document, op *Op, n *xmltree.Node, res *Result) error
 			res.Skipped = append(res.Skipped, SkipReason{n.IDString(), "already removed with an ancestor"})
 			return nil
 		}
-		sub := n.Subtree()
-		ids := make([]string, len(sub))
-		for i, s := range sub {
-			ids[i] = s.IDString()
-		}
-		res.Removed += len(sub)
+		before := doc.Len()
 		if err := doc.Remove(n); err != nil {
 			return err
 		}
-		res.Deltas = append(res.Deltas, Delta{Kind: DeltaRemove, NodeID: ids[0], RemovedIDs: ids})
+		res.Removed += before - doc.Len()
 		res.Applied++
 	}
 	return nil
 }
 
-// graftOne grafts src relative to ref, records the insert delta, and
+// graftOne grafts src relative to ref, records the inserted root, and
 // returns the number of nodes created.
 func graftOne(doc *xmltree.Document, ref *xmltree.Node, mode xmltree.GraftMode, src *xmltree.Node, res *Result) (int, error) {
 	top, err := doc.Graft(ref, mode, src)
 	if err != nil {
 		return 0, err
 	}
-	res.Deltas = append(res.Deltas, Delta{Kind: DeltaInsert, NodeID: top.IDString()})
+	res.Touched = append(res.Touched, top.IDString())
 	return len(top.Subtree()), nil
 }
