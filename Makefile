@@ -75,9 +75,10 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkForPermsSelect$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/qfilter
 	$(GO) test -run '^$$' -bench '^BenchmarkWarmReadAfterWrite$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWriteAfterPublish$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkMultiOpApply$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 
 # Bounded fuzzing of the parser targets (XPath, XUpdate, Datalog, XSLT
-# stylesheets, storage snapshots) and the incremental-maintenance differential
+# stylesheets, storage snapshots, the journal that recovery reads) and the incremental-maintenance differential
 # target (permissions patched by NodeEvaluator over the touched subtree
 # roots against a fresh Evaluate) from their seed corpora, plus the clone-independence target over
 # random mutator sequences, the serializer against its node-at-a-time
@@ -96,3 +97,4 @@ fuzz:
 	$(GO) test ./internal/access -fuzz FuzzFilteredWrite -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xslt -fuzz FuzzParseStylesheet -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/storage -fuzz FuzzRead -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/journal -fuzz FuzzJournalRead -fuzztime $(FUZZTIME) -run '^$$'

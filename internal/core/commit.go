@@ -56,7 +56,9 @@ type commitCtx struct {
 	// the delta log restarts.
 	docReset bool
 	// batches are the delta batches recorded by successful updates this
-	// round, in order (post-replacement only, when docReset is set).
+	// round, one per op that changed the document, in order
+	// (post-replacement only, when docReset is set). Later writes of the
+	// round patch their permissions over them (Session.roundPerms).
 	batches []deltaBatch
 }
 
@@ -112,15 +114,6 @@ func (c *commitCtx) curPolicy() *policy.Policy {
 		return c.policy
 	}
 	return c.base.policy
-}
-
-// pristine reports whether the round's state still equals its base
-// generation: no earlier request in the round replaced or mutated the
-// document, or touched the policy or the hierarchy (a failed admin
-// operation that cloned one counts too; pristine errs on the safe side).
-func (c *commitCtx) pristine() bool {
-	return !c.docReset && c.policy == nil && c.subjects == nil &&
-		(c.doc == nil || c.doc.Version() == c.base.ver())
 }
 
 // submit enqueues fn into the group-commit queue and blocks until the

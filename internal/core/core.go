@@ -74,10 +74,11 @@ var (
 	incFallbackGap        = obs.Default().Counter("xmlsec_view_incremental_fallback_total", "reason", "gap")
 	incFallbackError      = obs.Default().Counter("xmlsec_view_incremental_fallback_total", "reason", "error")
 
-	// Where each secured write's permissions came from: the writing
-	// session's maintained permissions of the round's base generation, or
-	// a fresh derivation from the round's scratch state (see
-	// executeInRound).
+	// Where a write request's permissions came from, counted each time it
+	// needs them for a new document state (roundPerms): the writing
+	// session's maintained permissions of the round's base generation, as
+	// they are (source="session"), or permissions computed in the round for
+	// its changed state, patched or derived afresh.
 	securedViewSession = obs.Default().Counter("xmlsec_secured_view_total", "source", "session")
 	securedViewRebuild = obs.Default().Counter("xmlsec_secured_view_total", "source", "rebuild")
 
@@ -161,10 +162,11 @@ func WithAuditLimit(n int) Option {
 	return func(db *Database) { db.auditLimit = n }
 }
 
-// WithJournal attaches an operation log: every successfully executed
-// modification is appended as an <xupdate:modifications> document framed
-// with its user. seqStart continues an existing journal (0 starts fresh);
-// after Recover, pass the returned last sequence number.
+// WithJournal attaches an operation log: every write request that applied
+// anything is appended, by the commit leader in commit order, as the
+// <xupdate:modifications> document of the ops that ran, framed with its
+// user. seqStart continues an existing journal (0 starts fresh); after
+// Recover, pass the returned last sequence number.
 func WithJournal(w io.Writer, seqStart uint64) Option {
 	return func(db *Database) { db.journal = journal.NewWriter(w, seqStart) }
 }
@@ -197,9 +199,9 @@ type Database struct {
 	audit    []AuditEntry
 	auditSeq uint64
 
-	// sessions holds the per-user shared sessions handed out by
-	// SharedSession, so server requests and warm-up hit one permission
-	// cache per user instead of re-deriving per connection.
+	// sessions holds the one session of each user handed out by Session,
+	// so every request of a user hits one permission cache instead of
+	// re-deriving per connection.
 	sessMu   sync.Mutex
 	sessions map[string]*Session
 }
@@ -209,6 +211,7 @@ func New(opts ...Option) *Database {
 	db := &Database{
 		scheme:     labeling.NewFracPath(),
 		auditLimit: 4096,
+		sessions:   make(map[string]*Session),
 	}
 	for _, o := range opts {
 		o(db)
@@ -286,74 +289,56 @@ func Open(r io.Reader, opts ...Option) (*Database, error) {
 // --- administration -----------------------------------------------------------
 
 // AddRole declares a role under optional parent roles. Like every admin
-// operation it rides the group-commit queue: a successful change clones
-// the hierarchy, bumps the policy epoch and publishes a new generation
-// (sharing the document pointer — admin-only rounds copy no tree).
+// operation it rides the group-commit queue (see admin).
 func (db *Database) AddRole(name string, parents ...string) error {
-	var err error
-	db.submit(func(c *commitCtx) {
-		if err = c.mutableSubjects().AddRole(name, parents...); err != nil {
-			return
-		}
-		c.adminChanged = true
-		c.epoch++
-		db.record("system", "add-role", name, "ok")
+	return db.admin("add-role", name, func(c *commitCtx) error {
+		return c.mutableSubjects().AddRole(name, parents...)
 	})
-	return err
 }
 
 // AddUser declares a user belonging to the given roles.
 func (db *Database) AddUser(name string, roles ...string) error {
-	var err error
-	db.submit(func(c *commitCtx) {
-		if err = c.mutableSubjects().AddUser(name, roles...); err != nil {
-			return
-		}
-		c.adminChanged = true
-		c.epoch++
-		db.record("system", "add-user", name, "ok")
+	return db.admin("add-user", name, func(c *commitCtx) error {
+		return c.mutableSubjects().AddUser(name, roles...)
 	})
-	return err
 }
 
 // Grant appends an accept rule (latest priority, §4.3 discipline).
 func (db *Database) Grant(priv policy.Privilege, path, subj string) error {
-	var err error
-	db.submit(func(c *commitCtx) {
-		if err = c.mutablePolicy().Grant(c.curSubjects(), priv, path, subj); err != nil {
-			return
-		}
-		c.adminChanged = true
-		c.epoch++
-		db.record("system", "grant", fmt.Sprintf("%s on %s to %s", priv, path, subj), "ok")
+	return db.admin("grant", fmt.Sprintf("%s on %s to %s", priv, path, subj), func(c *commitCtx) error {
+		return c.mutablePolicy().Grant(c.curSubjects(), priv, path, subj)
 	})
-	return err
 }
 
 // Revoke appends a deny rule (latest priority).
 func (db *Database) Revoke(priv policy.Privilege, path, subj string) error {
-	var err error
-	db.submit(func(c *commitCtx) {
-		if err = c.mutablePolicy().Revoke(c.curSubjects(), priv, path, subj); err != nil {
-			return
-		}
-		c.adminChanged = true
-		c.epoch++
-		db.record("system", "revoke", fmt.Sprintf("%s on %s from %s", priv, path, subj), "ok")
+	return db.admin("revoke", fmt.Sprintf("%s on %s from %s", priv, path, subj), func(c *commitCtx) error {
+		return c.mutablePolicy().Revoke(c.curSubjects(), priv, path, subj)
 	})
-	return err
 }
 
 // AddRule inserts a rule with an explicit priority.
 func (db *Database) AddRule(r policy.Rule) error {
+	return db.admin("add-rule", r.String(), func(c *commitCtx) error {
+		return c.mutablePolicy().Add(c.curSubjects(), r)
+	})
+}
+
+// admin runs one change of the hierarchy or the policy as a commit
+// request. change edits the round's scratch clones (mutableSubjects,
+// mutablePolicy); when it succeeds the round bumps the policy epoch and
+// publishes a new generation that shares the document pointer, so
+// admin-only rounds copy no tree. A failed change marks nothing changed,
+// so on its own it publishes nothing.
+func (db *Database) admin(action, detail string, change func(c *commitCtx) error) error {
 	var err error
 	db.submit(func(c *commitCtx) {
-		if err = c.mutablePolicy().Add(c.curSubjects(), r); err != nil {
+		if err = change(c); err != nil {
 			return
 		}
 		c.adminChanged = true
 		c.epoch++
-		db.record("system", "add-rule", r.String(), "ok")
+		db.record("system", action, detail, "ok")
 	})
 	return err
 }
@@ -530,8 +515,17 @@ type Session struct {
 	entry *permsEntry
 }
 
-// Session opens a session for a declared user. Roles cannot log in.
+// Session returns the session of a declared user; roles cannot log in.
+// There is one session per user: every call for the same user returns the
+// same Session, so the server's requests, WarmSessions, ExplainAs, the
+// shell and journal replay all share one permission cache per user.
+// Sessions are safe for concurrent use.
 func (db *Database) Session(user string) (*Session, error) {
+	db.sessMu.Lock()
+	defer db.sessMu.Unlock()
+	if s, ok := db.sessions[user]; ok {
+		return s, nil
+	}
 	kind, ok := db.gen().subjects.KindOf(user)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownUser, user)
@@ -539,35 +533,7 @@ func (db *Database) Session(user string) (*Session, error) {
 	if kind != subject.User {
 		return nil, fmt.Errorf("%w: %q is a role", ErrNotUser, user)
 	}
-	return &Session{db: db, user: user}, nil
-}
-
-// SharedSession returns the database's singleton session for user,
-// creating it on first use. Unlike Session, repeated calls for the same
-// user share one permission cache, so warmed permissions keep serving
-// every later request for that user (the server's request path and WarmSessions both
-// go through here). Sessions are already safe for concurrent use.
-func (db *Database) SharedSession(user string) (*Session, error) {
-	db.sessMu.Lock()
-	if s, ok := db.sessions[user]; ok {
-		db.sessMu.Unlock()
-		return s, nil
-	}
-	db.sessMu.Unlock()
-	// Validate outside sessMu: keeping user validation (a generation
-	// read) out of the lock's scope keeps sessMu a pure map guard.
-	s, err := db.Session(user)
-	if err != nil {
-		return nil, err
-	}
-	db.sessMu.Lock()
-	defer db.sessMu.Unlock()
-	if prior, ok := db.sessions[user]; ok {
-		return prior, nil
-	}
-	if db.sessions == nil {
-		db.sessions = make(map[string]*Session)
-	}
+	s := &Session{db: db, user: user}
 	db.sessions[user] = s
 	return s, nil
 }
@@ -580,15 +546,16 @@ func (s *Session) vars() xpath.Vars {
 	return xpath.Vars{"USER": xpath.String(s.user)}
 }
 
-// currentPerms returns the session's axiom-14 permissions for the pinned
-// generation g, the only state any view consumer needs. It serves the
-// cached entry when the document and the policy are unchanged since it
-// was built. A document change whose deltas are still in the generation's
-// log is absorbed by patching a copy of the cached permissions (axiom 14
-// re-run over the touched subtrees only); policy changes, document
-// replacements and log gaps re-derive the permissions. The whole decision
-// runs under s.mu, the only place that reads or writes s.entry.
-func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perms, error) {
+// currentPerms returns the cache entry holding the session's axiom-14
+// permissions for the pinned generation g, the only state any view
+// consumer needs. It serves the cached entry when the document and the
+// policy are unchanged since it was built. A document change whose deltas
+// are still in the generation's log is absorbed by patching a copy of the
+// cached permissions (axiom 14 re-run over the touched subtrees only);
+// policy changes, document replacements and log gaps re-derive the
+// permissions. The whole decision runs under s.mu, the only place that
+// reads or writes s.entry.
+func (s *Session) currentPerms(ctx context.Context, g *generation) (*permsEntry, error) {
 	ver, epoch, gen := g.ver(), g.epoch, g.docGen
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -596,20 +563,20 @@ func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perm
 	if e != nil && e.gen == gen && e.ver == ver && e.epoch == epoch {
 		cacheHits.Inc()
 		obs.AnnotateCtx(ctx, "view_source", "cache_hit")
-		return e.pm, nil
+		return e, nil
 	}
 	if e != nil && e.gen == gen && e.epoch == epoch && e.ver < ver {
 		ne := e.ne
 		if ne == nil {
 			ne, _ = g.policy.NodeEvaluator(g.subjects, s.user)
 		}
-		pm, err := patchPerms(ctx, g, ne, e)
+		pm, err := patchPerms(ctx, ne, e.pm, e.ver, g.doc, g.log)
 		if pm != nil {
 			// Counted as xmlsec_view_incremental_applied_total by the
 			// patch — neither a plain hit nor a deriving miss.
 			s.entry = &permsEntry{pm: pm, ne: ne, ver: ver, epoch: epoch, gen: gen}
 			obs.AnnotateCtx(ctx, "view_source", "incremental")
-			return pm, nil
+			return s.entry, nil
 		}
 		if err != nil {
 			// The entry has no usable continuation: drop it so the rebuild
@@ -634,34 +601,36 @@ func (s *Session) currentPerms(ctx context.Context, g *generation) (*policy.Perm
 		return nil, err
 	}
 	s.entry = &permsEntry{pm: pm, ver: ver, epoch: epoch, gen: gen}
-	return pm, nil
+	return s.entry, nil
 }
 
-// patchPerms returns e's permissions patched by ne from e.ver up to g's
-// version over g's delta log. It returns nil permissions when patching is
-// not possible — ne is nil (the policy is not chain-only for the user),
-// the log has a gap, or the patch failed, the last with its error — and
-// counts the reason. e is never mutated: ne patches a Clone of its
-// permissions, which shares the base and copies only the overlay.
-func patchPerms(ctx context.Context, g *generation, ne *policy.NodeEvaluator, e *permsEntry) (*policy.Perms, error) {
+// patchPerms returns pm, the user's permissions at document version from,
+// patched by ne up to doc's version over the touched roots that log holds
+// for those versions: a generation's delta log, or a commit round's own
+// batches. It returns nil permissions when patching is not possible — ne
+// is nil (the policy is not chain-only for the user), the log has a gap,
+// or the patch failed, the last with its error — and counts the reason.
+// pm is never mutated: ne patches a Clone of it, which shares the base
+// and copies only the overlay.
+func patchPerms(ctx context.Context, ne *policy.NodeEvaluator, pm *policy.Perms, from uint64, doc *xmltree.Document, log []deltaBatch) (*policy.Perms, error) {
 	if ne == nil {
 		incFallbackIneligible.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "ineligible")
 		return nil, nil
 	}
-	chain, ok := g.deltaChain(e.ver)
+	chain, ok := deltaChain(log, from, doc.Version())
 	if !ok {
 		incFallbackGap.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "gap")
 		return nil, nil
 	}
-	pm, err := ne.PatchCtx(ctx, g.doc, e.pm, chain)
+	out, err := ne.PatchCtx(ctx, doc, pm, chain)
 	if err != nil {
 		incFallbackError.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "error")
 		return nil, err
 	}
-	return pm, nil
+	return out, nil
 }
 
 // View returns the user's current view as a document of its own: a fresh
@@ -679,13 +648,13 @@ func (s *Session) View() (*view.View, error) {
 func (s *Session) ViewCtx(ctx context.Context) (*view.View, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_view", viewStage)
 	g := s.db.gen()
-	pm, err := s.currentPerms(ctx, g)
+	e, err := s.currentPerms(ctx, g)
 	if err != nil {
 		sessionOp("view", "error")
 		s.db.recordCtx(ctx, "view", s.user, "", "error: "+err.Error(), sp.End())
 		return nil, err
 	}
-	v := view.MaterializeCtx(ctx, g.doc, pm)
+	v := view.MaterializeCtx(ctx, g.doc, e.pm)
 	sp.End()
 	sessionOp("view", "ok")
 	return v, nil
@@ -712,7 +681,7 @@ func (s *Session) ViewXML() (string, error) {
 func (s *Session) WriteViewCtx(ctx context.Context, w io.Writer) error {
 	vctx, sp := obs.StartSpanCtx(ctx, "session_view", viewStage)
 	g := s.db.gen()
-	pm, err := s.currentPerms(vctx, g)
+	e, err := s.currentPerms(vctx, g)
 	if err != nil {
 		sessionOp("view", "error")
 		s.db.recordCtx(vctx, "view", s.user, "", "error: "+err.Error(), sp.End())
@@ -722,7 +691,7 @@ func (s *Session) WriteViewCtx(ctx context.Context, w io.Writer) error {
 	sessionOp("view", "ok")
 	_, ser := obs.StartSpanCtx(ctx, "view_serialize", serializeStage)
 	defer ser.End()
-	return g.doc.Write(w, xmltree.WriteOptions{Indent: "  ", Filter: qfilter.ForPerms(pm)})
+	return g.doc.Write(w, xmltree.WriteOptions{Indent: "  ", Filter: qfilter.ForPerms(e.pm)})
 }
 
 // Result is one node matched by a query, described without exposing
@@ -810,15 +779,15 @@ func (s *Session) secureRead(ctx context.Context, g *generation, path string, on
 		return rd, err
 	}
 	rd.c = c
-	pm, err := s.currentPerms(ctx, g)
+	e, err := s.currentPerms(ctx, g)
 	if err != nil {
 		return rd, err
 	}
 	if onView {
-		rd.tier, rd.root = TierView, view.MaterializeCtx(ctx, g.doc, pm).Doc.Root()
+		rd.tier, rd.root = TierView, view.MaterializeCtx(ctx, g.doc, e.pm).Doc.Root()
 		return rd, nil
 	}
-	rd.sec = qfilter.ForPerms(pm)
+	rd.sec = qfilter.ForPerms(e.pm)
 	return rd, nil
 }
 
@@ -900,91 +869,11 @@ func (s *Session) Update(op *xupdate.Op) (*xupdate.Result, error) {
 // UpdateCtx is Update with a request context (request ID into the audit
 // entry, duration into the telemetry registry).
 func (s *Session) UpdateCtx(ctx context.Context, op *xupdate.Op) (*xupdate.Result, error) {
-	res, err := s.updateWithVars(ctx, op, nil)
-	if err == nil && s.db.journal != nil && res.Applied > 0 {
-		if jerr := s.journalOp(ctx, op); jerr != nil {
-			return res, fmt.Errorf("core: operation applied but journaling failed: %w", jerr)
-		}
-	}
-	return res, err
-}
-
-// journalOp appends a single-operation modification document.
-func (s *Session) journalOp(ctx context.Context, op *xupdate.Op) error {
-	doc, err := xupdate.ModificationsString([]*xupdate.Op{op})
-	if err != nil {
-		return err
-	}
-	_, err = s.db.journal.AppendCtx(ctx, s.user, doc)
-	return err
-}
-
-// updateWithVars executes one secured operation through the group-commit
-// queue. The closure runs on the commit leader's goroutine against the
-// round's state; the span therefore measures queue wait plus execution,
-// which is the latency the caller actually experiences.
-func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
-	ctx, sp := obs.StartSpanCtx(ctx, "session_update", updateStage)
-	// Bring the session's permissions up to the current generation on the
-	// writer's own goroutine, so the serialized round below usually finds
-	// them cached. An error here resurfaces from the round's own
-	// derivation.
-	_, _ = s.currentPerms(ctx, s.db.gen())
-	var res *xupdate.Result
-	var err error
-	s.db.submit(func(c *commitCtx) {
-		fromVer := c.curDoc().Version()
-		res, err = s.executeInRound(ctx, c, op, extra)
-		if err != nil {
-			// A failed executor may have partially mutated the scratch
-			// document; no batch is recorded, so if the round still
-			// publishes (another write succeeded), the version gap forces
-			// session caches to re-materialize (deltaChain reports it).
-			sessionOp("update", "error")
-			s.db.recordCtx(ctx, "update", s.user, opDetail(op), "error: "+err.Error(), sp.End())
-			return
-		}
-		if toVer := c.curDoc().Version(); toVer != fromVer {
-			c.batches = append(c.batches, deltaBatch{fromVer: fromVer, toVer: toVer, roots: res.Touched})
-		}
-		sessionOp("update", "ok")
-		s.db.recordCtx(ctx, "update", s.user, opDetail(op),
-			fmt.Sprintf("selected=%d applied=%d skipped=%d", res.Selected, res.Applied, len(res.Skipped)),
-			sp.End())
-	})
-	if err != nil {
+	results, err := s.write(ctx, []*xupdate.Op{op}, true)
+	if len(results) == 0 {
 		return nil, err
 	}
-	return res, nil
-}
-
-// executeInRound runs op in the commit round c. While the round's state
-// still equals its base generation, the op selects on the frozen base
-// document under the session's maintained permissions of that generation
-// (a cache hit when the pin taken before submit is still current, a delta
-// patch when another round published in between), and the round clones
-// the document only when the op is about to change it. Once an earlier
-// request in the round changed the document, the policy or the hierarchy,
-// the permissions are derived afresh from the scratch state, as they are
-// when the session cannot produce its own, and the op selects and changes
-// the scratch document under them. Either way the op runs through the
-// same filtered executor (access.ExecuteFilteredCtx).
-func (s *Session) executeInRound(ctx context.Context, c *commitCtx, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
-	if c.pristine() {
-		if pm, err := s.currentPerms(ctx, c.base); err == nil {
-			securedViewSession.Inc()
-			obs.AnnotateCtx(ctx, "view_source", "session")
-			return access.ExecuteFilteredCtx(ctx, c.base.doc, c.mutableDoc, pm, s.user, op, extra)
-		}
-	}
-	securedViewRebuild.Inc()
-	obs.AnnotateCtx(ctx, "view_source", "rebuild")
-	doc := c.mutableDoc()
-	pm, err := c.curPolicy().EvaluateCtx(ctx, doc, c.curSubjects(), s.user)
-	if err != nil {
-		return nil, err
-	}
-	return access.ExecuteFilteredCtx(ctx, doc, nil, pm, s.user, op, extra)
+	return results[0], err
 }
 
 // Apply parses an <xupdate:modifications> document and executes its
@@ -1000,79 +889,176 @@ func (s *Session) Apply(modifications string) ([]*xupdate.Result, error) {
 // ApplyCtx is Apply with a request context.
 func (s *Session) ApplyCtx(ctx context.Context, modifications string) ([]*xupdate.Result, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_apply", applyStage)
-	results, err := s.apply(ctx, modifications)
+	defer sp.End()
+	ops, err := xupdate.ParseModificationsString(modifications)
+	var results []*xupdate.Result
+	if err == nil {
+		results, err = s.write(ctx, ops, true)
+	}
 	if err != nil {
-		sp.End()
 		sessionOp("apply", "error")
 		return results, err
 	}
-	sp.End()
 	sessionOp("apply", "ok")
-	if s.db.journal != nil && anyApplied(results) {
-		if _, jerr := s.db.journal.AppendCtx(ctx, s.user, modifications); jerr != nil {
-			return results, fmt.Errorf("core: modifications applied but journaling failed: %w", jerr)
-		}
-	}
 	return results, nil
 }
 
-func anyApplied(results []*xupdate.Result) bool {
-	for _, r := range results {
-		if r.Applied > 0 {
-			return true
+// write runs ops as one commit request: on the commit leader the ops run
+// back to back against the round's state (runInRound), so no other write
+// lands between two of them. Execution stops at the first hard error;
+// refusals are not errors. When journaled is set and any op applied, the
+// leader journals the ops that ran before the round publishes, so the
+// journal is in commit order and a failed request logs exactly the
+// published prefix. One session_update span covers the request's queue
+// wait, execution and journal append.
+func (s *Session) write(ctx context.Context, ops []*xupdate.Op, journaled bool) ([]*xupdate.Result, error) {
+	ctx, sp := obs.StartSpanCtx(ctx, "session_update", updateStage)
+	// Warm the permissions on the writer's goroutine, so the serialized
+	// round usually finds them cached; an error resurfaces in the round.
+	_, _ = s.currentPerms(ctx, s.db.gen())
+	results := make([]*xupdate.Result, 0, len(ops))
+	var err error
+	s.db.submit(func(c *commitCtx) {
+		env := s.vars()
+		var rp reqPerms
+		applied := false
+		for _, op := range ops {
+			var res *xupdate.Result
+			if res, err = s.runInRound(ctx, c, &rp, op, env); err != nil {
+				break
+			}
+			applied = applied || res.Applied > 0
+			results = append(results, res)
 		}
-	}
-	return false
+		if applied && journaled && s.db.journal != nil {
+			mods, jerr := xupdate.ModificationsString(ops[:len(results)])
+			if jerr == nil {
+				_, jerr = s.db.journal.AppendCtx(ctx, s.user, mods)
+			}
+			if jerr != nil && err == nil {
+				err = fmt.Errorf("core: modifications applied but journaling failed: %w", jerr)
+			}
+		}
+		d := sp.End()
+		for i, res := range results {
+			if ops[i].Kind != xupdate.Variable {
+				sessionOp("update", "ok")
+				s.db.recordCtx(ctx, "update", s.user, opDetail(ops[i]),
+					fmt.Sprintf("selected=%d applied=%d skipped=%d", res.Selected, res.Applied, len(res.Skipped)), d)
+			}
+		}
+		if err != nil && len(results) < len(ops) {
+			sessionOp("update", "error")
+			s.db.recordCtx(ctx, "update", s.user, opDetail(ops[len(results)]), "error: "+err.Error(), d)
+		}
+	})
+	return results, err
 }
 
-// apply executes a modification document without journaling (used by Apply
-// and by journal replay).
-func (s *Session) apply(ctx context.Context, modifications string) ([]*xupdate.Result, error) {
-	ops, err := xupdate.ParseModificationsString(modifications)
+// runInRound runs one op of a commit request in the round c under the
+// user's permissions for the round's current document (roundPerms). A
+// variable binding adds its value to env; a node-set value is bound on
+// the round's copy of the document, taken now if need be, so later ops
+// read through it what the ops before them changed, whatever shares the
+// round. Any other op runs through access.ExecuteFilteredCtx, which
+// selects on the frozen base until the round has a copy and takes it
+// just before op's first change, so a refused or no-op write clones
+// nothing; a change is recorded as one delta batch of the round.
+func (s *Session) runInRound(ctx context.Context, c *commitCtx, rp *reqPerms, op *xupdate.Op, env xpath.Vars) (*xupdate.Result, error) {
+	pm, err := s.roundPerms(ctx, c, rp)
 	if err != nil {
 		return nil, err
 	}
-	env := xpath.Vars{}
-	results := make([]*xupdate.Result, 0, len(ops))
-	for _, op := range ops {
-		if op.Kind == xupdate.Variable {
-			if err := op.Validate(); err != nil {
-				return results, err
-			}
-			// Bind on the pinned source under the session's filter. A
-			// node-set binding holds source nodes, and every later use
-			// reads them under the same user's filter: the secured
-			// executor selects and expands value-of content with it.
-			g := s.db.gen()
-			pm, err := s.currentPerms(ctx, g)
-			if err != nil {
-				return results, err
-			}
-			val, err := op.BindVariable(g.doc.Root(), mergeUser(env, s.user), qfilter.ForPerms(pm))
-			if err != nil {
-				return results, err
-			}
-			env[op.VarName()] = val
-			results = append(results, &xupdate.Result{})
-			continue
+	if op.Kind == xupdate.Variable {
+		if err := op.Validate(); err != nil {
+			return nil, err
 		}
-		res, err := s.updateWithVars(ctx, op, env)
+		// Every later use reads a node-set under the same user's filter.
+		val, err := op.BindVariable(c.curDoc().Root(), env, qfilter.ForPerms(pm))
 		if err != nil {
-			return results, err
+			return nil, err
 		}
-		results = append(results, res)
+		if ns, ok := val.(xpath.NodeSet); ok && len(ns) > 0 && c.doc == nil {
+			onCopy, doc := make(xpath.NodeSet, len(ns)), c.mutableDoc()
+			for i, n := range ns {
+				onCopy[i] = doc.NodeByID(n.IDString())
+			}
+			val = onCopy
+		}
+		env[op.VarName()] = val
+		env["USER"] = xpath.String(s.user) // a binding never shadows $USER (§4.3)
+		return &xupdate.Result{}, nil
 	}
-	return results, nil
+	fromVer := c.curDoc().Version()
+	var res *xupdate.Result
+	if c.doc != nil {
+		res, err = access.ExecuteFilteredCtx(ctx, c.doc, nil, pm, s.user, op, env)
+	} else {
+		res, err = access.ExecuteFilteredCtx(ctx, c.base.doc, c.mutableDoc, pm, s.user, op, env)
+	}
+	// A failed executor may have partially mutated the round's document. It
+	// records no batch, so if the round publishes, the version gap makes
+	// later patches fall back to a fresh derivation (deltaChain reports it).
+	if err == nil && c.curDoc().Version() != fromVer {
+		c.batches = append(c.batches, deltaBatch{fromVer: fromVer, toVer: c.curDoc().Version(), roots: res.Touched})
+	}
+	return res, err
 }
 
-// mergeUser returns env plus the $USER binding.
-func mergeUser(env xpath.Vars, user string) xpath.Vars {
-	out := make(xpath.Vars, len(env)+1)
-	for k, v := range env {
-		out[k] = v
+// reqPerms carries a write request's permissions pm, for document version
+// ver, from op to op, with the NodeEvaluator ne that patches them.
+type reqPerms struct {
+	pm  *policy.Perms
+	ne  *policy.NodeEvaluator
+	ver uint64
+}
+
+// roundPerms returns the user's axiom-14 permissions over the round's
+// current document and keeps them in rp: an op after one that changed
+// nothing reuses them. Until a request in the round touches the policy or
+// the hierarchy, or replaces the document, they are the session's
+// permissions for the base generation (a cache hit when the pin taken
+// before submit is current, a delta patch when another round published
+// since), patched by the user's NodeEvaluator over the round's batches
+// since rp's version. They are derived afresh when the round changed
+// admin state or replaced the document, and when the session cannot
+// produce or patch them (the policy is not chain-only for the user, or a
+// failed executor left a version gap).
+func (s *Session) roundPerms(ctx context.Context, c *commitCtx, rp *reqPerms) (*policy.Perms, error) {
+	doc := c.curDoc()
+	if rp.pm != nil && rp.ver == doc.Version() {
+		return rp.pm, nil
 	}
-	out["USER"] = xpath.String(user)
-	return out
+	// The round still has the base's policy, hierarchy and document lineage.
+	baseState := !c.docReset && c.policy == nil && c.subjects == nil
+	if baseState && rp.pm == nil {
+		if e, err := s.currentPerms(ctx, c.base); err == nil {
+			*rp = reqPerms{pm: e.pm, ne: e.ne, ver: e.ver}
+			if e.ver == doc.Version() {
+				securedViewSession.Inc()
+				obs.AnnotateCtx(ctx, "view_source", "session")
+				return e.pm, nil
+			}
+		}
+	}
+	if baseState && rp.pm != nil {
+		if rp.ne == nil {
+			rp.ne, _ = c.base.policy.NodeEvaluator(c.base.subjects, s.user)
+		}
+		if pm, _ := patchPerms(ctx, rp.ne, rp.pm, rp.ver, doc, c.batches); pm != nil {
+			rp.pm, rp.ver = pm, doc.Version()
+			securedViewRebuild.Inc()
+			obs.AnnotateCtx(ctx, "view_source", "round_patch")
+			return pm, nil
+		}
+	}
+	securedViewRebuild.Inc()
+	obs.AnnotateCtx(ctx, "view_source", "rebuild")
+	pm, err := c.curPolicy().EvaluateCtx(ctx, doc, c.curSubjects(), s.user)
+	if err == nil {
+		rp.pm, rp.ver = pm, doc.Version()
+	}
+	return pm, err
 }
 
 func opDetail(op *xupdate.Op) string {
@@ -1084,24 +1070,15 @@ func opDetail(op *xupdate.Op) string {
 	}
 }
 
-// ApplyAs implements journal.Applier: it executes a logged modification
-// document as the given user through the normal security path, without
-// re-journaling. Used by Recover.
-func (db *Database) ApplyAs(user, modifications string) error {
-	s, err := db.Session(user)
-	if err != nil {
-		return err
-	}
-	_, err = s.apply(context.Background(), modifications)
-	return err
-}
-
 // Recover rebuilds state from a snapshot plus its journal suffix: the
-// snapshot is restored, then every journal entry is re-executed through
-// the security path. It returns the database and the last replayed
-// sequence number (pass it to WithJournal to continue the same log).
-// A torn final journal entry (crash during append) is tolerated: the
-// intact prefix is applied.
+// snapshot is restored, then every journal entry is re-executed, in
+// journal order, as one write request of its user through the same
+// secured path and the user's session (Session.write, without
+// re-journaling). It returns the database and the last replayed sequence
+// number (pass it to WithJournal to continue the same log). A failing
+// entry stops replay with an error naming its sequence number. A torn
+// final journal entry (crash during append) is tolerated: the intact
+// prefix is applied.
 func Recover(snapshot, journalLog io.Reader, opts ...Option) (*Database, uint64, error) {
 	db, err := Open(snapshot, opts...)
 	if err != nil {
@@ -1112,11 +1089,22 @@ func Recover(snapshot, journalLog io.Reader, opts ...Option) (*Database, uint64,
 		return nil, 0, err
 	}
 	torn := err != nil
-	applied, lastSeq, err := journal.Replay(db, entries)
-	if err != nil {
-		return nil, lastSeq, err
+	var lastSeq uint64
+	for _, e := range entries {
+		ops, err := xupdate.ParseModificationsString(e.Modifications)
+		var s *Session
+		if err == nil {
+			s, err = db.Session(e.User)
+		}
+		if err == nil {
+			_, err = s.write(context.Background(), ops, false)
+		}
+		if err != nil {
+			return nil, lastSeq, fmt.Errorf("core: replaying journal entry %d (%s): %w", e.Seq, e.User, err)
+		}
+		lastSeq = e.Seq
 	}
-	detail := fmt.Sprintf("replayed %d entries", applied)
+	detail := fmt.Sprintf("replayed %d entries", len(entries))
 	if torn {
 		detail += " (torn tail discarded)"
 	}
@@ -1154,11 +1142,11 @@ func (s *Session) TransformCtx(ctx context.Context, stylesheet string) (string, 
 		return fail(err)
 	}
 	g := s.db.gen()
-	pm, err := s.currentPerms(ctx, g)
+	e, err := s.currentPerms(ctx, g)
 	if err != nil {
 		return fail(err)
 	}
-	out, err := sheet.TransformString(g.doc, s.vars(), qfilter.ForPerms(pm))
+	out, err := sheet.TransformString(g.doc, s.vars(), qfilter.ForPerms(e.pm))
 	if err != nil {
 		return fail(err)
 	}

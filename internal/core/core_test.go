@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"securexml/internal/journal"
 	"securexml/internal/labeling"
 	"securexml/internal/policy"
 	"securexml/internal/policyanalysis"
@@ -643,8 +644,28 @@ func TestRecoverErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	badLog := "entry 1 mallory 24\n<xupdate:modifications/>\n"
-	if _, _, err := Recover(strings.NewReader(snap.String()), strings.NewReader(badLog)); err == nil {
-		t.Error("journal from unknown user replayed")
+	if _, _, err := Recover(strings.NewReader(snap.String()), strings.NewReader(badLog)); err == nil || !strings.Contains(err.Error(), "entry 1 ") {
+		t.Errorf("journal from unknown user: err = %v, want it to name entry 1", err)
+	}
+	// A failing entry stops replay, and the error names its sequence
+	// number; the entries before it replayed.
+	var log strings.Builder
+	jw := journal.NewWriter(&log, 5)
+	for _, mods := range []string{
+		`<xupdate:modifications><xupdate:update select="/patients/franck/diagnosis">angina</xupdate:update></xupdate:modifications>`,
+		`<xupdate:modifications><xupdate:update select="$undefined">otitis</xupdate:update></xupdate:modifications>`,
+		`<xupdate:modifications><xupdate:remove select="/patients/robert"/></xupdate:modifications>`,
+	} {
+		if _, err := jw.Append("laporte", mods); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, lastSeq, err := Recover(strings.NewReader(snap.String()), strings.NewReader(log.String()))
+	if err == nil || !strings.Contains(err.Error(), "entry 7 ") {
+		t.Errorf("failing entry 7: err = %v, want it to name entry 7", err)
+	}
+	if lastSeq != 6 {
+		t.Errorf("replay stopped after entry %d, want 6", lastSeq)
 	}
 }
 

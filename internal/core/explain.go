@@ -97,8 +97,8 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 // ExplainAs is the administrator's source-wide explain: it selects on the
 // source document, nodes hidden from user included, and reports for each
 // the verdict that hides it (hidden-by-parent or no-read) under its source
-// path and label. It is a Go API call only, in the style of ApplyAs; no
-// user-facing surface serves it.
+// path and label. It is a Go API call only; no user-facing surface
+// serves it.
 func (db *Database) ExplainAs(user, path string) (*Explanation, error) {
 	s, err := db.Session(user)
 	if err != nil {
@@ -115,12 +115,13 @@ func (s *Session) explain(ctx context.Context, path string, filtered bool) (*Exp
 	// cells, the view and the re-derived story all come from the same
 	// snapshot even while commits land concurrently.
 	g := s.db.gen()
-	pm, err := s.currentPerms(ctx, g)
+	e, err := s.currentPerms(ctx, g)
 	if err != nil {
 		sessionOp("explain", "error")
 		s.db.recordCtx(ctx, "explain", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, err
 	}
+	pm := e.pm
 	v := view.MaterializeCtx(ctx, g.doc, pm)
 	var sec *xpath.Security
 	if filtered {

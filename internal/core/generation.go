@@ -77,15 +77,16 @@ type deltaBatch struct {
 // oldest retained batch rebuild from scratch.
 const deltaLogCap = 256
 
-// deltaChain collects the roots of the contiguous batches leading from
-// document version from up to this generation's version. It returns ok=false when
-// the log has a gap — the oldest batches were trimmed, or an update
-// mutated the document without recording a batch (e.g. an executor error
-// after partial application).
-func (g *generation) deltaChain(from uint64) ([][]string, bool) {
+// deltaChain collects the roots of the contiguous batches of log leading
+// from document version from up to version to. log is a generation's
+// delta log or a commit round's own batches. It returns ok=false when the
+// log has a gap — the oldest batches were trimmed, or an update mutated
+// the document without recording a batch (e.g. an executor error after
+// partial application).
+func deltaChain(log []deltaBatch, from, to uint64) ([][]string, bool) {
 	cur := from
 	var out [][]string
-	for _, b := range g.log {
+	for _, b := range log {
 		if b.toVer <= cur {
 			continue
 		}
@@ -95,7 +96,7 @@ func (g *generation) deltaChain(from uint64) ([][]string, bool) {
 		out = append(out, b.roots)
 		cur = b.toVer
 	}
-	if cur != g.ver() {
+	if cur != to {
 		return nil, false
 	}
 	return out, true

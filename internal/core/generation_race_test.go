@@ -292,10 +292,7 @@ func TestReadsDoNotWaitForCommitRound(t *testing.T) {
 	go func() {
 		defer close(done)
 		db.submit(func(c *commitCtx) {
-			from := c.curDoc().Version()
-			if res, werr = writer.executeInRound(context.Background(), c, op, nil); werr == nil {
-				c.batches = append(c.batches, deltaBatch{fromVer: from, toVer: c.curDoc().Version(), roots: res.Touched})
-			}
+			res, werr = writer.runInRound(context.Background(), c, &reqPerms{}, op, nil)
 			close(held)
 			<-release
 		})

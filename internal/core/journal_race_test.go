@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,17 +13,26 @@ import (
 	"securexml/internal/xupdate"
 )
 
-// TestJournaledWritersConcurrent runs secured writes on eight sessions at
-// once over a journaled database, with the audit log read alongside, and
-// checks the journal's own bookkeeping: one entry per applied write,
-// numbered 1..k without gap or repeat. Refused writes (the patients'
-// renames) apply nothing and must leave no entry. Under -race (make race)
-// it is the check on journal.Writer's lock and the audit lock. Replaying
-// the journal is not compared with the live state: entries are numbered
-// in append order, which need not be the commit order.
+// TestJournaledWritersConcurrent runs secured writes on eight goroutines
+// at once over a journaled database, with the audit log read alongside.
+// The doctor's writers contend on the same node with writes that do not
+// commute: single updates of franck's diagnosis, and two-op Apply
+// documents that update it and then append a note copying it under
+// robert's diagnosis, so the final state depends on the commit order.
+// It checks the journal's bookkeeping — one entry per applied write
+// request, numbered 1..k without gap or repeat; refused writes (the
+// patients' renames) apply nothing and leave no entry — and that
+// replaying the journal onto a snapshot taken before the writers started
+// reproduces the live source: entries are appended in commit order. Under
+// -race (make race) it is also the check on the journal's and the audit
+// log's locks.
 func TestJournaledWritersConcurrent(t *testing.T) {
 	var log bytes.Buffer
 	db := hospitalWithOptions(t, WithJournal(&log, 0))
+	var snap bytes.Buffer
+	if err := db.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
 	users := []string{"laporte", "laporte", "laporte", "laporte", "laporte", "laporte", "robert", "franck"}
 	const iters = 16
 
@@ -35,19 +45,36 @@ func TestJournaledWritersConcurrent(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < iters; i++ {
-				op := &xupdate.Op{Kind: xupdate.Rename, Select: "/patients/" + user, NewValue: "king"}
-				if user == "laporte" {
-					target := []string{"franck", "robert"}[w%2]
-					op = &xupdate.Op{Kind: xupdate.Update, Select: "/patients/" + target + "/diagnosis",
-						NewValue: fmt.Sprintf("dx-%d-%d", w, i)}
+				var results []*xupdate.Result
+				var err error
+				switch {
+				case user != "laporte":
+					var res *xupdate.Result
+					res, err = s.UpdateCtx(context.Background(), &xupdate.Op{Kind: xupdate.Rename, Select: "/patients/" + user, NewValue: "king"})
+					results = []*xupdate.Result{res}
+				case w%2 == 0:
+					var res *xupdate.Result
+					res, err = s.UpdateCtx(context.Background(), &xupdate.Op{Kind: xupdate.Update,
+						Select: "/patients/franck/diagnosis", NewValue: fmt.Sprintf("dx-%d-%d", w, i)})
+					results = []*xupdate.Result{res}
+				default:
+					results, err = s.ApplyCtx(context.Background(), fmt.Sprintf(`
+						<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
+						  <xupdate:update select="/patients/franck/diagnosis">ap-%d-%d</xupdate:update>
+						  <xupdate:append select="/patients/robert/diagnosis">
+						    <xupdate:element name="seen"><xupdate:value-of select="string(/patients/franck/diagnosis)"/></xupdate:element>
+						  </xupdate:append>
+						</xupdate:modifications>`, w, i))
 				}
-				res, err := s.UpdateCtx(context.Background(), op)
 				if err != nil {
 					errs <- fmt.Errorf("%s writer %d op %d: %w", user, w, i, err)
 					return
 				}
-				if res.Applied > 0 {
-					applied.Add(1)
+				for _, res := range results {
+					if res.Applied > 0 {
+						applied.Add(1)
+						break
+					}
 				}
 			}
 		}()
@@ -74,7 +101,7 @@ func TestJournaledWritersConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, err := journal.Read(&log)
+	entries, err := journal.Read(bytes.NewReader(log.Bytes()))
 	if err != nil {
 		t.Fatalf("reading the journal: %v", err)
 	}
@@ -88,5 +115,18 @@ func TestJournaledWritersConcurrent(t *testing.T) {
 		if e.User != "laporte" {
 			t.Errorf("entry %d journaled a write by %s, whose writes are all refused", e.Seq, e.User)
 		}
+	}
+	restored, lastSeq, err := Recover(&snap, &log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastSeq != uint64(len(entries)) {
+		t.Errorf("replay ended at entry %d, want %d", lastSeq, len(entries))
+	}
+	if got, want := restored.SourceXML(), db.SourceXML(); got != want {
+		t.Fatalf("replaying the journal diverged from the live source:\n%s\nvs live\n%s", got, want)
+	}
+	if !strings.Contains(db.SourceXML(), "<seen>") {
+		t.Error("no Apply document appended its note")
 	}
 }

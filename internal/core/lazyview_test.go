@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"securexml/internal/obs"
+	"securexml/internal/policy"
 	"securexml/internal/view"
 	"securexml/internal/workload"
 	"securexml/internal/xupdate"
@@ -204,6 +206,46 @@ func BenchmarkWriteAfterPublish(b *testing.B) {
 				res, err := writer.Update(&xupdate.Op{Kind: xupdate.Update, Select: "/patients/p2/diagnosis", NewValue: fmt.Sprintf("w%d", i)})
 				if err != nil || res.Applied != bc.applied {
 					b.Fatalf("%s: %+v %v", bc.name, res, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMultiOpApply times one Apply of eight applied updates, each
+// to another patient's diagnosis, on 256 patients: one commit request
+// whose later ops find the document changed by the ops before them. For
+// the doctor the later ops patch the permissions over the op before's
+// delta; a positional rule makes the "ineligible" doctor's policy not
+// chain-only, so every later op re-evaluates the policy in full.
+func BenchmarkMultiOpApply(b *testing.B) {
+	for _, bc := range []struct {
+		name       string
+		ineligible bool
+	}{{"doctor", false}, {"ineligible", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			db := workloadHospital(b, 256)
+			if bc.ineligible {
+				if err := db.Grant(policy.Read, "/patients/*[1]", "doctor"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			writer := session(b, db, "laporte")
+			if _, err := writer.Query("/patients"); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var mods strings.Builder
+				mods.WriteString(`<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">`)
+				for p := 2; p < 10; p++ {
+					fmt.Fprintf(&mods, `<xupdate:update select="/patients/p%d/diagnosis">m%d</xupdate:update>`, p, i)
+				}
+				mods.WriteString(`</xupdate:modifications>`)
+				results, err := writer.Apply(mods.String())
+				if err != nil || len(results) != 8 || results[7].Applied != 1 {
+					b.Fatalf("%+v %v", results, err)
 				}
 			}
 		})

@@ -19,11 +19,10 @@ func TestSnapshotMutationIsolated(t *testing.T) {
 	db := hospital(t)
 	users := db.Users()
 
-	// Go through SharedSession so every user shares the singleton session
-	// and the cross-user rule cache — the tier the vet passes guard.
+	// Every user's one session shares the cross-user rule cache.
 	shared := func(u string) *Session {
 		t.Helper()
-		s, err := db.SharedSession(u)
+		s, err := db.Session(u)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func (db *Database) WarmSessions(ctx context.Context, users []string, workers in
 			warmPoolActive.Add(1)
 			defer warmPoolActive.Add(-1)
 			for user := range work {
-				s, err := db.SharedSession(user)
+				s, err := db.Session(user)
 				if err == nil {
 					err = s.Warm(ctx)
 				}

@@ -15,21 +15,21 @@ import (
 
 func TestSharedSessionSingleton(t *testing.T) {
 	db := hospital(t)
-	a, err := db.SharedSession("laporte")
+	a, err := db.Session("laporte")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.SharedSession("laporte")
+	b, err := db.Session("laporte")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatal("SharedSession returned distinct sessions for one user")
+		t.Fatal("Session returned distinct sessions for one user")
 	}
-	if _, err := db.SharedSession("staff"); !errors.Is(err, ErrNotUser) {
+	if _, err := db.Session("staff"); !errors.Is(err, ErrNotUser) {
 		t.Fatalf("role login: got %v, want ErrNotUser", err)
 	}
-	if _, err := db.SharedSession("nobody"); !errors.Is(err, ErrUnknownUser) {
+	if _, err := db.Session("nobody"); !errors.Is(err, ErrUnknownUser) {
 		t.Fatalf("unknown user: got %v, want ErrUnknownUser", err)
 	}
 }
@@ -45,7 +45,7 @@ func TestWarmSessionsAllUsers(t *testing.T) {
 	}
 	// A warmed shared session serves its first View from the cache.
 	before := obs.Default().Counter("xmlsec_view_cache_hits_total").Value()
-	s, err := db.SharedSession("laporte")
+	s, err := db.Session("laporte")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSharedScanChurnRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := g; i < len(plan); i += 4 {
-				s, err := db.SharedSession(plan[i].User)
+				s, err := db.Session(plan[i].User)
 				if err != nil {
 					fail(err)
 					return
@@ -129,7 +129,7 @@ func TestSharedScanChurnRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w, err := db.SharedSession("laporte")
+		w, err := db.Session("laporte")
 		if err != nil {
 			fail(err)
 			return

@@ -41,7 +41,8 @@ func (m *writeMirror) update(user string, op *xupdate.Op) (*xupdate.Result, erro
 	return res, err
 }
 
-// apply mirrors Session.apply: variables bind on a freshly derived view.
+// apply mirrors Session.Apply: variables bind on a freshly derived view,
+// with $USER naming the user.
 func (m *writeMirror) apply(user, mods string) ([]*xupdate.Result, error) {
 	ops, err := xupdate.ParseModificationsString(mods)
 	if err != nil {
@@ -55,7 +56,13 @@ func (m *writeMirror) apply(user, mods string) ([]*xupdate.Result, error) {
 			if err != nil {
 				return results, err
 			}
-			val, err := op.BindVariable(view.Materialize(m.doc, pm).Doc.Root(), mergeUser(env, user), nil)
+			vars := xpath.Vars{"USER": xpath.String(user)}
+			for k, v := range env {
+				if k != "USER" {
+					vars[k] = v
+				}
+			}
+			val, err := op.BindVariable(view.Materialize(m.doc, pm).Doc.Root(), vars, nil)
 			if err != nil {
 				return results, err
 			}
@@ -367,12 +374,8 @@ func (hs *writePathHarness) baseMoved(user string, pair [2]pathOp) {
 	var err, errOther error
 	s0, r0 := sourceCounts()
 	inOneRound(hs.t, hs.db, func(c *commitCtx) {
-		doc := c.mutableDoc()
-		from := doc.Version()
-		resOther, errOther = hs.sessions[other].executeInRound(context.Background(), c, opOther, nil)
-		if to := doc.Version(); errOther == nil && to != from {
-			c.batches = append(c.batches, deltaBatch{fromVer: from, toVer: to, roots: resOther.Touched})
-		}
+		c.mutableDoc()
+		resOther, errOther = hs.sessions[other].runInRound(context.Background(), c, &reqPerms{}, opOther, nil)
 	}, func() { res, err = hs.sessions[user].Update(op) })
 	from := hs.m.doc.Version()
 	wantOther, wantOtherErr := hs.m.update(other, opOther)

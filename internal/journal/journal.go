@@ -1,7 +1,11 @@
 // Package journal implements a logical operation log (command WAL) for the
-// secure XML database: every executed modification document is appended,
-// framed with its issuing user, and can be replayed — through the same
-// security path — onto a database restored from an earlier snapshot. A
+// secure XML database: the framing of entries, a Writer that appends them
+// and Read, which parses them back. Each entry is one write request as it
+// was published — the <xupdate:modifications> document of the operations
+// that ran, framed with its issuing user. The database's commit leader
+// appends a round's entries in commit order before it publishes the
+// round, and core.Recover replays them, in order and through the same
+// security path, onto a database restored from an earlier snapshot. A
 // snapshot (internal/storage) plus its journal suffix reproduces the exact
 // database state, because execution is deterministic: identifiers are
 // allocated by the labeling scheme from tree positions alone, rule
@@ -94,9 +98,13 @@ func (jw *Writer) Seq() uint64 {
 	return jw.seq
 }
 
-// Read parses a journal stream into entries, stopping at EOF. A torn final
-// entry (crash during append) is reported via ErrCorrupt together with the
-// entries read so far, so recovery can keep the prefix.
+// Read parses a journal stream into entries, stopping at EOF or at blank
+// lines that run to EOF. A torn final entry (crash during append), or
+// anything after a blank line, is reported via ErrCorrupt together with
+// the entries read so far, so recovery can keep the prefix. Every
+// malformed input is an ErrCorrupt; only a failing reader returns another
+// error. A body is read as far as the stream goes, never allocated from
+// its declared size, so a corrupt size cannot exhaust memory.
 func Read(r io.Reader) ([]Entry, error) {
 	br := bufio.NewReader(r)
 	var entries []Entry
@@ -110,7 +118,11 @@ func Read(r io.Reader) ([]Entry, error) {
 		}
 		header = strings.TrimSuffix(header, "\n")
 		if strings.TrimSpace(header) == "" {
-			return entries, nil
+			rest, err := io.ReadAll(br)
+			if err == nil && strings.TrimSpace(string(rest)) != "" {
+				err = fmt.Errorf("%w: data after a blank line", ErrCorrupt)
+			}
+			return entries, err
 		}
 		parts := strings.Fields(header)
 		if len(parts) != 4 || parts[0] != "entry" {
@@ -121,34 +133,18 @@ func Read(r io.Reader) ([]Entry, error) {
 		if err1 != nil || err2 != nil || size < 0 {
 			return entries, fmt.Errorf("%w: bad header %q", ErrCorrupt, header)
 		}
-		body := make([]byte, size+1) // + trailing newline
-		if _, err := io.ReadFull(br, body); err != nil {
-			return entries, fmt.Errorf("%w: torn entry %d: %v", ErrCorrupt, seq, err)
+		// + trailing newline; a size of MaxInt64 makes the limit negative,
+		// which reads nothing and is torn.
+		body, err := io.ReadAll(io.LimitReader(br, int64(size)+1))
+		if err != nil {
+			return entries, err
+		}
+		if len(body) != size+1 {
+			return entries, fmt.Errorf("%w: torn entry %d", ErrCorrupt, seq)
 		}
 		if body[size] != '\n' {
 			return entries, fmt.Errorf("%w: entry %d missing terminator", ErrCorrupt, seq)
 		}
 		entries = append(entries, Entry{Seq: seq, User: parts[2], Modifications: string(body[:size])})
 	}
-}
-
-// Applier is the replay target: core.Database satisfies it via an adapter
-// in that package (sessions apply the logged documents through the normal
-// security path).
-type Applier interface {
-	ApplyAs(user, modifications string) error
-}
-
-// Replay executes the entries in order against the target. It returns the
-// number of applied entries and the last sequence number, which seeds the
-// continuation Writer.
-func Replay(target Applier, entries []Entry) (applied int, lastSeq uint64, err error) {
-	for _, e := range entries {
-		if err := target.ApplyAs(e.User, e.Modifications); err != nil {
-			return applied, lastSeq, fmt.Errorf("journal: replaying entry %d (%s): %w", e.Seq, e.User, err)
-		}
-		applied++
-		lastSeq = e.Seq
-	}
-	return applied, lastSeq, nil
 }

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -88,7 +87,8 @@ func TestReadErrors(t *testing.T) {
 		"garbage header\nbody\n",
 		"entry x u 4\nabcd\n",
 		"entry 1 u notanumber\nabcd\n",
-		"entry 1 u 4\nabcdX", // missing terminator
+		"entry 1 u 4\nabcdX",                       // missing terminator
+		"entry 1 u 4\nabcd\n\nentry 2 u 4\nefgh\n", // an entry after a blank line
 	}
 	for _, src := range cases {
 		if _, err := Read(strings.NewReader(src)); !errors.Is(err, ErrCorrupt) {
@@ -99,38 +99,7 @@ func TestReadErrors(t *testing.T) {
 	if es, err := Read(strings.NewReader("")); err != nil || len(es) != 0 {
 		t.Errorf("empty journal: %v %v", es, err)
 	}
-}
-
-type fakeApplier struct {
-	applied []string
-	failAt  int
-}
-
-func (f *fakeApplier) ApplyAs(user, mods string) error {
-	if f.failAt > 0 && len(f.applied)+1 == f.failAt {
-		return fmt.Errorf("boom")
-	}
-	f.applied = append(f.applied, user+":"+mods)
-	return nil
-}
-
-func TestReplay(t *testing.T) {
-	entries := []Entry{
-		{Seq: 5, User: "a", Modifications: "<one/>"},
-		{Seq: 6, User: "b", Modifications: "<two/>"},
-	}
-	f := &fakeApplier{}
-	applied, last, err := Replay(f, entries)
-	if err != nil || applied != 2 || last != 6 {
-		t.Fatalf("Replay = %d, %d, %v", applied, last, err)
-	}
-	if f.applied[0] != "a:<one/>" || f.applied[1] != "b:<two/>" {
-		t.Errorf("applied = %v", f.applied)
-	}
-	// Failure stops and reports position.
-	f2 := &fakeApplier{failAt: 2}
-	applied, last, err = Replay(f2, entries)
-	if err == nil || applied != 1 || last != 5 {
-		t.Errorf("failed replay = %d, %d, %v", applied, last, err)
+	if es, err := Read(strings.NewReader("entry 1 u 4\nabcd\n\n \n")); err != nil || len(es) != 1 {
+		t.Errorf("trailing blank lines: %v %v", es, err)
 	}
 }

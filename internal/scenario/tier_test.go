@@ -52,7 +52,7 @@ func TestCorpusTierAgreement(t *testing.T) {
 			if err := db.Grant(policy.Position, "/*", user); err != nil {
 				t.Fatal(err)
 			}
-			reader, err := db.SharedSession(user)
+			reader, err := db.Session(user)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestCorpusTierAgreement(t *testing.T) {
 				}
 			}
 			agree("initial")
-			ws, err := db.SharedSession(writer)
+			ws, err := db.Session(writer)
 			if err != nil {
 				t.Fatal(err)
 			}

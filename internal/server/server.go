@@ -264,7 +264,7 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *core.Se
 		// Shared per-user sessions: every request for a user hits the same
 		// permission cache, so one cold derivation (or a warm-up) serves
 		// the whole connection population.
-		session, err := s.db.SharedSession(user)
+		session, err := s.db.Session(user)
 		if err != nil {
 			s.httpError(w, r, err, statusFor(err, http.StatusInternalServerError))
 			return
@@ -428,11 +428,13 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]int{"warmed": warmed})
 }
 
+// handleHealth needs no session, so it reports nothing about the
+// document: its node count and version count nodes and writes hidden from
+// every user (§2.2).
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	st := s.db.Stats()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "ok nodes=%d rules=%d users=%d roles=%d version=%d\n",
-		st.Nodes, st.Rules, st.Users, st.Roles, st.DocVersion)
+	fmt.Fprintf(w, "ok rules=%d users=%d roles=%d\n", st.Rules, st.Users, st.Roles)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -11,6 +11,7 @@ import (
 
 	"securexml/internal/core"
 	"securexml/internal/policy"
+	"securexml/internal/xupdate"
 )
 
 const medXML = `<patients><franck><service>otolaryngology</service><diagnosis>tonsillitis</diagnosis></franck><robert><service>pneumology</service><diagnosis>pneumonia</diagnosis></robert></patients>`
@@ -238,8 +239,35 @@ func TestUpdateBodyLimit(t *testing.T) {
 func TestHealth(t *testing.T) {
 	ts := testServer(t)
 	code, body := get(t, ts, "", "/healthz")
-	if code != http.StatusOK || !strings.Contains(body, "nodes=12") {
+	if code != http.StatusOK || !strings.HasPrefix(body, "ok ") {
 		t.Errorf("/healthz -> %d: %s", code, body)
+	}
+}
+
+// TestHealthIdenticalAcrossHiddenRecord: /healthz needs no session, so it
+// must not tell two databases apart that differ only in a record hidden
+// from robert and in writes to it.
+func TestHealthIdenticalAcrossHiddenRecord(t *testing.T) {
+	withFranck := testServerDB(t)
+	doctor, err := withFranck.Session("laporte")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := doctor.Update(&xupdate.Op{Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: "angina"}); err != nil || res.Applied != 1 {
+		t.Fatalf("hidden write: %+v %v", res, err)
+	}
+	without := testServerDBOn(t, `<patients><robert><service>pneumology</service><diagnosis>pneumonia</diagnosis></robert></patients>`)
+	var bodies [2]string
+	for i, db := range []*core.Database{withFranck, without} {
+		ts := httptest.NewServer(New(db))
+		t.Cleanup(ts.Close)
+		var code int
+		if code, bodies[i] = get(t, ts, "", "/healthz"); code != http.StatusOK {
+			t.Fatalf("/healthz -> %d: %s", code, bodies[i])
+		}
+	}
+	if bodies[0] != bodies[1] {
+		t.Errorf("/healthz tells the databases apart:\n%s\nvs\n%s", bodies[0], bodies[1])
 	}
 }
 

@@ -230,7 +230,7 @@ func parseContent(dec *xml.Decoder, frag *xmltree.Document, cur *xmltree.Node) e
 				if err != nil {
 					return err
 				}
-				if _, err := frag.AppendChild(cur, xmltree.KindText, value); err != nil {
+				if err := appendText(frag, cur, value); err != nil {
 					return err
 				}
 			case isXUpdateName(t.Name) && t.Name.Local == "value-of":
@@ -265,17 +265,28 @@ func parseContent(dec *xml.Decoder, frag *xmltree.Document, cur *xmltree.Node) e
 				}
 			}
 		case xml.CharData:
-			text := string(t)
-			if strings.TrimSpace(text) == "" {
-				continue
-			}
-			if _, err := frag.AppendChild(cur, xmltree.KindText, text); err != nil {
+			if err := appendText(frag, cur, string(t)); err != nil {
 				return err
 			}
 		case xml.EndElement:
 			return nil
 		}
 	}
+}
+
+// appendText adds text under cur. Whitespace-only text adds nothing, and
+// text after a text node joins it, so a fragment holds the nodes its
+// serialization (writeContent) parses back to.
+func appendText(frag *xmltree.Document, cur *xmltree.Node, text string) error {
+	if strings.TrimSpace(text) == "" {
+		return nil
+	}
+	if kids := cur.Children(); len(kids) > 0 && kids[len(kids)-1].Kind() == xmltree.KindText {
+		last := kids[len(kids)-1]
+		return frag.Rename(last, last.Label()+text)
+	}
+	_, err := frag.AppendChild(cur, xmltree.KindText, text)
+	return err
 }
 
 func attrOf(se xml.StartElement, name string) string {
