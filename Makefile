@@ -62,7 +62,8 @@ bench-selftest:
 # per-node rule matcher with the write-side permission-cell patch built on
 # it, NodeEvaluator.Rescore — the parallel permission-filtered read, a
 # session's read after a write, a session's applied and refused write
-# after another session's publish) with allocation counts; run on two
+# after another session's publish, one multi-op Apply, one AddUser commit
+# at 1k and 8k users) with allocation counts; run on two
 # commits for before/after tables, e.g. with benchstat. CI runs them once
 # (BENCHCOUNT=1 BENCHTIME=1x) so they cannot rot.
 bench-micro:
@@ -76,12 +77,14 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkWarmReadAfterWrite$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWriteAfterPublish$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkMultiOpApply$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkAddUser$$' -benchmem -count $(BENCHCOUNT) -benchtime $(BENCHTIME) ./internal/core
 
 # Bounded fuzzing of the parser targets (XPath, XUpdate, Datalog, XSLT
 # stylesheets, storage snapshots, the journal that recovery reads) and the incremental-maintenance differential
 # target (permissions patched by NodeEvaluator over the touched subtree
-# roots against a fresh Evaluate) from their seed corpora, plus the clone-independence target over
-# random mutator sequences, the serializer against its node-at-a-time
+# roots against a fresh Evaluate) from their seed corpora, plus the clone-independence targets over
+# random mutator sequences (documents, and subject hierarchies against a
+# naive two-map reference), the serializer against its node-at-a-time
 # oracle, the filtered serializer and copy against the materialized view,
 # and the secured-write equivalence target (filtered selection on the
 # source vs selection on the view).
@@ -92,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/view -fuzz FuzzIncrementalView -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/policyanalysis -fuzz FuzzRepair -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xmltree -fuzz FuzzCloneMutate -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/subject -fuzz FuzzHierarchyClone -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/xmltree -fuzz FuzzSerialize -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/qfilter -fuzz FuzzFilteredRender -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/access -fuzz FuzzFilteredWrite -fuzztime $(FUZZTIME) -run '^$$'

@@ -289,55 +289,65 @@ func Open(r io.Reader, opts ...Option) (*Database, error) {
 // --- administration -----------------------------------------------------------
 
 // AddRole declares a role under optional parent roles. Like every admin
-// operation it rides the group-commit queue (see admin).
+// operation it rides the group-commit queue (see admin). A new role has no
+// members, so it keeps the policy epoch.
 func (db *Database) AddRole(name string, parents ...string) error {
-	return db.admin("add-role", name, func(c *commitCtx) error {
+	return db.admin("add-role", name, false, func(c *commitCtx) error {
 		return c.mutableSubjects().AddRole(name, parents...)
 	})
 }
 
-// AddUser declares a user belonging to the given roles.
+// AddUser declares a user belonging to the given roles. A new user is
+// nobody's ancestor, so it keeps the policy epoch.
 func (db *Database) AddUser(name string, roles ...string) error {
-	return db.admin("add-user", name, func(c *commitCtx) error {
+	return db.admin("add-user", name, false, func(c *commitCtx) error {
 		return c.mutableSubjects().AddUser(name, roles...)
 	})
 }
 
 // Grant appends an accept rule (latest priority, §4.3 discipline).
 func (db *Database) Grant(priv policy.Privilege, path, subj string) error {
-	return db.admin("grant", fmt.Sprintf("%s on %s to %s", priv, path, subj), func(c *commitCtx) error {
+	return db.admin("grant", fmt.Sprintf("%s on %s to %s", priv, path, subj), true, func(c *commitCtx) error {
 		return c.mutablePolicy().Grant(c.curSubjects(), priv, path, subj)
 	})
 }
 
 // Revoke appends a deny rule (latest priority).
 func (db *Database) Revoke(priv policy.Privilege, path, subj string) error {
-	return db.admin("revoke", fmt.Sprintf("%s on %s from %s", priv, path, subj), func(c *commitCtx) error {
+	return db.admin("revoke", fmt.Sprintf("%s on %s from %s", priv, path, subj), true, func(c *commitCtx) error {
 		return c.mutablePolicy().Revoke(c.curSubjects(), priv, path, subj)
 	})
 }
 
 // AddRule inserts a rule with an explicit priority.
 func (db *Database) AddRule(r policy.Rule) error {
-	return db.admin("add-rule", r.String(), func(c *commitCtx) error {
+	return db.admin("add-rule", r.String(), true, func(c *commitCtx) error {
 		return c.mutablePolicy().Add(c.curSubjects(), r)
 	})
 }
 
 // admin runs one change of the hierarchy or the policy as a commit
 // request. change edits the round's scratch clones (mutableSubjects,
-// mutablePolicy); when it succeeds the round bumps the policy epoch and
-// publishes a new generation that shares the document pointer, so
-// admin-only rounds copy no tree. A failed change marks nothing changed,
-// so on its own it publishes nothing.
-func (db *Database) admin(action, detail string, change func(c *commitCtx) error) error {
+// mutablePolicy); when it succeeds the round publishes a new generation
+// that shares the document pointer, so admin-only rounds copy no tree. A
+// failed change marks nothing changed, so on its own it publishes nothing.
+//
+// moveEpoch says whether the change can alter an existing subject's perm.
+// Only then does the round bump the policy epoch, which discards every
+// session's permissions. A new subject gives no existing subject a new
+// ancestor (axioms 11 and 12), so by axiom 14 their perms stand, and their
+// sessions stay warm; the new user has no session yet, since Session
+// refuses unknown users.
+func (db *Database) admin(action, detail string, moveEpoch bool, change func(c *commitCtx) error) error {
 	var err error
 	db.submit(func(c *commitCtx) {
 		if err = change(c); err != nil {
 			return
 		}
 		c.adminChanged = true
-		c.epoch++
+		if moveEpoch {
+			c.epoch++
+		}
 		db.record("system", action, detail, "ok")
 	})
 	return err
@@ -861,7 +871,10 @@ func (db *Database) recordCtx(ctx context.Context, action, user, detail, outcome
 }
 
 // Update executes one XUpdate operation with the paper's write access
-// controls (axioms 18–25). It returns the per-node result.
+// controls (axioms 18–25). It returns the per-node result. The operation
+// runs in its wire form (xupdate.Canonical), the form the journal replays,
+// so an update value loses surrounding whitespace, and content loses
+// comments and merges adjacent text, as in an Apply.
 func (s *Session) Update(op *xupdate.Op) (*xupdate.Result, error) {
 	return s.UpdateCtx(context.Background(), op)
 }
@@ -869,6 +882,13 @@ func (s *Session) Update(op *xupdate.Op) (*xupdate.Result, error) {
 // UpdateCtx is Update with a request context (request ID into the audit
 // entry, duration into the telemetry registry).
 func (s *Session) UpdateCtx(ctx context.Context, op *xupdate.Op) (*xupdate.Result, error) {
+	if err := op.Validate(); err != nil {
+		return nil, err
+	}
+	op, err := xupdate.Canonical(op)
+	if err != nil {
+		return nil, err
+	}
 	results, err := s.write(ctx, []*xupdate.Op{op}, true)
 	if len(results) == 0 {
 		return nil, err

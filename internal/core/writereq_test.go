@@ -212,3 +212,40 @@ func TestNodeSetBindingReadsRoundState(t *testing.T) {
 		}
 	}
 }
+
+// TestGoBuiltWritesRecoverToLiveState: operations built in Go rather than
+// parsed are journaled in the wire syntax, which cannot carry an update
+// value's surrounding whitespace or content's comments and split text.
+// Update runs them in that syntax's normal form, so recovery reproduces
+// the live source node for node.
+func TestGoBuiltWritesRecoverToLiveState(t *testing.T) {
+	var log strings.Builder
+	db := hospitalWithOptions(t, WithJournal(&log, 0))
+	var snap strings.Builder
+	if err := db.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	appendOp, err := xupdate.NewOp(xupdate.Append, "/patients/robert/diagnosis", `<a>x<!--c-->y</a><b> </b>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laporte := session(t, db, "laporte")
+	for _, op := range []*xupdate.Op{
+		{Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: " padded "},
+		appendOp,
+	} {
+		if res, err := laporte.Update(op); err != nil || res.Applied == 0 {
+			t.Fatalf("%s %s: %+v %v", op.Kind, op.Select, res, err)
+		}
+	}
+	restored, _, err := Recover(strings.NewReader(snap.String()), strings.NewReader(log.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.SourceSketch(), db.SourceSketch(); got != want {
+		t.Errorf("recovered source differs from the live one:\n%s\nvs live\n%s", got, want)
+	}
+	if got, want := restored.SourceXML(), db.SourceXML(); got != want {
+		t.Errorf("recovered XML differs from the live one:\n%s\nvs live\n%s", got, want)
+	}
+}

@@ -152,6 +152,33 @@ func TestRuleCacheHitAccounting(t *testing.T) {
 	}
 }
 
+// TestColdPatientAllocations bounds the allocations of one patient's
+// evaluation through a warm RuleCache, the per-user work of a cold fleet:
+// the $USER-dependent rule /patients/*[name() = $USER] tests every patient
+// element, and the test allocates nothing per candidate, so the count
+// stays under a fixed bound on 125 patients and on 1,000.
+func TestColdPatientAllocations(t *testing.T) {
+	const bound = 64
+	for _, n := range []int{125, 1000} {
+		d, h, p := fleetEnv(t, n, nil)
+		cache := policy.NewRuleCache(p, d)
+		if _, err := cache.EvaluateShared(h, "p0"); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		allocs := testing.AllocsPerRun(10, func() {
+			_, err = cache.EvaluateShared(h, "p1")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d patients: %.0f allocations per patient evaluation", n, allocs)
+		if allocs > bound {
+			t.Errorf("%d patients: %.0f allocations per patient evaluation, want at most %d", n, allocs, bound)
+		}
+	}
+}
+
 // BenchmarkEvaluateShared times a cold fleet of 8 over 1,000 patients,
 // cache construction and fill included: staff (every applicable rule
 // $USER-independent) and patients (one $USER-dependent rule each).

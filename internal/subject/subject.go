@@ -37,17 +37,100 @@ var (
 )
 
 // Hierarchy is a mutable subject hierarchy: a DAG of roles with users at the
-// leaves. The zero value is not usable; call NewHierarchy.
+// leaves. Create one with NewHierarchy.
+//
+// The subjects live in a persistent two-level trie keyed by a hash of the
+// name, so that Clone costs O(1) and a write O(change): a clone shares the
+// whole trie, and a write copies the path to the one leaf it changes (the
+// root, one branch, one leaf) instead of writing any node in place. No node
+// reachable from a hierarchy is ever written, so Clone only reads its
+// source, and any number of goroutines may clone one hierarchy that nobody
+// mutates.
 type Hierarchy struct {
-	kinds   map[string]Kind
-	parents map[string][]string // direct isa edges: subject -> parents
+	root *[fanout]*branch // nil while empty
+}
+
+// fanout is the width of the root and of each branch: fanout² leaves.
+const fanout = 64
+
+// branch is one second-level trie node; each leaf holds the subjects whose
+// name hashes to it.
+type branch [fanout][]item
+
+// item is one subject: its name, its kind and its direct isa parents.
+type item struct {
+	name    string
+	kind    Kind
+	parents []string
 }
 
 // NewHierarchy returns an empty hierarchy.
-func NewHierarchy() *Hierarchy {
-	return &Hierarchy{
-		kinds:   make(map[string]Kind),
-		parents: make(map[string][]string),
+func NewHierarchy() *Hierarchy { return &Hierarchy{} }
+
+// slot returns the root and branch indexes of name's leaf, from its 32-bit
+// FNV-1a hash.
+func slot(name string) (hi, lo int) {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h ^= uint32(name[i])
+		h *= 16777619
+	}
+	return int(h>>6) % fanout, int(h) % fanout
+}
+
+// get returns the subject named name.
+func (h *Hierarchy) get(name string) (item, bool) {
+	if h.root == nil {
+		return item{}, false
+	}
+	hi, lo := slot(name)
+	if b := h.root[hi]; b != nil {
+		for _, it := range b[lo] {
+			if it.name == name {
+				return it, true
+			}
+		}
+	}
+	return item{}, false
+}
+
+// put stores it, adding or replacing the subject of that name, by copying
+// the path to its leaf.
+func (h *Hierarchy) put(it item) {
+	hi, lo := slot(it.name)
+	root := new([fanout]*branch)
+	if h.root != nil {
+		*root = *h.root
+	}
+	b := new(branch)
+	if root[hi] != nil {
+		*b = *root[hi]
+	}
+	leaf := make([]item, 0, len(b[lo])+1)
+	for _, old := range b[lo] {
+		if old.name != it.name {
+			leaf = append(leaf, old)
+		}
+	}
+	b[lo] = append(leaf, it)
+	root[hi] = b
+	h.root = root
+}
+
+// each calls fn for every subject, in no particular order.
+func (h *Hierarchy) each(fn func(it item)) {
+	if h.root == nil {
+		return
+	}
+	for _, b := range h.root {
+		if b == nil {
+			continue
+		}
+		for _, leaf := range b {
+			for _, it := range leaf {
+				fn(it)
+			}
+		}
 	}
 }
 
@@ -65,68 +148,67 @@ func (h *Hierarchy) add(name string, kind Kind, parents []string) error {
 	if name == "" {
 		return errors.New("subject: empty subject name")
 	}
-	if _, ok := h.kinds[name]; ok {
+	if h.Exists(name) {
 		return fmt.Errorf("%w: %q", ErrDuplicateSubject, name)
 	}
 	for _, p := range parents {
-		pk, ok := h.kinds[p]
+		pe, ok := h.get(p)
 		if !ok {
 			return fmt.Errorf("%w: parent %q of %q", ErrUnknownSubject, p, name)
 		}
-		if pk == User {
+		if pe.kind == User {
 			return fmt.Errorf("%w: %q under user %q", ErrUserParent, name, p)
 		}
 	}
-	h.kinds[name] = kind
-	h.parents[name] = append([]string(nil), parents...)
+	h.put(item{name: name, kind: kind, parents: append([]string(nil), parents...)})
 	return nil
 }
 
 // AddISA adds an isa edge from child to parent after both exist. It rejects
 // edges that would create a cycle (the closure must stay a partial order).
 func (h *Hierarchy) AddISA(child, parent string) error {
-	if _, ok := h.kinds[child]; !ok {
+	ce, ok := h.get(child)
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSubject, child)
 	}
-	pk, ok := h.kinds[parent]
+	pe, ok := h.get(parent)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSubject, parent)
 	}
-	if pk == User {
+	if pe.kind == User {
 		return fmt.Errorf("%w: %q under user %q", ErrUserParent, child, parent)
 	}
 	if child == parent || h.ISA(parent, child) {
 		return fmt.Errorf("%w: isa(%s, %s)", ErrCycle, child, parent)
 	}
-	for _, p := range h.parents[child] {
+	for _, p := range ce.parents {
 		if p == parent {
 			return nil // idempotent
 		}
 	}
-	h.parents[child] = append(h.parents[child], parent)
+	ce.parents = append(ce.parents[:len(ce.parents):len(ce.parents)], parent)
+	h.put(ce)
 	return nil
 }
 
 // Exists reports whether name is a declared subject.
 func (h *Hierarchy) Exists(name string) bool {
-	_, ok := h.kinds[name]
+	_, ok := h.get(name)
 	return ok
 }
 
 // KindOf returns the kind of a subject; ok is false for unknown names.
 func (h *Hierarchy) KindOf(name string) (Kind, bool) {
-	k, ok := h.kinds[name]
-	return k, ok
+	e, ok := h.get(name)
+	return e.kind, ok
 }
 
 // ISA implements the reflexive-transitive closure of axioms 11 and 12:
 // it reports whether subject s "is a" subject target. Unknown subjects are
 // related to nothing (closed world).
 func (h *Hierarchy) ISA(s, target string) bool {
-	if _, ok := h.kinds[s]; !ok {
-		return false
-	}
-	if _, ok := h.kinds[target]; !ok {
+	se, ok := h.get(s)
+	if !ok || !h.Exists(target) {
 		return false
 	}
 	if s == target {
@@ -134,7 +216,7 @@ func (h *Hierarchy) ISA(s, target string) bool {
 	}
 	// Axiom 12: transitivity, via upward search.
 	seen := map[string]bool{s: true}
-	stack := append([]string(nil), h.parents[s]...)
+	stack := append([]string(nil), se.parents...)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -145,7 +227,8 @@ func (h *Hierarchy) ISA(s, target string) bool {
 			continue
 		}
 		seen[cur] = true
-		stack = append(stack, h.parents[cur]...)
+		e, _ := h.get(cur)
+		stack = append(stack, e.parents...)
 	}
 	return false
 }
@@ -153,7 +236,7 @@ func (h *Hierarchy) ISA(s, target string) bool {
 // Ancestors returns every subject s' with isa(s, s'), including s itself,
 // sorted by name. It is the set of subjects whose rules apply to s.
 func (h *Hierarchy) Ancestors(s string) []string {
-	if _, ok := h.kinds[s]; !ok {
+	if !h.Exists(s) {
 		return nil
 	}
 	seen := map[string]bool{}
@@ -163,7 +246,8 @@ func (h *Hierarchy) Ancestors(s string) []string {
 			return
 		}
 		seen[cur] = true
-		for _, p := range h.parents[cur] {
+		e, _ := h.get(cur)
+		for _, p := range e.parents {
 			visit(p)
 		}
 	}
@@ -178,21 +262,22 @@ func (h *Hierarchy) Ancestors(s string) []string {
 
 // Parents returns the direct isa parents of s.
 func (h *Hierarchy) Parents(s string) []string {
-	return append([]string(nil), h.parents[s]...)
+	e, _ := h.get(s)
+	return append([]string(nil), e.parents...)
 }
 
 // Members returns every subject s with isa(s, role), including the role
 // itself, sorted by name — the downward closure.
 func (h *Hierarchy) Members(role string) []string {
-	if _, ok := h.kinds[role]; !ok {
+	if !h.Exists(role) {
 		return nil
 	}
 	var out []string
-	for name := range h.kinds {
-		if h.ISA(name, role) {
-			out = append(out, name)
+	h.each(func(it item) {
+		if h.ISA(it.name, role) {
+			out = append(out, it.name)
 		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }
@@ -205,37 +290,30 @@ func (h *Hierarchy) Roles() []string { return h.byKind(Role) }
 
 func (h *Hierarchy) byKind(k Kind) []string {
 	var out []string
-	for name, kind := range h.kinds {
-		if kind == k {
-			out = append(out, name)
+	h.each(func(it item) {
+		if it.kind == k {
+			out = append(out, it.name)
 		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }
 
-// Clone returns an independent copy of the hierarchy.
+// Clone returns an independent copy of the hierarchy in O(1): the copy
+// shares h's trie, which neither side ever writes in place.
 func (h *Hierarchy) Clone() *Hierarchy {
-	c := NewHierarchy()
-	for name, k := range h.kinds {
-		c.kinds[name] = k
-	}
-	for name, ps := range h.parents {
-		c.parents[name] = append([]string(nil), ps...)
-	}
-	return c
+	return &Hierarchy{root: h.root}
 }
 
 // Facts enumerates the subject(s) and direct isa(s, s') facts — the sets S
 // of axiom 10 — for the logic reference model.
 func (h *Hierarchy) Facts() (subjects []string, isa [][2]string) {
-	subjects = make([]string, 0, len(h.kinds))
-	for name := range h.kinds {
-		subjects = append(subjects, name)
-	}
+	subjects = []string{}
+	h.each(func(it item) { subjects = append(subjects, it.name) })
 	sort.Strings(subjects)
 	for _, s := range subjects {
-		for _, p := range h.parents[s] {
+		e, _ := h.get(s)
+		for _, p := range e.parents {
 			isa = append(isa, [2]string{s, p})
 		}
 	}

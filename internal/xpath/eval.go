@@ -120,6 +120,9 @@ func (b *binaryExpr) eval(ctx *evalCtx) (Value, error) {
 		}
 		return Boolean(r.Bool()), nil
 	}
+	if (b.op == opEq || b.op == opNeq) && (contextName(b.l) || contextName(b.r)) {
+		return b.evalNameEq(ctx)
+	}
 	l, err := b.l.eval(ctx)
 	if err != nil {
 		return nil, err
@@ -158,6 +161,35 @@ func (b *binaryExpr) eval(ctx *evalCtx) (Value, error) {
 	default:
 		return nil, fmt.Errorf("xpath: unknown operator %s", b.op)
 	}
+}
+
+// evalNameEq evaluates name() = e, e = name() and their != forms, where
+// name() (or local-name()) names the context node. When e yields a string,
+// as $USER does in the patient rule /patients/*[name() = $USER], it
+// compares the label without boxing it in a Value: a predicate runs once
+// per candidate node.
+func (b *binaryExpr) evalNameEq(ctx *evalCtx) (Value, error) {
+	other := b.r
+	if !contextName(b.l) {
+		other = b.l
+	}
+	v, err := other.eval(ctx)
+	if err != nil {
+		return nil, err
+	}
+	name := nodeName(ctx, ctx.node)
+	if s, ok := v.(String); ok {
+		return Boolean((name == string(s)) == (b.op == opEq)), nil
+	}
+	l, r := Value(String(name)), v
+	if other == b.l {
+		l, r = v, l
+	}
+	ok, err := compareValues(b.op, l, r, ctx.sec)
+	if err != nil {
+		return nil, err
+	}
+	return Boolean(ok), nil
 }
 
 func (f *filterExpr) eval(ctx *evalCtx) (Value, error) {
@@ -249,11 +281,13 @@ func (p *pathExpr) indexFastPath(root *xmltree.Node, ctx *evalCtx) ([]step, Node
 // evalStep applies one location step to every node of the input set and
 // merges the results in document order.
 func evalStep(input NodeSet, st step, ctx *evalCtx) (NodeSet, error) {
-	var merged []*xmltree.Node
+	// buf holds one input node's test matches; merged copies them before
+	// the next node reuses it.
+	var merged, buf []*xmltree.Node
 	for _, n := range input {
 		cands, unfiltered := axisNodes(n, st.axis, ctx.sec)
-		cands = filterTest(cands, unfiltered, st.test, st.axis, ctx.sec)
-		selected := NodeSet(cands)
+		buf = filterTest(buf[:0], cands, unfiltered, st.test, st.axis, ctx.sec)
+		selected := NodeSet(buf)
 		var err error
 		for _, pred := range st.preds {
 			selected, err = applyPredicate(selected, pred, ctx, st.axis.isReverse())
@@ -261,12 +295,12 @@ func evalStep(input NodeSet, st step, ctx *evalCtx) (NodeSet, error) {
 				return nil, err
 			}
 		}
+		if len(input) == 1 {
+			// A single context node yields results already in document
+			// order and free of duplicates; skip the copy and the sort.
+			return selected, nil
+		}
 		merged = append(merged, selected...)
-	}
-	if len(input) <= 1 {
-		// A single context node yields results already in document order
-		// and free of duplicates; skip the merge sort.
-		return NodeSet(merged), nil
 	}
 	return NodeSet(xmltree.SortDocOrder(merged)), nil
 }
@@ -279,12 +313,16 @@ func applyPredicate(nodes NodeSet, pred expr, ctx *evalCtx, reverse bool) (NodeS
 	// variable binding) that must not be disturbed.
 	out := make(NodeSet, 0, len(nodes))
 	size := len(nodes)
+	// One context serves every node: no evaluation keeps its context once
+	// it returns.
+	pctx := &evalCtx{size: size, vars: ctx.vars, sec: ctx.sec}
 	for i, n := range nodes {
 		pos := i + 1
 		if reverse {
 			pos = size - i
 		}
-		v, err := pred.eval(&evalCtx{node: n, pos: pos, size: size, vars: ctx.vars, sec: ctx.sec})
+		pctx.node, pctx.pos = n, pos
+		v, err := pred.eval(pctx)
 		if err != nil {
 			return nil, err
 		}
@@ -420,15 +458,22 @@ func reverseNodes(ns []*xmltree.Node) {
 	}
 }
 
-// filterTest keeps the candidates matching the node test, and the visible
-// ones when the candidates are unfiltered. The principal node type is
-// Attribute for the attribute axis and Element otherwise.
-func filterTest(cands []*xmltree.Node, unfiltered bool, nt nodeTest, axis Axis, sec *Security) []*xmltree.Node {
+// filterTest appends to out the candidates matching the node test, and
+// the visible ones when the candidates are unfiltered. The principal node
+// type is Attribute for the attribute axis and Element otherwise.
+// Without a security filter a wildcard or node() test keeps most
+// candidates; when they are a stored child, attribute or sibling slice,
+// bounded by the fan-out, out is sized for all of them at once instead of
+// growing. A filter may hide nearly all of them, as it hides every other
+// patient from a patient, so under one out grows.
+func filterTest(out, cands []*xmltree.Node, unfiltered bool, nt nodeTest, axis Axis, sec *Security) []*xmltree.Node {
 	principal := xmltree.KindElement
 	if axis == AxisAttribute {
 		principal = xmltree.KindAttribute
 	}
-	var out []*xmltree.Node
+	if unfiltered && sec == nil && (nt.kind == testWildcard || nt.kind == testNode) && cap(out) < len(cands) {
+		out = make([]*xmltree.Node, 0, len(cands))
+	}
 	for _, c := range cands {
 		if unfiltered && !sec.IsVisible(c) {
 			continue

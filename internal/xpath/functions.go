@@ -187,12 +187,25 @@ func nameFunc(ctx *evalCtx, args []Value) (Value, error) {
 		}
 		node = ns[0]
 	}
+	return String(nodeName(ctx, node)), nil
+}
+
+// nodeName is the name() of node: its effective label for an element or
+// an attribute, "" for any other node.
+func nodeName(ctx *evalCtx, node *xmltree.Node) string {
 	switch node.Kind() {
 	case xmltree.KindElement, xmltree.KindAttribute:
-		return String(ctx.sec.EffectiveLabel(node)), nil
+		return ctx.sec.EffectiveLabel(node)
 	default:
-		return String(""), nil
+		return ""
 	}
+}
+
+// contextName reports whether e is name() or local-name() of the context
+// node.
+func contextName(e expr) bool {
+	f, ok := e.(*funcCall)
+	return ok && len(f.args) == 0 && (f.name == "name" || f.name == "local-name")
 }
 
 // valueStr converts an argument value to a string, routing node-sets

@@ -38,6 +38,25 @@ func ModificationsString(ops []*Op) (string, error) {
 	return b.String(), nil
 }
 
+// Canonical returns op in the wire syntax's normal form: the operation
+// ParseModifications reads back from WriteModifications. The journal
+// stores operations in that syntax, so an operation built in Go replays
+// to the state it produced live only if it ran in this form. It differs
+// from op where the syntax cannot carry op verbatim: update and rename
+// values lose surrounding whitespace, and content loses comments and
+// whitespace-only text, its adjacent text nodes merging into one.
+func Canonical(op *Op) (*Op, error) {
+	s, err := ModificationsString([]*Op{op})
+	if err != nil {
+		return nil, err
+	}
+	ops, err := ParseModificationsString(s)
+	if err != nil {
+		return nil, fmt.Errorf("xupdate: %s operation does not survive its wire syntax: %w", op.Kind, err)
+	}
+	return ops[0], nil
+}
+
 func writeOp(w io.Writer, op *Op) error {
 	sel := escapeAttr(op.Select)
 	switch op.Kind {
